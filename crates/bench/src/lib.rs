@@ -12,12 +12,13 @@
 //!   from: lexing/parsing throughput, CFG + use-def chains, NULL-guard
 //!   analysis, and minidb write paths with and without enforcement.
 //!
-//! Run with `cargo bench --workspace`.
+//! Run with `cargo bench --workspace`. These benches time; they gate
+//! nothing. Every perf gate — warm cache, query rewrite, observability
+//! overhead — lives in `cfinder perf` (`cfinder_report::perf`).
 
 #![forbid(unsafe_code)]
 
-/// Re-exported so benches share one corpus-shrinking knob.
-pub use cfinder_corpus::GenOptions;
+use cfinder_corpus::GenOptions;
 
 /// A tiny generation option for iterated benchmarks (~2% noise LoC).
 pub fn bench_options() -> GenOptions {

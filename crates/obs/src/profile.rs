@@ -18,8 +18,9 @@
 //! * **Enabled**: span open/close additionally clones the span name into
 //!   the live stack (one small allocation) and takes one uncontended
 //!   per-thread mutex. The sampler wakes `hz` times a second, locks each
-//!   registered thread stack for a copy, and sleeps again — bounded by
-//!   the ≤5% overhead budget the `obs_overhead` bench enforces.
+//!   registered thread stack for a copy, and sleeps again. The design
+//!   budget is ≤5%; `cfinder perf` gates tracing plus the profiler at a
+//!   loose ≤75% over obs disabled, so noisy CI hosts don't flake.
 //!
 //! Sampling times are wall-clock and therefore nondeterministic; the
 //! *aggregation* is not. [`Profiler::record_sample`] — the exact fold

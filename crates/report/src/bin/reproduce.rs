@@ -20,7 +20,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use cfinder_core::{atomic_write, AnalysisCache, CFinderOptions, Limits, Obs};
+use cfinder_core::{atomic_write, AnalysisCache, Obs};
 use cfinder_corpus::GenOptions;
 use cfinder_report::tables::all_tables;
 use cfinder_report::{AppEvaluation, Evaluation};
@@ -72,14 +72,10 @@ fn main() {
 
     // Open the cache up front so an unwritable or non-directory path is a
     // typed usage error before any corpus generation or analysis work, not
-    // an io panic in the middle of the evaluation. The evaluation runs the
-    // paper configuration (intra-procedural; Tables 4–10 stay pinned), so
-    // the cache fingerprint must be derived from the same options.
-    let cache = cache_dir.as_ref().map(|dir| {
-        match AnalysisCache::open(dir, &CFinderOptions::paper(), &Limits::from_env()) {
-            Ok(cache) => Arc::new(cache),
-            Err(e) => usage_error(&e.to_string()),
-        }
+    // an io panic in the middle of the evaluation.
+    let cache = cache_dir.as_ref().map(|dir| match AppEvaluation::open_cache(dir) {
+        Ok(cache) => Arc::new(cache),
+        Err(e) => usage_error(&e.to_string()),
     });
 
     let options = if quick { GenOptions::quick() } else { GenOptions::paper() };

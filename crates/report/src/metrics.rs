@@ -1,11 +1,13 @@
 //! Precision / recall / coverage metrics joining analyzer output with
 //! corpus ground truth.
 
+use std::path::Path;
 use std::sync::Arc;
 
 use cfinder_core::engine::{map_ordered, resolve_threads};
 use cfinder_core::{
-    AnalysisCache, AnalysisReport, AppSource, CFinder, CFinderOptions, Obs, SourceFile,
+    AnalysisCache, AnalysisReport, AppSource, CFinder, CFinderOptions, CacheError, Limits, Obs,
+    SourceFile,
 };
 use cfinder_corpus::{GenOptions, GeneratedApp, StudyApp, Verdict};
 use cfinder_schema::ConstraintType;
@@ -41,6 +43,13 @@ pub struct CoverageCell {
     pub covered: usize,
 }
 
+/// The configuration every app evaluation analyzes with, and so the one
+/// its cache fingerprint must name: the paper's §4 options under the
+/// environment's resource limits.
+fn evaluation_config() -> (CFinderOptions, Limits) {
+    (CFinderOptions::paper(), Limits::from_env())
+}
+
 /// The full evaluation of one application.
 #[derive(Debug)]
 pub struct AppEvaluation {
@@ -63,14 +72,23 @@ impl AppEvaluation {
         AppEvaluation::run_cached(app, obs, None)
     }
 
+    /// Opens an incremental analysis cache under `dir` for
+    /// [`AppEvaluation::run_cached`]: its fingerprint is derived from the
+    /// options and limits that run analyzes with, so the entries land in
+    /// that configuration's shard.
+    pub fn open_cache(dir: &Path) -> Result<AnalysisCache, CacheError> {
+        let (options, limits) = evaluation_config();
+        AnalysisCache::open(dir, &options, &limits)
+    }
+
     /// [`AppEvaluation::run_obs`] with an optional incremental analysis
     /// cache attached, for warm re-runs of the evaluation. The evaluation
     /// runs the paper's §4 configuration ([`CFinderOptions::paper`]:
     /// intra-procedural only), so the reproduced Tables 4–10 stay pinned
     /// to the published cells; the inter-procedural extension's gain is
     /// measured separately (the `interproc` table and the ablation row).
-    /// The cache must have been opened with the same paper options and
-    /// default limits or every lookup degrades to a miss.
+    /// Open the cache with [`AppEvaluation::open_cache`], or its
+    /// fingerprint names another configuration's shard.
     pub fn run_cached(
         app: GeneratedApp,
         obs: Obs,
@@ -80,7 +98,8 @@ impl AppEvaluation {
             app.name.clone(),
             app.files.iter().map(|f| SourceFile::new(f.path.clone(), f.text.clone())).collect(),
         );
-        let mut finder = CFinder::with_options(CFinderOptions::paper()).with_obs(obs);
+        let (options, limits) = evaluation_config();
+        let mut finder = CFinder::with_options(options).with_limits(limits).with_obs(obs);
         if let Some(cache) = cache {
             finder = finder.with_cache(cache);
         }

@@ -1,12 +1,19 @@
 //! The `cfinder perf` benchmark harness: one cold round and one warm
 //! round of the eight-app evaluation over an ephemeral incremental
-//! cache, with the sampling profiler attached, distilled into a
+//! cache, with the sampling profiler attached, plus the query-rewrite
+//! races and the observability-overhead runs, distilled into a
 //! schema-versioned `BENCH_<stamp>.json` document.
 //!
 //! The document is the unit of the repo's perf-trajectory series: each
 //! data point is committed under `bench/`, and CI gates new points
 //! against the committed baseline with [`regression_gate`] so a
 //! throughput regression fails the build instead of landing silently.
+//!
+//! It is also the one home of every perf gate: [`evaluate_gates`] checks
+//! the warm-cache speedup and its report oracle, every query-rewrite
+//! class, and the observability overhead against fixed bounds, and the
+//! verdicts are written into the document's `gates` section. `cfinder
+//! perf` exits 1 when any gate fails.
 //!
 //! Timing covers only the analyses — corpus generation happens outside
 //! the measured window — so `loc_per_second` is analyzer throughput,
@@ -18,8 +25,9 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-use cfinder_core::{AnalysisCache, CFinderOptions, Limits, Obs};
+use cfinder_core::{AppSource, CFinder, Obs, SourceFile};
 use cfinder_corpus::{GenOptions, GeneratedApp};
+use cfinder_schema::Schema;
 use serde_json::Value;
 
 use crate::querybench::{query_bench_value, run_query_bench, QueryBenchOptions};
@@ -27,9 +35,28 @@ use crate::AppEvaluation;
 
 /// Version stamped into every new BENCH document. Version 2 adds the
 /// `query_bench` section (constraint-driven query-rewrite speedups);
-/// [`validate_bench`] still accepts committed version-1 points, which
-/// simply predate it.
-pub const BENCH_SCHEMA_VERSION: u64 = 2;
+/// version 3 adds `cache.report_mismatches`, the `obs_overhead` section
+/// and the `gates` verdicts. [`validate_bench`] still accepts committed
+/// version-1 and version-2 points, which simply predate them.
+pub const BENCH_SCHEMA_VERSION: u64 = 3;
+
+/// The warm round must be at least this many times faster than cold.
+const WARM_SPEEDUP_MIN: f64 = 5.0;
+/// Every rewritten plan must be at least this fast relative to its
+/// naive plan: "never slower", with slack for timer noise on
+/// sub-millisecond plans.
+const REWRITE_SPEEDUP_MIN: f64 = 0.95;
+/// The headline rewrite classes must reach this speedup.
+const HEADLINE_SPEEDUP_MIN: f64 = 1.5;
+/// The rewrite classes held to [`HEADLINE_SPEEDUP_MIN`].
+const HEADLINE_CLASSES: [&str; 2] = ["distinct_drop", "join_elimination"];
+/// Ceiling on tracing's cost over obs disabled, in percent. Loose so
+/// noisy CI boxes don't flake; the design budget is ≤5%.
+const TRACED_OVERHEAD_MAX_PCT: f64 = 50.0;
+/// Ceiling on tracing plus the sampling profiler, in percent: the
+/// live-stack push/pop adds one small allocation per span, within the
+/// ±20% run-to-run swing of shared CI boxes.
+const PROFILED_OVERHEAD_MAX_PCT: f64 = 75.0;
 
 /// Stage keys of the `stages_seconds` map, in pipeline order.
 pub const STAGE_KEYS: [&str; 5] = ["parse", "models", "detect", "diff", "orchestration"];
@@ -69,10 +96,7 @@ pub fn run_benchmark(
     stamp: &str,
     query_opts: QueryBenchOptions,
 ) -> Result<Value, String> {
-    let cache = Arc::new(
-        AnalysisCache::open(cache_dir, &CFinderOptions::default(), &Limits::from_env())
-            .map_err(|e| e.to_string())?,
-    );
+    let cache = Arc::new(AppEvaluation::open_cache(cache_dir).map_err(|e| e.to_string())?);
     let profiles = cfinder_corpus::all_profiles();
     let generate = || -> Vec<GeneratedApp> {
         profiles.iter().map(|p| cfinder_corpus::generate(p, options)).collect()
@@ -100,10 +124,20 @@ pub fn run_benchmark(
     profiler.stop();
     let profile = profiler.report();
 
+    // The warm round's oracle, off the clock: a speedup bought by a
+    // wrong answer is not a speedup.
+    let report_mismatches = cold
+        .iter()
+        .zip(&warm)
+        .filter(|(c, w)| c.report.stable_json() != w.report.stable_json())
+        .map(|(c, _)| Value::Str(c.app.name.clone()))
+        .collect();
+
     // The query-rewrite benchmark: its own databases, its own timed
     // windows, oracle-gated inside run_query_bench.
     let query_results = run_query_bench(query_opts)?;
     let query_bench = query_bench_value(query_opts, &query_results);
+    let obs_overhead = measure_obs_overhead(profile_hz)?;
 
     let loc_total: u64 = cold.iter().map(|a| a.report.loc as u64).sum();
     let stage_seconds = |pick: fn(&AppEvaluation) -> f64| cold.iter().map(pick).sum::<f64>();
@@ -144,7 +178,7 @@ pub fn run_benchmark(
         })
         .collect();
 
-    Ok(Value::Map(vec![
+    let mut doc = Value::Map(vec![
         ("schema_version".into(), Value::UInt(BENCH_SCHEMA_VERSION)),
         ("stamp".into(), Value::Str(stamp.to_string())),
         ("scale".into(), Value::Str(scale_label.to_string())),
@@ -162,6 +196,7 @@ pub fn run_benchmark(
                 ("hits".into(), Value::UInt(hits)),
                 ("misses".into(), Value::UInt(misses)),
                 ("hit_ratio".into(), Value::Float(hit_ratio)),
+                ("report_mismatches".into(), Value::Seq(report_mismatches)),
             ]),
         ),
         (
@@ -185,16 +220,186 @@ pub fn run_benchmark(
             ]),
         ),
         ("query_bench".into(), query_bench),
+        ("obs_overhead".into(), obs_overhead),
         ("apps".into(), Value::Seq(apps)),
+    ]);
+    let gates = evaluate_gates(&doc)?;
+    if let Value::Map(entries) = &mut doc {
+        entries.push(("gates".into(), Value::Seq(gates.iter().map(Gate::to_value).collect())));
+    }
+    Ok(doc)
+}
+
+/// The observability-overhead runs: oscar at loc_scale 0.02, analyzed
+/// with obs disabled, traced, and traced with the sampling profiler at
+/// `profile_hz`. Each configuration reports its median over 9 runs
+/// after 2 warm-ups; a fresh handle per run keeps traced buffers from
+/// growing across runs. The three configurations take turns run by
+/// run, so a load change on a shared host slows all three alike instead
+/// of reading as one configuration's overhead.
+fn measure_obs_overhead(profile_hz: u32) -> Result<Value, String> {
+    const WARMUP_RUNS: usize = 2;
+    const MEASURED_RUNS: usize = 9;
+    let profile = cfinder_corpus::profile("oscar").ok_or("no oscar profile")?;
+    let app = cfinder_corpus::generate(&profile, GenOptions { loc_scale: 0.02 });
+    let source = AppSource::new(
+        app.name.clone(),
+        app.files.iter().map(|f| SourceFile::new(f.path.clone(), f.text.clone())).collect(),
+    );
+    let declared = Schema::new();
+    let configs: [&dyn Fn() -> Obs; 3] =
+        [&Obs::disabled, &Obs::enabled, &|| Obs::profiled(profile_hz)];
+    let mut samples: [Vec<f64>; 3] = Default::default();
+    for run in 0..WARMUP_RUNS + MEASURED_RUNS {
+        for (obs, samples) in configs.iter().zip(&mut samples) {
+            let finder = CFinder::new().with_obs(obs());
+            let start = Instant::now();
+            let report = finder.analyze(&source, &declared);
+            let elapsed = start.elapsed().as_secs_f64();
+            if report.missing.is_empty() {
+                return Err("obs overhead: oscar detected nothing".into());
+            }
+            if run >= WARMUP_RUNS {
+                samples.push(elapsed);
+            }
+        }
+    }
+    let [disabled, traced, profiled] = samples.map(|mut s| {
+        s.sort_by(f64::total_cmp);
+        s[s.len() / 2]
+    });
+    Ok(Value::Map(vec![
+        ("disabled_seconds".into(), Value::Float(disabled)),
+        ("traced_seconds".into(), Value::Float(traced)),
+        ("profiled_seconds".into(), Value::Float(profiled)),
     ]))
+}
+
+/// Which side of its bound a gate's measured value must stay on.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Bound {
+    /// The value must be at least this.
+    Min(f64),
+    /// The value must be at most this.
+    Max(f64),
+}
+
+/// One perf gate: a measured value held against a fixed bound.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Gate {
+    /// Gate name, e.g. `warm_speedup` or `rewrite_speedup.point_lookup`.
+    pub name: String,
+    /// The measured value.
+    pub value: f64,
+    /// The bound it must respect.
+    pub bound: Bound,
+}
+
+impl Gate {
+    /// Whether the value respects the bound (the bound itself passes).
+    pub fn passed(&self) -> bool {
+        match self.bound {
+            Bound::Min(min) => self.value >= min,
+            Bound::Max(max) => self.value <= max,
+        }
+    }
+
+    /// The gate's entry in the `gates` section.
+    pub fn to_value(&self) -> Value {
+        let (key, bound) = match self.bound {
+            Bound::Min(min) => ("min", min),
+            Bound::Max(max) => ("max", max),
+        };
+        Value::Map(vec![
+            ("name".into(), Value::Str(self.name.clone())),
+            ("value".into(), Value::Float(self.value)),
+            (key.into(), Value::Float(bound)),
+            ("pass".into(), Value::Bool(self.passed())),
+        ])
+    }
+}
+
+/// Evaluates every perf gate over a BENCH document's measurements:
+///
+/// * `warm_speedup`: cold wall over warm wall, at least 5×;
+/// * `warm_report_mismatches`: apps whose warm report differs from the
+///   cold one, at most 0;
+/// * `rewrite_speedup.<class>`: every class at least 0.95×,
+///   `distinct_drop` and `join_elimination` at least 1.5×;
+/// * `obs_overhead_pct.traced` / `.profiled`: percent over obs disabled,
+///   at most 50% / 75%.
+///
+/// A document lacking any of these inputs is an error, not a pass.
+pub fn evaluate_gates(doc: &Value) -> Result<Vec<Gate>, String> {
+    let num = |v: Option<&Value>, key: &str| {
+        v.and_then(Value::as_f64).ok_or_else(|| format!("gates need numeric `{key}`"))
+    };
+    let cold = num(doc.get("wall_seconds"), "wall_seconds")?;
+    let warm = num(doc.get("warm_wall_seconds"), "warm_wall_seconds")?;
+    let mismatches = doc
+        .get("cache")
+        .and_then(|c| c.get("report_mismatches"))
+        .and_then(Value::as_seq)
+        .ok_or("gates need the `cache.report_mismatches` list")?;
+    let mut gates = vec![
+        Gate {
+            name: "warm_speedup".into(),
+            value: cold / warm.max(f64::EPSILON),
+            bound: Bound::Min(WARM_SPEEDUP_MIN),
+        },
+        Gate {
+            name: "warm_report_mismatches".into(),
+            value: mismatches.len() as f64,
+            bound: Bound::Max(0.0),
+        },
+    ];
+    let classes = doc
+        .get("query_bench")
+        .and_then(|q| q.get("classes"))
+        .and_then(Value::as_seq)
+        .ok_or("gates need `query_bench.classes`")?;
+    for headline in HEADLINE_CLASSES {
+        if !classes.iter().any(|c| c.get("name").and_then(Value::as_str) == Some(headline)) {
+            return Err(format!("gates need the headline query class `{headline}`"));
+        }
+    }
+    for class in classes {
+        let name = class.get("name").and_then(Value::as_str).ok_or("query class without `name`")?;
+        let min = if HEADLINE_CLASSES.contains(&name) {
+            HEADLINE_SPEEDUP_MIN
+        } else {
+            REWRITE_SPEEDUP_MIN
+        };
+        gates.push(Gate {
+            name: format!("rewrite_speedup.{name}"),
+            value: num(class.get("speedup"), "speedup")?,
+            bound: Bound::Min(min),
+        });
+    }
+    let obs = doc.get("obs_overhead").ok_or("gates need the `obs_overhead` section")?;
+    let disabled = num(obs.get("disabled_seconds"), "disabled_seconds")?;
+    for (config, key, max) in [
+        ("traced", "traced_seconds", TRACED_OVERHEAD_MAX_PCT),
+        ("profiled", "profiled_seconds", PROFILED_OVERHEAD_MAX_PCT),
+    ] {
+        let seconds = num(obs.get(key), key)?;
+        gates.push(Gate {
+            name: format!("obs_overhead_pct.{config}"),
+            value: 100.0 * (seconds - disabled) / disabled.max(f64::EPSILON),
+            bound: Bound::Max(max),
+        });
+    }
+    Ok(gates)
 }
 
 /// Validates a BENCH document: every required field present, typed, and
 /// internally consistent. Returns the first violation found.
 ///
-/// Accepts schema versions 1 and 2: version-1 documents predate the
-/// `query_bench` section and are committed history; version-2 documents
-/// must carry it.
+/// Accepts schema versions 1 to 3: version-1 documents predate the
+/// `query_bench` section and version-2 documents the gate inputs and
+/// verdicts; both are committed history. Version-3 documents must carry
+/// every gate input and a `gates` section whose verdicts agree with
+/// their own values and bounds.
 pub fn validate_bench(doc: &Value) -> Result<(), String> {
     let field = |key: &str| doc.get(key).ok_or_else(|| format!("missing field `{key}`"));
     let f64_field =
@@ -203,8 +408,8 @@ pub fn validate_bench(doc: &Value) -> Result<(), String> {
         field(key)?.as_u64().ok_or_else(|| format!("field `{key}` must be an unsigned integer"))
     };
     let version = match u64_field("schema_version")? {
-        v @ (1 | BENCH_SCHEMA_VERSION) => v,
-        v => return Err(format!("schema_version {v}, expected 1 or {BENCH_SCHEMA_VERSION}")),
+        v @ 1..=BENCH_SCHEMA_VERSION => v,
+        v => return Err(format!("schema_version {v}, expected 1 to {BENCH_SCHEMA_VERSION}")),
     };
     for key in ["stamp", "scale"] {
         if field(key)?.as_str().is_none_or(str::is_empty) {
@@ -276,6 +481,37 @@ pub fn validate_bench(doc: &Value) -> Result<(), String> {
     }
     if version >= 2 {
         validate_query_bench(field("query_bench")?)?;
+    }
+    if version >= 3 {
+        evaluate_gates(doc)?;
+        validate_gates(field("gates")?)?;
+    }
+    Ok(())
+}
+
+/// Validates the v3 `gates` section: a non-empty list of named verdicts,
+/// each with a numeric value, one `min` or `max` bound, and a `pass`
+/// flag that agrees with them.
+fn validate_gates(gates: &Value) -> Result<(), String> {
+    let gates = gates.as_seq().ok_or("gates must be an array")?;
+    if gates.is_empty() {
+        return Err("gates must be non-empty".into());
+    }
+    for entry in gates {
+        let name = entry.get("name").and_then(Value::as_str).ok_or("gate missing `name`")?;
+        let value = entry.get("value").and_then(Value::as_f64);
+        let bound = match (entry.get("min"), entry.get("max")) {
+            (Some(min), None) => min.as_f64().map(Bound::Min),
+            (None, Some(max)) => max.as_f64().map(Bound::Max),
+            _ => None,
+        };
+        let (Some(value), Some(bound)) = (value, bound) else {
+            return Err(format!("gate `{name}` needs a numeric `value` and one `min` or `max`"));
+        };
+        let passed = Gate { name: name.to_string(), value, bound }.passed();
+        if entry.get("pass").and_then(Value::as_bool) != Some(passed) {
+            return Err(format!("gate `{name}` needs `pass` to be {passed}"));
+        }
     }
     Ok(())
 }
@@ -349,180 +585,5 @@ mod tests {
         assert_eq!(utc_stamp(951_868_800), "20000301T000000Z");
         // 2026-08-07 12:34:56 UTC.
         assert_eq!(utc_stamp(1_786_106_096), "20260807T123456Z");
-    }
-
-    fn synthetic_bench() -> Value {
-        let stages =
-            STAGE_KEYS.iter().map(|k| (k.to_string(), Value::Float(0.1))).collect::<Vec<_>>();
-        Value::Map(vec![
-            ("schema_version".into(), Value::UInt(BENCH_SCHEMA_VERSION)),
-            ("stamp".into(), Value::Str("19700101T000000Z".into())),
-            ("scale".into(), Value::Str("quick".into())),
-            ("loc_total".into(), Value::UInt(1000)),
-            ("wall_seconds".into(), Value::Float(2.0)),
-            ("warm_wall_seconds".into(), Value::Float(0.5)),
-            ("loc_per_second".into(), Value::Float(500.0)),
-            ("stages_seconds".into(), Value::Map(stages)),
-            (
-                "cache".into(),
-                Value::Map(vec![
-                    ("hits".into(), Value::UInt(8)),
-                    ("misses".into(), Value::UInt(2)),
-                    ("hit_ratio".into(), Value::Float(0.8)),
-                ]),
-            ),
-            (
-                "latency_seconds".into(),
-                Value::Map(vec![(
-                    "file_parse".into(),
-                    Value::Map(vec![
-                        ("p50".into(), Value::Float(0.001)),
-                        ("p95".into(), Value::Float(0.002)),
-                        ("p99".into(), Value::Float(0.003)),
-                    ]),
-                )]),
-            ),
-            (
-                "profile".into(),
-                Value::Map(vec![
-                    ("hz".into(), Value::UInt(97)),
-                    ("ticks".into(), Value::UInt(10)),
-                    ("sample_total".into(), Value::UInt(5)),
-                    ("hot_spans".into(), Value::Seq(vec![])),
-                ]),
-            ),
-            (
-                "query_bench".into(),
-                Value::Map(vec![
-                    ("rows".into(), Value::UInt(2000)),
-                    ("repeats".into(), Value::UInt(3)),
-                    (
-                        "classes".into(),
-                        Value::Seq(vec![Value::Map(vec![
-                            ("name".into(), Value::Str("distinct_drop".into())),
-                            ("rows".into(), Value::UInt(2000)),
-                            ("naive_seconds".into(), Value::Float(0.002)),
-                            ("rewritten_seconds".into(), Value::Float(0.001)),
-                            ("speedup".into(), Value::Float(2.0)),
-                            ("rules".into(), Value::Seq(vec![Value::Str("drop_distinct".into())])),
-                        ])]),
-                    ),
-                ]),
-            ),
-            (
-                "apps".into(),
-                Value::Seq(vec![Value::Map(vec![
-                    ("name".into(), Value::Str("oscar".into())),
-                    ("loc".into(), Value::UInt(1000)),
-                    ("files".into(), Value::UInt(10)),
-                    ("analysis_seconds".into(), Value::Float(2.0)),
-                ])]),
-            ),
-        ])
-    }
-
-    #[test]
-    fn validates_a_complete_document_and_names_the_first_gap() {
-        let good = synthetic_bench();
-        validate_bench(&good).unwrap();
-        for missing in
-            ["schema_version", "loc_per_second", "cache", "profile", "query_bench", "apps"]
-        {
-            let Value::Map(entries) = good.clone() else { unreachable!() };
-            let pruned = Value::Map(entries.into_iter().filter(|(k, _)| k != missing).collect());
-            let err = validate_bench(&pruned).unwrap_err();
-            assert!(err.contains(missing), "{missing}: {err}");
-        }
-    }
-
-    #[test]
-    fn accepts_version_one_documents_without_query_bench() {
-        // Committed v1 BENCH points predate the query_bench section and
-        // must stay valid as regression-gate baselines.
-        let Value::Map(entries) = synthetic_bench() else { unreachable!() };
-        let v1 = Value::Map(
-            entries
-                .into_iter()
-                .filter(|(k, _)| k != "query_bench")
-                .map(|(k, v)| if k == "schema_version" { (k, Value::UInt(1)) } else { (k, v) })
-                .collect(),
-        );
-        validate_bench(&v1).unwrap();
-    }
-
-    #[test]
-    fn rejects_vacuous_query_bench_classes() {
-        let mut doc = synthetic_bench();
-        if let Value::Map(entries) = &mut doc {
-            for (k, v) in entries.iter_mut() {
-                if k == "query_bench" {
-                    *v = Value::Map(vec![
-                        ("rows".into(), Value::UInt(2000)),
-                        ("repeats".into(), Value::UInt(3)),
-                        ("classes".into(), Value::Seq(vec![])),
-                    ]);
-                }
-            }
-        }
-        assert!(validate_bench(&doc).unwrap_err().contains("non-empty"));
-    }
-
-    #[test]
-    fn rejects_non_monotone_quantiles() {
-        let mut doc = synthetic_bench();
-        if let Value::Map(entries) = &mut doc {
-            for (k, v) in entries.iter_mut() {
-                if k == "latency_seconds" {
-                    *v = Value::Map(vec![(
-                        "file_parse".into(),
-                        Value::Map(vec![
-                            ("p50".into(), Value::Float(0.005)),
-                            ("p95".into(), Value::Float(0.002)),
-                            ("p99".into(), Value::Float(0.003)),
-                        ]),
-                    )]);
-                }
-            }
-        }
-        assert!(validate_bench(&doc).unwrap_err().contains("not monotone"));
-    }
-
-    #[test]
-    fn gate_passes_within_tolerance_and_fails_beyond_it() {
-        let baseline = synthetic_bench();
-        let mut current = synthetic_bench();
-        if let Value::Map(entries) = &mut current {
-            for (k, v) in entries.iter_mut() {
-                if k == "loc_per_second" {
-                    *v = Value::Float(460.0); // 8% below the 500 baseline
-                }
-            }
-        }
-        assert!(regression_gate(&current, &baseline, 10.0).is_ok());
-        let err = regression_gate(&current, &baseline, 5.0).unwrap_err();
-        assert!(err.contains("regression"), "{err}");
-    }
-
-    #[test]
-    fn quick_benchmark_emits_a_schema_valid_document() {
-        let dir = std::env::temp_dir().join(format!("cfinder-perf-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let doc = run_benchmark(
-            GenOptions::quick(),
-            "quick",
-            97,
-            &dir,
-            "19700101T000000Z",
-            QueryBenchOptions { rows: 300, repeats: 1 },
-        )
-        .unwrap();
-        validate_bench(&doc).unwrap();
-        // The warm round ran over the cold round's cache: hits dominate.
-        let cache = doc.get("cache").unwrap();
-        let hits = cache.get("hits").and_then(Value::as_u64).unwrap();
-        let misses = cache.get("misses").and_then(Value::as_u64).unwrap();
-        assert!(hits > 0, "warm round should hit the cache ({hits} hits, {misses} misses)");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

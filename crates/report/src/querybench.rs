@@ -21,8 +21,6 @@ use cfinder_schema::{
 };
 use serde_json::Value;
 
-use crate::TextTable;
-
 /// Sizing knobs for the query benchmark.
 #[derive(Debug, Clone, Copy)]
 pub struct QueryBenchOptions {
@@ -284,25 +282,6 @@ pub fn query_bench_value(opts: QueryBenchOptions, results: &[ClassResult]) -> Va
     ])
 }
 
-/// Renders the per-class table for the CLI and EXPERIMENTS.md.
-pub fn query_bench_table(results: &[ClassResult]) -> TextTable {
-    let mut table = TextTable::new(
-        "Constraint-driven query optimization (naive vs rewritten plans)",
-        &["class", "rows", "naive (ms)", "rewritten (ms)", "speedup", "rewrites"],
-    );
-    for r in results {
-        table.row([
-            r.name.to_string(),
-            r.rows.to_string(),
-            format!("{:.3}", r.naive_seconds * 1e3),
-            format!("{:.3}", r.rewritten_seconds * 1e3),
-            format!("{:.2}x", r.speedup()),
-            r.rules.join(", "),
-        ]);
-    }
-    table
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,7 +314,5 @@ mod tests {
             assert!(c.get("speedup").and_then(Value::as_f64).unwrap() > 0.0);
             assert!(c.get("rules").and_then(Value::as_seq).is_some_and(|r| !r.is_empty()));
         }
-        let table = query_bench_table(&results).render();
-        assert!(table.contains("distinct_drop"), "{table}");
     }
 }

@@ -110,7 +110,7 @@ struct Outcome {
     strict: bool,
 }
 
-const USAGE: &str = "usage: cfinder <dir> [--schema schema.json] [--schema-sql schema.sql] [--dialect postgres|mysql|sqlite] [--fix-out fixes.sql] [--json] [--timings] [--strict] [--provenance] [--cache-dir DIR] [--no-cache] [--trace-out FILE] [--metrics-out FILE] [--profile-out FILE] [--profile-hz N] [--max-file-bytes N] [--ablate null-guard|data-dep|composite|partial|check|default|interproc]…\n       cfinder explain <table[.column]> <dir> [--schema schema.json]\n       cfinder cache stats|clear <dir>\n       cfinder perf [--out DIR] [--scale quick|paper] [--smoke] [--baseline FILE] [--tolerance PCT]\n       cfinder minidb-bench [--rows N] [--repeats N] [--min-speedup X]\n       cfinder serve [--workers N] [--queue N] [--max-frame-bytes N] [--cache-dir DIR] [--slow-log FILE] [--slow-ms N] [--profile-hz N]";
+const USAGE: &str = "usage: cfinder <dir> [--schema schema.json] [--schema-sql schema.sql] [--dialect postgres|mysql|sqlite] [--fix-out fixes.sql] [--json] [--timings] [--strict] [--provenance] [--cache-dir DIR] [--no-cache] [--trace-out FILE] [--metrics-out FILE] [--profile-out FILE] [--profile-hz N] [--max-file-bytes N] [--ablate null-guard|data-dep|composite|partial|check|default|interproc]…\n       cfinder explain <table[.column]> <dir> [--schema schema.json]\n       cfinder cache stats|clear <dir>\n       cfinder perf [--out DIR] [--scale quick|paper] [--smoke] [--baseline FILE] [--tolerance PCT]\n       cfinder serve [--workers N] [--queue N] [--max-frame-bytes N] [--cache-dir DIR] [--slow-log FILE] [--slow-ms N] [--profile-hz N]";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -148,10 +148,6 @@ fn run(args: &[String]) -> Result<Outcome, String> {
     if args.first().is_some_and(|a| a == "perf") {
         // Same contract as `serve`: misuse exits 2 via the shared path.
         return Ok(run_perf(&args[1..]));
-    }
-    if args.first().is_some_and(|a| a == "minidb-bench") {
-        // Same contract as `perf`.
-        return Ok(run_minidb_bench(&args[1..]));
     }
     let mut dir: Option<PathBuf> = None;
     let mut schema_path: Option<PathBuf> = None;
@@ -564,11 +560,13 @@ const PERF_USAGE: &str = "cfinder perf [--out DIR] [--scale quick|paper] [--smok
      [--baseline FILE] [--tolerance PCT] [--profile-hz N]";
 
 /// `cfinder perf`: run the two-round (cold + warm) benchmark over the
-/// generated corpus with the sampling profiler attached, publish the
+/// generated corpus with the sampling profiler attached, plus the
+/// query-rewrite and observability-overhead runs, publish the
 /// schema-versioned `BENCH_<stamp>.json` data point atomically under
-/// `--out` (default `bench/`), and — when `--baseline` names a previous
-/// data point — gate throughput against it (exit 1 on regression).
-/// `--smoke` forces quick scale; it exists so CI can state its intent.
+/// `--out` (default `bench/`), and exit 1 if any of its perf gates
+/// fails or — when `--baseline` names a previous data point — if
+/// throughput regressed against it. `--smoke` forces quick scale; it
+/// exists so CI can state its intent.
 fn run_perf(args: &[String]) -> Outcome {
     use cfinder::core::usage;
     use cfinder::report::perf;
@@ -689,16 +687,19 @@ fn run_perf(args: &[String]) -> Outcome {
             );
         }
     }
-    if let Some(classes) =
-        doc.get("query_bench").and_then(|q| q.get("classes")).and_then(|c| c.as_seq())
-    {
-        for class in classes {
-            eprintln!(
-                "  query: {:<20} {:>7.2}x rewrite speedup",
-                class.get("name").and_then(|v| v.as_str()).unwrap_or("?"),
-                class.get("speedup").and_then(|v| v.as_f64()).unwrap_or(0.0),
-            );
-        }
+    let gates = perf::evaluate_gates(&doc).expect("validate_bench evaluated the gates");
+    for gate in &gates {
+        let bound = match gate.bound {
+            perf::Bound::Min(min) => format!(">= {min}"),
+            perf::Bound::Max(max) => format!("<= {max}"),
+        };
+        let verdict = if gate.passed() { "ok" } else { "FAILED" };
+        eprintln!("  gate: {:<36} {:>9.2} {bound:<7} {verdict}", gate.name, gate.value);
+    }
+    let failed = gates.iter().filter(|g| !g.passed()).count();
+    if failed > 0 {
+        eprintln!("perf: {failed} of {} gates FAILED", gates.len());
+        return Outcome { missing: 1, incidents: 0, strict: false };
     }
     if smoke {
         eprintln!("perf: smoke ok (schema v{} document validated)", perf::BENCH_SCHEMA_VERSION);
@@ -721,85 +722,6 @@ fn run_perf(args: &[String]) -> Outcome {
                 eprintln!("perf: gate FAILED: {verdict}");
                 return Outcome { missing: 1, incidents: 0, strict: false };
             }
-        }
-    }
-    Outcome { missing: 0, incidents: 0, strict: false }
-}
-
-/// One-line synopsis of the `minidb-bench` subcommand.
-const MINIDB_BENCH_USAGE: &str = "cfinder minidb-bench [--rows N] [--repeats N] [--min-speedup X]";
-
-/// `cfinder minidb-bench`: race the naive query plan against the
-/// constraint-rewritten plan for each workload class and print the
-/// speedup table. Every timed pair is oracle-gated (identical results)
-/// before timing. With `--min-speedup X`, exit 1 unless at least two
-/// classes reach an X× speedup — the CI gate for the claim that
-/// inferred constraints buy real query performance.
-fn run_minidb_bench(args: &[String]) -> Outcome {
-    use cfinder::core::usage;
-    use cfinder::report::{query_bench_table, run_query_bench, QueryBenchOptions};
-
-    let usage_error = |msg: &str| -> ! { usage::usage_error(msg, MINIDB_BENCH_USAGE) };
-    let mut opts = QueryBenchOptions::quick();
-    let mut min_speedup: Option<f64> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str, kind: &str| -> String {
-            match it.next() {
-                Some(v) if !v.starts_with("--") => v.clone(),
-                Some(flag2) => usage_error(&format!("{flag} expects {kind}, found flag `{flag2}`")),
-                None => usage_error(&format!("{flag} expects {kind}")),
-            }
-        };
-        match arg.as_str() {
-            "--rows" => {
-                let v = value("--rows", "a positive integer");
-                opts.rows = v
-                    .trim()
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|n| *n > 0)
-                    .unwrap_or_else(|| usage_error(&format!("invalid --rows value `{v}`")));
-            }
-            "--repeats" => {
-                let v = value("--repeats", "a positive integer");
-                opts.repeats = v
-                    .trim()
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|n| *n > 0)
-                    .unwrap_or_else(|| usage_error(&format!("invalid --repeats value `{v}`")));
-            }
-            "--min-speedup" => {
-                let v = value("--min-speedup", "a factor > 1");
-                min_speedup =
-                    Some(v.trim().parse::<f64>().ok().filter(|x| *x >= 1.0).unwrap_or_else(|| {
-                        usage_error(&format!("invalid --min-speedup value `{v}`"))
-                    }));
-            }
-            other => usage_error(&format!("unknown argument `{other}`")),
-        }
-    }
-
-    eprintln!(
-        "minidb-bench: {} rows/class, median of {} runs (oracle-gated)…",
-        opts.rows, opts.repeats
-    );
-    let results = match run_query_bench(opts) {
-        Ok(results) => results,
-        Err(e) => {
-            eprintln!("minidb-bench: {e}");
-            return Outcome { missing: 1, incidents: 0, strict: false };
-        }
-    };
-    print!("{}", query_bench_table(&results).render());
-    if let Some(floor) = min_speedup {
-        let winners = results.iter().filter(|r| r.speedup() >= floor).count();
-        if winners >= 2 {
-            eprintln!("minidb-bench: gate passed: {winners}/4 classes at >= {floor:.2}x");
-        } else {
-            eprintln!("minidb-bench: gate FAILED: only {winners}/4 classes at >= {floor:.2}x");
-            return Outcome { missing: 1, incidents: 0, strict: false };
         }
     }
     Outcome { missing: 0, incidents: 0, strict: false }

@@ -1,14 +1,11 @@
 //! The daemon soak oracle.
 //!
 //! N concurrent clients hammer one `cfinder serve` process with the
-//! whole 8-app corpus for several rounds, interleaving hostile frames
+//! whole 8-app corpus for three rounds, interleaving hostile frames
 //! and a mid-round source mutation, and every analyze answer must be
 //! **byte-identical** (`stable_json`) to a one-shot in-process run over
 //! the same sources. The daemon must never exit, never panic, and
 //! answer every frame exactly once — the harness router counts.
-//!
-//! The round count honors `CFINDER_SOAK_ROUNDS` (default 3) so CI can
-//! run the same oracle at reduced scale.
 
 mod support;
 
@@ -69,8 +66,7 @@ fn publish(src_dir: &Path, file_name: &str, text: &str) {
 #[test]
 fn soak_concurrent_clients_match_the_one_shot_oracle_byte_for_byte() {
     const CLIENTS: usize = 4;
-    let rounds: usize =
-        std::env::var("CFINDER_SOAK_ROUNDS").ok().and_then(|v| v.parse().ok()).unwrap_or(3);
+    const ROUNDS: usize = 3;
 
     let apps: Vec<GeneratedApp> = all_profiles().iter().map(|p| generate(p, SCALE)).collect();
     assert_eq!(apps.len(), 8, "the soak covers the whole corpus");
@@ -141,7 +137,7 @@ fn soak_concurrent_clients_match_the_one_shot_oracle_byte_for_byte() {
             let names = names.clone();
             let acceptable = acceptable.clone();
             s.spawn(move || {
-                for round in 0..rounds {
+                for round in 0..ROUNDS {
                     for (i, name) in names.iter().enumerate() {
                         let resp = client.call(
                             &format!("r{round}-{i}"),
@@ -245,7 +241,7 @@ fn soak_concurrent_clients_match_the_one_shot_oracle_byte_for_byte() {
         let (p50, p95, p99) = (quantile("p50"), quantile("p95"), quantile("p99"));
         assert!(p50 <= p95 && p95 <= p99, "{family} quantiles not monotone: {p50} / {p95} / {p99}");
         if family == "handle" {
-            assert!(p99 > 0.0, "handle p99 must be positive after {rounds} analyze rounds");
+            assert!(p99 > 0.0, "handle p99 must be positive after {ROUNDS} analyze rounds");
         }
     }
     assert!(result.get("slow_requests_total").and_then(Value::as_u64).is_some());
