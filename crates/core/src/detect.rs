@@ -3,8 +3,8 @@
 //!
 //! The pipeline is fault-tolerant by construction: per-file parsing uses
 //! the error-recovering parser, resource guards ([`Limits`]) bound how
-//! much work a single file can consume, and every worker runs under a
-//! panic-isolation boundary ([`engine::map_ordered_catch`]). Anything
+//! much work a single file can consume, and every per-file work item runs
+//! under a panic-isolation boundary ([`engine::catch`]). Anything
 //! that degrades a run is recorded as a typed [`Incident`] on the report
 //! instead of aborting the analysis or being silently dropped.
 
@@ -67,10 +67,11 @@ impl AppSource {
 
 /// Analyzer feature toggles.
 ///
-/// All default to `true` (the paper's configuration). Turning one off is
-/// an *ablation*: it removes one of the design elements §3 argues for,
-/// and the evaluation harness measures the resulting precision/recall
-/// damage (see `cfinder-report`'s ablation table).
+/// The §3 design elements default to on, the `ext_*` extensions to off,
+/// and inter-procedural propagation to on; [`CFinderOptions::paper`] is
+/// the paper's configuration. Turning a design element off is an
+/// *ablation*: the evaluation harness measures the resulting
+/// precision/recall damage (see `cfinder-report`'s ablation table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CFinderOptions {
     /// PA_n1's dominating-NULL-check pruning. Off → every guarded column
@@ -285,10 +286,12 @@ impl Default for CFinder {
 }
 
 impl CFinder {
-    /// Creates an analyzer with the paper's configuration. The worker-thread
-    /// count defaults to the `CFINDER_THREADS` environment variable, else
-    /// the machine's available parallelism; results are identical for any
-    /// thread count. Resource guards default to [`Limits::from_env`].
+    /// Creates an analyzer with [`CFinderOptions::default`]; the paper's
+    /// configuration is `CFinder::with_options(CFinderOptions::paper())`.
+    /// The worker-thread count defaults to the `CFINDER_THREADS`
+    /// environment variable, else the machine's available parallelism;
+    /// results are identical for any thread count. Resource guards default
+    /// to [`Limits::from_env`].
     pub fn new() -> Self {
         CFinder::default()
     }
@@ -370,38 +373,88 @@ impl CFinder {
 
     /// Extracts the model registry from an app along with every incident
     /// the guarded parse produced, so parse failures surface instead of
-    /// silently shrinking the registry.
+    /// silently shrinking the registry. Runs the same parse and model
+    /// passes as [`CFinder::analyze`], cache included.
     pub fn extract_models_with_incidents(&self, app: &AppSource) -> (ModelRegistry, Vec<Incident>) {
-        let threads = self.threads();
         let limits = effective_limits(&self.options, &self.limits);
-        let parsed = engine::map_ordered_catch_traced(
-            &app.files,
-            threads,
-            &self.obs.tracer,
-            "parse",
-            |file| parse_file_guarded(file, &limits, &self.obs),
-        );
-        let mut registry = ModelRegistry::new();
-        let mut incidents = Vec::new();
-        for (file, result) in app.files.iter().zip(parsed) {
-            match result {
-                Ok((module, file_incidents)) => {
-                    incidents.extend(file_incidents);
-                    if let Some(module) = module {
-                        registry.add_module(&module, &file.path);
+        let parsed = self.parse_pass(app, self.threads(), &limits);
+        (build_registry(&parsed.facts, &self.obs), parsed.incidents)
+    }
+
+    /// Pass 0: per-file facts — guarded parsing plus file-local class
+    /// extraction — fanned out across workers under a per-item
+    /// panic-isolation boundary, wrapped in a cache lookup when a cache
+    /// is attached. Results come back in file order, so the facts list and
+    /// the incident list match a serial (and an uncached) run.
+    fn parse_pass(&self, app: &AppSource, threads: usize, limits: &Limits) -> ParsePass {
+        let (cache, obs) = (self.cache.as_deref(), &self.obs);
+        let _span = obs.tracer.span("pass", || "parse".to_string());
+        let outcomes = engine::map_ordered(&app.files, threads, &obs.tracer, "parse", |file| {
+            cached(
+                || cache.map_or(Ok(None), |cache| lookup_file_facts(cache, file, obs)),
+                || parse_facts(file, limits, cache.is_some(), obs),
+                |facts| match cache {
+                    // Every freshly parsed file gets its parse entry here —
+                    // except deadline drops, which are timing-dependent and
+                    // must never be cached: the same file may parse in time
+                    // on the next run.
+                    Some(cache)
+                        if !facts.incidents.iter().any(|i| i.kind == IncidentKind::Deadline) =>
+                    {
+                        store_entry(cache, file, facts, obs)
                     }
+                    _ => {}
+                },
+            )
+        });
+        let mut pass =
+            ParsePass { facts: Vec::with_capacity(app.files.len()), ..ParsePass::default() };
+        for (file, outcome) in app.files.iter().zip(outcomes) {
+            let facts = settle(&file.path, outcome, "", &mut pass.incidents);
+            if let Some(f) = &facts {
+                // A hit replays its facts unparsed; every miss parses.
+                if cache.is_some() {
+                    pass.cache_hits += usize::from(!f.parsed);
+                    pass.cache_misses += usize::from(f.parsed);
                 }
-                Err(payload) => {
-                    incidents.push(Incident::new(
-                        IncidentKind::WorkerPanic,
-                        &file.path,
-                        0,
-                        payload,
-                    ));
-                }
+                pass.files_parsed += usize::from(f.parsed);
+                pass.incidents.extend(f.incidents.iter().cloned());
             }
+            pass.facts.push(facts);
         }
-        (registry, incidents)
+        pass
+    }
+
+    /// Pass 2's work for one file on a cache miss: pattern detection over
+    /// its module. A parse hit carried no AST, so the module is re-parsed
+    /// from source; the parser is deterministic, so this reproduces the
+    /// module the cached parse facts came from.
+    fn detect_file(
+        &self,
+        registry: &ModelRegistry,
+        summaries: Option<&SummaryTable>,
+        file: &SourceFile,
+        facts: &FileFacts,
+        limits: &Limits,
+    ) -> DetectOut {
+        let obs = &self.obs;
+        let reparse = facts.module.is_none().then(|| parse_file_guarded(file, limits, obs));
+        let module = facts.module.as_ref().or(reparse.as_ref().and_then(|r| r.0.as_ref()));
+        let (detections, none_assigned) = module
+            .map(|module| detect_module(registry, &self.options, file, module, summaries, obs))
+            .unwrap_or_default();
+        DetectOut {
+            detections,
+            none_assigned,
+            reparsed: reparse.is_some(),
+            // Re-parse incidents only matter if it *diverged* (a deadline
+            // firing this time); a successful re-parse yields exactly the
+            // incidents already replayed from the entry.
+            reparse_incidents: match reparse {
+                Some((None, incidents)) => incidents,
+                _ => Vec::new(),
+            },
+        }
     }
 
     /// Runs the full pipeline against `declared` (the `information_schema`
@@ -414,110 +467,17 @@ impl CFinder {
         root.arg("files", app.files.len().to_string());
         root.arg("threads", threads.to_string());
 
-        // Pass 0: per-file facts — guarded parsing plus file-local class
-        // extraction — fanned out across workers under a per-item
-        // panic-isolation boundary, wrapped in a cache lookup when a cache
-        // is attached. Results come back in file order, so the facts list
-        // and the incident list match a serial (and an uncached) run.
+        // Pass 0: per-file facts (see `parse_pass`).
         let cache = self.cache.as_deref();
         let limits = effective_limits(&self.options, &self.limits);
         let stage = Instant::now();
-        let pass_span = obs.tracer.span("pass", || "parse".to_string());
-        let parsed = engine::map_ordered_catch_cached(
-            &app.files,
-            threads,
-            &obs.tracer,
-            "parse",
-            |file| match cache {
-                Some(cache) => lookup_file_facts(cache, file, obs),
-                None => Ok(None),
-            },
-            |file| {
-                let (module, incidents) = parse_file_guarded(file, &limits, obs);
-                let classes =
-                    module.as_ref().map(|m| extract_classes(m, &file.path)).unwrap_or_default();
-                // Inter-procedural facts are always extracted (they are a
-                // cheap single walk); the *use* is gated on the option, so
-                // flipping it never changes the cached parse facts.
-                let interproc = module.as_ref().map(InterprocFacts::extract).unwrap_or_default();
-                FileFacts {
-                    dropped: module.is_none(),
-                    module,
-                    classes,
-                    interproc,
-                    incidents,
-                    content_hash: cache
-                        .map(|_| cache::content_hash(&file.text))
-                        .unwrap_or_default(),
-                    parsed: true,
-                }
-            },
-            |file, facts| {
-                // Every freshly parsed file gets its parse entry here —
-                // except deadline drops, which are timing-dependent and
-                // must never be cached: the same file may parse in time on
-                // the next run.
-                let Some(cache) = cache else { return false };
-                if facts.incidents.iter().any(|i| i.kind == IncidentKind::Deadline) {
-                    return false;
-                }
-                store_entry(cache, file, facts, obs)
-            },
-        );
-        let mut incidents = Vec::new();
-        let mut cache_hits = 0usize;
-        let mut cache_misses = 0usize;
-        let mut files_parsed = 0usize;
-        let mut facts: Vec<Option<FileFacts>> = Vec::with_capacity(app.files.len());
-        for (file, result) in app.files.iter().zip(parsed) {
-            match result {
-                Ok(cached) => {
-                    if cache.is_some() {
-                        if cached.hit {
-                            cache_hits += 1;
-                        } else {
-                            cache_misses += 1;
-                        }
-                    }
-                    if let Some(detail) = cached.cache_problem {
-                        incidents.push(Incident::new(
-                            IncidentKind::CacheCorrupt,
-                            &file.path,
-                            0,
-                            detail,
-                        ));
-                    }
-                    if cached.value.parsed {
-                        files_parsed += 1;
-                    }
-                    incidents.extend(cached.value.incidents.iter().cloned());
-                    facts.push(Some(cached.value));
-                }
-                Err(payload) => {
-                    incidents.push(Incident::new(
-                        IncidentKind::WorkerPanic,
-                        &file.path,
-                        0,
-                        payload,
-                    ));
-                    facts.push(None);
-                }
-            }
-        }
-        drop(pass_span);
+        let ParsePass { facts, mut incidents, cache_hits, cache_misses, mut files_parsed } =
+            self.parse_pass(app, threads, &limits);
         let parse = stage.elapsed();
 
-        // Pass 1: model metadata from every file's class facts. Registry
-        // construction is order-dependent (the is-a-model gate can consult
-        // classes registered by earlier files) and cheap, so it stays
-        // serial; cached and freshly extracted facts feed it identically.
+        // Pass 1: model metadata from every file's class facts.
         let stage = Instant::now();
-        let pass_span = obs.tracer.span("pass", || "models".to_string());
-        let mut registry = ModelRegistry::new();
-        for f in facts.iter().flatten() {
-            registry.add_classes(&f.classes);
-        }
-        drop(pass_span);
+        let registry = build_registry(&facts, obs);
         let model_extraction = stage.elapsed();
 
         // Pass 1½: the app-wide summary table — def-site call-graph
@@ -603,97 +563,34 @@ impl CFinder {
             .zip(&facts)
             .filter_map(|(file, f)| f.as_ref().filter(|f| !f.dropped).map(|f| (file, f)))
             .collect();
-        let per_module = engine::map_ordered_catch_cached(
-            &analyzable,
-            threads,
-            &obs.tracer,
-            "detect",
-            |(file, f)| match (cache, &detect_context) {
-                (Some(cache), Some(hash)) => lookup_detect_facts(cache, file, f, hash, obs),
-                _ => Ok(None),
-            },
-            |(file, f)| {
-                let owned;
-                let (module, reparsed, reparse_incidents) = match &f.module {
-                    Some(module) => (Some(module), false, Vec::new()),
-                    None => {
-                        // Parse hit, detect miss: the entry carried no AST,
-                        // so reproduce it from source. Incidents only
-                        // matter if the re-parse *diverges* (a deadline
-                        // firing this time); a successful re-parse yields
-                        // exactly the incidents already replayed from the
-                        // entry.
-                        let (m, inc) = parse_file_guarded(file, &limits, obs);
-                        let diverged = m.is_none();
-                        owned = m;
-                        (owned.as_ref(), true, if diverged { inc } else { Vec::new() })
-                    }
-                };
-                match module {
-                    Some(module) => {
-                        let (detections, none_assigned) = detect_module(
-                            &registry,
-                            &self.options,
-                            file,
-                            module,
-                            summaries.as_ref(),
-                            obs,
-                        );
-                        DetectOut { detections, none_assigned, reparse_incidents, reparsed }
-                    }
-                    None => DetectOut {
-                        detections: Vec::new(),
-                        none_assigned: BTreeSet::new(),
-                        reparse_incidents,
-                        reparsed,
+        let per_module =
+            engine::map_ordered(&analyzable, threads, &obs.tracer, "detect", |&(file, f)| {
+                let detect_cache = cache.zip(detect_context.as_deref());
+                cached(
+                    || {
+                        detect_cache.map_or(Ok(None), |(cache, hash)| {
+                            lookup_detect_facts(cache, file, f, hash, obs)
+                        })
                     },
-                }
-            },
-            |(file, f), out| {
-                let (Some(cache), Some(hash)) = (cache, detect_context.as_ref()) else {
-                    return false;
-                };
-                // A file whose re-parse degraded this run must not be
-                // cached under facts it no longer matches.
-                if !out.reparse_incidents.is_empty() {
-                    return false;
-                }
-                let detect = DetectFacts {
-                    registry_hash: hash.clone(),
-                    detections: out.detections.clone(),
-                    none_assigned: out.none_assigned.iter().cloned().collect(),
-                };
-                store_detect_entry(cache, file, f, detect, obs)
-            },
-        );
+                    || self.detect_file(&registry, summaries.as_ref(), file, f, &limits),
+                    |out| match detect_cache {
+                        // A file whose re-parse degraded this run must not be
+                        // cached under facts it no longer matches.
+                        Some((cache, hash)) if out.reparse_incidents.is_empty() => {
+                            store_detect_entry(cache, file, f, hash, out, obs)
+                        }
+                        _ => {}
+                    },
+                )
+            });
         let mut detections: Vec<Detection> = Vec::new();
         let mut none_assigned: BTreeSet<(String, String)> = BTreeSet::new();
-        for ((file, _), result) in analyzable.iter().zip(per_module) {
-            match result {
-                Ok(out) => {
-                    if let Some(detail) = out.cache_problem {
-                        incidents.push(Incident::new(
-                            IncidentKind::CacheCorrupt,
-                            &file.path,
-                            0,
-                            detail,
-                        ));
-                    }
-                    if out.value.reparsed {
-                        files_parsed += 1;
-                    }
-                    incidents.extend(out.value.reparse_incidents);
-                    detections.extend(out.value.detections);
-                    none_assigned.extend(out.value.none_assigned);
-                }
-                Err(payload) => {
-                    incidents.push(Incident::new(
-                        IncidentKind::WorkerPanic,
-                        &file.path,
-                        0,
-                        format!("detection stage: {payload}"),
-                    ));
-                }
+        for (&(file, _), outcome) in analyzable.iter().zip(per_module) {
+            if let Some(out) = settle(&file.path, outcome, "detection stage: ", &mut incidents) {
+                files_parsed += usize::from(out.reparsed);
+                incidents.extend(out.reparse_incidents);
+                detections.extend(out.detections);
+                none_assigned.extend(out.none_assigned);
             }
         }
 
@@ -795,10 +692,101 @@ impl CFinder {
     }
 }
 
+/// Pass 0's output in file order: each file's facts (`None` where its
+/// worker panicked), the incidents they produced, and the cache counters.
+#[derive(Default)]
+struct ParsePass {
+    facts: Vec<Option<FileFacts>>,
+    incidents: Vec<Incident>,
+    cache_hits: usize,
+    cache_misses: usize,
+    files_parsed: usize,
+}
+
+/// Pass 0's work for one file on a cache miss: the guarded parse, then the
+/// file-local class and inter-procedural facts. The content hash is only
+/// computed when a cache will address entries by it.
+fn parse_facts(file: &SourceFile, limits: &Limits, cached: bool, obs: &Obs) -> FileFacts {
+    let (module, incidents) = parse_file_guarded(file, limits, obs);
+    let classes = module.as_ref().map(|m| extract_classes(m, &file.path)).unwrap_or_default();
+    // Inter-procedural facts are always extracted (they are a cheap single
+    // walk); the *use* is gated on the option, so flipping it never
+    // changes the cached parse facts.
+    let interproc = module.as_ref().map(InterprocFacts::extract).unwrap_or_default();
+    FileFacts {
+        dropped: module.is_none(),
+        module,
+        classes,
+        interproc,
+        incidents,
+        content_hash: if cached { cache::content_hash(&file.text) } else { String::new() },
+        parsed: true,
+    }
+}
+
+/// Pass 1: model metadata from every file's class facts. Registry
+/// construction is order-dependent (the is-a-model gate can consult
+/// classes registered by earlier files) and cheap, so it stays serial;
+/// cached and freshly extracted facts feed it identically.
+fn build_registry(facts: &[Option<FileFacts>], obs: &Obs) -> ModelRegistry {
+    let _span = obs.tracer.span("pass", || "models".to_string());
+    let mut registry = ModelRegistry::new();
+    for f in facts.iter().flatten() {
+        registry.add_classes(&f.classes);
+    }
+    registry
+}
+
+/// One work item of a cached pass, inside the per-item panic boundary:
+/// `lookup` first; `Ok(Some)` is a hit, `Ok(None)` a miss and `Err` a
+/// damaged-entry miss whose detail comes back beside the value. On a miss
+/// `compute` runs and `store` writes its value back (best-effort: a
+/// skipped write costs a future miss, never correctness).
+fn cached<O>(
+    lookup: impl FnOnce() -> Result<Option<O>, String>,
+    compute: impl FnOnce() -> O,
+    store: impl FnOnce(&O),
+) -> Result<(O, Option<String>), String> {
+    engine::catch(|| {
+        let damaged = match lookup() {
+            Ok(Some(hit)) => return (hit, None),
+            Ok(None) => None,
+            Err(detail) => Some(detail),
+        };
+        let value = compute();
+        store(&value);
+        (value, damaged)
+    })
+}
+
+/// Folds one file's [`cached`] outcome into `incidents`: a damaged entry
+/// becomes a cache-corrupt incident, a panic a worker-panic incident whose
+/// message starts with `panic_context`. Returns the value, if any.
+fn settle<O>(
+    path: &str,
+    outcome: Result<(O, Option<String>), String>,
+    panic_context: &str,
+    incidents: &mut Vec<Incident>,
+) -> Option<O> {
+    match outcome {
+        Ok((value, damaged)) => {
+            if let Some(detail) = damaged {
+                incidents.push(Incident::new(IncidentKind::CacheCorrupt, path, 0, detail));
+            }
+            Some(value)
+        }
+        Err(message) => {
+            let detail = format!("{panic_context}{message}");
+            incidents.push(Incident::new(IncidentKind::WorkerPanic, path, 0, detail));
+            None
+        }
+    }
+}
+
 /// Parses one file under the resource guards, returning the module (or
 /// `None` when the file was dropped) and the incidents it produced.
 ///
-/// Callers run this under [`engine::map_ordered_catch`], so a panic here
+/// Callers run this under [`engine::catch`], so a panic here
 /// (including an injected one) is isolated into a worker-panic incident.
 fn parse_file_guarded(
     file: &SourceFile,
@@ -947,30 +935,16 @@ fn lookup_file_facts(
 ) -> Result<Option<FileFacts>, String> {
     let _span = obs.tracer.span("cache", || format!("lookup {}", file.path));
     let content_hash = cache::content_hash(&file.text);
-    match cache.lookup(&file.path, &content_hash) {
-        Lookup::Hit(entry) => {
-            obs.metrics.inc("cfinder_cache_hits_total");
-            let entry = *entry;
-            Ok(Some(FileFacts {
-                dropped: entry.dropped,
-                module: None,
-                classes: entry.classes,
-                interproc: entry.interproc,
-                incidents: entry.incidents,
-                content_hash,
-                parsed: false,
-            }))
-        }
-        Lookup::Miss => {
-            obs.metrics.inc("cfinder_cache_misses_total");
-            Ok(None)
-        }
-        Lookup::Corrupt(detail) => {
-            obs.metrics.inc("cfinder_cache_misses_total");
-            obs.metrics.inc("cfinder_cache_corrupt_total");
-            Err(detail)
-        }
-    }
+    let hit = counted(cache.lookup(&file.path, &content_hash), obs)?;
+    Ok(hit.map(|entry| FileFacts {
+        dropped: entry.dropped,
+        module: None,
+        classes: entry.classes,
+        interproc: entry.interproc,
+        incidents: entry.incidents,
+        content_hash,
+        parsed: false,
+    }))
 }
 
 /// Pass-2 cache lookup for one analyzable file's detect facts under the
@@ -983,22 +957,24 @@ fn lookup_detect_facts(
     obs: &Obs,
 ) -> Result<Option<DetectOut>, String> {
     let _span = obs.tracer.span("cache", || format!("lookup detect {}", file.path));
-    match cache.lookup_detect(&file.path, &facts.content_hash, registry_hash) {
-        Lookup::Hit(d) => {
-            obs.metrics.inc("cfinder_cache_hits_total");
-            Ok(Some(DetectOut {
-                detections: d.detections,
-                none_assigned: d.none_assigned.into_iter().collect(),
-                reparse_incidents: Vec::new(),
-                reparsed: false,
-            }))
-        }
-        Lookup::Miss => {
-            obs.metrics.inc("cfinder_cache_misses_total");
-            Ok(None)
-        }
+    let hit = counted(cache.lookup_detect(&file.path, &facts.content_hash, registry_hash), obs)?;
+    Ok(hit.map(|d| DetectOut {
+        detections: d.detections,
+        none_assigned: d.none_assigned.into_iter().collect(),
+        reparse_incidents: Vec::new(),
+        reparsed: false,
+    }))
+}
+
+/// Counts one lookup in the metrics registry (a damaged entry is a miss
+/// and a corruption) and maps it to the lookup contract of [`cached`].
+fn counted<T>(lookup: Lookup<T>, obs: &Obs) -> Result<Option<T>, String> {
+    let hit = matches!(lookup, Lookup::Hit(_));
+    obs.metrics.inc(if hit { "cfinder_cache_hits_total" } else { "cfinder_cache_misses_total" });
+    match lookup {
+        Lookup::Hit(entry) => Ok(Some(*entry)),
+        Lookup::Miss => Ok(None),
         Lookup::Corrupt(detail) => {
-            obs.metrics.inc("cfinder_cache_misses_total");
             obs.metrics.inc("cfinder_cache_corrupt_total");
             Err(detail)
         }
@@ -1007,7 +983,7 @@ fn lookup_detect_facts(
 
 /// Writes one file's parse entry back to the cache (best-effort; a failed
 /// write costs a future miss, never correctness).
-fn store_entry(cache: &AnalysisCache, file: &SourceFile, facts: &FileFacts, obs: &Obs) -> bool {
+fn store_entry(cache: &AnalysisCache, file: &SourceFile, facts: &FileFacts, obs: &Obs) {
     let _span = obs.tracer.span("cache", || format!("write {}", file.path));
     let entry = CacheEntry {
         format: cache::FORMAT,
@@ -1027,15 +1003,20 @@ fn store_detect_entry(
     cache: &AnalysisCache,
     file: &SourceFile,
     facts: &FileFacts,
-    detect: DetectFacts,
+    registry_hash: &str,
+    out: &DetectOut,
     obs: &Obs,
-) -> bool {
+) {
     let _span = obs.tracer.span("cache", || format!("write detect {}", file.path));
     let entry = DetectEntry {
         format: cache::FORMAT,
         path: file.path.clone(),
         content_hash: facts.content_hash.clone(),
-        facts: detect,
+        facts: DetectFacts {
+            registry_hash: registry_hash.to_string(),
+            detections: out.detections.clone(),
+            none_assigned: out.none_assigned.iter().cloned().collect(),
+        },
     };
     record_write(cache.store_detect(&entry), obs)
 }
@@ -1044,15 +1025,11 @@ fn store_detect_entry(
 /// success counts toward `cfinder_cache_writes_total`, a typed skip
 /// toward `cfinder_cache_write_errors_total` (labelled by cause). Either
 /// way the analysis proceeds — a skip only costs a future miss.
-fn record_write(outcome: Result<(), cache::WriteSkip>, obs: &Obs) -> bool {
+fn record_write(outcome: Result<(), cache::WriteSkip>, obs: &Obs) {
     match outcome {
-        Ok(()) => {
-            obs.metrics.inc("cfinder_cache_writes_total");
-            true
-        }
+        Ok(()) => obs.metrics.inc("cfinder_cache_writes_total"),
         Err(skip) => {
-            obs.metrics.add_labeled("cfinder_cache_write_errors_total", "cause", skip.label(), 1);
-            false
+            obs.metrics.add_labeled("cfinder_cache_write_errors_total", "cause", skip.label(), 1)
         }
     }
 }

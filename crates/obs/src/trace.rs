@@ -17,8 +17,8 @@
 //! Determinism contract: for a fixed input, the *structure* of the
 //! recorded spans — the multiset of `(category, name)` pairs — is
 //! identical at any worker-thread count for every category except
-//! `"worker"` (per-chunk spans, whose count is the chunk count by
-//! definition). Timestamps, durations, and thread ids are measurements
+//! `"worker"` (one span per fan-out worker, whose count is the worker
+//! count by definition). Timestamps, durations, and thread ids are measurements
 //! and vary run to run.
 
 use std::fmt;

@@ -12,6 +12,7 @@
 use cfinder_core::engine::{map_ordered, resolve_threads};
 use cfinder_core::{AppSource, CFinder, CFinderOptions, SourceFile};
 use cfinder_corpus::{all_profiles, generate, GenOptions, GeneratedApp, Verdict};
+use cfinder_obs::Tracer;
 
 use crate::render::TextTable;
 
@@ -68,7 +69,7 @@ pub fn interproc_compare(app: &GeneratedApp) -> InterprocRow {
 /// (one work unit per app), keeping paper order.
 pub fn interproc_study() -> Vec<InterprocRow> {
     let profiles = all_profiles();
-    map_ordered(&profiles, resolve_threads(None), |p| {
+    map_ordered(&profiles, resolve_threads(None), &Tracer::disabled(), "apps", |p| {
         interproc_compare(&generate(p, GenOptions::quick()))
     })
 }

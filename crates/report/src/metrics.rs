@@ -10,6 +10,7 @@ use cfinder_core::{
     SourceFile,
 };
 use cfinder_corpus::{GenOptions, GeneratedApp, StudyApp, Verdict};
+use cfinder_obs::Tracer;
 use cfinder_schema::ConstraintType;
 
 /// Precision cell: detected total vs. human-confirmed true positives.
@@ -163,7 +164,7 @@ impl HistoryRecall {
     pub fn run(study: &[StudyApp]) -> HistoryRecall {
         // Table 9 is a paper-pinned table: use the §4 configuration.
         let finder = CFinder::with_options(CFinderOptions::paper());
-        let per_app = map_ordered(study, finder.threads(), |app| {
+        let per_app = map_ordered(study, finder.threads(), &Tracer::disabled(), "apps", |app| {
             let source = AppSource::new(
                 app.name.clone(),
                 app.old_code
@@ -250,13 +251,14 @@ impl Evaluation {
         cache: Option<Arc<AnalysisCache>>,
     ) -> Evaluation {
         let profiles = cfinder_corpus::all_profiles();
-        let apps = map_ordered(&profiles, resolve_threads(None), |p| {
-            AppEvaluation::run_cached(
-                cfinder_corpus::generate(p, options),
-                obs.clone(),
-                cache.clone(),
-            )
-        });
+        let apps =
+            map_ordered(&profiles, resolve_threads(None), &Tracer::disabled(), "apps", |p| {
+                AppEvaluation::run_cached(
+                    cfinder_corpus::generate(p, options),
+                    obs.clone(),
+                    cache.clone(),
+                )
+            });
         let study = cfinder_corpus::study_corpus();
         let history = HistoryRecall::run(&study);
         Evaluation { apps, study, history }

@@ -10,7 +10,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-test_scope=(-p cfinder -p cfinder-sql -p cfinder-flow -p cfinder-serve -p cfinder-minidb)
+test_scope=(-p cfinder -p cfinder-core -p cfinder-sql -p cfinder-flow -p cfinder-serve -p cfinder-minidb)
 workspace=false
 if [[ "${1:-}" == "--workspace" ]]; then
     test_scope=(--workspace)
@@ -53,20 +53,21 @@ echo "==> cargo test ${test_scope[*]}"
 # provenance goldens, the interproc off/on oracle, fault injection, the
 # daemon soak (4 clients x 8 apps x 3 rounds) with the fault-frame and
 # cache-concurrency suites, and minidb's naive-vs-rewritten query
-# oracle with its 3VL pins and plan goldens. cargo's `Running` lines
-# name each target, which is what the floors below count by.
+# oracle with its 3VL pins and plan goldens; cfinder-core's own unit
+# tests (the pattern detectors and the cache's option fingerprints) and
+# robustness proptests run here too. cargo's `Running` lines name each
+# target, which is what the floors below count by.
 cargo test "${test_scope[@]}" -- --quiet 2>&1 | tee "$test_log"
 
 if ! $workspace; then
-    echo "==> CHECK/DEFAULT calibration and metric goldens; option fingerprints"
+    echo "==> CHECK/DEFAULT calibration and metric goldens"
     # The PA_c1/PA_c2/PA_d1 families must keep the planted per-app counts
-    # and the thread-count goldens exact, and flipping any analysis
-    # option must change the cache fingerprint.
+    # and the thread-count goldens exact.
     cargo test -q -p cfinder-corpus --test calibration --test metric_goldens
-    cargo test -q -p cfinder-core fingerprint
 fi
 
 echo "==> test-count floors"
+floor core 140 cfinder_core proptest_robustness
 floor SQL 48 cfinder_sql roundtrip_proptest sql_faults
 floor interproc 90 cfinder_flow proptest_interproc interproc_oracle
 floor daemon 20 cfinder_serve serve_soak serve_faults cache_concurrency

@@ -32,7 +32,7 @@
 //!   defaults to the available parallelism and can be overridden with the
 //!   `CFINDER_THREADS` environment variable.
 //! * `--trace-out FILE` — record hierarchical spans (per pass, per file,
-//!   per pattern family, per worker chunk) and write Chrome trace-event
+//!   per pattern family, per worker) and write Chrome trace-event
 //!   JSON to FILE, loadable in `chrome://tracing` or Perfetto.
 //! * `--metrics-out FILE` — record the metrics registry (files, bytes,
 //!   tokens, AST nodes, detections per pattern, incidents per kind,

@@ -9,9 +9,10 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use cfinder::core::{
-    AnalysisCache, AnalysisReport, AppSource, CFinder, CFinderOptions, Limits, SourceFile,
+    AnalysisCache, AnalysisReport, AppSource, CFinder, CFinderOptions, IncidentKind, Limits, Obs,
+    SourceFile,
 };
-use cfinder::corpus::{all_profiles, generate, GenOptions};
+use cfinder::corpus::{all_profiles, generate, inject_panic_marker, GenOptions};
 
 const SCALE: GenOptions = GenOptions { loc_scale: 0.01 };
 
@@ -80,6 +81,63 @@ fn cold_and_warm_runs_match_the_uncached_reference_at_all_thread_counts() {
                 app.name
             );
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+/// The per-file cache contract inside the pipeline: a hit skips both the
+/// work and the write-back, only misses are written back, and a file
+/// whose work panics costs only its own result — it is never cached and
+/// every other file still hits.
+#[test]
+fn only_misses_are_stored_and_a_panicking_file_costs_only_itself() {
+    let mut app = generate(&all_profiles()[0], SCALE);
+    let victim = app.files[app.files.len() / 2].path.clone();
+    inject_panic_marker(&mut app, &victim);
+    let source = to_source(&app);
+    let files = app.files.len();
+    let limits = Limits { inject_panic_marker: true, ..Limits::default() };
+    let reference =
+        CFinder::new().with_limits(limits).analyze(&source, &app.declared).stable_json();
+    for threads in [1, 2] {
+        let dir = temp_dir(&format!("panic-{threads}"));
+        let cache = Arc::new(
+            AnalysisCache::open(&dir, &CFinderOptions::default(), &limits).expect("open cache"),
+        );
+        let run = || {
+            let obs = Obs::enabled();
+            let report = CFinder::new()
+                .with_threads(threads)
+                .with_limits(limits)
+                .with_obs(obs.clone())
+                .with_cache(cache.clone())
+                .analyze(&source, &app.declared);
+            (report, obs.metrics.snapshot())
+        };
+        let (cold, cold_metrics) = run();
+        let (warm, warm_metrics) = run();
+        for (label, report) in [("cold", &cold), ("warm", &warm)] {
+            assert_eq!(report.stable_json(), reference, "{label} @ {threads}");
+            let panics: Vec<_> = report.incidents_of(IncidentKind::WorkerPanic).collect();
+            assert_eq!(panics.len(), 1, "{label} @ {threads}: {:?}", report.incidents);
+            assert_eq!(panics[0].file, victim, "{label} @ {threads}");
+        }
+
+        // Cold: every lookup misses, and every miss but the victim's parse
+        // (which panicked) is written back.
+        assert_eq!(cold.timings.cache_misses, files - 1, "cold @ {threads}");
+        assert_eq!(
+            cold_metrics.counter("cfinder_cache_writes_total"),
+            cold_metrics.counter("cfinder_cache_misses_total") - 1,
+            "cold @ {threads}: writes other than the misses"
+        );
+
+        // Warm: every other file hits in both passes, so nothing is
+        // parsed and nothing is written; the victim misses and panics again.
+        assert_eq!(warm.timings.cache_hits, files - 1, "warm @ {threads}");
+        assert_eq!(warm.timings.files_parsed, 0, "warm @ {threads}");
+        assert_eq!(warm_metrics.counter("cfinder_cache_misses_total"), 1, "warm @ {threads}");
+        assert_eq!(warm_metrics.counter("cfinder_cache_writes_total"), 0, "warm @ {threads}");
         let _ = fs::remove_dir_all(&dir);
     }
 }

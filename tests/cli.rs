@@ -53,6 +53,25 @@ fn json_output_is_parseable() {
 }
 
 #[test]
+fn threads_env_sets_the_worker_count_and_zero_falls_back_to_the_machine() {
+    let dir = temp_dir("threads-env");
+    write_demo(&dir);
+    let threads_with = |value: &str| {
+        let out = Command::new(env!("CARGO_BIN_EXE_cfinder"))
+            .arg(dir.join("app"))
+            .args(["--json", "--timings"])
+            .env("CFINDER_THREADS", value)
+            .output()
+            .expect("binary runs");
+        let v: serde_json::Value = serde_json::from_slice(&out.stdout).expect("valid JSON");
+        v["timings"]["threads"].as_u64().expect("timings report the thread count")
+    };
+    assert_eq!(threads_with("3"), 3);
+    let machine = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert_eq!(threads_with("0"), machine as u64, "zero is ignored");
+}
+
+#[test]
 fn declared_schema_suppresses_report_and_exits_zero() {
     use cfinder::schema::{Column, ColumnType, Constraint, Schema, Table};
     let dir = temp_dir("schema");

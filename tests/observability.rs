@@ -53,7 +53,7 @@ fn assert_spans_nest(events: &[TraceEvent]) {
 }
 
 /// The deterministic part of the span structure: every `(cat, name)` pair
-/// except the `worker` chunk spans, whose count tracks the thread count by
+/// except the `worker` spans, whose count tracks the thread count by
 /// definition.
 fn span_multiset(obs: &Obs) -> BTreeMap<(String, String), usize> {
     let mut multiset = BTreeMap::new();
@@ -95,8 +95,8 @@ fn trace_is_well_formed_and_deterministic_across_thread_counts() {
                     app.name
                 );
             }
-            // One worker-chunk span per parallel stage chunk, never more
-            // chunks than threads.
+            // One worker span per fan-out worker, never more workers
+            // than threads.
             for stage in ["parse", "detect"] {
                 let chunks = events
                     .iter()

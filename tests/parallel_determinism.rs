@@ -41,8 +41,9 @@ fn parallel_analysis_matches_serial_on_all_corpus_apps() {
     for profile in cfinder::corpus::all_profiles() {
         let app = cfinder::corpus::generate(&profile, GenOptions::quick());
         let serial = analyze_with_threads(&app, 1);
-        // 4 threads exercises even chunking, 3 uneven chunks with a short
-        // tail; both must merge back to the serial order exactly.
+        // Workers claim files one at a time, so 3 and 4 threads finish
+        // files in different orders; both must merge back to the serial
+        // order exactly.
         for threads in [3, 4] {
             let parallel = analyze_with_threads(&app, threads);
             assert_eq!(parallel.timings.threads, threads);
@@ -100,10 +101,11 @@ fn fix_script_artifacts_match_goldens_at_every_thread_count() {
 }
 
 #[test]
-fn thread_count_env_override_is_respected() {
-    // `with_threads` must win over the environment; the env var itself is
-    // covered by unit tests in cfinder-core to avoid test-order races on
-    // the process environment here.
+fn with_threads_wins() {
+    // `with_threads` must win over the environment default. The
+    // `CFINDER_THREADS` variable itself is covered by `tests/cli.rs`,
+    // which sets it on a child process instead of racing other tests on
+    // this process's environment.
     let profile = cfinder::corpus::profile("wagtail").unwrap();
     let app = cfinder::corpus::generate(&profile, GenOptions::quick());
     let report = analyze_with_threads(&app, 2);
