@@ -7,6 +7,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 use cfinder_corpus::{generate, profile};
 use cfinder_flow::{NullGuards, UseDefChains};
 use cfinder_minidb::{Database, Value};
+use cfinder_pyast::ast::StmtKind;
 use cfinder_pyast::lexer::lex;
 use cfinder_pyast::parse_module;
 use cfinder_schema::{Column, ColumnType, Constraint, Table};
@@ -32,12 +33,37 @@ fn bench_lexer(c: &mut Criterion) {
     group.finish();
 }
 
+/// A 400-statement function body: 40 locals, of which the last 10 are
+/// accumulators updated only under an `if` or a `for`, so the set of
+/// definitions reaching a statement grows with the body.
+fn long_body_source() -> String {
+    let mut src = String::from("def forwards(apps, schema_editor):\n");
+    src.extend((0..40).map(|i| format!("    v{i} = {i}\n")));
+    for i in 40..400 {
+        let (x, y, acc) = (i * 7 % 30, i * 13 % 40, 30 + i % 10);
+        src += &match i % 4 {
+            0 => format!("    if v{y} > {i}:\n        v{acc} += v{x}\n"),
+            1 => format!("    for k in range(v{y}):\n        v{acc} = v{acc} + math.sqrt(k)\n"),
+            _ => format!("    v{x} = v{y} * {i} + v{acc}\n"),
+        };
+    }
+    src
+}
+
 fn bench_flow(c: &mut Criterion) {
     let src = sample_source();
     let module = parse_module(&src).expect("valid source");
+    let long = parse_module(&long_body_source()).expect("valid source");
+    let StmtKind::FunctionDef(forwards) = &long.body[0].kind else {
+        unreachable!("the long body is one function")
+    };
+    let params = ["apps".to_string(), "schema_editor".to_string()];
     let mut group = c.benchmark_group("flow");
     group.bench_function("use_def_chains", |b| {
         b.iter(|| UseDefChains::compute(&module.body, &[]).defs().len())
+    });
+    group.bench_function("use_def_chains_long", |b| {
+        b.iter(|| UseDefChains::compute(&forwards.body, &params).defs().len())
     });
     group.bench_function("null_guards", |b| {
         b.iter(|| {

@@ -50,7 +50,8 @@ echo "==> cargo test ${test_scope[*]}"
 # Every suite runs once here, the differential oracles included:
 # cold/warm cache equivalence at 1/2/4 threads and the invalidation
 # matrix, SQL emit → parse round-trips in every dialect, the explain
-# provenance goldens, the interproc off/on oracle, fault injection, the
+# provenance goldens, the interproc off/on oracle, the reaching-definitions
+# oracle against the worklist reference, fault injection, the
 # daemon soak (4 clients x 8 apps x 3 rounds) with the fault-frame and
 # cache-concurrency suites, and minidb's naive-vs-rewritten query
 # oracle with its 3VL pins and plan goldens; cfinder-core's own unit
@@ -69,7 +70,7 @@ fi
 echo "==> test-count floors"
 floor core 140 cfinder_core proptest_robustness
 floor SQL 48 cfinder_sql roundtrip_proptest sql_faults
-floor interproc 90 cfinder_flow proptest_interproc interproc_oracle
+floor flow 102 cfinder_flow proptest_interproc interproc_oracle reaching_oracle
 floor daemon 20 cfinder_serve serve_soak serve_faults cache_concurrency
 floor minidb 95 cfinder_minidb plan_golden proptest_integrity query_oracle three_valued_logic
 
