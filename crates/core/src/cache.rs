@@ -27,11 +27,10 @@
 //! * the **tool fingerprint** folds together the cache format version,
 //!   the crate version, a hash of the pattern table (every `PA_*` label
 //!   and rule), the analyzer options (ablations change detections), the
-//!   resource limits (including the `CFINDER_DEADLINE_MS`-derived
-//!   deadline — a different deadline is a different tool), and an
-//!   operator-controlled salt (`CFINDER_CACHE_SALT`). Entries from
-//!   different fingerprints live in different shard directories and never
-//!   mix.
+//!   resource limits (including the per-file deadline — a different
+//!   deadline is a different tool), and a salt (empty unless a test
+//!   simulates a fingerprint bump). Entries from different fingerprints
+//!   live in different shard directories and never mix.
 //! * the **content hash** is a stable 128-bit digest of the file bytes
 //!   ([`cfinder_pyast::hash`]), so an edited file misses without any
 //!   timestamp heuristics.
@@ -80,13 +79,6 @@ use crate::report::{Detection, PatternId};
 /// simply never read again. Format 2 added the per-file inter-procedural
 /// facts ([`CacheEntry::interproc`]).
 pub const FORMAT: u32 = 2;
-
-/// Environment variable naming a default cache directory for the CLI.
-pub const CACHE_DIR_ENV: &str = "CFINDER_CACHE_DIR";
-
-/// Environment variable mixed into the tool fingerprint — an operator
-/// escape hatch to invalidate every entry without deleting the directory.
-pub const CACHE_SALT_ENV: &str = "CFINDER_CACHE_SALT";
 
 /// Why a cache directory could not be opened. Typed so the CLI can map
 /// each case onto a usage error (exit 2) instead of an I/O panic
@@ -262,20 +254,17 @@ pub struct AnalysisCache {
 
 impl AnalysisCache {
     /// Opens (creating if needed) a cache directory for the given
-    /// analyzer configuration, with the salt taken from
-    /// `CFINDER_CACHE_SALT` (empty when unset).
+    /// analyzer configuration, with the empty salt.
     pub fn open(
         root: impl Into<PathBuf>,
         options: &CFinderOptions,
         limits: &Limits,
     ) -> Result<AnalysisCache, CacheError> {
-        let salt = std::env::var(CACHE_SALT_ENV).unwrap_or_default();
-        AnalysisCache::open_with_salt(root, options, limits, &salt)
+        AnalysisCache::open_with_salt(root, options, limits, "")
     }
 
-    /// [`AnalysisCache::open`] with an explicit fingerprint salt
-    /// (bypassing the environment; tests use this to simulate a tool
-    /// fingerprint bump).
+    /// [`AnalysisCache::open`] with an explicit fingerprint salt (tests
+    /// use this to simulate a tool fingerprint bump).
     pub fn open_with_salt(
         root: impl Into<PathBuf>,
         options: &CFinderOptions,
@@ -526,10 +515,7 @@ fn tool_fingerprint(options: &CFinderOptions, limits: &Limits, salt: &str) -> St
     }
     h.write_u64(limits.max_file_bytes as u64);
     h.write_u64(limits.max_tokens as u64);
-    // Hash the *effective* deadline fold, not its carrier: an
-    // option-carried `deadline_ms` and an env-carried `Limits::deadline`
-    // naming the same budget address the same shard.
-    match crate::detect::effective_deadline(options, limits) {
+    match limits.deadline {
         // The +1 keeps an explicit zero-duration deadline distinct from
         // "no deadline".
         Some(d) => h.write_u64(d.as_micros() as u64 + 1),

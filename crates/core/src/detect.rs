@@ -112,16 +112,6 @@ pub struct CFinderOptions {
     /// the paper's intra-procedural scope, byte-identical to pre-extension
     /// reports.
     pub interprocedural: bool,
-    /// First-class per-file parse deadline, in milliseconds. `None` (the
-    /// default) defers to [`Limits::deadline`] (which the CLI layer still
-    /// fills from `CFINDER_DEADLINE_MS`); `Some(0)` explicitly disables
-    /// any deadline; `Some(ms)` overrides the limit. Carried on options so
-    /// a *request* (e.g. one `cfinder serve` frame) can bring its own
-    /// budget without touching process environment. The cache fingerprint
-    /// covers only the [`effective_deadline`] fold, so an option-carried
-    /// and an env-carried deadline of the same duration address the same
-    /// cache shard.
-    pub deadline_ms: Option<u64>,
 }
 
 impl Default for CFinderOptions {
@@ -136,7 +126,6 @@ impl Default for CFinderOptions {
             ext_one_to_one_unique: false,
             ext_url_identifier: false,
             interprocedural: true,
-            deadline_ms: None,
         }
     }
 }
@@ -152,6 +141,23 @@ impl CFinderOptions {
     pub fn paper() -> Self {
         CFinderOptions { interprocedural: false, ..Self::default() }
     }
+
+    /// Turns off the feature `name` names — the one table of ablation
+    /// names that `cfinder --ablate` and the daemon's `ablate` field share.
+    pub fn ablate(&mut self, name: &str) -> Result<(), String> {
+        let flag = match name {
+            "null-guard" => &mut self.null_guard_analysis,
+            "data-dep" => &mut self.data_dependency_checks,
+            "composite" => &mut self.composite_unique,
+            "partial" => &mut self.partial_unique,
+            "check" => &mut self.check_inference,
+            "default" => &mut self.default_inference,
+            "interproc" => &mut self.interprocedural,
+            other => return Err(format!("unknown ablation flag `{other}`")),
+        };
+        *flag = false;
+        Ok(())
+    }
 }
 
 /// Resource guards bounding the work a single file may consume.
@@ -165,29 +171,22 @@ impl CFinderOptions {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Limits {
     /// Maximum file size in bytes before the file is skipped unparsed
-    /// (`0` disables). Overridable via `CFINDER_MAX_FILE_BYTES`.
+    /// (`0` disables).
     pub max_file_bytes: usize,
     /// Maximum token count per file before the file is skipped unparsed
     /// (`0` disables). A second line of defense behind the byte cap for
     /// inputs that lex into pathologically many tokens.
     pub max_tokens: usize,
     /// Per-file parse deadline, measured cooperatively around the parse
-    /// of each file. `None` (the default) disables the check; enable via
-    /// `CFINDER_DEADLINE_MS`. A run with a deadline trades determinism
-    /// for liveness: a file near the threshold may be kept on one run
-    /// and dropped on another.
+    /// of each file. `None` (the default) disables the check. A run with
+    /// a deadline trades determinism for liveness: a file near the
+    /// threshold may be kept on one run and dropped on another.
     pub deadline: Option<Duration>,
     /// Fault-injection hook (off by default): when set, a file whose
     /// first line is `# cfinder-fault: panic` panics inside the worker,
     /// exercising the panic-isolation boundary end to end.
     pub inject_panic_marker: bool,
 }
-
-/// Environment variable overriding [`Limits::max_file_bytes`].
-pub const MAX_FILE_BYTES_ENV: &str = "CFINDER_MAX_FILE_BYTES";
-/// Environment variable enabling the per-file parse deadline, in
-/// milliseconds.
-pub const DEADLINE_ENV: &str = "CFINDER_DEADLINE_MS";
 
 /// First line that triggers an injected worker panic when
 /// [`Limits::inject_panic_marker`] is set.
@@ -204,46 +203,12 @@ impl Default for Limits {
     }
 }
 
-/// The per-file deadline one analyzer configuration actually runs with:
-/// an option-carried [`CFinderOptions::deadline_ms`] wins over the
-/// (env-fed) [`Limits::deadline`], with `Some(0)` meaning "explicitly no
-/// deadline". The incremental cache fingerprints this *fold*, not the two
-/// carriers, so requests and environments naming the same budget share
-/// cache entries.
-pub fn effective_deadline(options: &CFinderOptions, limits: &Limits) -> Option<Duration> {
-    match options.deadline_ms {
-        Some(0) => None,
-        Some(ms) => Some(Duration::from_millis(ms)),
-        None => limits.deadline,
-    }
-}
-
-/// `limits` with its deadline replaced by the [`effective_deadline`] fold —
-/// what the pipeline (and the cache fingerprint) actually uses.
-pub fn effective_limits(options: &CFinderOptions, limits: &Limits) -> Limits {
-    Limits { deadline: effective_deadline(options, limits), ..*limits }
-}
-
-impl Limits {
-    /// Defaults, with `CFINDER_MAX_FILE_BYTES` and `CFINDER_DEADLINE_MS`
-    /// applied when set to a positive integer (unparsable values are
-    /// ignored).
-    pub fn from_env() -> Self {
-        let mut limits = Limits::default();
-        if let Ok(value) = std::env::var(MAX_FILE_BYTES_ENV) {
-            if let Ok(n) = value.trim().parse::<usize>() {
-                limits.max_file_bytes = n;
-            }
-        }
-        if let Ok(value) = std::env::var(DEADLINE_ENV) {
-            if let Ok(ms) = value.trim().parse::<u64>() {
-                if ms > 0 {
-                    limits.deadline = Some(Duration::from_millis(ms));
-                }
-            }
-        }
-        limits
-    }
+/// `*limits`. Kept only because the benchmark's `replay.rs` imports it
+/// and the benchmark changes only in a change of its own; nothing else
+/// may call it.
+#[doc(hidden)]
+pub fn effective_limits(_options: &CFinderOptions, limits: &Limits) -> Limits {
+    *limits
 }
 
 /// The CFinder analyzer.
@@ -278,7 +243,7 @@ impl Default for CFinder {
         CFinder {
             options: CFinderOptions::default(),
             threads: None,
-            limits: Limits::from_env(),
+            limits: Limits::default(),
             obs: Obs::disabled(),
             cache: None,
         }
@@ -288,10 +253,9 @@ impl Default for CFinder {
 impl CFinder {
     /// Creates an analyzer with [`CFinderOptions::default`]; the paper's
     /// configuration is `CFinder::with_options(CFinderOptions::paper())`.
-    /// The worker-thread count defaults to the `CFINDER_THREADS`
-    /// environment variable, else the machine's available parallelism;
-    /// results are identical for any thread count. Resource guards default
-    /// to [`Limits::from_env`].
+    /// The worker-thread count defaults to the machine's available
+    /// parallelism; results are identical for any thread count. Resource
+    /// guards default to [`Limits::default`].
     pub fn new() -> Self {
         CFinder::default()
     }
@@ -301,14 +265,14 @@ impl CFinder {
         CFinder { options, ..CFinder::default() }
     }
 
-    /// Pins the analyzer to an explicit worker-thread count, bypassing the
-    /// `CFINDER_THREADS` environment variable (`0` is treated as `1`).
+    /// Pins the analyzer to an explicit worker-thread count (`0` is
+    /// treated as `1`).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
         self
     }
 
-    /// Replaces the resource guards, bypassing the environment variables.
+    /// Replaces the resource guards.
     pub fn with_limits(mut self, limits: Limits) -> Self {
         self.limits = limits;
         self
@@ -376,8 +340,7 @@ impl CFinder {
     /// silently shrinking the registry. Runs the same parse and model
     /// passes as [`CFinder::analyze`], cache included.
     pub fn extract_models_with_incidents(&self, app: &AppSource) -> (ModelRegistry, Vec<Incident>) {
-        let limits = effective_limits(&self.options, &self.limits);
-        let parsed = self.parse_pass(app, self.threads(), &limits);
+        let parsed = self.parse_pass(app, self.threads());
         (build_registry(&parsed.facts, &self.obs), parsed.incidents)
     }
 
@@ -386,13 +349,13 @@ impl CFinder {
     /// panic-isolation boundary, wrapped in a cache lookup when a cache
     /// is attached. Results come back in file order, so the facts list and
     /// the incident list match a serial (and an uncached) run.
-    fn parse_pass(&self, app: &AppSource, threads: usize, limits: &Limits) -> ParsePass {
+    fn parse_pass(&self, app: &AppSource, threads: usize) -> ParsePass {
         let (cache, obs) = (self.cache.as_deref(), &self.obs);
         let _span = obs.tracer.span("pass", || "parse".to_string());
         let outcomes = engine::map_ordered(&app.files, threads, &obs.tracer, "parse", |file| {
             cached(
                 || cache.map_or(Ok(None), |cache| lookup_file_facts(cache, file, obs)),
-                || parse_facts(file, limits, cache.is_some(), obs),
+                || parse_facts(file, &self.limits, cache.is_some(), obs),
                 |facts| match cache {
                     // Every freshly parsed file gets its parse entry here —
                     // except deadline drops, which are timing-dependent and
@@ -435,10 +398,9 @@ impl CFinder {
         summaries: Option<&SummaryTable>,
         file: &SourceFile,
         facts: &FileFacts,
-        limits: &Limits,
     ) -> DetectOut {
         let obs = &self.obs;
-        let reparse = facts.module.is_none().then(|| parse_file_guarded(file, limits, obs));
+        let reparse = facts.module.is_none().then(|| parse_file_guarded(file, &self.limits, obs));
         let module = facts.module.as_ref().or(reparse.as_ref().and_then(|r| r.0.as_ref()));
         let (detections, none_assigned) = module
             .map(|module| detect_module(registry, &self.options, file, module, summaries, obs))
@@ -469,10 +431,9 @@ impl CFinder {
 
         // Pass 0: per-file facts (see `parse_pass`).
         let cache = self.cache.as_deref();
-        let limits = effective_limits(&self.options, &self.limits);
         let stage = Instant::now();
         let ParsePass { facts, mut incidents, cache_hits, cache_misses, mut files_parsed } =
-            self.parse_pass(app, threads, &limits);
+            self.parse_pass(app, threads);
         let parse = stage.elapsed();
 
         // Pass 1: model metadata from every file's class facts.
@@ -497,7 +458,7 @@ impl CFinder {
                 .filter(|(_, ip)| !ip.is_empty())
                 .collect();
             let budget = SummaryBudget {
-                deadline: limits.deadline.map(|d| Instant::now() + d),
+                deadline: self.limits.deadline.map(|d| Instant::now() + d),
                 ..SummaryBudget::default()
             };
             // No file contributed facts (e.g. every file dropped): the
@@ -572,7 +533,7 @@ impl CFinder {
                             lookup_detect_facts(cache, file, f, hash, obs)
                         })
                     },
-                    || self.detect_file(&registry, summaries.as_ref(), file, f, &limits),
+                    || self.detect_file(&registry, summaries.as_ref(), file, f),
                     |out| match detect_cache {
                         // A file whose re-parse degraded this run must not be
                         // cached under facts it no longer matches.

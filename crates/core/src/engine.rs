@@ -13,25 +13,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cfinder_obs::Tracer;
 
-/// Environment variable overriding the worker-thread count. Values that
-/// are zero or unparsable are ignored.
-pub const THREADS_ENV: &str = "CFINDER_THREADS";
-
-/// Resolves the worker-thread count: an explicit request wins, else the
-/// `CFINDER_THREADS` environment variable, else the machine's available
-/// parallelism.
+/// Resolves the worker-thread count: an explicit request wins (`0` is
+/// treated as `1`), else the machine's available parallelism.
 pub fn resolve_threads(explicit: Option<usize>) -> usize {
-    if let Some(n) = explicit {
-        return n.max(1);
+    match explicit {
+        Some(n) => n.max(1),
+        None => std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1),
     }
-    if let Ok(value) = std::env::var(THREADS_ENV) {
-        if let Ok(n) = value.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1)
 }
 
 /// Applies `f` to every item, fanning work out across up to `threads`

@@ -13,35 +13,22 @@
 //!
 //! # Crash injection
 //!
-//! Setting `CFINDER_ATOMIC_FAULT=crash` in the environment makes every
-//! [`atomic_write`] stop *after* the temp write but *before* the rename —
-//! exactly the window a mid-write kill would hit — and return an error.
-//! Integration tests use it to prove no torn destination file can exist;
-//! [`atomic_write_with`] takes the same fault as an argument for
-//! race-free in-process tests.
+//! With `fault == true`, [`atomic_write`] stops *after* the temp write but
+//! *before* the rename — exactly the window a mid-write kill would hit —
+//! and returns an error. The binaries pass the fault in from
+//! `CFINDER_ATOMIC_FAULT=crash` ([`crate::usage::ATOMIC_FAULT_ENV`]), so
+//! integration tests can prove no torn destination file can exist.
 
 use std::fs;
 use std::io;
 use std::path::Path;
 
-/// Environment variable that injects a mid-write crash (value `crash`)
-/// into every [`atomic_write`] in the process.
-pub const ATOMIC_FAULT_ENV: &str = "CFINDER_ATOMIC_FAULT";
-
 /// Atomically publishes `bytes` at `path` via a sibling temp file and
-/// rename. On any error (including an injected crash) the destination is
-/// untouched: either its previous contents or absent, never torn.
-pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let fault = std::env::var(ATOMIC_FAULT_ENV).is_ok_and(|v| v == "crash");
-    atomic_write_with(path, bytes, fault)
-}
-
-/// [`atomic_write`] with the crash fault passed explicitly instead of
-/// read from the environment — for tests that must not race other
-/// threads on process-global state. With `fault == true` the temp file
-/// is written and then abandoned (simulating a kill between write and
-/// rename), and an error is returned.
-pub fn atomic_write_with(path: &Path, bytes: &[u8], fault: bool) -> io::Result<()> {
+/// rename. On any error the destination is untouched: either its
+/// previous contents or absent, never torn. With `fault == true` the temp
+/// file is written and then abandoned (simulating a kill between write
+/// and rename), and an error is returned.
+pub fn atomic_write(path: &Path, bytes: &[u8], fault: bool) -> io::Result<()> {
     let file_name = path
         .file_name()
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?;
@@ -76,9 +63,9 @@ mod tests {
     fn writes_and_replaces_atomically() {
         let dir = tmp_dir("ok");
         let path = dir.join("out.json");
-        atomic_write_with(&path, b"first", false).unwrap();
+        atomic_write(&path, b"first", false).unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"first");
-        atomic_write_with(&path, b"second", false).unwrap();
+        atomic_write(&path, b"second", false).unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"second");
         // No temp leftovers after successful publication.
         let names: Vec<_> = fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
@@ -92,12 +79,12 @@ mod tests {
         let path = dir.join("out.json");
 
         // Crash on first write: destination must not exist at all.
-        assert!(atomic_write_with(&path, b"torn?", true).is_err());
+        assert!(atomic_write(&path, b"torn?", true).is_err());
         assert!(!path.exists(), "crash before rename must not create the destination");
 
         // Crash on overwrite: previous contents must survive intact.
-        atomic_write_with(&path, b"stable", false).unwrap();
-        assert!(atomic_write_with(&path, b"torn?", true).is_err());
+        atomic_write(&path, b"stable", false).unwrap();
+        assert!(atomic_write(&path, b"torn?", true).is_err());
         assert_eq!(fs::read(&path).unwrap(), b"stable");
         let _ = fs::remove_dir_all(&dir);
     }
@@ -106,7 +93,7 @@ mod tests {
     fn missing_parent_is_an_error_not_a_panic() {
         let dir = tmp_dir("noparent");
         let path = dir.join("nope").join("out.json");
-        assert!(atomic_write_with(&path, b"x", false).is_err());
+        assert!(atomic_write(&path, b"x", false).is_err());
         let _ = fs::remove_dir_all(&dir);
     }
 }

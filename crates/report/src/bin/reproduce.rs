@@ -15,6 +15,10 @@
 //! corpus replays per-file facts instead of re-parsing (Table 10's "Cache
 //! h/m" column and `metrics.csv` record the hit/miss split). An unusable
 //! DIR is a usage error (exit 2), reported before any analysis starts.
+//!
+//! Environment: `CFINDER_THREADS` sets the worker count of the app
+//! fan-out and of each app's analysis; `CFINDER_ATOMIC_FAULT=crash`
+//! injects a crash into the atomic trace and metrics writes.
 
 use std::fs;
 use std::path::PathBuf;
@@ -35,6 +39,7 @@ fn usage_error(msg: &str) -> ! {
 }
 
 fn main() {
+    let env = cfinder_core::usage::parse_env(std::env::vars_os());
     let mut quick = false;
     let mut out_dir = PathBuf::from("result");
     let mut trace_out: Option<PathBuf> = None;
@@ -84,7 +89,7 @@ fn main() {
         if quick { "quick" } else { "paper" }
     );
     let obs = if trace_out.is_some() { Obs::enabled() } else { Obs::disabled() };
-    let eval = Evaluation::run_cached(options, obs.clone(), cache.clone());
+    let eval = Evaluation::run_cached(options, obs.clone(), cache.clone(), env.threads);
 
     fs::create_dir_all(&out_dir).expect("create result directory");
     let mut tables = all_tables(&eval);
@@ -218,8 +223,10 @@ fn main() {
     if let Some(path) = &trace_out {
         // Published atomically: a reproduce run killed mid-write must not
         // leave a torn trace or exposition behind an earlier good one.
-        atomic_write(path, obs.tracer.to_chrome_trace().as_bytes()).expect("write trace");
-        atomic_write(&out_dir.join("metrics.prom"), obs.metrics.to_prometheus_text().as_bytes())
+        let fault = env.atomic_fault;
+        atomic_write(path, obs.tracer.to_chrome_trace().as_bytes(), fault).expect("write trace");
+        let prom = obs.metrics.to_prometheus_text();
+        atomic_write(&out_dir.join("metrics.prom"), prom.as_bytes(), fault)
             .expect("write metrics.prom");
         eprintln!(
             "trace: {} spans across 8 analyses written to {} ({} metric families in {})",

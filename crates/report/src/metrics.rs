@@ -46,9 +46,10 @@ pub struct CoverageCell {
 
 /// The configuration every app evaluation analyzes with, and so the one
 /// its cache fingerprint must name: the paper's §4 options under the
-/// environment's resource limits.
+/// default resource limits (no deadline, so the reproduced tables never
+/// depend on timing).
 fn evaluation_config() -> (CFinderOptions, Limits) {
-    (CFinderOptions::paper(), Limits::from_env())
+    (CFinderOptions::paper(), Limits::default())
 }
 
 /// The full evaluation of one application.
@@ -70,7 +71,7 @@ impl AppEvaluation {
     /// attached — spans and metrics from the analysis accumulate into
     /// `obs` (handles share their buffers across clones).
     pub fn run_obs(app: GeneratedApp, obs: Obs) -> AppEvaluation {
-        AppEvaluation::run_cached(app, obs, None)
+        AppEvaluation::run_cached(app, obs, None, None)
     }
 
     /// Opens an incremental analysis cache under `dir` for
@@ -89,18 +90,23 @@ impl AppEvaluation {
     /// to the published cells; the inter-procedural extension's gain is
     /// measured separately (the `interproc` table and the ablation row).
     /// Open the cache with [`AppEvaluation::open_cache`], or its
-    /// fingerprint names another configuration's shard.
+    /// fingerprint names another configuration's shard. `threads` pins
+    /// the analyzer's worker count (`None`: the machine's parallelism).
     pub fn run_cached(
         app: GeneratedApp,
         obs: Obs,
         cache: Option<Arc<AnalysisCache>>,
+        threads: Option<usize>,
     ) -> AppEvaluation {
         let source = AppSource::new(
             app.name.clone(),
             app.files.iter().map(|f| SourceFile::new(f.path.clone(), f.text.clone())).collect(),
         );
         let (options, limits) = evaluation_config();
-        let mut finder = CFinder::with_options(options).with_limits(limits).with_obs(obs);
+        let mut finder = CFinder::with_options(options)
+            .with_limits(limits)
+            .with_threads(resolve_threads(threads))
+            .with_obs(obs);
         if let Some(cache) = cache {
             finder = finder.with_cache(cache);
         }
@@ -237,26 +243,30 @@ impl Evaluation {
     /// analysis records spans and metrics into `obs`, so the harness can
     /// export one combined trace and metrics dump for the whole run.
     pub fn run_obs(options: GenOptions, obs: Obs) -> Evaluation {
-        Evaluation::run_cached(options, obs, None)
+        Evaluation::run_cached(options, obs, None, None)
     }
 
     /// [`Evaluation::run_obs`] with an optional shared incremental
     /// analysis cache: every per-app analysis looks its files up (and
     /// writes them back) in the same cache directory, so a second
     /// `reproduce --cache-dir` run over the unchanged corpus skips
-    /// parsing and detection entirely.
+    /// parsing and detection entirely. `threads` sets both the app
+    /// fan-out and each app's analyzer (`None`: the machine's
+    /// parallelism).
     pub fn run_cached(
         options: GenOptions,
         obs: Obs,
         cache: Option<Arc<AnalysisCache>>,
+        threads: Option<usize>,
     ) -> Evaluation {
         let profiles = cfinder_corpus::all_profiles();
         let apps =
-            map_ordered(&profiles, resolve_threads(None), &Tracer::disabled(), "apps", |p| {
+            map_ordered(&profiles, resolve_threads(threads), &Tracer::disabled(), "apps", |p| {
                 AppEvaluation::run_cached(
                     cfinder_corpus::generate(p, options),
                     obs.clone(),
                     cache.clone(),
+                    threads,
                 )
             });
         let study = cfinder_corpus::study_corpus();

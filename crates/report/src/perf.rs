@@ -109,14 +109,14 @@ pub fn run_benchmark(
     let cold_start = Instant::now();
     let cold: Vec<AppEvaluation> = cold_apps
         .into_iter()
-        .map(|app| AppEvaluation::run_cached(app, obs.clone(), Some(cache.clone())))
+        .map(|app| AppEvaluation::run_cached(app, obs.clone(), Some(cache.clone()), None))
         .collect();
     let wall_seconds = cold_start.elapsed().as_secs_f64();
 
     let warm_start = Instant::now();
     let warm: Vec<AppEvaluation> = warm_apps
         .into_iter()
-        .map(|app| AppEvaluation::run_cached(app, obs.clone(), Some(cache.clone())))
+        .map(|app| AppEvaluation::run_cached(app, obs.clone(), Some(cache.clone()), None))
         .collect();
     let warm_wall_seconds = warm_start.elapsed().as_secs_f64();
 

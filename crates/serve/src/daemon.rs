@@ -24,6 +24,9 @@
 //!   analogue under pure-std constraints) closes the queue: accepted
 //!   requests finish and are answered, new frames get `shutting-down`,
 //!   and the final metrics snapshot is returned to the caller.
+//! * **Configuration is explicit.** No environment is read: an analysis
+//!   runs with its `ablate` options and [`Limits::default`] plus its
+//!   `file_deadline_ms`, on `max(1, cores / workers)` threads.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, Write};
@@ -33,9 +36,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use cfinder_core::engine::resolve_threads;
 use cfinder_core::{
-    effective_deadline, AnalysisCache, AnalysisReport, CFinder, CFinderOptions, CacheError, Limits,
-    Obs,
+    AnalysisCache, AnalysisReport, CFinder, CFinderOptions, CacheError, Limits, Obs,
 };
 use cfinder_obs::{Metrics, Profiler, Tracer};
 use parking_lot::Mutex;
@@ -44,12 +47,6 @@ use serde_json::Value;
 use crate::protocol::{self, error_frame, ok_frame, Command, ErrorCode, Fault, Frame};
 use crate::queue::{BoundedQueue, PushError};
 use crate::registry::{Project, Registry};
-
-/// Environment variable that arms the request-level fault hooks
-/// (`"fault": "panic"` / `"fault": "sleep:<ms>"`) for the daemon's own
-/// fault-injection suite. Off by default; an un-armed daemon treats the
-/// field as any other unknown field.
-pub const FAULTS_ENV: &str = "CFINDER_SERVE_FAULTS";
 
 /// Daemon configuration (one per [`serve`] call).
 #[derive(Debug, Clone)]
@@ -62,7 +59,8 @@ pub struct ServeConfig {
     pub max_frame_bytes: usize,
     /// Incremental-cache directory shared by every project (optional).
     pub cache_dir: Option<PathBuf>,
-    /// Whether the request-level fault hooks are armed ([`FAULTS_ENV`]).
+    /// Whether the request-level fault hooks (`"fault": "panic"` /
+    /// `"fault": "sleep:<ms>"`) are armed; unarmed, the field is ignored.
     pub faults_enabled: bool,
     /// Append-mode JSONL slow-request log (optional). Requests whose
     /// queue wait plus handling time reaches [`ServeConfig::slow_threshold_ms`]
@@ -85,7 +83,7 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             max_frame_bytes: 1 << 20,
             cache_dir: None,
-            faults_enabled: std::env::var(FAULTS_ENV).is_ok_and(|v| v == "1"),
+            faults_enabled: false,
             slow_log: None,
             slow_threshold_ms: 500,
             profile_hz: None,
@@ -134,13 +132,13 @@ struct Shared<W: Write> {
     slow_log: Option<Mutex<File>>,
     shutting_down: AtomicBool,
     /// Cache handles memoized per analyzer configuration: each distinct
-    /// (options, limits) pair addresses its own fingerprint shard, and
-    /// reusing the handle keeps its open-probe cost out of the hot path.
-    caches: Mutex<Vec<(CacheKey, Arc<AnalysisCache>)>>,
+    /// one addresses its own fingerprint shard, and reusing the handle
+    /// keeps its open-probe cost out of the hot path.
+    caches: Mutex<Vec<(AnalyzerConfig, Arc<AnalysisCache>)>>,
 }
 
-/// The fields of (options, limits) that select a cache fingerprint.
-type CacheKey = (CFinderOptions, Option<Duration>, usize, usize);
+/// What one request analyzes with.
+type AnalyzerConfig = (CFinderOptions, Limits);
 
 impl<W: Write> Shared<W> {
     fn respond_ok(&self, id: &Value, result: Value) {
@@ -160,23 +158,13 @@ impl<W: Write> Shared<W> {
         let _ = out.flush();
     }
 
-    fn cache_for(
-        &self,
-        options: &CFinderOptions,
-        limits: &Limits,
-    ) -> Result<Option<Arc<AnalysisCache>>, CacheError> {
+    fn cache_for(&self, key: AnalyzerConfig) -> Result<Option<Arc<AnalysisCache>>, CacheError> {
         let Some(dir) = &self.config.cache_dir else { return Ok(None) };
-        let key: CacheKey = (
-            *options,
-            effective_deadline(options, limits),
-            limits.max_file_bytes,
-            limits.max_tokens,
-        );
         let mut caches = self.caches.lock();
         if let Some((_, cache)) = caches.iter().find(|(k, _)| *k == key) {
             return Ok(Some(cache.clone()));
         }
-        let cache = Arc::new(AnalysisCache::open(dir, options, limits)?);
+        let cache = Arc::new(AnalysisCache::open(dir, &key.0, &key.1)?);
         caches.push((key, cache.clone()));
         Ok(Some(cache))
     }
@@ -522,15 +510,14 @@ fn run_analysis<W: Write>(
     id: &Value,
     cmd_name: &'static str,
     project_name: &str,
-    options: CFinderOptions,
+    (options, limits): AnalyzerConfig,
 ) -> Result<AnalysisOutcome, (ErrorCode, String)> {
     let project = shared
         .registry
         .get(project_name)
         .ok_or_else(|| (ErrorCode::UnknownProject, format!("no project `{project_name}`")))?;
-    let limits = Limits::from_env();
     let cache = shared
-        .cache_for(&options, &limits)
+        .cache_for((options, limits))
         .map_err(|e| (ErrorCode::CacheUnusable, e.to_string()))?;
 
     let mut state = project.flight.lock();
@@ -543,6 +530,7 @@ fn run_analysis<W: Write>(
         span.arg("cmd", cmd_name.to_string());
         let mut finder = CFinder::with_options(options)
             .with_limits(limits)
+            .with_threads(analysis_threads(resolve_threads(None), shared.config.workers))
             .with_obs(Obs { tracer: tracer.clone(), metrics: shared.metrics.clone() });
         if let Some(cache) = cache {
             finder = finder.with_cache(cache);
@@ -578,6 +566,12 @@ fn trace<W: Write>(shared: &Shared<W>, project: &str) -> HandleResult {
     ]))
 }
 
+/// Worker threads of one analysis: the machine's `cores` shared among
+/// the daemon's `workers`, at least one each.
+fn analysis_threads(cores: usize, workers: usize) -> usize {
+    (cores / workers.max(1)).max(1)
+}
+
 fn analyze<W: Write>(
     shared: &Shared<W>,
     id: &Value,
@@ -586,21 +580,13 @@ fn analyze<W: Write>(
     ablate: &[String],
 ) -> HandleResult {
     let mut options = CFinderOptions::default();
-    for flag in ablate {
-        match flag.as_str() {
-            "null-guard" => options.null_guard_analysis = false,
-            "data-dep" => options.data_dependency_checks = false,
-            "composite" => options.composite_unique = false,
-            "partial" => options.partial_unique = false,
-            "check" => options.check_inference = false,
-            "default" => options.default_inference = false,
-            other => {
-                return Err((ErrorCode::BadRequest, format!("unknown ablation flag `{other}`")))
-            }
-        }
+    for name in ablate {
+        options.ablate(name).map_err(|e| (ErrorCode::BadRequest, e))?;
     }
-    options.deadline_ms = file_deadline_ms;
-    let (_, report, _) = run_analysis(shared, id, "analyze", project, options)?;
+    // `0` means no deadline, like an absent field.
+    let deadline = file_deadline_ms.filter(|ms| *ms > 0).map(Duration::from_millis);
+    let limits = Limits { deadline, ..Limits::default() };
+    let (_, report, _) = run_analysis(shared, id, "analyze", project, (options, limits))?;
     Ok(report_result(&report))
 }
 
@@ -643,7 +629,7 @@ fn explain<W: Write>(shared: &Shared<W>, id: &Value, project: &str, target: &str
         Some((t, c)) => (t.to_string(), Some(c.to_string())),
         None => (target.to_string(), None),
     };
-    let (_, report, _) = run_analysis(shared, id, "explain", project, CFinderOptions::default())?;
+    let (_, report, _) = run_analysis(shared, id, "explain", project, Default::default())?;
     let matches_target = |c: &cfinder_schema::Constraint| {
         c.table() == table && column.as_deref().is_none_or(|col| c.columns().contains(&col))
     };
@@ -690,8 +676,7 @@ fn explain<W: Write>(shared: &Shared<W>, id: &Value, project: &str, target: &str
 }
 
 fn diff<W: Write>(shared: &Shared<W>, id: &Value, project: &str) -> HandleResult {
-    let (_, report, previous) =
-        run_analysis(shared, id, "diff", project, CFinderOptions::default())?;
+    let (_, report, previous) = run_analysis(shared, id, "diff", project, Default::default())?;
     let current: Vec<String> = report.missing.iter().map(|m| m.constraint.to_string()).collect();
     let baseline: Option<Vec<String>> =
         previous.map(|p| p.missing.iter().map(|m| m.constraint.to_string()).collect());
@@ -767,4 +752,16 @@ fn stats_result<W: Write>(shared: &Shared<W>) -> Value {
         ("profile_samples_total".into(), Value::UInt(shared.profiler.report().total_samples())),
         ("shutting_down".into(), Value::Bool(shared.shutting_down.load(Ordering::SeqCst))),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::analysis_threads;
+
+    #[test]
+    fn each_analysis_gets_its_share_of_the_cores() {
+        for (cores, workers, threads) in [(2, 2, 1), (8, 4, 2), (1, 4, 1), (16, 3, 5), (4, 0, 4)] {
+            assert_eq!(analysis_threads(cores, workers), threads, "{cores} / {workers}");
+        }
+    }
 }

@@ -32,5 +32,5 @@ pub mod protocol;
 pub mod queue;
 pub mod registry;
 
-pub use daemon::{serve, ServeConfig, ServeSummary, FAULTS_ENV};
+pub use daemon::{serve, ServeConfig, ServeSummary};
 pub use protocol::{Command, ErrorCode, Request};

@@ -99,11 +99,13 @@ pub enum Command {
         project: String,
         /// Whole-request budget in milliseconds (queue wait included).
         deadline_ms: Option<u64>,
-        /// Per-file parse budget, carried on [`cfinder_core::CFinderOptions`].
+        /// Per-file parse budget, [`cfinder_core::Limits::deadline`]; `0`
+        /// means none.
         file_deadline_ms: Option<u64>,
-        /// Ablation flags, same names as `cfinder --ablate`.
+        /// Ablation flags, same names as `cfinder --ablate`
+        /// ([`cfinder_core::CFinderOptions::ablate`]).
         ablate: Vec<String>,
-        /// Test-only fault injection (`CFINDER_SERVE_FAULTS=1`).
+        /// Test-only fault injection ([`crate::ServeConfig::faults_enabled`]).
         fault: Option<Fault>,
     },
     /// Explain every inferred constraint on `table[.column]`.
@@ -151,7 +153,8 @@ impl Command {
 }
 
 /// Fault injected into a handler, parsed only when the daemon runs with
-/// `CFINDER_SERVE_FAULTS=1` (the fault-frame test suite). In a normal
+/// [`crate::ServeConfig::faults_enabled`] (`cfinder serve` sets it from
+/// `CFINDER_SERVE_FAULTS=1`, for the fault-frame test suite). In a normal
 /// daemon the `fault` field is ignored like any other unknown field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {

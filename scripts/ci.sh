@@ -40,6 +40,17 @@ floor() {
     echo "$label suites: $count tests (floor $min)"
 }
 
+echo "==> no environment reads in library crates"
+# Only the binaries read `CFINDER_*`, once, through
+# `cfinder_core::usage::parse_env`; library results and cache keys
+# depend on explicit values alone.
+if env_reads=$(grep -rnE '\benv::(var|vars|var_os|vars_os)\b' --include='*.rs' crates/*/src |
+    grep -v '/src/bin/'); then
+    echo "FAIL: library code reads the environment:" >&2
+    echo "$env_reads" >&2
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -68,10 +79,10 @@ if ! $workspace; then
 fi
 
 echo "==> test-count floors"
-floor core 140 cfinder_core proptest_robustness
+floor core 146 cfinder_core proptest_robustness
 floor SQL 48 cfinder_sql roundtrip_proptest sql_faults
 floor flow 102 cfinder_flow proptest_interproc interproc_oracle reaching_oracle
-floor daemon 20 cfinder_serve serve_soak serve_faults cache_concurrency
+floor daemon 23 cfinder_serve serve_soak serve_faults cache_concurrency
 floor minidb 95 cfinder_minidb plan_golden proptest_integrity query_oracle three_valued_logic
 
 echo "==> fault-injection suite with live tracing and metrics"

@@ -28,9 +28,8 @@
 //! * `--timings` — per-stage timing breakdown. The human-readable mode
 //!   prints an aligned stage/seconds/percent table to stderr that accounts
 //!   for 100% of the analysis wall time (the four passes plus
-//!   orchestration); `--json` embeds a `timings` object. The thread count
-//!   defaults to the available parallelism and can be overridden with the
-//!   `CFINDER_THREADS` environment variable.
+//!   orchestration); `--json` embeds a `timings` object, including the
+//!   thread count.
 //! * `--trace-out FILE` — record hierarchical spans (per pass, per file,
 //!   per pattern family, per worker) and write Chrome trace-event
 //!   JSON to FILE, loadable in `chrome://tracing` or Perfetto.
@@ -56,12 +55,11 @@
 //!   fingerprint, so re-running over an unchanged tree skips parsing and
 //!   detection entirely while producing a byte-identical report. DIR is
 //!   created if needed; an unwritable or non-directory path is a usage
-//!   error (exit 2). The `CFINDER_CACHE_DIR` environment variable supplies
-//!   a default; `--no-cache` overrides both.
+//!   error (exit 2). `--no-cache` overrides it and `CFINDER_CACHE_DIR`.
 //! * `--strict` — treat any incident (recovered syntax error, dropped
 //!   file, worker panic) as a failure: exit 3 instead of 0/1.
 //! * `--max-file-bytes N` — skip files larger than N bytes (`0` disables
-//!   the cap; defaults to 8 MiB or `CFINDER_MAX_FILE_BYTES`).
+//!   the cap; defaults to 8 MiB).
 //! * `--ablate null-guard|data-dep|composite|partial|check|default|interproc` —
 //!   disable an analysis feature (repeatable; for experimentation).
 //!   `interproc` turns off the call-graph summary propagation of §4.1.3:
@@ -80,9 +78,24 @@
 //! chain — the PA_* pattern, its rule, and the exact source site. Exit 0
 //! when at least one constraint was explained, 1 when none matched.
 //!
-//! A per-file parse deadline can be enabled with the `CFINDER_DEADLINE_MS`
-//! environment variable; files that blow it are skipped with a `deadline`
-//! incident.
+//! The environment is read once, in `main`, by
+//! `cfinder::core::usage::parse_env`, and passed down as explicit values:
+//!
+//! * `CFINDER_THREADS=N` — analysis worker threads (`cfinder <dir>`,
+//!   `explain`); zero or unparsable values are ignored.
+//! * `CFINDER_MAX_FILE_BYTES=N` — the `--max-file-bytes` default.
+//! * `CFINDER_DEADLINE_MS=N` — a per-file parse deadline (`cfinder <dir>`,
+//!   `explain`); files that blow it are skipped with a `deadline`
+//!   incident. Only values above 0 count.
+//! * `CFINDER_CACHE_DIR=DIR` — the `--cache-dir` default (also of `serve`).
+//! * `CFINDER_ATOMIC_FAULT=crash` — every output write stops between the
+//!   temp write and the rename (crash-injection tests).
+//! * `CFINDER_SERVE_FAULTS=1` — arms the daemon's request-level fault
+//!   hooks (its fault-injection suite).
+//!
+//! `serve` reads no other variable: its analyses run with the default
+//! limits plus each request's `file_deadline_ms`, on
+//! `max(1, cores / workers)` threads.
 //!
 //! Exit code: 0 when no missing constraints were found, 1 when some were,
 //! 2 on usage or I/O errors, 3 under `--strict` when the analysis
@@ -97,9 +110,10 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 
+use cfinder::core::engine::resolve_threads;
+use cfinder::core::usage::{self, EnvConfig};
 use cfinder::core::{
-    atomic_write, cache::CACHE_DIR_ENV, AnalysisCache, AppSource, CFinder, CFinderOptions, Limits,
-    Obs, SourceFile,
+    atomic_write, AnalysisCache, AppSource, CFinder, CFinderOptions, Limits, Obs, SourceFile,
 };
 use cfinder::schema::Schema;
 use cfinder::sql::Dialect;
@@ -114,7 +128,8 @@ const USAGE: &str = "usage: cfinder <dir> [--schema schema.json] [--schema-sql s
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    let env = usage::parse_env(std::env::vars_os());
+    match run(&args, &env) {
         Ok(outcome) => {
             if outcome.strict && outcome.incidents > 0 {
                 ExitCode::from(3)
@@ -132,9 +147,9 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(args: &[String]) -> Result<Outcome, String> {
+fn run(args: &[String], env: &EnvConfig) -> Result<Outcome, String> {
     if args.first().is_some_and(|a| a == "explain") {
-        return run_explain(&args[1..]);
+        return run_explain(&args[1..], env);
     }
     if args.first().is_some_and(|a| a == "cache") {
         return run_cache(&args[1..]);
@@ -143,11 +158,11 @@ fn run(args: &[String]) -> Result<Outcome, String> {
         // `serve` never returns through the usage-error path below: like
         // `reproduce`, it reports misuse via the shared
         // `cfinder::core::usage` format and exits 2 itself.
-        return Ok(run_serve(&args[1..]));
+        return Ok(run_serve(&args[1..], env));
     }
     if args.first().is_some_and(|a| a == "perf") {
         // Same contract as `serve`: misuse exits 2 via the shared path.
-        return Ok(run_perf(&args[1..]));
+        return Ok(run_perf(&args[1..], env));
     }
     let mut dir: Option<PathBuf> = None;
     let mut schema_path: Option<PathBuf> = None;
@@ -158,14 +173,14 @@ fn run(args: &[String]) -> Result<Outcome, String> {
     let mut timings = false;
     let mut strict = false;
     let mut provenance = false;
-    let mut cache_dir: Option<PathBuf> = std::env::var_os(CACHE_DIR_ENV).map(PathBuf::from);
+    let mut cache_dir = env.cache_dir.clone();
     let mut no_cache = false;
     let mut trace_out: Option<PathBuf> = None;
     let mut metrics_out: Option<PathBuf> = None;
     let mut profile_out: Option<PathBuf> = None;
     let mut profile_hz: u32 = cfinder::obs::profile::DEFAULT_HZ;
     let mut options = CFinderOptions::default();
-    let mut limits = Limits::from_env();
+    let mut limits = env.limits;
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -225,16 +240,7 @@ fn run(args: &[String]) -> Result<Outcome, String> {
             }
             "--ablate" => {
                 let v = it.next().ok_or("--ablate requires a flag argument")?;
-                match v.as_str() {
-                    "null-guard" => options.null_guard_analysis = false,
-                    "data-dep" => options.data_dependency_checks = false,
-                    "composite" => options.composite_unique = false,
-                    "partial" => options.partial_unique = false,
-                    "check" => options.check_inference = false,
-                    "default" => options.default_inference = false,
-                    "interproc" => options.interprocedural = false,
-                    other => return Err(format!("unknown ablation flag `{other}`")),
-                }
+                options.ablate(v)?;
             }
             "--help" | "-h" => return Err("help requested".to_string()),
             other if dir.is_none() && !other.starts_with('-') => {
@@ -256,7 +262,10 @@ fn run(args: &[String]) -> Result<Outcome, String> {
     } else {
         Obs::disabled()
     };
-    let mut finder = CFinder::with_options(options).with_limits(limits).with_obs(obs.clone());
+    let mut finder = CFinder::with_options(options)
+        .with_limits(limits)
+        .with_threads(resolve_threads(env.threads))
+        .with_obs(obs.clone());
     // The cache is opened *before* analysis so an unusable directory is a
     // typed usage error (exit 2) up front, not an io panic mid-run.
     if let (Some(cache_dir), false) = (&cache_dir, no_cache) {
@@ -273,7 +282,7 @@ fn run(args: &[String]) -> Result<Outcome, String> {
             Some(&declared),
             &report.app,
         );
-        atomic_write(path, script.as_bytes())
+        atomic_write(path, script.as_bytes(), env.atomic_fault)
             .map_err(|e| format!("writing {}: {e}", path.display()))?;
         eprintln!(
             "fix script: {} constraint(s) written to {} ({} dialect)",
@@ -284,12 +293,12 @@ fn run(args: &[String]) -> Result<Outcome, String> {
     }
 
     if let Some(path) = &trace_out {
-        atomic_write(path, obs.tracer.to_chrome_trace().as_bytes())
+        atomic_write(path, obs.tracer.to_chrome_trace().as_bytes(), env.atomic_fault)
             .map_err(|e| format!("writing {}: {e}", path.display()))?;
         eprintln!("trace: {} spans written to {}", obs.tracer.events().len(), path.display());
     }
     if let Some(path) = &metrics_out {
-        atomic_write(path, obs.metrics.to_prometheus_text().as_bytes())
+        atomic_write(path, obs.metrics.to_prometheus_text().as_bytes(), env.atomic_fault)
             .map_err(|e| format!("writing {}: {e}", path.display()))?;
         eprintln!(
             "metrics: {} families written to {}",
@@ -301,7 +310,7 @@ fn run(args: &[String]) -> Result<Outcome, String> {
         let profiler = obs.profiler();
         profiler.stop();
         let profile = profiler.report();
-        atomic_write(path, profile.folded().as_bytes())
+        atomic_write(path, profile.folded().as_bytes(), env.atomic_fault)
             .map_err(|e| format!("writing {}: {e}", path.display()))?;
         eprintln!(
             "profile: {} sample(s) across {} stack(s) at {} Hz written to {} (flamegraph-collapsed)",
@@ -484,7 +493,7 @@ fn run(args: &[String]) -> Result<Outcome, String> {
 
 /// `cfinder explain <table[.column]> <dir> [--schema FILE]`: print the
 /// provenance chain of every inferred constraint on the target.
-fn run_explain(args: &[String]) -> Result<Outcome, String> {
+fn run_explain(args: &[String], env: &EnvConfig) -> Result<Outcome, String> {
     let mut target: Option<String> = None;
     let mut dir: Option<PathBuf> = None;
     let mut schema_path: Option<PathBuf> = None;
@@ -512,7 +521,10 @@ fn run_explain(args: &[String]) -> Result<Outcome, String> {
     };
 
     let (app, declared) = load_app(&dir, schema_path.as_deref())?;
-    let report = CFinder::new().analyze(&app, &declared);
+    let report = CFinder::new()
+        .with_limits(env.limits)
+        .with_threads(resolve_threads(env.threads))
+        .analyze(&app, &declared);
 
     let matches_target = |c: &cfinder::schema::Constraint| {
         c.table() == table && column.as_deref().is_none_or(|col| c.columns().contains(&col))
@@ -567,8 +579,7 @@ const PERF_USAGE: &str = "cfinder perf [--out DIR] [--scale quick|paper] [--smok
 /// fails or — when `--baseline` names a previous data point — if
 /// throughput regressed against it. `--smoke` forces quick scale; it
 /// exists so CI can state its intent.
-fn run_perf(args: &[String]) -> Outcome {
-    use cfinder::core::usage;
+fn run_perf(args: &[String], env: &EnvConfig) -> Outcome {
     use cfinder::report::perf;
 
     let usage_error = |msg: &str| -> ! { usage::usage_error(msg, PERF_USAGE) };
@@ -661,7 +672,8 @@ fn run_perf(args: &[String]) -> Outcome {
 
     let text = serde_json::to_string_pretty(&doc).expect("BENCH serialization") + "\n";
     let path = out_dir.join(format!("BENCH_{stamp}.json"));
-    if let Err(e) = fs::create_dir_all(&out_dir).and_then(|()| atomic_write(&path, text.as_bytes()))
+    if let Err(e) = fs::create_dir_all(&out_dir)
+        .and_then(|()| atomic_write(&path, text.as_bytes(), env.atomic_fault))
     {
         eprintln!("perf: cannot write {}: {e}", path.display());
         return Outcome { missing: 1, incidents: 0, strict: false };
@@ -734,12 +746,11 @@ fn run_perf(args: &[String]) -> Outcome {
 /// Misuse (unknown flags, bad values, an unusable `--cache-dir`) exits 2
 /// through the same typed `error:`/`usage:` format as `reproduce` —
 /// every CFinder binary surface shares `cfinder::core::usage`.
-fn run_serve(args: &[String]) -> Outcome {
-    use cfinder::core::usage;
-
+fn run_serve(args: &[String], env: &EnvConfig) -> Outcome {
     let usage_error = |msg: &str| -> ! { usage::usage_error(msg, SERVE_USAGE) };
     let mut config = cfinder::serve::ServeConfig {
-        cache_dir: std::env::var_os(CACHE_DIR_ENV).map(PathBuf::from),
+        cache_dir: env.cache_dir.clone(),
+        faults_enabled: env.serve_faults,
         ..cfinder::serve::ServeConfig::default()
     };
     let mut it = args.iter();
@@ -782,7 +793,7 @@ fn run_serve(args: &[String]) -> Outcome {
     // usage error before the daemon accepts a single frame, exactly like
     // `reproduce --cache-dir`.
     if let Some(dir) = &config.cache_dir {
-        if let Err(e) = AnalysisCache::open(dir, &CFinderOptions::default(), &Limits::from_env()) {
+        if let Err(e) = AnalysisCache::open(dir, &CFinderOptions::default(), &Limits::default()) {
             usage_error(&e.to_string());
         }
     }

@@ -11,6 +11,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use cfinder::core::usage;
 use cfinder::core::{
     AnalysisCache, AppSource, CFinder, CFinderOptions, IncidentKind, Limits, Obs, SourceFile,
 };
@@ -98,11 +99,11 @@ fn two_processes_same_cache_dir_no_torn_entries_then_fully_warm() {
     assert!(b.wait().unwrap().code().is_some(), "process crashed");
 
     // A third, in-process warm run over the identical tree: every entry
-    // parses, zero files re-parsed. (The CLI runs `Limits::from_env()`
-    // under default options — mirror that so the fingerprints match.)
-    let cache = Arc::new(
-        AnalysisCache::open(&dir, &CFinderOptions::default(), &Limits::from_env()).unwrap(),
-    );
+    // parses, zero files re-parsed. (The CLI runs the limits it parses
+    // from its environment under default options — mirror that so the
+    // fingerprints match.)
+    let limits = usage::parse_env(std::env::vars_os()).limits;
+    let cache = Arc::new(AnalysisCache::open(&dir, &CFinderOptions::default(), &limits).unwrap());
     let mut files = Vec::new();
     collect(&app_dir, &app_dir, &mut files);
     files.sort_by(|x, y| x.path.cmp(&y.path));

@@ -1,6 +1,6 @@
 //! The invalidation matrix: every ingredient of the cache key — file
 //! content, fingerprint salt, analyzer options, resource limits, the
-//! deadline (including its environment knob), and the entry format —
+//! per-file deadline, and the entry format —
 //! must invalidate exactly the entries it covers; damaged entries must
 //! degrade to typed misses with the answer recomputed, never a panic or
 //! a wrong result.
@@ -8,8 +8,8 @@
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Duration;
 
-use cfinder::core::detect::DEADLINE_ENV;
 use cfinder::core::{
     AnalysisCache, AnalysisReport, AppSource, CFinder, CFinderOptions, IncidentKind, Limits,
     SourceFile,
@@ -227,55 +227,25 @@ fn editing_a_helper_body_invalidates_callers_detect_entries() {
 
 #[test]
 fn deadline_env_changes_the_tool_fingerprint() {
-    // `Limits::from_env` is what the CLI feeds the cache, so the
-    // environment knob must round-trip into a distinct fingerprint.
-    // (The option-carried assertions live in this same #[test] because
-    // they mutate the same environment variable — separate tests would
-    // race under the parallel test runner.)
-    let options = CFinderOptions::default();
+    // `CFINDER_DEADLINE_MS` reaches the cache only as `Limits::deadline`:
+    // a deadline is its own shard, and so is each duration. Three
+    // fingerprints are pinned, so a change to what the fingerprint hashes
+    // cannot slip through as a silent re-shard.
     let dir = temp_dir("deadline");
-    std::env::remove_var(DEADLINE_ENV);
-    let without = AnalysisCache::open_with_salt(&dir, &options, &Limits::from_env(), "").unwrap();
-    std::env::set_var(DEADLINE_ENV, "120000");
-    let with = AnalysisCache::open_with_salt(&dir, &options, &Limits::from_env(), "").unwrap();
-    assert_ne!(without.fingerprint(), with.fingerprint());
-
-    // Invalidation-matrix row for the first-class option: a deadline
-    // carried on `CFinderOptions::deadline_ms` and the same deadline
-    // carried by the environment-fed `Limits` fingerprint *identically*
-    // — a daemon request bringing its own budget shares the shard an
-    // env-configured CLI run populated.
-    std::env::remove_var(DEADLINE_ENV);
-    let via_option = AnalysisCache::open_with_salt(
-        &dir,
-        &CFinderOptions { deadline_ms: Some(120_000), ..options },
-        &Limits::from_env(),
-        "",
-    )
-    .unwrap();
-    assert_eq!(via_option.fingerprint(), with.fingerprint());
-
-    // An explicit option overrides a conflicting env deadline...
-    std::env::set_var(DEADLINE_ENV, "5");
-    let option_wins = AnalysisCache::open_with_salt(
-        &dir,
-        &CFinderOptions { deadline_ms: Some(120_000), ..options },
-        &Limits::from_env(),
-        "",
-    )
-    .unwrap();
-    assert_eq!(option_wins.fingerprint(), with.fingerprint());
-    // ...including `Some(0)`, which means "explicitly no deadline" and
-    // must land in the no-deadline shard, not a third one.
-    let zero_disables = AnalysisCache::open_with_salt(
-        &dir,
-        &CFinderOptions { deadline_ms: Some(0), ..options },
-        &Limits::from_env(),
-        "",
-    )
-    .unwrap();
-    std::env::remove_var(DEADLINE_ENV);
-    assert_eq!(zero_disables.fingerprint(), without.fingerprint());
+    let fingerprint = |options: &CFinderOptions, deadline_ms: Option<u64>| {
+        let limits =
+            Limits { deadline: deadline_ms.map(Duration::from_millis), ..Limits::default() };
+        let cache = AnalysisCache::open_with_salt(&dir, options, &limits, "").unwrap();
+        cache.fingerprint().to_string()
+    };
+    let default = CFinderOptions::default();
+    let without = fingerprint(&default, None);
+    let with = fingerprint(&default, Some(120_000));
+    assert_ne!(without, with);
+    assert_ne!(with, fingerprint(&default, Some(5)), "each duration is its own shard");
+    assert_eq!(without, "768eb15cb27e6026548715e1f38f9a79");
+    assert_eq!(with, "f57944b7de7e66a8af567a4734c56272");
+    assert_eq!(fingerprint(&CFinderOptions::paper(), None), "3fa551bfd73242c6a0df864fb4ef3c26");
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -8,7 +8,8 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use cfinder::core::{AnalysisCache, CFinderOptions, Limits, ATOMIC_FAULT_ENV};
+use cfinder::core::usage::ATOMIC_FAULT_ENV;
+use cfinder::core::{AnalysisCache, CFinderOptions, Limits};
 use cfinder::corpus::GenOptions;
 use cfinder::report::perf::{self, STAGE_KEYS};
 use cfinder::report::QueryBenchOptions;
@@ -205,7 +206,7 @@ fn perf_cache_holds_only_the_paper_fingerprint_shard() {
         .map(|e| e.file_name().to_string_lossy().into_owned())
         .collect();
     let paper =
-        AnalysisCache::open(dir.join("paper"), &CFinderOptions::paper(), &Limits::from_env())
+        AnalysisCache::open(dir.join("paper"), &CFinderOptions::paper(), &Limits::default())
             .unwrap();
     assert_eq!(shards, [&paper.fingerprint()[..16]]);
     let _ = fs::remove_dir_all(&dir);

@@ -1,20 +1,23 @@
 //! The daemon fault-frame suite: every typed error code is reachable,
-//! every failure is request-scoped, and both binary surfaces share one
-//! usage-error format.
+//! every failure is request-scoped, both binary surfaces share one
+//! usage-error format, and an `analyze` frame's `ablate` and
+//! `file_deadline_ms` select the configuration they name.
 //!
-//! Runs the daemon with `CFINDER_SERVE_FAULTS=1` so `analyze` frames
-//! can carry `"fault": "panic"` / `"fault": "sleep:<ms>"` — the hooks
-//! that make panic containment, deadline overruns, and overload
-//! deterministic without huge inputs.
+//! The fault tests run the daemon with `CFINDER_SERVE_FAULTS=1` so
+//! `analyze` frames can carry `"fault": "panic"` / `"fault": "sleep:<ms>"`
+//! — the hooks that make panic containment, deadline overruns, and
+//! overload deterministic without huge inputs.
 
 mod support;
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use cfinder::core::{AppSource, CFinder, CFinderOptions, SourceFile};
+use cfinder::corpus::{all_profiles, generate, GenOptions, GeneratedApp};
 use serde_json::Value;
-use support::{err_code, ok_result, Daemon};
+use support::{err_code, ok_result, Client, Daemon};
 
 /// A minimal project with one detectable pattern.
 const PROJECT_SRC: &str = "class Coupon(models.Model):\n    code = models.CharField(max_length=32)\n\n\ndef redeem(code):\n    if Coupon.objects.filter(code=code).exists():\n        raise ValueError('duplicate coupon')\n    Coupon.objects.create(code=code)\n";
@@ -243,4 +246,92 @@ fn serve_misuse_exits_2_with_the_shared_usage_format() {
             "{args:?}: {stderr}"
         );
     }
+}
+
+/// Writes corpus app 0 under `root` and returns it with the `register`
+/// frame body that names it as project `p`.
+fn corpus_project(root: &Path) -> (GeneratedApp, String) {
+    let app = generate(&all_profiles()[0], GenOptions { loc_scale: 0.01 });
+    app.write_to(root).unwrap();
+    let body = format!(
+        r#""cmd":"register","project":"p","dir":"{}","schema":"{}""#,
+        root.join("src").display(),
+        root.join("schema.json").display()
+    );
+    (app, body)
+}
+
+/// `stable_json` of an in-process run over `app` with `options`, named
+/// and sorted like the daemon's project `p`.
+fn in_process(app: &GeneratedApp, options: CFinderOptions) -> String {
+    let mut files: Vec<SourceFile> =
+        app.files.iter().map(|f| SourceFile::new(f.path.clone(), f.text.clone())).collect();
+    files.sort_by(|a, b| a.path.cmp(&b.path));
+    let source = AppSource::new("p", files);
+    CFinder::with_options(options).analyze(&source, &app.declared).stable_json()
+}
+
+/// Sends one `analyze` frame with `extra` fields and returns its result.
+fn analyze(client: &Client, suffix: &str, extra: &str) -> Value {
+    let resp = client.call(suffix, &format!(r#""cmd":"analyze","project":"p"{extra}"#));
+    ok_result(&resp).clone()
+}
+
+fn field<'a>(result: &'a Value, key: &str) -> &'a Value {
+    result.get(key).unwrap_or_else(|| panic!("analyze result lacks `{key}`: {result:?}"))
+}
+
+#[test]
+fn ablate_interproc_answers_like_the_paper_configuration() {
+    let root = temp_dir("ablate");
+    let (app, register) = corpus_project(&root);
+    let paper = in_process(&app, CFinderOptions::paper());
+    assert_ne!(paper, in_process(&app, CFinderOptions::default()), "interproc must matter here");
+
+    let mut daemon = Daemon::spawn(&["--workers", "1"], 0, false);
+    let main = daemon.main_client();
+    ok_result(&main.call("reg", &register));
+    let result = analyze(&main, "a", r#","ablate":["interproc"]"#);
+    assert_eq!(field(&result, "stable_json").as_str(), Some(paper.as_str()));
+    let resp = main.call("bad", r#""cmd":"analyze","project":"p","ablate":["bogus"]"#);
+    assert_eq!(err_code(&resp), "bad-request");
+
+    assert!(daemon.finish().success());
+    let _ = fs::remove_dir_all(&root);
+}
+
+#[test]
+fn file_deadline_ms_selects_a_cache_shard_and_zero_means_none() {
+    let root = temp_dir("file-deadline");
+    let (app, register) = corpus_project(&root);
+    let files = app.files.len() as u64;
+    let cache = root.join("cache");
+
+    let mut daemon =
+        Daemon::spawn(&["--workers", "1", "--cache-dir", cache.to_str().unwrap()], 0, false);
+    let main = daemon.main_client();
+    ok_result(&main.call("reg", &register));
+    let mut answers = Vec::new();
+    // (extra fields, cache hits, files parsed): `0` lands in the shard
+    // an absent field populated; a deadline is a shard of its own.
+    for (i, (extra, hits, parsed)) in [
+        ("", 0, files),
+        (r#","file_deadline_ms":0"#, files, 0),
+        (r#","file_deadline_ms":600000"#, 0, files),
+        (r#","file_deadline_ms":600000"#, files, 0),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let result = analyze(&main, &format!("d{i}"), extra);
+        let counts =
+            (field(&result, "cache_hits").as_u64(), field(&result, "files_parsed").as_u64());
+        assert_eq!(counts, (Some(hits), Some(parsed)), "run {i} ({extra})");
+        answers.push(field(&result, "stable_json").as_str().unwrap().to_string());
+    }
+    assert!(answers.iter().all(|a| *a == answers[0]), "the deadline changed an answer");
+    assert_eq!(answers[0], in_process(&app, CFinderOptions::default()));
+
+    assert!(daemon.finish().success());
+    let _ = fs::remove_dir_all(&root);
 }

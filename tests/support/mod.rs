@@ -19,6 +19,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use cfinder::core::usage;
 use serde_json::Value;
 
 /// How long a test waits for one response frame before declaring the
@@ -110,15 +111,15 @@ impl Daemon {
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_cfinder"));
         cmd.arg("serve")
             .args(args)
-            .env_remove(cfinder::core::detect::DEADLINE_ENV)
-            .env_remove(cfinder::core::cache::CACHE_DIR_ENV)
+            .env_remove(usage::DEADLINE_ENV)
+            .env_remove(usage::CACHE_DIR_ENV)
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::null());
         if faults {
-            cmd.env(cfinder::serve::FAULTS_ENV, "1");
+            cmd.env(usage::SERVE_FAULTS_ENV, "1");
         } else {
-            cmd.env_remove(cfinder::serve::FAULTS_ENV);
+            cmd.env_remove(usage::SERVE_FAULTS_ENV);
         }
         let mut child = cmd.spawn().expect("spawn cfinder serve");
 
