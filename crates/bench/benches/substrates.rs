@@ -67,7 +67,7 @@ fn bench_flow(c: &mut Criterion) {
     });
     group.bench_function("null_guards", |b| {
         b.iter(|| {
-            let g = NullGuards::analyze(&module.body);
+            let g = NullGuards::analyze_with(&module.body, None);
             std::hint::black_box(&g);
         })
     });

@@ -1171,9 +1171,13 @@ fn analyze_function(
     let chains = UseDefChains::compute(body, params);
     // With summaries available, a call to a NotNone-checking helper guards
     // its argument path for the rest of the block (assert-like), which
-    // both suppresses PA_n1 false positives after the call and is the
-    // substrate detect_interproc matches on.
-    let guards = NullGuards::analyze_with(body, summaries);
+    // suppresses PA_n1 false positives after the call. PA_n1 is the only
+    // reader of the guards, so the walk is skipped when it is ablated.
+    let guards = if options.null_guard_analysis {
+        NullGuards::analyze_with(body, summaries)
+    } else {
+        NullGuards::default()
+    };
     let resolver = Resolver::new(registry, &chains, self_model);
     let ctx = DetectCtx {
         resolver: &resolver,

@@ -398,12 +398,8 @@ fn detect_n1(ctx: &DetectCtx<'_>, stmt: &Stmt, out: &mut Vec<Detection>) {
             // C-D: no dominating NULL check on the base's access path.
             // (Skipped entirely when the null-guard ablation is on, which
             // reintroduces the false positives the check exists to prune.)
-            if ctx.options.null_guard_analysis {
-                if let Some(path) = AccessPath::of_expr(base) {
-                    if ctx.guards.is_guarded(base.id, &path) {
-                        continue;
-                    }
-                }
+            if ctx.options.null_guard_analysis && ctx.guards.is_guarded(base) {
+                continue;
             }
             ctx.emit(out, PatternId::N1, Constraint::not_null(model, column), stmt);
         }

@@ -3,9 +3,9 @@
 //! Pattern PA_n1 ("method/field invocation on column **without** NULL
 //! check") requires proving the *absence* of a guard: per the paper, "we
 //! require that for all parent trees of the field invocation, no one has a
-//! condition branch that has the NULL check". This module computes, for
-//! every expression in a body, which dotted paths are known non-null at
-//! that point, considering:
+//! condition branch that has the NULL check". This module records which
+//! dotted expressions of a body (`x`, `x.y`) are known non-null where they
+//! evaluate, considering:
 //!
 //! * positive guards: `if x:`, `if x.y:`, `if x is not None:`,
 //!   `if x != None:`, conjunctions (`if x and …:`) — guard the then-branch;
@@ -48,55 +48,54 @@ impl AccessPath {
     }
 }
 
-/// Result of the analysis: for each expression id, the set of paths known
-/// non-null when that expression evaluates.
+/// Result of the analysis: the dotted expressions (`x`, `x.y`) whose own
+/// access path is known non-null where they evaluate.
+#[derive(Default)]
 pub struct NullGuards {
-    guarded: std::collections::HashMap<NodeId, HashSet<AccessPath>>,
+    guarded: HashSet<NodeId>,
 }
 
 impl NullGuards {
-    /// Analyzes one body (function or module top level).
-    pub fn analyze(body: &[Stmt]) -> NullGuards {
-        NullGuards::analyze_with(body, None)
-    }
-
-    /// Like [`NullGuards::analyze`], additionally treating bare calls to
-    /// summarized helpers as assert-like guards: after
-    /// `require(order.total)` the path `order.total` is known non-null for
-    /// the rest of the enclosing block (the helper dominates-on-raise).
+    /// Analyzes one body (function or module top level). With `summaries`,
+    /// bare calls to summarized helpers also act as assert-like guards:
+    /// after `require(order.total)` the path `order.total` is known
+    /// non-null for the rest of the enclosing block (the helper
+    /// dominates-on-raise).
     pub fn analyze_with(body: &[Stmt], summaries: Option<&SummaryTable>) -> NullGuards {
-        let mut g = NullGuards { guarded: std::collections::HashMap::new() };
-        let mut active: HashSet<AccessPath> = HashSet::new();
-        g.walk_block(body, &mut active, false, summaries);
-        g
+        let mut walk = Walk { guarded: HashSet::new(), scoped: Vec::new(), summaries };
+        walk.walk_block(body, &mut HashSet::new(), false);
+        NullGuards { guarded: walk.guarded }
     }
 
-    /// Is `path` known non-null at expression `at`?
+    /// Is the dotted expression `expr` known non-null where it evaluates?
     ///
     /// The match is exact on the checked path: a guard on `x` marks `x`
     /// non-null, a guard on `x.y` marks `x.y`. Deciding whether a guard
     /// makes a particular invocation safe is the detector's call.
-    pub fn is_guarded(&self, at: NodeId, path: &AccessPath) -> bool {
-        self.guarded.get(&at).is_some_and(|set| set.contains(path))
+    pub fn is_guarded(&self, expr: &Expr) -> bool {
+        self.guarded.contains(&expr.id)
     }
+}
 
-    /// All guarded paths at an expression (for diagnostics).
-    pub fn guarded_at(&self, at: NodeId) -> Vec<&AccessPath> {
-        self.guarded.get(&at).map(|s| s.iter().collect()).unwrap_or_default()
-    }
+/// The walk over one body. `active` (threaded through the statement walk)
+/// holds the paths known non-null at the current statement; `scoped` the
+/// extra ones a short-circuit or ternary establishes inside an expression.
+struct Walk<'s> {
+    guarded: HashSet<NodeId>,
+    scoped: Vec<AccessPath>,
+    summaries: Option<&'s SummaryTable>,
+}
 
-    // --- construction -------------------------------------------------------
-
+impl Walk<'_> {
     fn walk_block(
         &mut self,
         body: &[Stmt],
         active: &mut HashSet<AccessPath>,
         in_guarding_try: bool,
-        summaries: Option<&SummaryTable>,
     ) {
         let mut added_by_escape: Vec<AccessPath> = Vec::new();
         for stmt in body {
-            self.walk_stmt(stmt, active, in_guarding_try, &mut added_by_escape, summaries);
+            self.walk_stmt(stmt, active, in_guarding_try, &mut added_by_escape);
         }
         for p in added_by_escape {
             active.remove(&p);
@@ -109,7 +108,6 @@ impl NullGuards {
         active: &mut HashSet<AccessPath>,
         in_try: bool,
         added_by_escape: &mut Vec<AccessPath>,
-        summaries: Option<&SummaryTable>,
     ) {
         match &stmt.kind {
             StmtKind::If { test, body, orelse } => {
@@ -119,12 +117,12 @@ impl NullGuards {
                 // Then-branch: positive guards active.
                 let mut then_active = active.clone();
                 then_active.extend(pos.iter().cloned());
-                self.walk_block(body, &mut then_active, in_try, summaries);
+                self.walk_block(body, &mut then_active, in_try);
 
                 // Else-branch: negative guards active.
                 let mut else_active = active.clone();
                 else_active.extend(neg.iter().cloned());
-                self.walk_block(orelse, &mut else_active, in_try, summaries);
+                self.walk_block(orelse, &mut else_active, in_try);
 
                 // `if x is None: <escape or assign x>` guards the rest of
                 // the enclosing block.
@@ -151,14 +149,14 @@ impl NullGuards {
                 let (pos, _neg) = guard_paths(test);
                 let mut loop_active = active.clone();
                 loop_active.extend(pos);
-                self.walk_block(body, &mut loop_active, in_try, summaries);
-                self.walk_block(orelse, &mut active.clone(), in_try, summaries);
+                self.walk_block(body, &mut loop_active, in_try);
+                self.walk_block(orelse, &mut active.clone(), in_try);
             }
             StmtKind::For { target, iter, body, orelse } => {
                 self.mark_expr(target, active, in_try);
                 self.mark_expr(iter, active, in_try);
-                self.walk_block(body, &mut active.clone(), in_try, summaries);
-                self.walk_block(orelse, &mut active.clone(), in_try, summaries);
+                self.walk_block(body, &mut active.clone(), in_try);
+                self.walk_block(orelse, &mut active.clone(), in_try);
             }
             StmtKind::Try { body, handlers, orelse, finalbody } => {
                 let catches_attr = handlers.iter().any(|h| match &h.typ {
@@ -176,12 +174,12 @@ impl NullGuards {
                         matches!(name.as_str(), "AttributeError" | "TypeError" | "Exception")
                     }
                 });
-                self.walk_block(body, &mut active.clone(), in_try || catches_attr, summaries);
+                self.walk_block(body, &mut active.clone(), in_try || catches_attr);
                 for h in handlers {
-                    self.walk_block(&h.body, &mut active.clone(), in_try, summaries);
+                    self.walk_block(&h.body, &mut active.clone(), in_try);
                 }
-                self.walk_block(orelse, &mut active.clone(), in_try, summaries);
-                self.walk_block(finalbody, &mut active.clone(), in_try, summaries);
+                self.walk_block(orelse, &mut active.clone(), in_try);
+                self.walk_block(finalbody, &mut active.clone(), in_try);
             }
             StmtKind::With { items, body } => {
                 for item in items {
@@ -190,7 +188,7 @@ impl NullGuards {
                         self.mark_expr(t, active, in_try);
                     }
                 }
-                self.walk_block(body, &mut active.clone(), in_try, summaries);
+                self.walk_block(body, &mut active.clone(), in_try);
             }
             StmtKind::FunctionDef(f) => {
                 // Fresh scope: no outer guards apply.
@@ -198,7 +196,7 @@ impl NullGuards {
                     self.mark_expr(d, active, in_try);
                 }
                 let mut inner = HashSet::new();
-                self.walk_block(&f.body, &mut inner, false, summaries);
+                self.walk_block(&f.body, &mut inner, false);
             }
             StmtKind::ClassDef(c) => {
                 for d in &c.decorators {
@@ -208,7 +206,7 @@ impl NullGuards {
                     self.mark_expr(b, active, in_try);
                 }
                 let mut inner = active.clone();
-                self.walk_block(&c.body, &mut inner, in_try, summaries);
+                self.walk_block(&c.body, &mut inner, in_try);
             }
             StmtKind::Assign { targets, value } => {
                 self.mark_expr(value, active, in_try);
@@ -247,7 +245,7 @@ impl NullGuards {
                 // of the block, exactly like `assert order.total is not
                 // None`, when the helper's summary dominates-on-raise.
                 if let (Some(table), ExprKind::Call { func, args, keywords }) =
-                    (summaries, &value.kind)
+                    (self.summaries, &value.kind)
                 {
                     if let Some(cc) = table.resolve_call(func, args, keywords) {
                         for (path, check) in cc.checks {
@@ -283,57 +281,45 @@ impl NullGuards {
         }
     }
 
-    /// Records the active guard set for `expr` and all sub-expressions,
-    /// extending it inside short-circuit and ternary structures.
+    /// Marks the dotted expressions of `expr` whose path is known non-null,
+    /// extending the known set inside short-circuit and ternary structures.
+    /// Inside a guarding `try`, every dotted subject is treated as checked
+    /// (the handler catches the failure).
     fn mark_expr(&mut self, expr: &Expr, active: &HashSet<AccessPath>, in_try: bool) {
-        let mut set = active.clone();
-        if in_try {
-            // Inside a guarding try, every dotted subject is treated as
-            // checked (the handler catches the failure).
-            collect_paths(expr, &mut set);
-        }
-        self.mark_expr_inner(expr, &set);
-    }
-
-    fn mark_expr_inner(&mut self, expr: &Expr, active: &HashSet<AccessPath>) {
-        self.guarded.entry(expr.id).or_default().extend(active.iter().cloned());
-        match &expr.kind {
-            ExprKind::BoolOp { op: BoolOpKind::And, values } => {
-                // `x and x.y and …`: each operand sees guards from the ones
-                // before it.
-                let mut acc = active.clone();
-                for v in values {
-                    self.mark_expr_inner(v, &acc);
-                    let (pos, _) = guard_paths(v);
-                    acc.extend(pos);
+        if in_try || !active.is_empty() || !self.scoped.is_empty() {
+            if let Some(p) = AccessPath::of_expr(expr) {
+                if in_try || active.contains(&p) || self.scoped.contains(&p) {
+                    self.guarded.insert(expr.id);
                 }
             }
-            ExprKind::BoolOp { op: BoolOpKind::Or, values } => {
-                // `x is None or x.y`: the right side sees the *negation* of
-                // the left.
-                let mut acc = active.clone();
+        }
+        let mark = self.scoped.len();
+        match &expr.kind {
+            ExprKind::BoolOp { op, values } => {
+                // `x and x.y and …`: each operand sees the positive guards
+                // of the ones before it; `x is None or x.y`: the negative.
                 for v in values {
-                    self.mark_expr_inner(v, &acc);
-                    let (_, neg) = guard_paths(v);
-                    acc.extend(neg);
+                    self.mark_expr(v, active, in_try);
+                    let (pos, neg) = guard_paths(v);
+                    self.scoped.extend(if *op == BoolOpKind::And { pos } else { neg });
                 }
             }
             ExprKind::IfExp { test, body, orelse } => {
-                self.mark_expr_inner(test, active);
+                self.mark_expr(test, active, in_try);
                 let (pos, neg) = guard_paths(test);
-                let mut t = active.clone();
-                t.extend(pos);
-                self.mark_expr_inner(body, &t);
-                let mut e = active.clone();
-                e.extend(neg);
-                self.mark_expr_inner(orelse, &e);
+                self.scoped.extend(pos);
+                self.mark_expr(body, active, in_try);
+                self.scoped.truncate(mark);
+                self.scoped.extend(neg);
+                self.mark_expr(orelse, active, in_try);
             }
             _ => {
                 for c in expr_children(expr) {
-                    self.mark_expr_inner(c, active);
+                    self.mark_expr(c, active, in_try);
                 }
             }
         }
+        self.scoped.truncate(mark);
     }
 }
 
@@ -434,298 +420,223 @@ fn block_assigns_non_null(body: &[Stmt], path: &AccessPath) -> bool {
     })
 }
 
-/// Adds every dotted path occurring in `expr` (for try-guard blanketing).
-fn collect_paths(expr: &Expr, out: &mut HashSet<AccessPath>) {
-    if let Some(p) = AccessPath::of_expr(expr) {
-        out.insert(p);
-    }
-    for c in expr_children(expr) {
-        collect_paths(c, out);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use cfinder_pyast::parse_module;
     use cfinder_pyast::visit::walk_exprs;
 
-    /// Finds the id of the first expression whose unparse equals `text`.
-    fn find_expr(body: &[Stmt], text: &str) -> NodeId {
-        let mut found = None;
+    /// The first expression unparsing to `text` inside the first expression
+    /// unparsing to `within` (`x` in `x.method()`).
+    fn find_expr<'a>(body: &'a [Stmt], within: &str, text: &str) -> &'a Expr {
+        let mut outer = None;
         walk_exprs(body, &mut |e| {
-            if found.is_none() && cfinder_pyast::unparse_expr(e) == text {
-                found = Some(e.id);
+            if outer.is_none() && cfinder_pyast::unparse_expr(e) == within {
+                outer = Some(e);
             }
         });
-        found.unwrap_or_else(|| panic!("expression `{text}` not found"))
+        let outer = outer.unwrap_or_else(|| panic!("expression `{within}` not found"));
+        let mut stack = vec![outer];
+        while let Some(e) = stack.pop() {
+            if cfinder_pyast::unparse_expr(e) == text {
+                return e;
+            }
+            stack.extend(expr_children(e).into_iter().rev());
+        }
+        panic!("expression `{text}` not found in `{within}`")
     }
 
-    fn path(parts: &[&str]) -> AccessPath {
-        AccessPath(parts.iter().map(|s| s.to_string()).collect())
+    fn guards(src: &str) -> (Vec<Stmt>, NullGuards) {
+        let body = parse_module(src).unwrap().body;
+        let g = NullGuards::analyze_with(&body, None);
+        (body, g)
     }
 
     #[test]
     fn unguarded_by_default() {
-        let m = parse_module("x.method()\n").unwrap();
-        let g = NullGuards::analyze(&m.body);
-        let at = find_expr(&m.body, "x.method()");
-        assert!(!g.is_guarded(at, &path(&["x"])));
+        let (m, g) = guards("x.method()\n");
+        assert!(!g.is_guarded(find_expr(&m, "x.method()", "x")));
     }
 
     #[test]
     fn if_truthy_guards_body() {
-        let m = parse_module("if x:\n    x.method()\n").unwrap();
-        let g = NullGuards::analyze(&m.body);
-        let at = find_expr(&m.body, "x.method()");
-        assert!(g.is_guarded(at, &path(&["x"])));
+        let (m, g) = guards("if x:\n    x.method()\n");
+        assert!(g.is_guarded(find_expr(&m, "x.method()", "x")));
     }
 
     #[test]
     fn is_not_none_guards_body_only() {
-        let m = parse_module("if x is not None:\n    x.method()\nx.other()\n").unwrap();
-        let g = NullGuards::analyze(&m.body);
-        assert!(g.is_guarded(find_expr(&m.body, "x.method()"), &path(&["x"])));
-        assert!(!g.is_guarded(find_expr(&m.body, "x.other()"), &path(&["x"])));
+        let (m, g) = guards("if x is not None:\n    x.method()\nx.other()\n");
+        assert!(g.is_guarded(find_expr(&m, "x.method()", "x")));
+        assert!(!g.is_guarded(find_expr(&m, "x.other()", "x")));
     }
 
     #[test]
     fn is_none_guards_else() {
-        let m = parse_module("if x is None:\n    y = 1\nelse:\n    x.method()\n").unwrap();
-        let g = NullGuards::analyze(&m.body);
-        assert!(g.is_guarded(find_expr(&m.body, "x.method()"), &path(&["x"])));
+        let (m, g) = guards("if x is None:\n    y = 1\nelse:\n    x.method()\n");
+        assert!(g.is_guarded(find_expr(&m, "x.method()", "x")));
     }
 
     #[test]
     fn early_return_guards_rest_of_block() {
-        let m = parse_module("if x is None:\n    return None\nx.method()\n").unwrap();
-        let g = NullGuards::analyze(&m.body);
-        assert!(g.is_guarded(find_expr(&m.body, "x.method()"), &path(&["x"])));
+        let (m, g) = guards("if x is None:\n    return None\nx.method()\n");
+        assert!(g.is_guarded(find_expr(&m, "x.method()", "x")));
     }
 
     #[test]
     fn early_raise_guards_rest_of_block() {
-        let m = parse_module(
-            "if not order.creator:\n    raise Error('anonymous')\norder.creator.notify()\n",
-        )
-        .unwrap();
-        let g = NullGuards::analyze(&m.body);
-        assert!(g.is_guarded(
-            find_expr(&m.body, "order.creator.notify()"),
-            &path(&["order", "creator"])
-        ));
+        let (m, g) =
+            guards("if not order.creator:\n    raise Error('anonymous')\norder.creator.notify()\n");
+        assert!(g.is_guarded(find_expr(&m, "order.creator.notify()", "order.creator")));
     }
 
     #[test]
     fn assign_in_none_branch_guards_rest() {
-        let m = parse_module("if x is None:\n    x = 5\nx.method()\n").unwrap();
-        let g = NullGuards::analyze(&m.body);
-        assert!(g.is_guarded(find_expr(&m.body, "x.method()"), &path(&["x"])));
+        let (m, g) = guards("if x is None:\n    x = 5\nx.method()\n");
+        assert!(g.is_guarded(find_expr(&m, "x.method()", "x")));
     }
 
     #[test]
     fn assign_none_kills_guard() {
-        let m = parse_module("if x is not None:\n    x = None\n    x.method()\n").unwrap();
-        let g = NullGuards::analyze(&m.body);
-        assert!(!g.is_guarded(find_expr(&m.body, "x.method()"), &path(&["x"])));
+        let (m, g) = guards("if x is not None:\n    x = None\n    x.method()\n");
+        assert!(!g.is_guarded(find_expr(&m, "x.method()", "x")));
     }
 
     #[test]
     fn and_short_circuit_guards_right() {
-        let m = parse_module("ok = x and x.method()\n").unwrap();
-        let g = NullGuards::analyze(&m.body);
-        assert!(g.is_guarded(find_expr(&m.body, "x.method()"), &path(&["x"])));
+        let (m, g) = guards("ok = x and x.method()\n");
+        assert!(g.is_guarded(find_expr(&m, "x.method()", "x")));
     }
 
     #[test]
     fn or_with_none_check_guards_right() {
-        let m = parse_module("ok = x is None or x.method()\n").unwrap();
-        let g = NullGuards::analyze(&m.body);
-        assert!(g.is_guarded(find_expr(&m.body, "x.method()"), &path(&["x"])));
+        let (m, g) = guards("ok = x is None or x.method()\n");
+        assert!(g.is_guarded(find_expr(&m, "x.method()", "x")));
     }
 
     #[test]
     fn ternary_guards_true_arm() {
-        let m = parse_module("v = x.val if x else default\n").unwrap();
-        let g = NullGuards::analyze(&m.body);
-        assert!(g.is_guarded(find_expr(&m.body, "x.val"), &path(&["x"])));
+        let (m, g) = guards("v = x.val if x else default\n");
+        assert!(g.is_guarded(find_expr(&m, "x.val", "x")));
     }
 
     #[test]
     fn conjunction_condition_guards_both() {
-        let m = parse_module("if a is not None and b is not None:\n    a.f(b.g())\n").unwrap();
-        let g = NullGuards::analyze(&m.body);
-        let at = find_expr(&m.body, "a.f(b.g())");
-        assert!(g.is_guarded(at, &path(&["a"])));
-        assert!(g.is_guarded(at, &path(&["b"])));
+        let (m, g) = guards("if a is not None and b is not None:\n    a.f(b.g())\n");
+        assert!(g.is_guarded(find_expr(&m, "a.f(b.g())", "a")));
+        assert!(g.is_guarded(find_expr(&m, "a.f(b.g())", "b")));
     }
 
     #[test]
     fn try_except_attribute_error_guards_body() {
-        let m = parse_module("try:\n    x.method()\nexcept AttributeError:\n    pass\n").unwrap();
-        let g = NullGuards::analyze(&m.body);
-        assert!(g.is_guarded(find_expr(&m.body, "x.method()"), &path(&["x"])));
+        let (m, g) = guards("try:\n    x.method()\nexcept AttributeError:\n    pass\n");
+        assert!(g.is_guarded(find_expr(&m, "x.method()", "x")));
     }
 
     #[test]
     fn try_except_unrelated_does_not_guard() {
-        let m = parse_module("try:\n    x.method()\nexcept KeyError:\n    pass\n").unwrap();
-        let g = NullGuards::analyze(&m.body);
-        assert!(!g.is_guarded(find_expr(&m.body, "x.method()"), &path(&["x"])));
+        let (m, g) = guards("try:\n    x.method()\nexcept KeyError:\n    pass\n");
+        assert!(!g.is_guarded(find_expr(&m, "x.method()", "x")));
     }
 
     #[test]
     fn guard_does_not_leak_to_siblings() {
-        let m = parse_module("if x:\n    x.a()\ny.b()\n").unwrap();
-        let g = NullGuards::analyze(&m.body);
-        assert!(!g.is_guarded(find_expr(&m.body, "y.b()"), &path(&["y"])));
-        assert!(!g.is_guarded(find_expr(&m.body, "y.b()"), &path(&["x"])));
+        let (m, g) = guards("if x:\n    x.a()\ny.b(x)\n");
+        assert!(!g.is_guarded(find_expr(&m, "y.b(x)", "y")));
+        assert!(!g.is_guarded(find_expr(&m, "y.b(x)", "x")));
     }
 
     #[test]
     fn nested_function_gets_fresh_scope() {
-        let m = parse_module("if x:\n    def inner():\n        x.method()\n").unwrap();
-        let g = NullGuards::analyze(&m.body);
+        let (m, g) = guards("if x:\n    def inner():\n        x.method()\n");
         // The outer guard does not apply inside the nested function (it may
         // run later, when x is None again).
-        assert!(!g.is_guarded(find_expr(&m.body, "x.method()"), &path(&["x"])));
+        assert!(!g.is_guarded(find_expr(&m, "x.method()", "x")));
     }
 
     #[test]
     fn attribute_path_guard() {
-        let m = parse_module("if line.variant is not None:\n    line.variant.track()\n").unwrap();
-        let g = NullGuards::analyze(&m.body);
-        assert!(
-            g.is_guarded(find_expr(&m.body, "line.variant.track()"), &path(&["line", "variant"]))
-        );
+        let (m, g) = guards("if line.variant is not None:\n    line.variant.track()\n");
+        assert!(g.is_guarded(find_expr(&m, "line.variant.track()", "line.variant")));
     }
 
     #[test]
     fn assert_guards_rest() {
-        let m = parse_module("assert x is not None\nx.method()\n").unwrap();
-        let g = NullGuards::analyze(&m.body);
-        assert!(g.is_guarded(find_expr(&m.body, "x.method()"), &path(&["x"])));
+        let (m, g) = guards("assert x is not None\nx.method()\n");
+        assert!(g.is_guarded(find_expr(&m, "x.method()", "x")));
     }
 
     #[test]
     fn equality_with_other_values_is_not_a_guard() {
-        let m = parse_module("if x == 3:\n    x.method()\n").unwrap();
-        let g = NullGuards::analyze(&m.body);
+        let (m, g) = guards("if x == 3:\n    x.method()\n");
         // `x == 3` is truthy evidence in spirit, but the paper's patterns
         // only treat NULL comparisons and truthiness as guards.
-        assert!(!g.is_guarded(find_expr(&m.body, "x.method()"), &path(&["x"])));
+        assert!(!g.is_guarded(find_expr(&m, "x.method()", "x")));
     }
 
     #[test]
     fn if_else_both_escape_guards_rest() {
-        let m = parse_module(
+        let (m, g) = guards(
             "if x is None:\n    if y:\n        return 1\n    else:\n        return 2\nx.method()\n",
-        )
-        .unwrap();
-        let g = NullGuards::analyze(&m.body);
-        assert!(g.is_guarded(find_expr(&m.body, "x.method()"), &path(&["x"])));
+        );
+        assert!(g.is_guarded(find_expr(&m, "x.method()", "x")));
     }
-}
-
-#[cfg(test)]
-mod more_tests {
-    use super::tests_support::*;
-    use super::*;
-    use cfinder_pyast::parse_module;
 
     #[test]
     fn elif_branches_get_their_own_guards() {
-        let m = parse_module(
-            "if a is not None:\n    a.f()\nelif b is not None:\n    b.g()\n    a.h()\n",
-        )
-        .unwrap();
-        let g = NullGuards::analyze(&m.body);
-        assert!(g.is_guarded(find_expr(&m.body, "a.f()"), &path(&["a"])));
-        assert!(g.is_guarded(find_expr(&m.body, "b.g()"), &path(&["b"])));
+        let (m, g) =
+            guards("if a is not None:\n    a.f()\nelif b is not None:\n    b.g()\n    a.h()\n");
+        assert!(g.is_guarded(find_expr(&m, "a.f()", "a")));
+        assert!(g.is_guarded(find_expr(&m, "b.g()", "b")));
         // In the elif branch, `a` is known to BE None — certainly not
         // guarded non-null.
-        assert!(!g.is_guarded(find_expr(&m.body, "a.h()"), &path(&["a"])));
+        assert!(!g.is_guarded(find_expr(&m, "a.h()", "a")));
     }
 
     #[test]
     fn while_condition_guards_loop_body() {
-        let m = parse_module("while cursor is not None:\n    cursor.advance()\n").unwrap();
-        let g = NullGuards::analyze(&m.body);
-        assert!(g.is_guarded(find_expr(&m.body, "cursor.advance()"), &path(&["cursor"])));
+        let (m, g) = guards("while cursor is not None:\n    cursor.advance()\n");
+        assert!(g.is_guarded(find_expr(&m, "cursor.advance()", "cursor")));
     }
 
     #[test]
     fn guard_does_not_survive_loop_exit() {
-        let m = parse_module("while cursor is not None:\n    cursor.advance()\ncursor.close()\n")
-            .unwrap();
-        let g = NullGuards::analyze(&m.body);
+        let (m, g) = guards("while cursor is not None:\n    cursor.advance()\ncursor.close()\n");
         // After the loop, cursor is exactly None.
-        assert!(!g.is_guarded(find_expr(&m.body, "cursor.close()"), &path(&["cursor"])));
+        assert!(!g.is_guarded(find_expr(&m, "cursor.close()", "cursor")));
     }
 
     #[test]
     fn nested_if_guards_compose() {
-        let m =
-            parse_module("if a is not None:\n    if a.b is not None:\n        a.b.c()\n").unwrap();
-        let g = NullGuards::analyze(&m.body);
-        let at = find_expr(&m.body, "a.b.c()");
-        assert!(g.is_guarded(at, &path(&["a"])));
-        assert!(g.is_guarded(at, &path(&["a", "b"])));
+        let (m, g) = guards("if a is not None:\n    if a.b is not None:\n        a.b.c()\n");
+        assert!(g.is_guarded(find_expr(&m, "a.b.c()", "a")));
+        assert!(g.is_guarded(find_expr(&m, "a.b.c()", "a.b")));
     }
 
     #[test]
     fn for_body_does_not_inherit_unrelated_guards() {
-        let m = parse_module(
+        let (m, g) = guards(
             "if a is not None:\n    for x in items:\n        a.f(x)\nfor y in items:\n    a.g(y)\n",
-        )
-        .unwrap();
-        let g = NullGuards::analyze(&m.body);
-        assert!(g.is_guarded(find_expr(&m.body, "a.f(x)"), &path(&["a"])));
-        assert!(!g.is_guarded(find_expr(&m.body, "a.g(y)"), &path(&["a"])));
+        );
+        assert!(g.is_guarded(find_expr(&m, "a.f(x)", "a")));
+        assert!(!g.is_guarded(find_expr(&m, "a.g(y)", "a")));
     }
 
     #[test]
     fn continue_in_loop_guards_rest_of_iteration() {
-        let m = parse_module(
+        let (m, g) = guards(
             "for line in lines:\n    if line.variant is None:\n        continue\n    line.variant.track()\n",
-        )
-        .unwrap();
-        let g = NullGuards::analyze(&m.body);
-        assert!(
-            g.is_guarded(find_expr(&m.body, "line.variant.track()"), &path(&["line", "variant"]))
         );
+        assert!(g.is_guarded(find_expr(&m, "line.variant.track()", "line.variant")));
     }
 
     #[test]
-    fn reassignment_of_prefix_kills_suffix_guards() {
-        let m = parse_module("if a.b is not None:\n    a = other()\n    a.b.c()\n").unwrap();
-        let g = NullGuards::analyze(&m.body);
-        // `a` was rebound: the old guard on a.b may no longer hold. Our
-        // analysis kills guards on exact paths being assigned; prefix
-        // rebinding is conservatively NOT tracked (documented limitation,
-        // matching the paper's alias-unaware analysis).
-        let _ = g.is_guarded(find_expr(&m.body, "a.b.c()"), &path(&["a", "b"]));
-    }
-}
-
-#[cfg(test)]
-pub(crate) mod tests_support {
-    use super::AccessPath;
-    use cfinder_pyast::ast::{NodeId, Stmt};
-    use cfinder_pyast::visit::walk_exprs;
-
-    /// Finds the id of the first expression whose unparse equals `text`.
-    pub fn find_expr(body: &[Stmt], text: &str) -> NodeId {
-        let mut found = None;
-        walk_exprs(body, &mut |e| {
-            if found.is_none() && cfinder_pyast::unparse_expr(e) == text {
-                found = Some(e.id);
-            }
-        });
-        found.unwrap_or_else(|| panic!("expression `{text}` not found"))
-    }
-
-    pub fn path(parts: &[&str]) -> AccessPath {
-        AccessPath(parts.iter().map(|s| s.to_string()).collect())
+    fn reassignment_of_prefix_keeps_suffix_guards() {
+        let (m, g) = guards("if a.b is not None:\n    a = other()\n    a.b.c()\n");
+        // `a` was rebound, so the old guard on a.b may no longer hold. The
+        // analysis kills guards only on the exact path assigned; prefix
+        // rebinding is not tracked (a documented limitation, matching the
+        // paper's alias-unaware analysis), so a.b stays guarded.
+        assert!(g.is_guarded(find_expr(&m, "a.b.c()", "a.b")));
     }
 }
