@@ -13,11 +13,14 @@
 
 use std::collections::BTreeSet;
 
-use cfinder_flow::nullguard::{guard_paths, AccessPath};
-use cfinder_flow::{CheckKind, NullGuards, SummaryCmp, SummaryLit, SummaryTable};
-use cfinder_pyast::ast::{CmpOp, Constant, Expr, ExprKind, Stmt, StmtKind, UnaryOp};
-use cfinder_pyast::visit::bfs_exprs;
-use cfinder_schema::{CompareOp, Condition, Constraint, Literal, Predicate};
+use cfinder_flow::nullguard::{
+    assigned_value, guard_paths, literal_of, unwrap_not, value_guard, AccessPath,
+};
+use cfinder_flow::{CheckKind, NullGuards, SummaryTable};
+use cfinder_pyast::ast::{Constant, Expr, ExprKind, Stmt, StmtKind};
+pub use cfinder_pyast::visit::walk_shallow;
+use cfinder_pyast::visit::{bfs_exprs, own_exprs};
+use cfinder_schema::{Condition, Constraint, Literal, Predicate};
 
 use crate::detect::CFinderOptions;
 use crate::models::{FieldKind, ModelRegistry};
@@ -283,14 +286,6 @@ fn detect_u1(ctx: &DetectCtx<'_>, stmt: &Stmt, out: &mut Vec<Detection>) {
     }
 }
 
-/// Strips a leading `not`, reporting whether it flipped the polarity.
-fn unwrap_not(test: &Expr) -> (&Expr, bool) {
-    match &test.kind {
-        ExprKind::UnaryOp { op: UnaryOp::Not, operand } => (operand, true),
-        _ => (test, false),
-    }
-}
-
 /// Does any statement in the branch save a record of `model`?
 ///
 /// With [`CFinderOptions::data_dependency_checks`] disabled (ablation),
@@ -474,11 +469,7 @@ fn branch_assigns_path(branch: &[Stmt], path: &AccessPath) -> bool {
         if found {
             return;
         }
-        if let StmtKind::Assign { targets, .. } = &stmt.kind {
-            if targets.iter().any(|t| AccessPath::of_expr(t).as_ref() == Some(path)) {
-                found = true;
-            }
-        }
+        found = assigned_value(stmt, path).is_some();
     });
     found
 }
@@ -489,126 +480,71 @@ fn branch_assigns_path(branch: &[Stmt], path: &AccessPath) -> bool {
 /// raises. `if data.total <= 0: raise` means every persisted row satisfies
 /// the *negation*, so the schema can enforce `CHECK (total > 0)`.
 fn detect_c1(ctx: &DetectCtx<'_>, stmt: &Stmt, out: &mut Vec<Detection>) {
-    if !ctx.options.check_inference {
-        return;
-    }
-    let StmtKind::If { test, body: then, orelse } = &stmt.kind else { return };
-    let (test, negated) = unwrap_not(test);
-    let ExprKind::Compare { left, ops, comparators } = &test.kind else { return };
-    // Chained comparisons (`0 < x < 10`) are out of the normalized form.
-    let ([op], [right]) = (ops.as_slice(), comparators.as_slice()) else { return };
-    let Some(op) = compare_op_of(op) else { return };
-    // Column on either side; flip the operator when the literal is first.
-    let (col_expr, lit, op) = if let Some(lit) = literal_of(right) {
-        (&**left, lit, op)
-    } else if let Some(lit) = literal_of(left) {
-        (right, lit, op.flipped())
-    } else {
-        return;
-    };
-    let Some(path) = AccessPath::of_expr(col_expr) else { return };
-    let Some((model, column)) = field_of_path(ctx, &path, stmt) else { return };
-    // `if C: raise` pins ¬C; `if C: … else: raise` pins C. An outer `not`
-    // has already inverted the written condition relative to C.
-    let holds = if branch_has_error(ctx, then) {
-        if negated {
-            op
-        } else {
-            op.negated()
-        }
-    } else if !orelse.is_empty() && branch_has_error(ctx, orelse) {
-        if negated {
-            op.negated()
-        } else {
-            op
-        }
-    } else {
-        return;
-    };
-    let c = Constraint::check(model, Predicate::compare(column, holds, lit));
-    ctx.emit(out, PatternId::C1, c, stmt);
+    detect_value_guard(ctx, stmt, out, false);
 }
 
 /// PA_c2: a membership guard over a closed constant set whose violating
 /// branch raises. `if self.status not in ('Open', 'Closed'): raise` pins
 /// `CHECK (status IN ('Closed', 'Open'))`.
 fn detect_c2(ctx: &DetectCtx<'_>, stmt: &Stmt, out: &mut Vec<Detection>) {
+    detect_value_guard(ctx, stmt, out, true);
+}
+
+/// PA_c1 (`membership == false`) or PA_c2 over one `if`: the guard's shape
+/// and column resolve before the branches are searched for an error, and
+/// [`cfinder_flow::nullguard::ValueGuard::holds`] decides what the raise
+/// pins.
+fn detect_value_guard(
+    ctx: &DetectCtx<'_>,
+    stmt: &Stmt,
+    out: &mut Vec<Detection>,
+    membership: bool,
+) {
     if !ctx.options.check_inference {
         return;
     }
     let StmtKind::If { test, body: then, orelse } = &stmt.kind else { return };
-    let (test, negated) = unwrap_not(test);
-    let ExprKind::Compare { left, ops, comparators } = &test.kind else { return };
-    let ([op], [right]) = (ops.as_slice(), comparators.as_slice()) else { return };
-    let is_in = match op {
-        CmpOp::In => true,
-        CmpOp::NotIn => false,
-        _ => return,
-    };
-    let Some(values) = literal_list_of(right) else { return };
-    let Some(path) = AccessPath::of_expr(left) else { return };
+    let Some(guard) = value_guard(test) else { return };
+    if guard.is_membership() != membership {
+        return;
+    }
+    let Some(path) = AccessPath::of_expr(guard.subject) else { return };
     let Some((model, column)) = field_of_path(ctx, &path, stmt) else { return };
-    // Only membership (IN) is expressible; the guard pins it when the
-    // *violating* side of the branch is the non-member one.
-    let cond_is_member = is_in != negated;
-    let pinned = if branch_has_error(ctx, then) {
-        !cond_is_member
+    let then_raises = if branch_has_error(ctx, then) {
+        true
     } else if !orelse.is_empty() && branch_has_error(ctx, orelse) {
-        cond_is_member
+        false
     } else {
         return;
     };
-    if !pinned {
-        return;
-    }
-    let c = Constraint::check(model, Predicate::in_values(column, values));
-    ctx.emit(out, PatternId::C2, c, stmt);
-}
-
-/// Maps a Python comparison operator onto the predicate algebra. Identity
-/// and membership operators have no scalar SQL counterpart here.
-fn compare_op_of(op: &CmpOp) -> Option<CompareOp> {
-    match op {
-        CmpOp::Eq => Some(CompareOp::Eq),
-        CmpOp::NotEq => Some(CompareOp::Ne),
-        CmpOp::Lt => Some(CompareOp::Lt),
-        CmpOp::LtEq => Some(CompareOp::Le),
-        CmpOp::Gt => Some(CompareOp::Gt),
-        CmpOp::GtEq => Some(CompareOp::Ge),
-        CmpOp::In | CmpOp::NotIn | CmpOp::Is | CmpOp::IsNot => None,
+    let Some(kind) = guard.holds(then_raises) else { return };
+    if let Some((pattern, constraint)) = check_constraint(ctx.options, kind, model, column) {
+        ctx.emit(out, pattern, constraint, stmt);
     }
 }
 
-/// A constant expression as a SQL literal. Floats are excluded (their SQL
-/// rendering is dialect-sensitive) and `None` is handled by PA_n2, not as
-/// a comparable value. Negative numbers arrive as unary minus over a
-/// constant, not as a negative constant.
-fn literal_of(expr: &Expr) -> Option<Literal> {
-    if let ExprKind::UnaryOp { op: UnaryOp::Neg, operand } = &expr.kind {
-        if let ExprKind::Constant(Constant::Int(i)) = &operand.kind {
-            return Some(Literal::Int(-i));
+/// The pattern family and constraint a check pins on `model.column`, the
+/// same whether the check is written in-line or one helper call away;
+/// `None` when the family is ablated.
+fn check_constraint(
+    options: &CFinderOptions,
+    kind: CheckKind,
+    model: String,
+    column: String,
+) -> Option<(PatternId, Constraint)> {
+    Some(match kind {
+        CheckKind::NotNone => (PatternId::N2, Constraint::not_null(model, column)),
+        CheckKind::Compare { op, lit } if options.check_inference => {
+            (PatternId::C1, Constraint::check(model, Predicate::compare(column, op, lit)))
         }
-        return None;
-    }
-    let ExprKind::Constant(c) = &expr.kind else { return None };
-    match c {
-        Constant::Int(i) => Some(Literal::Int(*i)),
-        Constant::Str(s) => Some(Literal::Str(s.clone())),
-        Constant::Bool(b) => Some(Literal::Bool(*b)),
-        _ => None,
-    }
-}
-
-/// A tuple/list/set display whose elements are all scalar constants.
-fn literal_list_of(expr: &Expr) -> Option<Vec<Literal>> {
-    let elements = match &expr.kind {
-        ExprKind::Tuple(e) | ExprKind::List(e) | ExprKind::Set(e) => e,
+        CheckKind::Member { values } if options.check_inference => {
+            (PatternId::C2, Constraint::check(model, Predicate::in_values(column, values)))
+        }
+        CheckKind::DefaultAssign { value } if options.default_inference => {
+            (PatternId::D1, Constraint::default_value(model, column, value))
+        }
         _ => return None,
-    };
-    if elements.is_empty() {
-        return None;
-    }
-    elements.iter().map(literal_of).collect()
+    })
 }
 
 // --- PA_d1: sentinel assignment implies DEFAULT ---------------------------------
@@ -643,10 +579,8 @@ fn branch_assigns_constant(branch: &[Stmt], path: &AccessPath) -> Option<Literal
         if found.is_some() {
             return;
         }
-        if let StmtKind::Assign { targets, value } = &stmt.kind {
-            if targets.iter().any(|t| AccessPath::of_expr(t).as_ref() == Some(path)) {
-                found = literal_of(value);
-            }
+        if let Some(value) = assigned_value(stmt, path) {
+            found = literal_of(value);
         }
     });
     found
@@ -675,38 +609,10 @@ fn detect_interproc(ctx: &DetectCtx<'_>, stmt: &Stmt, out: &mut Vec<Detection>) 
             for (path, check) in &call.checks {
                 let ap = AccessPath(path.clone());
                 let Some((model, column)) = field_of_path(ctx, &ap, stmt) else { continue };
-                let (pattern, constraint) = match &check.kind {
-                    CheckKind::NotNone => (PatternId::N2, Constraint::not_null(model, column)),
-                    CheckKind::Compare { op, lit } => {
-                        if !ctx.options.check_inference {
-                            continue;
-                        }
-                        let p = Predicate::compare(
-                            column,
-                            compare_op_of_summary(*op),
-                            literal_of_summary(lit),
-                        );
-                        (PatternId::C1, Constraint::check(model, p))
-                    }
-                    CheckKind::Member { values } => {
-                        if !ctx.options.check_inference {
-                            continue;
-                        }
-                        let values: Vec<Literal> = values.iter().map(literal_of_summary).collect();
-                        (
-                            PatternId::C2,
-                            Constraint::check(model, Predicate::in_values(column, values)),
-                        )
-                    }
-                    CheckKind::DefaultAssign { value } => {
-                        if !ctx.options.default_inference {
-                            continue;
-                        }
-                        (
-                            PatternId::D1,
-                            Constraint::default_value(model, column, literal_of_summary(value)),
-                        )
-                    }
+                let Some((pattern, constraint)) =
+                    check_constraint(ctx.options, check.kind.clone(), model, column)
+                else {
+                    continue;
                 };
                 let via = HelperHop {
                     helper: call.summary.name.clone(),
@@ -716,30 +622,6 @@ fn detect_interproc(ctx: &DetectCtx<'_>, stmt: &Stmt, out: &mut Vec<Detection>) 
                 ctx.emit_via(out, pattern, constraint, stmt, Some(via));
             }
         }
-    }
-}
-
-/// Summary comparison operators onto the predicate algebra (summaries
-/// store the direction that *holds* for valid values, same as
-/// [`Predicate::compare`] expects).
-fn compare_op_of_summary(op: SummaryCmp) -> CompareOp {
-    match op {
-        SummaryCmp::Eq => CompareOp::Eq,
-        SummaryCmp::Ne => CompareOp::Ne,
-        SummaryCmp::Lt => CompareOp::Lt,
-        SummaryCmp::Le => CompareOp::Le,
-        SummaryCmp::Gt => CompareOp::Gt,
-        SummaryCmp::Ge => CompareOp::Ge,
-    }
-}
-
-/// Summary literals onto SQL literals (summaries only ever record the
-/// int/str/bool subset [`literal_of`] accepts, so this is total).
-fn literal_of_summary(lit: &SummaryLit) -> Literal {
-    match lit {
-        SummaryLit::Int(i) => Literal::Int(*i),
-        SummaryLit::Str(s) => Literal::Str(s.clone()),
-        SummaryLit::Bool(b) => Literal::Bool(*b),
     }
 }
 
@@ -902,69 +784,6 @@ fn db_column(registry: &ModelRegistry, model: &str, name: &str) -> String {
     match registry.field_of(model, name) {
         Some((_, field)) => field.column_name(),
         None => name.to_string(),
-    }
-}
-
-/// Pre-order statement walk that descends into control structures but NOT
-/// into nested `def`/`class` bodies (those are separate analysis scopes).
-pub fn walk_shallow<'a>(body: &'a [Stmt], f: &mut dyn FnMut(&'a Stmt)) {
-    for s in body {
-        f(s);
-        match &s.kind {
-            StmtKind::If { body, orelse, .. }
-            | StmtKind::For { body, orelse, .. }
-            | StmtKind::While { body, orelse, .. } => {
-                walk_shallow(body, f);
-                walk_shallow(orelse, f);
-            }
-            StmtKind::Try { body, handlers, orelse, finalbody } => {
-                walk_shallow(body, f);
-                for h in handlers {
-                    walk_shallow(&h.body, f);
-                }
-                walk_shallow(orelse, f);
-                walk_shallow(finalbody, f);
-            }
-            StmtKind::With { body, .. } => walk_shallow(body, f),
-            _ => {}
-        }
-    }
-}
-
-/// The expressions a statement directly owns (not those of nested
-/// statements).
-pub fn own_exprs(stmt: &Stmt) -> Vec<&Expr> {
-    match &stmt.kind {
-        StmtKind::Assign { targets, value } => {
-            let mut v: Vec<&Expr> = targets.iter().collect();
-            v.push(value);
-            v
-        }
-        StmtKind::AugAssign { target, value, .. } => vec![target, value],
-        StmtKind::If { test, .. } | StmtKind::While { test, .. } => vec![test],
-        StmtKind::For { target, iter, .. } => vec![target, iter],
-        StmtKind::With { items, .. } => {
-            let mut v = Vec::new();
-            for i in items {
-                v.push(&i.context);
-                if let Some(t) = &i.target {
-                    v.push(t);
-                }
-            }
-            v
-        }
-        StmtKind::Return { value } => value.iter().collect(),
-        StmtKind::Raise { exc, cause } => exc.iter().chain(cause.iter()).collect(),
-        StmtKind::Expr { value } => vec![value],
-        StmtKind::Assert { test, msg } => {
-            let mut v = vec![test];
-            v.extend(msg.iter());
-            v
-        }
-        StmtKind::Delete { targets } => targets.iter().collect(),
-        StmtKind::FunctionDef(f) => f.decorators.iter().collect(),
-        StmtKind::ClassDef(c) => c.decorators.iter().chain(c.bases.iter()).collect(),
-        _ => Vec::new(),
     }
 }
 

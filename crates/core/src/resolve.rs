@@ -307,14 +307,19 @@ pub fn kwarg_bindings(keywords: &[Keyword]) -> Vec<ColBinding> {
         .filter_map(|k| {
             let name = k.name.as_deref()?;
             let column = name.split("__").next().unwrap_or(name);
-            let fixed = literal_of(&k.value);
+            let fixed = fixed_value_of(&k.value);
             Some(ColBinding::explicit(column, fixed))
         })
         .collect()
 }
 
-/// Converts a constant expression to a schema literal.
-pub fn literal_of(expr: &Expr) -> Option<Literal> {
+/// The value a filter keyword fixes its column to, which makes the column
+/// a partial-unique condition instead of a unique column. This is the
+/// filter-binding rule, not the guard grammar's
+/// [`cfinder_flow::nullguard::literal_of`]: `col=None` selects the rows
+/// where the column is NULL, so `None` fixes it to [`Literal::Null`], and
+/// only a bare constant fixes a column (`col=-1` leaves it a unique column).
+fn fixed_value_of(expr: &Expr) -> Option<Literal> {
     match &expr.kind {
         ExprKind::Constant(Constant::Int(n)) => Some(Literal::Int(*n)),
         ExprKind::Constant(Constant::Str(s)) => Some(Literal::Str(s.clone())),

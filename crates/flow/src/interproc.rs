@@ -36,13 +36,12 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
-use cfinder_pyast::ast::{
-    CmpOp, Constant, Expr, ExprKind, FunctionDef, Keyword, Module, ParamStar, Stmt, StmtKind,
-    UnaryOp,
-};
+use cfinder_pyast::ast::{Expr, ExprKind, FunctionDef, Keyword, Module, ParamStar, Stmt, StmtKind};
+use cfinder_pyast::visit::{expr_children, own_exprs, walk_shallow};
+use cfinder_schema::{CompareOp, Literal};
 use serde::{Deserialize, Serialize};
 
-use crate::nullguard::{guard_paths, AccessPath};
+use crate::nullguard::{assigned_value, guard_paths, literal_of, value_guard, AccessPath};
 
 /// Checks recorded per function are capped (deterministic truncation).
 pub const MAX_CHECKS_PER_FN: usize = 32;
@@ -52,76 +51,6 @@ pub const MAX_DELEGATIONS_PER_FN: usize = 16;
 pub const MAX_SUB_PATH: usize = 4;
 /// Summarized callables per file are capped.
 pub const MAX_FNS_PER_FILE: usize = 256;
-
-/// A literal value a summary can pin (floats and `None` are excluded for
-/// the same reasons the intra-procedural CHECK detectors exclude them).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SummaryLit {
-    /// Integer literal.
-    Int(i64),
-    /// String literal.
-    Str(String),
-    /// Boolean literal.
-    Bool(bool),
-}
-
-/// A scalar comparison operator, as the constraint that *holds* for valid
-/// values (already negated relative to the raising guard).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SummaryCmp {
-    /// `=`
-    Eq,
-    /// `<>`
-    Ne,
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `>`
-    Gt,
-    /// `>=`
-    Ge,
-}
-
-impl SummaryCmp {
-    /// Maps a Python comparison operator; identity and membership have no
-    /// scalar counterpart.
-    pub fn of_cmp(op: &CmpOp) -> Option<SummaryCmp> {
-        match op {
-            CmpOp::Eq => Some(SummaryCmp::Eq),
-            CmpOp::NotEq => Some(SummaryCmp::Ne),
-            CmpOp::Lt => Some(SummaryCmp::Lt),
-            CmpOp::LtEq => Some(SummaryCmp::Le),
-            CmpOp::Gt => Some(SummaryCmp::Gt),
-            CmpOp::GtEq => Some(SummaryCmp::Ge),
-            CmpOp::In | CmpOp::NotIn | CmpOp::Is | CmpOp::IsNot => None,
-        }
-    }
-
-    /// Logical negation (`<` ↔ `>=`).
-    pub fn negated(&self) -> SummaryCmp {
-        match self {
-            SummaryCmp::Eq => SummaryCmp::Ne,
-            SummaryCmp::Ne => SummaryCmp::Eq,
-            SummaryCmp::Lt => SummaryCmp::Ge,
-            SummaryCmp::Le => SummaryCmp::Gt,
-            SummaryCmp::Gt => SummaryCmp::Le,
-            SummaryCmp::Ge => SummaryCmp::Lt,
-        }
-    }
-
-    /// Operand-swap mirror (`0 < x` is `x > 0`).
-    pub fn flipped(&self) -> SummaryCmp {
-        match self {
-            SummaryCmp::Eq => SummaryCmp::Eq,
-            SummaryCmp::Ne => SummaryCmp::Ne,
-            SummaryCmp::Lt => SummaryCmp::Gt,
-            SummaryCmp::Le => SummaryCmp::Ge,
-            SummaryCmp::Gt => SummaryCmp::Lt,
-            SummaryCmp::Ge => SummaryCmp::Le,
-        }
-    }
-}
 
 /// What a dominated check establishes about a parameter path.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -133,15 +62,15 @@ pub enum CheckKind {
     /// records `Gt 0`).
     Compare {
         /// The operator that holds for valid values.
-        op: SummaryCmp,
-        /// The compared literal.
-        lit: SummaryLit,
+        op: CompareOp,
+        /// The compared literal (never a float or `NULL`).
+        lit: Literal,
     },
     /// The value stays inside a closed literal set (`if x not in ('a',
     /// 'b'): raise`).
     Member {
         /// The allowed values.
-        values: Vec<SummaryLit>,
+        values: Vec<Literal>,
     },
     /// A `None` check controls a constant assignment to an attribute of
     /// the parameter (`if o.status is None: o.status = 'open'`) — the
@@ -149,7 +78,7 @@ pub enum CheckKind {
     /// sub-paths: rebinding the parameter itself never escapes the callee.
     DefaultAssign {
         /// The assigned constant.
-        value: SummaryLit,
+        value: Literal,
     },
 }
 
@@ -681,8 +610,8 @@ fn extract_top_stmt(
 }
 
 /// Checks established by `if test: <raise>` (then_raises) or `if test: …
-/// else: <raise>` — NOT-NULL from guard paths, CHECK from comparison and
-/// membership forms, mirroring the PA_n2/PA_c1/PA_c2 condition grammar.
+/// else: <raise>` — NOT-NULL from guard paths, CHECK from [`value_guard`],
+/// the grammar PA_c1/PA_c2 use.
 fn raise_checks(
     test: &Expr,
     then_raises: bool,
@@ -699,47 +628,11 @@ fn raise_checks(
         }
     }
 
-    let (test, negated) = unwrap_not(test);
-    let ExprKind::Compare { left, ops, comparators } = &test.kind else { return };
-    let ([op], [right]) = (ops.as_slice(), comparators.as_slice()) else { return };
-
-    // Comparison against a literal: the negation of the raising side holds.
-    if let Some(cmp) = SummaryCmp::of_cmp(op) {
-        let sides = if let Some(lit) = literal_of(right) {
-            Some((&**left, lit, cmp))
-        } else {
-            literal_of(left).map(|lit| (right, lit, cmp.flipped()))
-        };
-        if let Some((subject, lit, cmp)) = sides {
-            if let Some(p) = AccessPath::of_expr(subject) {
-                if let Some((param, sub_path)) = param_path_of(&p.0, params, reassigned) {
-                    let holds = match (then_raises, negated) {
-                        (true, false) => cmp.negated(),
-                        (true, true) => cmp,
-                        (false, false) => cmp,
-                        (false, true) => cmp.negated(),
-                    };
-                    let kind = CheckKind::Compare { op: holds, lit };
-                    checks.push(ParamCheck { param, sub_path, kind, line });
-                }
-            }
-        }
-    }
-
-    // Membership in a closed literal set: pinned only when the violating
-    // branch is the non-member side.
-    let is_in = match op {
-        CmpOp::In => true,
-        CmpOp::NotIn => false,
-        _ => return,
-    };
-    let Some(values) = literal_list_of(right) else { return };
-    let Some(p) = AccessPath::of_expr(left) else { return };
+    let Some(guard) = value_guard(test) else { return };
+    let Some(p) = AccessPath::of_expr(guard.subject) else { return };
     let Some((param, sub_path)) = param_path_of(&p.0, params, reassigned) else { return };
-    let cond_is_member = is_in != negated;
-    let pinned = if then_raises { !cond_is_member } else { cond_is_member };
-    if pinned {
-        checks.push(ParamCheck { param, sub_path, kind: CheckKind::Member { values }, line });
+    if let Some(kind) = guard.holds(then_raises) {
+        checks.push(ParamCheck { param, sub_path, kind, line });
     }
 }
 
@@ -832,54 +725,11 @@ fn param_path_of(
     Some((idx, parts[1..].to_vec()))
 }
 
-fn unwrap_not(test: &Expr) -> (&Expr, bool) {
-    match &test.kind {
-        ExprKind::UnaryOp { op: UnaryOp::Not, operand } => (operand, true),
-        _ => (test, false),
-    }
-}
-
-/// A constant usable as a summary literal (floats and `None` excluded;
-/// negatives arrive as unary minus).
-fn literal_of(expr: &Expr) -> Option<SummaryLit> {
-    if let ExprKind::UnaryOp { op: UnaryOp::Neg, operand } = &expr.kind {
-        if let ExprKind::Constant(Constant::Int(i)) = &operand.kind {
-            return Some(SummaryLit::Int(-i));
-        }
-        return None;
-    }
-    let ExprKind::Constant(c) = &expr.kind else { return None };
-    match c {
-        Constant::Int(i) => Some(SummaryLit::Int(*i)),
-        Constant::Str(s) => Some(SummaryLit::Str(s.clone())),
-        Constant::Bool(b) => Some(SummaryLit::Bool(*b)),
-        _ => None,
-    }
-}
-
-/// A non-empty tuple/list/set display of constants.
-fn literal_list_of(expr: &Expr) -> Option<Vec<SummaryLit>> {
-    let elements = match &expr.kind {
-        ExprKind::Tuple(e) | ExprKind::List(e) | ExprKind::Set(e) => e,
-        _ => return None,
-    };
-    if elements.is_empty() {
-        return None;
-    }
-    elements.iter().map(literal_of).collect()
-}
-
-/// The branch assigns a constant to exactly `path` (top-level statements
-/// only, mirroring the PA_d1 branch form).
-fn branch_assigns_constant(branch: &[Stmt], path: &AccessPath) -> Option<SummaryLit> {
-    for s in branch {
-        if let StmtKind::Assign { targets, value } = &s.kind {
-            if targets.iter().any(|t| AccessPath::of_expr(t).as_ref() == Some(path)) {
-                return literal_of(value);
-            }
-        }
-    }
-    None
+/// The constant a top-level statement of the branch assigns to exactly
+/// `path`. Only top-level statements count: the first assignment to the
+/// path decides (PA_d1 instead walks the branch shallowly).
+fn branch_assigns_constant(branch: &[Stmt], path: &AccessPath) -> Option<Literal> {
+    branch.iter().find_map(|s| assigned_value(s, path)).and_then(literal_of)
 }
 
 /// Every path through `body` ends in `raise` (a `return` does NOT count:
@@ -900,80 +750,20 @@ fn dotted_parts(expr: &Expr) -> Option<Vec<String>> {
     AccessPath::of_expr(expr).map(|p| p.0)
 }
 
-// --- own-scope statement/expression walks ---------------------------------------
-
-/// Visits `body` and nested control-flow blocks, but NOT nested
-/// `def`/`class` bodies (those are separate scopes: their `return`s don't
-/// exit this function, their assignments don't rebind its locals).
-fn walk_own<'a>(body: &'a [Stmt], f: &mut dyn FnMut(&'a Stmt)) {
-    for s in body {
-        f(s);
-        match &s.kind {
-            StmtKind::If { body, orelse, .. }
-            | StmtKind::For { body, orelse, .. }
-            | StmtKind::While { body, orelse, .. } => {
-                walk_own(body, f);
-                walk_own(orelse, f);
-            }
-            StmtKind::Try { body, handlers, orelse, finalbody } => {
-                walk_own(body, f);
-                for h in handlers {
-                    walk_own(&h.body, f);
-                }
-                walk_own(orelse, f);
-                walk_own(finalbody, f);
-            }
-            StmtKind::With { body, .. } => walk_own(body, f),
-            _ => {}
-        }
-    }
-}
-
-/// Expressions owned directly by one statement (not those of nested
-/// statements).
-fn own_exprs(stmt: &Stmt) -> Vec<&Expr> {
-    match &stmt.kind {
-        StmtKind::If { test, .. } | StmtKind::While { test, .. } => vec![test],
-        StmtKind::For { target, iter, .. } => vec![target, iter],
-        StmtKind::Assign { targets, value } => {
-            let mut v: Vec<&Expr> = targets.iter().collect();
-            v.push(value);
-            v
-        }
-        StmtKind::AugAssign { target, value, .. } => vec![target, value],
-        StmtKind::Return { value } => value.iter().collect(),
-        StmtKind::Raise { exc, cause } => exc.iter().chain(cause.iter()).collect(),
-        StmtKind::Expr { value } => vec![value],
-        StmtKind::Assert { test, msg } => {
-            let mut v = vec![test];
-            v.extend(msg.iter());
-            v
-        }
-        StmtKind::Delete { targets } => targets.iter().collect(),
-        StmtKind::With { items, .. } => {
-            let mut v: Vec<&Expr> = Vec::new();
-            for i in items {
-                v.push(&i.context);
-                v.extend(i.target.iter());
-            }
-            v
-        }
-        _ => vec![],
-    }
-}
+// --- own-scope statement walks ------------------------------------------------
 
 fn expr_contains_yield(expr: &Expr) -> bool {
     if matches!(expr.kind, ExprKind::Yield(_)) {
         return true;
     }
-    cfinder_pyast::visit::expr_children(expr).into_iter().any(expr_contains_yield)
+    expr_children(expr).into_iter().any(expr_contains_yield)
 }
 
 /// The body is a generator (has a `yield` in its own scope), so calling
 /// it executes nothing.
 fn body_has_own_yield(body: &[Stmt]) -> bool {
     let mut found = false;
-    walk_own(body, &mut |s| {
+    walk_shallow(body, &mut |s| {
         if !found {
             found = own_exprs(s).into_iter().any(expr_contains_yield);
         }
@@ -984,7 +774,7 @@ fn body_has_own_yield(body: &[Stmt]) -> bool {
 /// The statement can cause a normal return of the enclosing function.
 fn contains_return(stmt: &Stmt) -> bool {
     let mut found = false;
-    walk_own(std::slice::from_ref(stmt), &mut |s| {
+    walk_shallow(std::slice::from_ref(stmt), &mut |s| {
         if matches!(s.kind, StmtKind::Return { .. }) {
             found = true;
         }
@@ -996,7 +786,7 @@ fn contains_return(stmt: &Stmt) -> bool {
 /// anywhere inside, including loop targets and `del`).
 fn collect_reassigned(stmt: &Stmt, params: &[String], out: &mut BTreeSet<usize>) {
     let mut add_target = |e: &Expr| collect_target_names(e, params, out);
-    walk_own(std::slice::from_ref(stmt), &mut |s| match &s.kind {
+    walk_shallow(std::slice::from_ref(stmt), &mut |s| match &s.kind {
         StmtKind::Assign { targets, .. } => targets.iter().for_each(&mut add_target),
         StmtKind::AugAssign { target, .. } => add_target(target),
         StmtKind::For { target, .. } => add_target(target),
@@ -1031,7 +821,7 @@ fn collect_target_names(target: &Expr, params: &[String], out: &mut BTreeSet<usi
 
 /// Module-level statements outside `def`/`class` that rebind names.
 fn collect_module_rebinds(stmt: &Stmt, rebound: &mut BTreeSet<String>) {
-    walk_own(std::slice::from_ref(stmt), &mut |s| match &s.kind {
+    walk_shallow(std::slice::from_ref(stmt), &mut |s| match &s.kind {
         StmtKind::Assign { targets, .. } => {
             targets.iter().for_each(|t| collect_rebound_names(t, rebound))
         }
@@ -1134,7 +924,7 @@ mod tests {
         let t = table("def v(x):\n    if x <= 0:\n        raise E()\n");
         assert_eq!(
             check_kinds(&t, "v"),
-            vec![&CheckKind::Compare { op: SummaryCmp::Gt, lit: SummaryLit::Int(0) }]
+            vec![&CheckKind::Compare { op: CompareOp::Gt, lit: Literal::Int(0) }]
         );
     }
 
@@ -1144,7 +934,7 @@ mod tests {
         // `0 >= x` is `x <= 0`; raising pins `x > 0`.
         assert_eq!(
             check_kinds(&t, "v"),
-            vec![&CheckKind::Compare { op: SummaryCmp::Gt, lit: SummaryLit::Int(0) }]
+            vec![&CheckKind::Compare { op: CompareOp::Gt, lit: Literal::Int(0) }]
         );
     }
 
@@ -1153,7 +943,7 @@ mod tests {
         let t = table("def v(x):\n    if x > 0:\n        pass\n    else:\n        raise E()\n");
         assert_eq!(
             check_kinds(&t, "v"),
-            vec![&CheckKind::Compare { op: SummaryCmp::Gt, lit: SummaryLit::Int(0) }]
+            vec![&CheckKind::Compare { op: CompareOp::Gt, lit: Literal::Int(0) }]
         );
     }
 
@@ -1163,7 +953,7 @@ mod tests {
         assert_eq!(
             check_kinds(&t, "v"),
             vec![&CheckKind::Member {
-                values: vec![SummaryLit::Str("a".into()), SummaryLit::Str("b".into())]
+                values: vec![Literal::Str("a".into()), Literal::Str("b".into())]
             }]
         );
     }
@@ -1180,7 +970,7 @@ mod tests {
         let t = table("def d(o):\n    if o.status is None:\n        o.status = 'open'\n");
         assert_eq!(
             check_kinds(&t, "d"),
-            vec![&CheckKind::DefaultAssign { value: SummaryLit::Str("open".into()) }]
+            vec![&CheckKind::DefaultAssign { value: Literal::Str("open".into()) }]
         );
     }
 
@@ -1234,6 +1024,19 @@ mod tests {
             "@cached\ndef d(x):\n    if x is None:\n        raise E()\n",
         ));
         assert!(t.functions.is_empty());
+    }
+
+    #[test]
+    fn generators_behind_nested_decorators_or_bases_are_skipped() {
+        // The `yield` sits in a nested header, which evaluates in the
+        // helper's own scope: calling either helper runs no check.
+        let t = table(concat!(
+            "def g(x):\n    if x <= 0:\n        raise E()\n",
+            "    @register((yield))\n    def inner():\n        pass\n",
+            "def h(x):\n    if x <= 0:\n        raise E()\n",
+            "    class K((yield)):\n        pass\n",
+        ));
+        assert!(t.functions.is_empty(), "{:?}", t.functions.keys().collect::<Vec<_>>());
     }
 
     #[test]
@@ -1426,6 +1229,29 @@ mod tests {
         let cc = t.resolve_call(func, args, keywords).unwrap();
         assert_eq!(cc.checks.len(), 1);
         assert_eq!(cc.checks[0].0, vec!["y".to_string(), "g".to_string()]);
+    }
+
+    #[test]
+    fn fn_def_json_golden() {
+        // One definition carrying all four check kinds; the JSON is what
+        // the parse cache stores, so its bytes are pinned.
+        let f = facts(concat!(
+            "def v(o, n, s):\n",
+            "    if o is None:\n        raise E()\n",
+            "    if n <= 0:\n        raise E()\n",
+            "    if s not in ('a', True, -1):\n        raise E()\n",
+            "    if o.status is None:\n        o.status = 'open'\n",
+        ));
+        let golden = concat!(
+            r#"{"name":"v","params":["o","n","s"],"line":1,"checks":["#,
+            r#"{"param":0,"sub_path":[],"kind":"NotNone","line":2},"#,
+            r#"{"param":1,"sub_path":[],"kind":{"Compare":{"op":"Gt","lit":{"Int":0}}},"line":4},"#,
+            r#"{"param":2,"sub_path":[],"kind":{"Member":{"values":"#,
+            r#"[{"Str":"a"},{"Bool":true},{"Int":-1}]}},"line":6},"#,
+            r#"{"param":0,"sub_path":["status"],"kind":{"DefaultAssign":{"value":{"Str":"open"}}},"#,
+            r#""line":8}],"delegations":[]}"#,
+        );
+        assert_eq!(serde_json::to_string(&f.functions[0]).unwrap(), golden);
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod reaching;
 pub use cfg::{Cfg, CfgNodeId, CfgNodeKind};
 pub use interproc::{
     CallChecks, CheckKind, DegradeReason, FnSummary, InterprocFacts, ParamCheck, SummaryBudget,
-    SummaryCmp, SummaryLit, SummaryStats, SummaryTable,
+    SummaryStats, SummaryTable,
 };
 pub use nullguard::{AccessPath, NullGuards};
 pub use reaching::{Def, DefId, DefKind, UseDefChains};

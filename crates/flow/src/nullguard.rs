@@ -19,6 +19,10 @@
 //! * boolean short-circuits: `x and x.y` guards `x.y`;
 //! * `try:`-bodies whose handlers catch `AttributeError`/`TypeError` or are
 //!   bare `except:` guard attribute access on any path.
+//!
+//! The module also holds the condition grammar the detectors and the helper
+//! summaries share: [`guard_paths`] for null checks (PA_n2, PA_d1) and
+//! [`value_guard`] for comparison and membership guards (PA_c1, PA_c2).
 
 use std::collections::HashSet;
 
@@ -26,6 +30,7 @@ use cfinder_pyast::ast::{
     BoolOpKind, CmpOp, Constant, Expr, ExprKind, NodeId, Stmt, StmtKind, UnaryOp,
 };
 use cfinder_pyast::visit::expr_children;
+use cfinder_schema::{CompareOp, Literal};
 
 use crate::interproc::{CheckKind, SummaryTable};
 
@@ -412,12 +417,138 @@ fn block_always_escapes(body: &[Stmt]) -> bool {
 
 /// Does the block assign a definitely-non-null value to `path`?
 fn block_assigns_non_null(body: &[Stmt], path: &AccessPath) -> bool {
-    body.iter().any(|s| match &s.kind {
-        StmtKind::Assign { targets, value } => targets.iter().any(|t| {
-            AccessPath::of_expr(t).as_ref() == Some(path) && expr_definitely_not_none(value)
-        }),
-        _ => false,
-    })
+    body.iter().any(|s| assigned_value(s, path).is_some_and(expr_definitely_not_none))
+}
+
+/// The value `stmt` assigns to exactly `path`, if it is such an assignment.
+pub fn assigned_value<'a>(stmt: &'a Stmt, path: &AccessPath) -> Option<&'a Expr> {
+    let StmtKind::Assign { targets, value } = &stmt.kind else { return None };
+    targets.iter().any(|t| AccessPath::of_expr(t).as_ref() == Some(path)).then_some(value)
+}
+
+// --- value guards: the condition grammar of PA_c1/PA_c2 and helper summaries ---
+
+/// A value guard: one comparison of a subject against a literal, or one
+/// membership test of it in a literal display, as the condition says when
+/// it is true. Callers decide whether the subject is a path they track.
+#[derive(Debug)]
+pub struct ValueGuard<'a> {
+    /// The tested expression (`o.total` in `o.total <= 0`).
+    pub subject: &'a Expr,
+    test: ValueTest,
+}
+
+#[derive(Debug)]
+enum ValueTest {
+    /// `subject <op> lit`.
+    Compare(CompareOp, Literal),
+    /// `subject in values` (`true`) or `subject not in values` (`false`).
+    Member(Vec<Literal>, bool),
+}
+
+/// Parses an `if` test as a value guard: a single comparison with
+/// a literal on either side (a literal on the left flips the operator), or
+/// `in`/`not in` against a non-empty literal display. An outer `not` is
+/// folded in. Chained comparisons, identity tests and non-literal operands
+/// are not value guards.
+pub fn value_guard(test: &Expr) -> Option<ValueGuard<'_>> {
+    let (test, negated) = unwrap_not(test);
+    let ExprKind::Compare { left, ops, comparators } = &test.kind else { return None };
+    let ([op], [right]) = (ops.as_slice(), comparators.as_slice()) else { return None };
+    let (subject, test) = match op {
+        CmpOp::In | CmpOp::NotIn => {
+            let is_in = *op == CmpOp::In;
+            (&**left, ValueTest::Member(literal_list_of(right)?, is_in != negated))
+        }
+        _ => {
+            let op = compare_op_of(op)?;
+            let op = if negated { op.negated() } else { op };
+            match literal_of(right) {
+                Some(lit) => (&**left, ValueTest::Compare(op, lit)),
+                None => (right, ValueTest::Compare(op.flipped(), literal_of(left)?)),
+            }
+        }
+    };
+    Some(ValueGuard { subject, test })
+}
+
+impl ValueGuard<'_> {
+    /// Is this a membership test (PA_c2's shape) rather than a comparison
+    /// (PA_c1's)?
+    pub fn is_membership(&self) -> bool {
+        matches!(self.test, ValueTest::Member(..))
+    }
+
+    /// What every value surviving the guard satisfies, given which branch
+    /// raises: a then-branch raise pins the negated condition, an
+    /// else-branch raise the condition as written. A membership test pins
+    /// only its member side; `None` when the raise leaves the values
+    /// outside a set, which IN cannot express.
+    pub fn holds(self, then_raises: bool) -> Option<CheckKind> {
+        match self.test {
+            ValueTest::Compare(op, lit) => {
+                Some(CheckKind::Compare { op: if then_raises { op.negated() } else { op }, lit })
+            }
+            ValueTest::Member(values, is_member) => {
+                (is_member != then_raises).then_some(CheckKind::Member { values })
+            }
+        }
+    }
+}
+
+/// Strips a leading `not`, reporting whether it flipped the condition.
+pub fn unwrap_not(test: &Expr) -> (&Expr, bool) {
+    match &test.kind {
+        ExprKind::UnaryOp { op: UnaryOp::Not, operand } => (operand, true),
+        _ => (test, false),
+    }
+}
+
+/// Maps a Python comparison operator onto the predicate algebra. Identity
+/// and membership operators have no scalar SQL counterpart.
+pub fn compare_op_of(op: &CmpOp) -> Option<CompareOp> {
+    match op {
+        CmpOp::Eq => Some(CompareOp::Eq),
+        CmpOp::NotEq => Some(CompareOp::Ne),
+        CmpOp::Lt => Some(CompareOp::Lt),
+        CmpOp::LtEq => Some(CompareOp::Le),
+        CmpOp::Gt => Some(CompareOp::Gt),
+        CmpOp::GtEq => Some(CompareOp::Ge),
+        CmpOp::In | CmpOp::NotIn | CmpOp::Is | CmpOp::IsNot => None,
+    }
+}
+
+/// A constant expression as a SQL literal. Floats are excluded (their SQL
+/// rendering is dialect-sensitive) and `None` is a null check, not a
+/// comparable value. Negative numbers arrive as unary minus over a
+/// constant, not as a negative constant.
+pub fn literal_of(expr: &Expr) -> Option<Literal> {
+    if let ExprKind::UnaryOp { op: UnaryOp::Neg, operand } = &expr.kind {
+        if let ExprKind::Constant(Constant::Int(i)) = &operand.kind {
+            return Some(Literal::Int(-i));
+        }
+        return None;
+    }
+    let ExprKind::Constant(c) = &expr.kind else { return None };
+    match c {
+        Constant::Int(i) => Some(Literal::Int(*i)),
+        Constant::Str(s) => Some(Literal::Str(s.clone())),
+        Constant::Bool(b) => Some(Literal::Bool(*b)),
+        _ => None,
+    }
+}
+
+/// A non-empty tuple/list/set display whose elements are all
+/// [`literal_of`] literals.
+pub fn literal_list_of(expr: &Expr) -> Option<Vec<Literal>> {
+    let elements = match &expr.kind {
+        ExprKind::Tuple(e) | ExprKind::List(e) | ExprKind::Set(e) => e,
+        _ => return None,
+    };
+    if elements.is_empty() {
+        return None;
+    }
+    elements.iter().map(literal_of).collect()
 }
 
 #[cfg(test)]

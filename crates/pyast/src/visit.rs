@@ -1,11 +1,10 @@
 //! AST traversal utilities.
 //!
-//! Three complementary mechanisms:
-//!
-//! * [`Visit`] — a classic visitor trait with pre-order callbacks and
-//!   default recursive walking, used by analyses that need full context.
-//! * [`walk_exprs`] / [`walk_stmts`] — closure-based pre-order walks for
-//!   one-off scans.
+//! * [`walk_exprs`] / [`walk_stmts`] — closure-based pre-order walks over
+//!   every expression / statement of a module, nested scopes included.
+//! * [`walk_shallow`] / [`own_exprs`] — the scope walk of the analyses: the
+//!   statements of one function body without nested `def`/`class` bodies,
+//!   and the expressions each statement owns directly.
 //! * [`bfs_exprs`] — breadth-first expression traversal, which is the order
 //!   CFinder's pattern matcher uses when searching candidate subtrees
 //!   (§3.4.2 of the paper: "performs a breadth-first traversal in T_body").
@@ -13,149 +12,6 @@
 use std::collections::VecDeque;
 
 use crate::ast::*;
-
-/// Pre-order visitor over statements and expressions.
-///
-/// Override the hooks you need; call the `walk_*` free functions (or rely on
-/// the provided defaults) to recurse.
-pub trait Visit {
-    /// Called for every statement, before its children.
-    fn visit_stmt(&mut self, stmt: &Stmt) {
-        walk_stmt(self, stmt);
-    }
-
-    /// Called for every expression, before its children.
-    fn visit_expr(&mut self, expr: &Expr) {
-        walk_expr(self, expr);
-    }
-}
-
-/// Recurses into the children of `stmt`, invoking the visitor's hooks.
-pub fn walk_stmt<V: Visit + ?Sized>(v: &mut V, stmt: &Stmt) {
-    match &stmt.kind {
-        StmtKind::FunctionDef(f) => {
-            for d in &f.decorators {
-                v.visit_expr(d);
-            }
-            for p in &f.params {
-                if let Some(d) = &p.default {
-                    v.visit_expr(d);
-                }
-            }
-            for s in &f.body {
-                v.visit_stmt(s);
-            }
-        }
-        StmtKind::ClassDef(c) => {
-            for d in &c.decorators {
-                v.visit_expr(d);
-            }
-            for b in &c.bases {
-                v.visit_expr(b);
-            }
-            for k in &c.keywords {
-                v.visit_expr(&k.value);
-            }
-            for s in &c.body {
-                v.visit_stmt(s);
-            }
-        }
-        StmtKind::If { test, body, orelse } => {
-            v.visit_expr(test);
-            for s in body.iter().chain(orelse) {
-                v.visit_stmt(s);
-            }
-        }
-        StmtKind::For { target, iter, body, orelse } => {
-            v.visit_expr(target);
-            v.visit_expr(iter);
-            for s in body.iter().chain(orelse) {
-                v.visit_stmt(s);
-            }
-        }
-        StmtKind::While { test, body, orelse } => {
-            v.visit_expr(test);
-            for s in body.iter().chain(orelse) {
-                v.visit_stmt(s);
-            }
-        }
-        StmtKind::Try { body, handlers, orelse, finalbody } => {
-            for s in body {
-                v.visit_stmt(s);
-            }
-            for h in handlers {
-                if let Some(t) = &h.typ {
-                    v.visit_expr(t);
-                }
-                for s in &h.body {
-                    v.visit_stmt(s);
-                }
-            }
-            for s in orelse.iter().chain(finalbody) {
-                v.visit_stmt(s);
-            }
-        }
-        StmtKind::With { items, body } => {
-            for item in items {
-                v.visit_expr(&item.context);
-                if let Some(t) = &item.target {
-                    v.visit_expr(t);
-                }
-            }
-            for s in body {
-                v.visit_stmt(s);
-            }
-        }
-        StmtKind::Assign { targets, value } => {
-            for t in targets {
-                v.visit_expr(t);
-            }
-            v.visit_expr(value);
-        }
-        StmtKind::AugAssign { target, value, .. } => {
-            v.visit_expr(target);
-            v.visit_expr(value);
-        }
-        StmtKind::Return { value } => {
-            if let Some(e) = value {
-                v.visit_expr(e);
-            }
-        }
-        StmtKind::Raise { exc, cause } => {
-            if let Some(e) = exc {
-                v.visit_expr(e);
-            }
-            if let Some(e) = cause {
-                v.visit_expr(e);
-            }
-        }
-        StmtKind::Expr { value } => v.visit_expr(value),
-        StmtKind::Assert { test, msg } => {
-            v.visit_expr(test);
-            if let Some(m) = msg {
-                v.visit_expr(m);
-            }
-        }
-        StmtKind::Delete { targets } => {
-            for t in targets {
-                v.visit_expr(t);
-            }
-        }
-        StmtKind::Import { .. }
-        | StmtKind::ImportFrom { .. }
-        | StmtKind::Global { .. }
-        | StmtKind::Pass
-        | StmtKind::Break
-        | StmtKind::Continue => {}
-    }
-}
-
-/// Recurses into the children of `expr`, invoking the visitor's hooks.
-pub fn walk_expr<V: Visit + ?Sized>(v: &mut V, expr: &Expr) {
-    for child in expr_children(expr) {
-        v.visit_expr(child);
-    }
-}
 
 /// Returns the direct expression children of `expr` in source order.
 pub fn expr_children(expr: &Expr) -> Vec<&Expr> {
@@ -223,8 +79,7 @@ pub fn walk_exprs<'a>(stmts: &'a [Stmt], f: &mut dyn FnMut(&'a Expr)) {
     struct W<'f, 'a> {
         f: &'f mut dyn FnMut(&'a Expr),
     }
-    // A manual pre-order walk that lends out `'a` references (the `Visit`
-    // trait cannot, because its hooks take fresh lifetimes).
+    // A manual pre-order walk that lends out `'a` references.
     fn expr<'a>(e: &'a Expr, f: &mut dyn FnMut(&'a Expr)) {
         f(e);
         for c in expr_children(e) {
@@ -344,30 +199,83 @@ pub fn walk_exprs<'a>(stmts: &'a [Stmt], f: &mut dyn FnMut(&'a Expr)) {
     stmts_walk(stmts, &mut w);
 }
 
-/// Calls `f` on every statement reachable from `stmts` (pre-order).
+/// Calls `f` on every statement reachable from `stmts` (pre-order): the
+/// [`walk_shallow`] order, with each `def`/`class` body walked right after
+/// its header.
 pub fn walk_stmts<'a>(stmts: &'a [Stmt], f: &mut dyn FnMut(&'a Stmt)) {
-    for s in stmts {
+    walk_shallow(stmts, &mut |s| {
         f(s);
         match &s.kind {
             StmtKind::FunctionDef(fun) => walk_stmts(&fun.body, f),
             StmtKind::ClassDef(c) => walk_stmts(&c.body, f),
+            _ => {}
+        }
+    });
+}
+
+/// Pre-order statement walk that descends into control structures but NOT
+/// into nested `def`/`class` bodies (those are separate analysis scopes:
+/// their `return`s do not exit this body, their assignments do not rebind
+/// its locals).
+pub fn walk_shallow<'a>(body: &'a [Stmt], f: &mut dyn FnMut(&'a Stmt)) {
+    for s in body {
+        f(s);
+        match &s.kind {
             StmtKind::If { body, orelse, .. }
             | StmtKind::For { body, orelse, .. }
             | StmtKind::While { body, orelse, .. } => {
-                walk_stmts(body, f);
-                walk_stmts(orelse, f);
+                walk_shallow(body, f);
+                walk_shallow(orelse, f);
             }
             StmtKind::Try { body, handlers, orelse, finalbody } => {
-                walk_stmts(body, f);
+                walk_shallow(body, f);
                 for h in handlers {
-                    walk_stmts(&h.body, f);
+                    walk_shallow(&h.body, f);
                 }
-                walk_stmts(orelse, f);
-                walk_stmts(finalbody, f);
+                walk_shallow(orelse, f);
+                walk_shallow(finalbody, f);
             }
-            StmtKind::With { body, .. } => walk_stmts(body, f),
+            StmtKind::With { body, .. } => walk_shallow(body, f),
             _ => {}
         }
+    }
+}
+
+/// The expressions a statement directly owns (not those of nested
+/// statements). A nested `def`/`class` owns its decorators and bases: they
+/// evaluate in the enclosing scope.
+pub fn own_exprs(stmt: &Stmt) -> Vec<&Expr> {
+    match &stmt.kind {
+        StmtKind::Assign { targets, value } => {
+            let mut v: Vec<&Expr> = targets.iter().collect();
+            v.push(value);
+            v
+        }
+        StmtKind::AugAssign { target, value, .. } => vec![target, value],
+        StmtKind::If { test, .. } | StmtKind::While { test, .. } => vec![test],
+        StmtKind::For { target, iter, .. } => vec![target, iter],
+        StmtKind::With { items, .. } => {
+            let mut v = Vec::new();
+            for i in items {
+                v.push(&i.context);
+                if let Some(t) = &i.target {
+                    v.push(t);
+                }
+            }
+            v
+        }
+        StmtKind::Return { value } => value.iter().collect(),
+        StmtKind::Raise { exc, cause } => exc.iter().chain(cause.iter()).collect(),
+        StmtKind::Expr { value } => vec![value],
+        StmtKind::Assert { test, msg } => {
+            let mut v = vec![test];
+            v.extend(msg.iter());
+            v
+        }
+        StmtKind::Delete { targets } => targets.iter().collect(),
+        StmtKind::FunctionDef(f) => f.decorators.iter().collect(),
+        StmtKind::ClassDef(c) => c.decorators.iter().chain(c.bases.iter()).collect(),
+        _ => Vec::new(),
     }
 }
 
@@ -413,29 +321,14 @@ mod tests {
     }
 
     #[test]
-    fn visitor_default_recursion() {
-        struct Counter {
-            exprs: usize,
-            stmts: usize,
-        }
-        impl Visit for Counter {
-            fn visit_stmt(&mut self, s: &Stmt) {
-                self.stmts += 1;
-                walk_stmt(self, s);
-            }
-            fn visit_expr(&mut self, e: &Expr) {
-                self.exprs += 1;
-                walk_expr(self, e);
-            }
-        }
-        let m = parse_module("x = a + b\n").unwrap();
-        let mut c = Counter { exprs: 0, stmts: 0 };
-        for s in &m.body {
-            c.visit_stmt(s);
-        }
-        assert_eq!(c.stmts, 1);
-        // x, a+b, a, b
-        assert_eq!(c.exprs, 4);
+    fn walk_shallow_stays_in_scope_and_headers_own_their_exprs() {
+        let m = parse_module("@d\nclass K(B):\n    x = 1\nif a:\n    def f():\n        pass\n")
+            .unwrap();
+        let mut kinds = Vec::new();
+        walk_shallow(&m.body, &mut |s| kinds.push(own_exprs(s).len()));
+        // ClassDef (decorator + base), If (test), FunctionDef (none); the
+        // class and function bodies are not visited.
+        assert_eq!(kinds, vec![2, 1, 0]);
     }
 
     #[test]

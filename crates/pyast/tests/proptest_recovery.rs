@@ -8,22 +8,16 @@
 use cfinder_pyast::lexer::{lex, lex_recovering};
 use cfinder_pyast::parser::{parse_module, parse_module_recovering};
 use cfinder_pyast::token::TokenKind;
-use cfinder_pyast::visit::Visit;
-use cfinder_pyast::{Expr, Span, Stmt};
+use cfinder_pyast::visit::{walk_exprs, walk_stmts};
+use cfinder_pyast::Span;
 use proptest::prelude::*;
 
-/// Collects every span in a module (statements and expressions).
-struct SpanCollector(Vec<Span>);
-
-impl Visit for SpanCollector {
-    fn visit_stmt(&mut self, stmt: &Stmt) {
-        self.0.push(stmt.span);
-        cfinder_pyast::visit::walk_stmt(self, stmt);
-    }
-    fn visit_expr(&mut self, expr: &Expr) {
-        self.0.push(expr.span);
-        cfinder_pyast::visit::walk_expr(self, expr);
-    }
+/// Every span in a module (statements and expressions).
+fn all_spans(module: &cfinder_pyast::Module) -> Vec<Span> {
+    let mut spans = Vec::new();
+    walk_stmts(&module.body, &mut |s| spans.push(s.span));
+    walk_exprs(&module.body, &mut |e| spans.push(e.span));
+    spans
 }
 
 fn assert_spans_in_bounds(input: &str, out: &cfinder_pyast::Recovered) {
@@ -32,11 +26,7 @@ fn assert_spans_in_bounds(input: &str, out: &cfinder_pyast::Recovered) {
         assert!(err.span.start.offset <= err.span.end.offset, "inverted error span");
         assert!(err.span.end.offset <= len, "error span {:?} outside input len {len}", err.span);
     }
-    let mut spans = SpanCollector(Vec::new());
-    for stmt in &out.module.body {
-        spans.visit_stmt(stmt);
-    }
-    for span in spans.0 {
+    for span in all_spans(&out.module) {
         assert!(span.end.offset <= len, "node span {span:?} outside input len {len}");
     }
 }

@@ -10,7 +10,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-test_scope=(-p cfinder -p cfinder-core -p cfinder-sql -p cfinder-flow -p cfinder-serve -p cfinder-minidb)
+test_scope=(-p cfinder -p cfinder-core -p cfinder-sql -p cfinder-pyast -p cfinder-flow -p cfinder-serve
+    -p cfinder-minidb)
 workspace=false
 if [[ "${1:-}" == "--workspace" ]]; then
     test_scope=(--workspace)
@@ -61,14 +62,16 @@ echo "==> cargo test ${test_scope[*]}"
 # Every suite runs once here, the differential oracles included:
 # cold/warm cache equivalence at 1/2/4 threads and the invalidation
 # matrix, SQL emit → parse round-trips in every dialect, the explain
-# provenance goldens, the interproc off/on oracle, the reaching-definitions
+# provenance goldens, the interproc off/on oracle and its pin of the
+# facts and summary bytes the cache stores, the reaching-definitions
 # oracle against the worklist reference, the null-guard oracle against the
 # per-expression guard table, fault injection, the
 # daemon soak (4 clients x 8 apps x 3 rounds) with the fault-frame and
 # cache-concurrency suites, and minidb's naive-vs-rewritten query
 # oracle with its 3VL pins and plan goldens; cfinder-core's own unit
 # tests (the pattern detectors and the cache's option fingerprints) and
-# robustness proptests run here too. cargo's `Running` lines name each
+# robustness proptests, and the parser's unit, torture and recovery and
+# round-trip proptest suites run here too. cargo's `Running` lines name each
 # target, which is what the floors below count by.
 cargo test "${test_scope[@]}" -- --quiet 2>&1 | tee "$test_log"
 
@@ -82,7 +85,8 @@ fi
 echo "==> test-count floors"
 floor core 146 cfinder_core proptest_robustness
 floor SQL 48 cfinder_sql roundtrip_proptest sql_faults
-floor flow 105 cfinder_flow proptest_interproc interproc_oracle reaching_oracle nullguard_oracle
+floor pyast 138 cfinder_pyast django_torture proptest_recovery proptest_roundtrip
+floor flow 108 cfinder_flow proptest_interproc interproc_oracle reaching_oracle nullguard_oracle
 floor daemon 23 cfinder_serve serve_soak serve_faults cache_concurrency
 floor minidb 95 cfinder_minidb plan_golden proptest_integrity query_oracle three_valued_logic
 

@@ -148,3 +148,38 @@ fn on_is_thread_invariant_and_recovers_planted_sites() {
         assert_eq!(fp_count(&on), fp_count(&off), "{}: interproc introduced new FPs", app.name);
     }
 }
+
+/// Pins the bytes the inter-procedural layer hands to the cache: the
+/// `serde_json` of every file's facts (parse-cache entries) and the debug
+/// rendering of every app's summary table (folded into the detect
+/// context hash). A change to either re-addresses cache entries, so a
+/// refactor of the summary types or the guard grammar must leave this
+/// digest as it is.
+#[test]
+fn facts_and_summary_bytes_are_pinned() {
+    use cfinder::flow::{InterprocFacts, SummaryBudget, SummaryTable};
+    let mut bytes = String::new();
+    for profile in all_profiles() {
+        let app = generate(&profile, SCALE);
+        let facts: Vec<(String, InterprocFacts)> = app
+            .files
+            .iter()
+            .map(|f| {
+                let module = cfinder::pyast::parse_module_recovering(&f.text).module;
+                (f.path.clone(), InterprocFacts::extract(&module))
+            })
+            .collect();
+        for (_, f) in &facts {
+            bytes.push_str(&serde_json::to_string(f).unwrap());
+        }
+        let per_file: Vec<(&str, &InterprocFacts)> =
+            facts.iter().filter(|(_, f)| !f.is_empty()).map(|(p, f)| (p.as_str(), f)).collect();
+        let table = SummaryTable::build(&per_file, &SummaryBudget::default());
+        bytes.push_str(&format!("{table:?}"));
+    }
+    // The pin covers every check kind the summaries can carry.
+    for kind in ["NotNone", "Compare", "Member", "DefaultAssign"] {
+        assert!(bytes.contains(kind), "corpus facts carry no {kind} check");
+    }
+    assert_eq!(cfinder::core::cache::content_hash(&bytes), "8229e14bda9165554161da46be29562c");
+}
