@@ -51,10 +51,11 @@ pub use cache::{
 };
 pub use cfinder_obs::Obs;
 pub use detect::{effective_limits, AppSource, CFinder, CFinderOptions, Limits, SourceFile};
-pub use fsio::atomic_write;
+pub use fsio::{atomic_write, load_app};
 pub use incident::{Coverage, Incident, IncidentKind};
 pub use models::{FieldInfo, FieldKind, ModelInfo, ModelRegistry};
 pub use report::{
-    AnalysisReport, Detection, HelperHop, MissingConstraint, PatternId, Provenance, StageTimings,
+    AnalysisReport, Detection, Explanation, HelperHop, MissingConstraint, PatternId, Provenance,
+    StageTimings,
 };
 pub use resolve::{ColBinding, Resolution, Resolver};

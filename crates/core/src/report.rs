@@ -291,6 +291,20 @@ impl MissingConstraint {
     }
 }
 
+/// One inferred constraint on an [`AnalysisReport::explain`] target, with
+/// why it was inferred.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Explanation {
+    /// The inferred constraint.
+    pub constraint: Constraint,
+    /// `true` when the declared schema already has it, `false` when it is
+    /// missing.
+    pub declared: bool,
+    /// The provenance chain of every supporting detection, in detection
+    /// order.
+    pub chains: Vec<Provenance>,
+}
+
 /// Per-stage wall-clock timings for one `CFinder::analyze` run, plus the
 /// worker-thread count the engine used. Carried on [`AnalysisReport`] and
 /// surfaced through Table 10's extended renderer and the CLI `--timings`
@@ -413,6 +427,38 @@ impl AnalysisReport {
         self.missing.iter().filter(|m| m.constraint.is_partial_unique()).count()
     }
 
+    /// Every inferred constraint on `target` (`table` or `table.column`)
+    /// with its provenance chains: the missing ones in report order, then
+    /// the declared ones. A `table.column` target matches a constraint on
+    /// that table whose columns include the column. This is the query
+    /// behind `cfinder explain` and the daemon's `explain` command.
+    pub fn explain(&self, target: &str) -> Vec<Explanation> {
+        let (table, column) = match target.split_once('.') {
+            Some((table, column)) => (table, Some(column)),
+            None => (target, None),
+        };
+        let on_target = |c: &Constraint| {
+            c.table() == table && column.is_none_or(|col| c.columns().contains(&col))
+        };
+        let missing =
+            self.missing.iter().filter(|m| on_target(&m.constraint)).map(|m| Explanation {
+                constraint: m.constraint.clone(),
+                declared: false,
+                chains: m.provenance(),
+            });
+        let declared = self.existing_covered.iter().filter(|c| on_target(c)).map(|c| Explanation {
+            constraint: c.clone(),
+            declared: true,
+            chains: self
+                .detections
+                .iter()
+                .filter(|d| &d.constraint == c)
+                .map(Detection::provenance)
+                .collect(),
+        });
+        missing.chain(declared).collect()
+    }
+
     /// Canonical JSON rendering of the report's *semantic* content —
     /// every analysis-result field and none of the timing or cache-counter
     /// fields (those legitimately differ between runs). Two runs computed
@@ -523,6 +569,71 @@ mod tests {
         assert_eq!(report.missing_partial_unique_count(), 0);
         assert_eq!(report.coverage().files_clean, 1);
         assert_eq!(report.incident_summary(), "");
+    }
+
+    #[test]
+    fn explain_matches_table_or_column_missing_first() {
+        let unique = Constraint::unique("t", ["a", "b"]);
+        let not_null = Constraint::not_null("t", "b");
+        let declared = Constraint::not_null("t", "c");
+        let other = Constraint::not_null("u", "a");
+        let mut d_declared = det(PatternId::N2, declared.clone());
+        d_declared.file = "g.py".into();
+        let report = AnalysisReport {
+            app: "x".into(),
+            detections: vec![
+                det(PatternId::U1, unique.clone()),
+                d_declared,
+                det(PatternId::N1, not_null.clone()),
+                det(PatternId::N1, other.clone()),
+            ],
+            inferred: [unique.clone(), not_null.clone(), declared.clone(), other.clone()]
+                .into_iter()
+                .collect(),
+            missing: [&unique, &not_null, &other]
+                .into_iter()
+                .map(|c| MissingConstraint {
+                    constraint: c.clone(),
+                    detections: vec![det(PatternId::U1, c.clone()), det(PatternId::U2, c.clone())],
+                })
+                .collect(),
+            existing_covered: [declared.clone()].into_iter().collect(),
+            analysis_time: Duration::ZERO,
+            loc: 0,
+            incidents: vec![],
+            files_total: 1,
+            timings: StageTimings::default(),
+        };
+        let found = |target: &str| -> Vec<(String, bool, Vec<String>)> {
+            report
+                .explain(target)
+                .into_iter()
+                .map(|e| {
+                    let chains = e.chains.iter().map(|p| format!("{}@{}", p.pattern, p.file));
+                    (e.constraint.to_string(), e.declared, chains.collect())
+                })
+                .collect()
+        };
+        let missing_chains = vec!["PA_u1@f.py".to_string(), "PA_u2@f.py".to_string()];
+        assert_eq!(
+            found("t"),
+            vec![
+                (unique.to_string(), false, missing_chains.clone()),
+                (not_null.to_string(), false, missing_chains.clone()),
+                (declared.to_string(), true, vec!["PA_n2@g.py".to_string()]),
+            ]
+        );
+        assert_eq!(
+            found("t.b"),
+            vec![
+                (unique.to_string(), false, missing_chains.clone()),
+                (not_null.to_string(), false, missing_chains),
+            ]
+        );
+        assert_eq!(found("t.c"), vec![(declared.to_string(), true, vec!["PA_n2@g.py".into()])]);
+        assert!(found("t.z").is_empty());
+        assert!(found("v").is_empty());
+        assert!(found("ta").is_empty(), "a table name matches whole, not by prefix");
     }
 
     #[test]

@@ -1,15 +1,21 @@
-//! The shared usage-error path for every CFinder binary surface.
+//! The front door of every CFinder binary: one argument cursor, one
+//! usage-error path, and the one place the environment is read.
 //!
-//! `reproduce`, `cfinder serve`, and any future entrypoint report
-//! command-line misuse — unknown flags, missing flag values, an unusable
-//! `--cache-dir` — through one typed format and one exit code, so scripts
-//! can distinguish "you called it wrong" (exit [`EXIT_USAGE`]) from "the
-//! analysis found something" (exit 1) and "it crashed" (abort):
+//! `cfinder` (each subcommand) and `reproduce` read every command-line
+//! token through an [`Args`] cursor and run their body under
+//! [`run_command`]. Misuse — unknown flags, a missing flag value or one
+//! that is itself a flag, an out-of-range number, an unusable
+//! `--cache-dir` — comes back as `Err(String)` and is reported in one
+//! typed format and one exit code, so scripts can distinguish "you called
+//! it wrong" (exit [`EXIT_USAGE`]) from "the analysis found something"
+//! (exit 1) and "it crashed" (abort):
 //!
 //! ```text
 //! error: <message>
-//! usage: <one-line synopsis>
+//! usage: <the command's synopsis>
 //! ```
+//!
+//! `--help` or `-h` prints the `usage:` line to stdout and exits 0.
 //!
 //! It also owns every `CFINDER_*` environment variable: the binaries call
 //! [`parse_env`] once in `main` and pass its [`EnvConfig`] down, and the
@@ -18,6 +24,8 @@
 
 use std::ffi::OsStr;
 use std::path::PathBuf;
+use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
 use crate::detect::Limits;
@@ -98,11 +106,91 @@ pub fn usage_message(msg: &str, usage: &str) -> String {
 }
 
 /// Reports a usage error on stderr and exits with [`EXIT_USAGE`].
-/// `usage` is the binary's one-line synopsis (without the `usage: `
-/// prefix).
+/// `usage` is the command's synopsis (without the `usage: ` prefix).
 pub fn usage_error(msg: &str, usage: &str) -> ! {
     eprintln!("{}", usage_message(msg, usage));
     std::process::exit(EXIT_USAGE);
+}
+
+/// Runs one command over its arguments. `--help` or `-h` anywhere among
+/// them prints `usage: <synopsis>` to stdout and exits 0; otherwise
+/// `body` reads them through an [`Args`] cursor, its `Ok` is the exit
+/// status and its `Err` goes to [`usage_error`].
+pub fn run_command(
+    args: &[String],
+    synopsis: &str,
+    body: impl FnOnce(&mut Args) -> Result<u8, String>,
+) -> ExitCode {
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("usage: {synopsis}");
+        return ExitCode::SUCCESS;
+    }
+    match body(&mut Args::new(args)) {
+        Ok(code) => ExitCode::from(code),
+        Err(msg) => usage_error(&msg, synopsis),
+    }
+}
+
+/// The error for a token no command takes.
+pub fn unknown(arg: &str) -> String {
+    format!("unknown argument `{arg}`")
+}
+
+/// A cursor over one command's arguments: it hands out tokens in order,
+/// and a flag that takes a value reads it with [`Args::value`] or one of
+/// its typed forms.
+#[derive(Debug)]
+pub struct Args<'a> {
+    rest: &'a [String],
+}
+
+impl<'a> Args<'a> {
+    /// A cursor at the first of `args`.
+    pub fn new(args: &'a [String]) -> Self {
+        Args { rest: args }
+    }
+
+    /// The next token, or `None` when all are read.
+    pub fn token(&mut self) -> Option<&'a str> {
+        let (first, rest) = self.rest.split_first()?;
+        self.rest = rest;
+        Some(first)
+    }
+
+    /// The value of `flag`, the next token. A missing value, or one that
+    /// starts with `--`, is an error naming `flag` and what it `expects`:
+    /// `--fix-out --json` must not write to a file named `--json`.
+    pub fn value(&mut self, flag: &str, expects: &str) -> Result<&'a str, String> {
+        let (v, rest) =
+            self.rest.split_first().ok_or_else(|| format!("{flag} expects {expects}"))?;
+        if v.starts_with("--") {
+            return Err(format!("{flag} expects {expects}, found flag `{v}`"));
+        }
+        self.rest = rest;
+        Ok(v)
+    }
+
+    /// [`Args::value`] as a path.
+    pub fn path(&mut self, flag: &str, expects: &str) -> Result<PathBuf, String> {
+        self.value(flag, expects).map(PathBuf::from)
+    }
+
+    /// [`Args::value`] parsed as a `T` (surrounding blanks ignored) that
+    /// `valid` accepts; anything else is an error quoting the value.
+    pub fn number<T: FromStr>(
+        &mut self,
+        flag: &str,
+        expects: &str,
+        valid: impl FnOnce(&T) -> bool,
+    ) -> Result<T, String> {
+        let v = self.value(flag, expects)?;
+        v.trim().parse().ok().filter(valid).ok_or_else(|| format!("invalid {flag} value `{v}`"))
+    }
+
+    /// [`Args::number`] above zero.
+    pub fn positive<T: FromStr + PartialOrd + Default>(&mut self, flag: &str) -> Result<T, String> {
+        self.number(flag, "a positive integer", |n: &T| *n > T::default())
+    }
 }
 
 #[cfg(test)]
@@ -113,6 +201,63 @@ mod tests {
     fn message_has_the_two_line_typed_format() {
         let m = usage_message("unknown argument `--bogus`", "reproduce [--quick]");
         assert_eq!(m, "error: unknown argument `--bogus`\nusage: reproduce [--quick]");
+    }
+
+    fn strings(tokens: &[&str]) -> Vec<String> {
+        tokens.iter().map(|t| t.to_string()).collect()
+    }
+
+    #[test]
+    fn tokens_come_in_order_and_values_follow_their_flag() {
+        let args = strings(&["app", "--fix-out", "fixes.sql", "-x", "--json"]);
+        let mut cli = Args::new(&args);
+        assert_eq!(cli.token(), Some("app"));
+        assert_eq!(cli.token(), Some("--fix-out"));
+        assert_eq!(cli.path("--fix-out", "a file"), Ok(PathBuf::from("fixes.sql")));
+        // A single-dash token is a value (a negative number, say), not a flag.
+        assert_eq!(cli.value("--n", "a number"), Ok("-x"));
+        assert_eq!(cli.token(), Some("--json"));
+        assert_eq!(cli.token(), None);
+    }
+
+    #[test]
+    fn a_flag_or_nothing_is_not_a_value() {
+        let args = strings(&["--json"]);
+        let mut cli = Args::new(&args);
+        assert_eq!(
+            cli.value("--fix-out", "a file"),
+            Err("--fix-out expects a file, found flag `--json`".to_string())
+        );
+        // The flag stays unread for the caller's loop.
+        assert_eq!(cli.token(), Some("--json"));
+        assert_eq!(cli.value("--fix-out", "a file"), Err("--fix-out expects a file".to_string()));
+    }
+
+    #[test]
+    fn numbers_keep_each_flags_range() {
+        let parse = |v: &str| strings(&[v]);
+        let max_bytes = |v: &str| {
+            Args::new(&parse(v)).number("--max-file-bytes", "a byte count", |_: &usize| true)
+        };
+        assert_eq!(max_bytes("0"), Ok(0));
+        assert_eq!(max_bytes(" 60 "), Ok(60));
+        assert_eq!(max_bytes("lots"), Err("invalid --max-file-bytes value `lots`".to_string()));
+        let workers = |v: &str| Args::new(&parse(v)).positive::<usize>("--workers");
+        assert_eq!(workers("4"), Ok(4));
+        assert!(workers("0").is_err());
+        assert!(workers("-1").is_err());
+        let hz = |v: &str| Args::new(&parse(v)).positive::<u32>("--profile-hz");
+        assert_eq!(hz("97"), Ok(97));
+        assert!(hz("0").is_err());
+        assert!(hz("4294967296").is_err(), "out of u32 range");
+        let tolerance = |v: &str| {
+            Args::new(&parse(v))
+                .number("--tolerance", "a percentage", |t: &f64| (0.0..100.0).contains(t))
+        };
+        assert_eq!(tolerance("0"), Ok(0.0));
+        assert_eq!(tolerance("99.5"), Ok(99.5));
+        assert!(tolerance("100").is_err());
+        assert!(tolerance("-1").is_err());
     }
 
     #[test]

@@ -16,14 +16,20 @@
 //! h/m" column and `metrics.csv` record the hit/miss split). An unusable
 //! DIR is a usage error (exit 2), reported before any analysis starts.
 //!
+//! Arguments are read through `cfinder_core::usage`, like every `cfinder`
+//! subcommand: a flag's value may not start with `--`, misuse prints
+//! `error:`/`usage:` and exits 2, and `--help`/`-h` prints the synopsis.
+//!
 //! Environment: `CFINDER_THREADS` sets the worker count of the app
 //! fan-out and of each app's analysis; `CFINDER_ATOMIC_FAULT=crash`
 //! injects a crash into the atomic trace and metrics writes.
 
 use std::fs;
 use std::path::PathBuf;
+use std::process::ExitCode;
 use std::sync::Arc;
 
+use cfinder_core::usage::{self, Args, EnvConfig};
 use cfinder_core::{atomic_write, AnalysisCache, Obs};
 use cfinder_corpus::GenOptions;
 use cfinder_report::tables::all_tables;
@@ -32,56 +38,34 @@ use cfinder_report::{AppEvaluation, Evaluation};
 /// One-line synopsis for the shared usage-error path.
 const USAGE: &str = "reproduce [--quick] [--out DIR] [--trace-out FILE] [--cache-dir DIR]";
 
-/// Reports a usage error and exits with status 2 (distinct from the
-/// panic/abort paths; same typed format as `cfinder serve`).
-fn usage_error(msg: &str) -> ! {
-    cfinder_core::usage::usage_error(msg, USAGE);
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let env = usage::parse_env(std::env::vars_os());
+    usage::run_command(&args, USAGE, |cli| run(cli, &env).map(|()| 0))
 }
 
-fn main() {
-    let env = cfinder_core::usage::parse_env(std::env::vars_os());
+fn run(cli: &mut Args, env: &EnvConfig) -> Result<(), String> {
     let mut quick = false;
     let mut out_dir = PathBuf::from("result");
     let mut trace_out: Option<PathBuf> = None;
     let mut cache_dir: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
+    while let Some(arg) = cli.token() {
+        match arg {
             "--quick" => quick = true,
-            "--out" => match args.next() {
-                // A following flag means the value is missing, not a path:
-                // `reproduce --out --quick` must not write to `./--quick`.
-                Some(value) if !value.starts_with("--") => out_dir = PathBuf::from(value),
-                Some(flag) => {
-                    usage_error(&format!("--out expects a directory, found flag `{flag}`"))
-                }
-                None => usage_error("--out expects a directory"),
-            },
-            "--trace-out" => match args.next() {
-                Some(value) if !value.starts_with("--") => trace_out = Some(PathBuf::from(value)),
-                Some(flag) => {
-                    usage_error(&format!("--trace-out expects a file, found flag `{flag}`"))
-                }
-                None => usage_error("--trace-out expects a file"),
-            },
-            "--cache-dir" => match args.next() {
-                Some(value) if !value.starts_with("--") => cache_dir = Some(PathBuf::from(value)),
-                Some(flag) => {
-                    usage_error(&format!("--cache-dir expects a directory, found flag `{flag}`"))
-                }
-                None => usage_error("--cache-dir expects a directory"),
-            },
-            other => usage_error(&format!("unknown argument `{other}`")),
+            "--out" => out_dir = cli.path(arg, "a directory")?,
+            "--trace-out" => trace_out = Some(cli.path(arg, "a file")?),
+            "--cache-dir" => cache_dir = Some(cli.path(arg, "a directory")?),
+            other => return Err(usage::unknown(other)),
         }
     }
 
     // Open the cache up front so an unwritable or non-directory path is a
-    // typed usage error before any corpus generation or analysis work, not
-    // an io panic in the middle of the evaluation.
-    let cache = cache_dir.as_ref().map(|dir| match AppEvaluation::open_cache(dir) {
-        Ok(cache) => Arc::new(cache),
-        Err(e) => usage_error(&e.to_string()),
-    });
+    // usage error before any corpus generation or analysis work, not an
+    // io panic in the middle of the evaluation.
+    let cache = match &cache_dir {
+        Some(dir) => Some(Arc::new(AppEvaluation::open_cache(dir).map_err(|e| e.to_string())?)),
+        None => None,
+    };
 
     let options = if quick { GenOptions::quick() } else { GenOptions::paper() };
     eprintln!(
@@ -256,4 +240,5 @@ fn main() {
         );
     }
     eprintln!("wrote results to {}", out_dir.display());
+    Ok(())
 }

@@ -42,6 +42,17 @@ fn misuse_uses_the_shared_two_line_usage_format() {
 }
 
 #[test]
+fn help_prints_the_synopsis_and_exits_zero() {
+    for flag in ["--help", "-h"] {
+        let out = reproduce().arg(flag).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(0), "{flag}: {out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.starts_with("usage: reproduce [--quick] "), "{flag}: {stdout}");
+        assert!(out.stderr.is_empty(), "{flag}: the help must not start an evaluation: {out:?}");
+    }
+}
+
+#[test]
 fn unusable_cache_dir_exits_two_before_any_analysis() {
     let dir = std::env::temp_dir().join(format!("cfinder-reproduce-test-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);

@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 
 use cfinder_core::engine::resolve_threads;
 use cfinder_core::{
-    AnalysisCache, AnalysisReport, CFinder, CFinderOptions, CacheError, Limits, Obs,
+    AnalysisCache, AnalysisReport, CFinder, CFinderOptions, CacheError, Explanation, Limits, Obs,
 };
 use cfinder_obs::{Metrics, Profiler, Tracer};
 use parking_lot::Mutex;
@@ -625,50 +625,31 @@ fn report_result(report: &AnalysisReport) -> Value {
 }
 
 fn explain<W: Write>(shared: &Shared<W>, id: &Value, project: &str, target: &str) -> HandleResult {
-    let (table, column) = match target.split_once('.') {
-        Some((t, c)) => (t.to_string(), Some(c.to_string())),
-        None => (target.to_string(), None),
-    };
     let (_, report, _) = run_analysis(shared, id, "explain", project, Default::default())?;
-    let matches_target = |c: &cfinder_schema::Constraint| {
-        c.table() == table && column.as_deref().is_none_or(|col| c.columns().contains(&col))
-    };
-    let chain_value = |p: &cfinder_core::Provenance| {
-        Value::Map(vec![
-            ("pattern".into(), Value::Str(p.pattern.to_string())),
-            ("rule".into(), Value::Str(p.rule.to_string())),
-            ("file".into(), Value::Str(p.file.clone())),
-            ("line".into(), Value::UInt(p.line as u64)),
-        ])
-    };
-    let mut explained = Vec::new();
-    for m in &report.missing {
-        if !matches_target(&m.constraint) {
-            continue;
-        }
-        explained.push(Value::Map(vec![
-            ("constraint".into(), Value::Str(m.constraint.to_string())),
-            ("status".into(), Value::Str("missing".into())),
-            ("chains".into(), Value::Seq(m.provenance().iter().map(chain_value).collect())),
-            ("fix".into(), Value::Str(m.constraint.ddl())),
-        ]));
-    }
-    for constraint in report.existing_covered.iter() {
-        if !matches_target(constraint) {
-            continue;
-        }
-        let chains = report
-            .detections
-            .iter()
-            .filter(|d| &d.constraint == constraint)
-            .map(|d| chain_value(&d.provenance()))
-            .collect();
-        explained.push(Value::Map(vec![
-            ("constraint".into(), Value::Str(constraint.to_string())),
-            ("status".into(), Value::Str("declared".into())),
-            ("chains".into(), Value::Seq(chains)),
-        ]));
-    }
+    let explained = report
+        .explain(target)
+        .into_iter()
+        .map(|Explanation { constraint, declared, chains }| {
+            let chains = chains.into_iter().map(|p| {
+                Value::Map(vec![
+                    ("pattern".into(), Value::Str(p.pattern)),
+                    ("rule".into(), Value::Str(p.rule)),
+                    ("file".into(), Value::Str(p.file)),
+                    ("line".into(), Value::UInt(p.line as u64)),
+                ])
+            });
+            let status = if declared { "declared" } else { "missing" };
+            let mut entry = vec![
+                ("constraint".into(), Value::Str(constraint.to_string())),
+                ("status".into(), Value::Str(status.into())),
+                ("chains".into(), Value::Seq(chains.collect())),
+            ];
+            if !declared {
+                entry.push(("fix".into(), Value::Str(constraint.ddl())));
+            }
+            Value::Map(entry)
+        })
+        .collect();
     Ok(Value::Map(vec![
         ("target".into(), Value::Str(target.to_string())),
         ("explained".into(), Value::Seq(explained)),

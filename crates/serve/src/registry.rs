@@ -11,11 +11,10 @@
 //! proceed in parallel.
 
 use std::collections::BTreeMap;
-use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
-use cfinder_core::{AnalysisReport, AppSource, SourceFile};
+use cfinder_core::{load_app, AnalysisReport, AppSource};
 use cfinder_schema::Schema;
 use parking_lot::{Mutex, RwLock};
 
@@ -46,44 +45,14 @@ pub struct Project {
 }
 
 impl Project {
-    /// Loads the project's sources and declared schema from disk.
-    /// Deterministic: files sorted by repository-relative path, exactly
-    /// like the one-shot CLI loader, so a daemon answer is
-    /// byte-comparable to a `cfinder <dir>` run. Every failure is a
-    /// diagnostic string (mapped to `project-unusable` by the daemon).
+    /// Loads the project's sources and declared schema from disk through
+    /// [`cfinder_core::load_app`], the loader of `cfinder <dir>`, so a
+    /// daemon answer is byte-comparable to a one-shot run. Every failure
+    /// is a diagnostic string (mapped to `project-unusable` by the
+    /// daemon).
     pub fn load(&self) -> Result<(AppSource, Schema), String> {
-        let mut files = Vec::new();
-        collect_py_files(&self.dir, &self.dir, &mut files)
-            .map_err(|e| format!("reading {}: {e}", self.dir.display()))?;
-        if files.is_empty() {
-            return Err(format!("no .py files under {}", self.dir.display()));
-        }
-        files.sort_by(|a, b| a.path.cmp(&b.path));
-        let declared = match &self.schema_path {
-            Some(p) => {
-                let text =
-                    fs::read_to_string(p).map_err(|e| format!("reading {}: {e}", p.display()))?;
-                Schema::from_json(&text).map_err(|e| format!("parsing {}: {e}", p.display()))?
-            }
-            None => Schema::new(),
-        };
-        Ok((AppSource::new(self.name.clone(), files), declared))
+        load_app(&self.dir, &self.name, self.schema_path.as_deref())
     }
-}
-
-fn collect_py_files(root: &Path, dir: &Path, out: &mut Vec<SourceFile>) -> std::io::Result<()> {
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let path = entry.path();
-        if path.is_dir() {
-            collect_py_files(root, &path, out)?;
-        } else if path.extension().is_some_and(|e| e == "py") {
-            let text = fs::read_to_string(&path)?;
-            let rel = path.strip_prefix(root).unwrap_or(&path).display().to_string();
-            out.push(SourceFile::new(rel, text));
-        }
-    }
-    Ok(())
 }
 
 /// The tenant table. Registration replaces (a re-register points the
@@ -127,6 +96,7 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
 
     fn tmp(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir()

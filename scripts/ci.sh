@@ -80,15 +80,22 @@ if ! $workspace; then
     # The PA_c1/PA_c2/PA_d1 families must keep the planted per-app counts
     # and the thread-count goldens exact.
     cargo test -q -p cfinder-corpus --test calibration --test metric_goldens
+
+    echo "==> reproduce argument handling"
+    # `cfinder-report` is outside the default test scope, and this suite is
+    # the only check of `reproduce`'s flags; its counts join the log so
+    # the front-door floor sees them.
+    cargo test -p cfinder-report --test reproduce_cli -- --quiet 2>&1 | tee -a "$test_log"
 fi
 
 echo "==> test-count floors"
-floor core 146 cfinder_core proptest_robustness
+floor core 150 cfinder_core proptest_robustness
 floor SQL 48 cfinder_sql roundtrip_proptest sql_faults
 floor pyast 138 cfinder_pyast django_torture proptest_recovery proptest_roundtrip
 floor flow 108 cfinder_flow proptest_interproc interproc_oracle reaching_oracle nullguard_oracle
-floor daemon 23 cfinder_serve serve_soak serve_faults cache_concurrency
+floor daemon 24 cfinder_serve serve_soak serve_faults cache_concurrency
 floor minidb 95 cfinder_minidb plan_golden proptest_integrity query_oracle three_valued_logic
+floor front-door 30 cli explain_golden hostile_env reproduce_cli
 
 echo "==> fault-injection suite with live tracing and metrics"
 # Same seeded corruption, but every analysis records spans and metrics:

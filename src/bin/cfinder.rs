@@ -5,9 +5,17 @@
 //! $ cfinder path/to/app [--schema schema.json] [--schema-sql schema.sql] [--dialect postgres|mysql|sqlite] [--fix-out fixes.sql] [--json] [--timings] [--strict] [--provenance] [--cache-dir DIR] [--no-cache] [--trace-out FILE] [--metrics-out FILE] [--profile-out FILE] [--profile-hz N] [--max-file-bytes N] [--ablate FLAG…]
 //! $ cfinder explain <table[.column]> path/to/app [--schema schema.json]
 //! $ cfinder cache stats|clear <dir>
-//! $ cfinder perf [--out DIR] [--scale quick|paper] [--smoke] [--baseline FILE] [--tolerance PCT]
+//! $ cfinder perf [--out DIR] [--scale quick|paper] [--smoke] [--baseline FILE] [--tolerance PCT] [--profile-hz N]
 //! $ cfinder serve [--workers N] [--queue N] [--max-frame-bytes N] [--cache-dir DIR] [--slow-log FILE] [--slow-ms N] [--profile-hz N]
 //! ```
+//!
+//! Every subcommand reads its arguments through `cfinder::core::usage`:
+//! a flag's value is the next argument and may not start with `--`,
+//! misuse prints `error: <message>` and `usage: <synopsis>` on stderr and
+//! exits 2, and `--help` or `-h` prints the synopsis on stdout and exits
+//! 0. Sources are read by `cfinder::core::load_app`, the loader of the
+//! `serve` daemon, and `explain` answers `AnalysisReport::explain`, the
+//! daemon's query.
 //!
 //! * `--schema FILE` — declared schema as JSON (see
 //!   `cfinder::schema::Schema::to_json`); without it, every inferred
@@ -111,60 +119,50 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use cfinder::core::engine::resolve_threads;
-use cfinder::core::usage::{self, EnvConfig};
-use cfinder::core::{
-    atomic_write, AnalysisCache, AppSource, CFinder, CFinderOptions, Limits, Obs, SourceFile,
-};
+use cfinder::core::usage::{self, Args, EnvConfig};
+use cfinder::core::{atomic_write, load_app, AnalysisCache, CFinder, CFinderOptions, Limits, Obs};
 use cfinder::schema::Schema;
 use cfinder::sql::Dialect;
 
-struct Outcome {
-    missing: usize,
-    incidents: usize,
-    strict: bool,
-}
+/// One synopsis per subcommand: each prints its own on `--help` and
+/// misuse, and `cfinder <dir>` prints them all.
+const ANALYZE_USAGE: &str = "cfinder <dir> [--schema schema.json] [--schema-sql schema.sql] \
+     [--dialect postgres|mysql|sqlite] [--fix-out fixes.sql] [--json] [--timings] [--strict] \
+     [--provenance] [--cache-dir DIR] [--no-cache] [--trace-out FILE] [--metrics-out FILE] \
+     [--profile-out FILE] [--profile-hz N] [--max-file-bytes N] \
+     [--ablate null-guard|data-dep|composite|partial|check|default|interproc]…";
+const EXPLAIN_USAGE: &str = "cfinder explain <table[.column]> <dir> [--schema schema.json]";
+const CACHE_USAGE: &str = "cfinder cache stats|clear <dir>";
+const PERF_USAGE: &str = "cfinder perf [--out DIR] [--scale quick|paper] [--smoke] \
+     [--baseline FILE] [--tolerance PCT] [--profile-hz N]";
+const SERVE_USAGE: &str = "cfinder serve [--workers N] [--queue N] [--max-frame-bytes N] \
+     [--cache-dir DIR] [--slow-log FILE] [--slow-ms N] [--profile-hz N]";
 
-const USAGE: &str = "usage: cfinder <dir> [--schema schema.json] [--schema-sql schema.sql] [--dialect postgres|mysql|sqlite] [--fix-out fixes.sql] [--json] [--timings] [--strict] [--provenance] [--cache-dir DIR] [--no-cache] [--trace-out FILE] [--metrics-out FILE] [--profile-out FILE] [--profile-hz N] [--max-file-bytes N] [--ablate null-guard|data-dep|composite|partial|check|default|interproc]…\n       cfinder explain <table[.column]> <dir> [--schema schema.json]\n       cfinder cache stats|clear <dir>\n       cfinder perf [--out DIR] [--scale quick|paper] [--smoke] [--baseline FILE] [--tolerance PCT]\n       cfinder serve [--workers N] [--queue N] [--max-frame-bytes N] [--cache-dir DIR] [--slow-log FILE] [--slow-ms N] [--profile-hz N]";
+/// A subcommand's body: its arguments in, its exit status or a usage
+/// error out.
+type Subcommand = fn(&mut Args, &EnvConfig) -> Result<u8, String>;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let env = usage::parse_env(std::env::vars_os());
-    match run(&args, &env) {
-        Ok(outcome) => {
-            if outcome.strict && outcome.incidents > 0 {
-                ExitCode::from(3)
-            } else if outcome.missing == 0 {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(1)
-            }
-        }
-        Err(msg) => {
-            eprintln!("cfinder: {msg}");
-            eprintln!("{USAGE}");
-            ExitCode::from(2)
-        }
-    }
+    let all =
+        [ANALYZE_USAGE, EXPLAIN_USAGE, CACHE_USAGE, PERF_USAGE, SERVE_USAGE].join("\n       ");
+    let (rest, synopsis, body): (&[String], &str, Subcommand) =
+        match args.first().map(String::as_str) {
+            Some("explain") => (&args[1..], EXPLAIN_USAGE, run_explain),
+            Some("cache") => (&args[1..], CACHE_USAGE, run_cache),
+            Some("perf") => (&args[1..], PERF_USAGE, run_perf),
+            Some("serve") => (&args[1..], SERVE_USAGE, run_serve),
+            _ => (&args, &all, run_analyze),
+        };
+    usage::run_command(rest, synopsis, |cli| body(cli, &env))
 }
 
-fn run(args: &[String], env: &EnvConfig) -> Result<Outcome, String> {
-    if args.first().is_some_and(|a| a == "explain") {
-        return run_explain(&args[1..], env);
-    }
-    if args.first().is_some_and(|a| a == "cache") {
-        return run_cache(&args[1..]);
-    }
-    if args.first().is_some_and(|a| a == "serve") {
-        // `serve` never returns through the usage-error path below: like
-        // `reproduce`, it reports misuse via the shared
-        // `cfinder::core::usage` format and exits 2 itself.
-        return Ok(run_serve(&args[1..], env));
-    }
-    if args.first().is_some_and(|a| a == "perf") {
-        // Same contract as `serve`: misuse exits 2 via the shared path.
-        return Ok(run_perf(&args[1..], env));
-    }
-    let mut dir: Option<PathBuf> = None;
+/// `cfinder <dir>`: analyze the app and report its missing constraints.
+/// Exit 0 when none are missing, 1 when some are, and 3 under `--strict`
+/// when incidents degraded the analysis.
+fn run_analyze(cli: &mut Args, env: &EnvConfig) -> Result<u8, String> {
+    let mut dir: Option<&Path> = None;
     let mut schema_path: Option<PathBuf> = None;
     let mut schema_sql_path: Option<PathBuf> = None;
     let mut dialect = Dialect::Postgres;
@@ -182,75 +180,32 @@ fn run(args: &[String], env: &EnvConfig) -> Result<Outcome, String> {
     let mut options = CFinderOptions::default();
     let mut limits = env.limits;
 
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--schema" => {
-                let v = it.next().ok_or("--schema requires a file argument")?;
-                schema_path = Some(PathBuf::from(v));
-            }
-            "--schema-sql" => {
-                let v = it.next().ok_or("--schema-sql requires a file argument")?;
-                schema_sql_path = Some(PathBuf::from(v));
-            }
-            "--dialect" => {
-                let v = it.next().ok_or("--dialect requires a dialect argument")?;
-                dialect = v.parse::<Dialect>()?;
-            }
-            "--fix-out" => {
-                let v = it.next().ok_or("--fix-out requires a file argument")?;
-                fix_out = Some(PathBuf::from(v));
-            }
+    while let Some(arg) = cli.token() {
+        match arg {
+            "--schema" => schema_path = Some(cli.path(arg, "a file")?),
+            "--schema-sql" => schema_sql_path = Some(cli.path(arg, "a file")?),
+            "--dialect" => dialect = cli.value(arg, "postgres|mysql|sqlite")?.parse()?,
+            "--fix-out" => fix_out = Some(cli.path(arg, "a file")?),
             "--json" => json = true,
             "--timings" => timings = true,
             "--strict" => strict = true,
             "--provenance" => provenance = true,
-            "--cache-dir" => {
-                let v = it.next().ok_or("--cache-dir requires a directory argument")?;
-                cache_dir = Some(PathBuf::from(v));
-            }
+            "--cache-dir" => cache_dir = Some(cli.path(arg, "a directory")?),
             "--no-cache" => no_cache = true,
-            "--trace-out" => {
-                let v = it.next().ok_or("--trace-out requires a file argument")?;
-                trace_out = Some(PathBuf::from(v));
-            }
-            "--metrics-out" => {
-                let v = it.next().ok_or("--metrics-out requires a file argument")?;
-                metrics_out = Some(PathBuf::from(v));
-            }
-            "--profile-out" => {
-                let v = it.next().ok_or("--profile-out requires a file argument")?;
-                profile_out = Some(PathBuf::from(v));
-            }
-            "--profile-hz" => {
-                let v = it.next().ok_or("--profile-hz requires a rate argument")?;
-                profile_hz = v
-                    .trim()
-                    .parse::<u32>()
-                    .ok()
-                    .filter(|n| *n > 0)
-                    .ok_or_else(|| format!("invalid --profile-hz value `{v}`"))?;
-            }
+            "--trace-out" => trace_out = Some(cli.path(arg, "a file")?),
+            "--metrics-out" => metrics_out = Some(cli.path(arg, "a file")?),
+            "--profile-out" => profile_out = Some(cli.path(arg, "a file")?),
+            "--profile-hz" => profile_hz = cli.positive(arg)?,
             "--max-file-bytes" => {
-                let v = it.next().ok_or("--max-file-bytes requires a byte-count argument")?;
-                limits.max_file_bytes = v
-                    .trim()
-                    .parse::<usize>()
-                    .map_err(|_| format!("invalid --max-file-bytes value `{v}`"))?;
+                limits.max_file_bytes = cli.number(arg, "a byte count", |_| true)?
             }
-            "--ablate" => {
-                let v = it.next().ok_or("--ablate requires a flag argument")?;
-                options.ablate(v)?;
-            }
-            "--help" | "-h" => return Err("help requested".to_string()),
-            other if dir.is_none() && !other.starts_with('-') => {
-                dir = Some(PathBuf::from(other));
-            }
-            other => return Err(format!("unexpected argument `{other}`")),
+            "--ablate" => options.ablate(cli.value(arg, "a feature")?)?,
+            other if dir.is_none() && !other.starts_with('-') => dir = Some(Path::new(other)),
+            other => return Err(usage::unknown(other)),
         }
     }
     let dir = dir.ok_or("missing source directory argument")?;
-    let (app, mut declared) = load_app(&dir, schema_path.as_deref())?;
+    let (app, mut declared) = load_app(dir, app_name(dir), schema_path.as_deref())?;
     if let Some(sql_path) = &schema_sql_path {
         merge_sql_schema(&mut declared, sql_path)?;
     }
@@ -488,88 +443,65 @@ fn run(args: &[String], env: &EnvConfig) -> Result<Outcome, String> {
             );
         }
     }
-    Ok(Outcome { missing: report.missing.len(), incidents: report.incidents.len(), strict })
+    Ok(if strict && !report.incidents.is_empty() {
+        3
+    } else {
+        u8::from(!report.missing.is_empty())
+    })
 }
 
 /// `cfinder explain <table[.column]> <dir> [--schema FILE]`: print the
-/// provenance chain of every inferred constraint on the target.
-fn run_explain(args: &[String], env: &EnvConfig) -> Result<Outcome, String> {
-    let mut target: Option<String> = None;
-    let mut dir: Option<PathBuf> = None;
-    let mut schema_path: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--schema" => {
-                let v = it.next().ok_or("--schema requires a file argument")?;
-                schema_path = Some(PathBuf::from(v));
-            }
-            other if !other.starts_with('-') && target.is_none() => {
-                target = Some(other.to_string());
-            }
-            other if !other.starts_with('-') && dir.is_none() => {
-                dir = Some(PathBuf::from(other));
-            }
-            other => return Err(format!("unexpected argument `{other}`")),
+/// provenance chain of every inferred constraint on the target. Exit 0
+/// when one was explained, 1 when none matched.
+fn run_explain(cli: &mut Args, env: &EnvConfig) -> Result<u8, String> {
+    let (mut target, mut dir, mut schema_path) = (None, None, None);
+    while let Some(arg) = cli.token() {
+        match arg {
+            "--schema" => schema_path = Some(cli.path(arg, "a file")?),
+            other if !other.starts_with('-') && target.is_none() => target = Some(other),
+            other if !other.starts_with('-') && dir.is_none() => dir = Some(Path::new(other)),
+            other => return Err(usage::unknown(other)),
         }
     }
     let target = target.ok_or("explain requires a <table[.column]> argument")?;
     let dir = dir.ok_or("missing source directory argument")?;
-    let (table, column) = match target.split_once('.') {
-        Some((t, c)) => (t.to_string(), Some(c.to_string())),
-        None => (target.clone(), None),
-    };
-
-    let (app, declared) = load_app(&dir, schema_path.as_deref())?;
+    let (app, declared) = load_app(dir, app_name(dir), schema_path.as_deref())?;
     let report = CFinder::new()
         .with_limits(env.limits)
         .with_threads(resolve_threads(env.threads))
         .analyze(&app, &declared);
 
-    let matches_target = |c: &cfinder::schema::Constraint| {
-        c.table() == table && column.as_deref().is_none_or(|col| c.columns().contains(&col))
-    };
-
-    let mut explained = 0usize;
-    for m in &report.missing {
-        if !matches_target(&m.constraint) {
-            continue;
+    let explained = report.explain(target);
+    for e in &explained {
+        let status = if e.declared {
+            "already declared; detections agree"
+        } else {
+            "missing from declared schema"
+        };
+        println!("{}   [{status}]", e.constraint);
+        for p in &e.chains {
+            println!("  {}: {}", p.pattern, p.rule);
+            let first_line = p.snippet.lines().next().unwrap_or("").trim();
+            // An interprocedural detection carries an extra hop: the rule
+            // fired inside a helper, and the constraint is credited to the
+            // call site.
+            if let Some(via) = &p.via {
+                println!("    via helper `{}` defined at {}:{}", via.helper, via.file, via.line);
+                println!("    call site at {}:{}: {first_line}", p.file, p.line);
+            } else {
+                println!("    at {}:{}: {first_line}", p.file, p.line);
+            }
         }
-        explained += 1;
-        println!("{}   [missing from declared schema]", m.constraint);
-        print_chains(&m.provenance());
-        println!("  fix: {}\n", m.constraint.ddl());
-    }
-    for constraint in report.existing_covered.iter() {
-        if !matches_target(constraint) {
-            continue;
+        if !e.declared {
+            println!("  fix: {}", e.constraint.ddl());
         }
-        explained += 1;
-        println!("{constraint}   [already declared; detections agree]");
-        let chains: Vec<cfinder::core::Provenance> = report
-            .detections
-            .iter()
-            .filter(|d| &d.constraint == constraint)
-            .map(|d| d.provenance())
-            .collect();
-        print_chains(&chains);
         println!();
     }
-    if explained == 0 {
+    if explained.is_empty() {
         println!("no inferred constraint on `{target}` (analyzed {} files)", app.files.len());
     }
-    Ok(Outcome { missing: usize::from(explained == 0), incidents: 0, strict: false })
+    Ok(u8::from(explained.is_empty()))
 }
-
-/// One-line synopsis of the `serve` subcommand, for the shared
-/// usage-error path.
-const SERVE_USAGE: &str = "cfinder serve [--workers N] [--queue N] [--max-frame-bytes N] \
-     [--cache-dir DIR] [--slow-log FILE] [--slow-ms N] [--profile-hz N]";
-
-/// One-line synopsis of the `perf` subcommand, for the shared
-/// usage-error path.
-const PERF_USAGE: &str = "cfinder perf [--out DIR] [--scale quick|paper] [--smoke] \
-     [--baseline FILE] [--tolerance PCT] [--profile-hz N]";
 
 /// `cfinder perf`: run the two-round (cold + warm) benchmark over the
 /// generated corpus with the sampling profiler attached, plus the
@@ -579,56 +511,35 @@ const PERF_USAGE: &str = "cfinder perf [--out DIR] [--scale quick|paper] [--smok
 /// fails or — when `--baseline` names a previous data point — if
 /// throughput regressed against it. `--smoke` forces quick scale; it
 /// exists so CI can state its intent.
-fn run_perf(args: &[String], env: &EnvConfig) -> Outcome {
+fn run_perf(cli: &mut Args, env: &EnvConfig) -> Result<u8, String> {
     use cfinder::report::perf;
 
-    let usage_error = |msg: &str| -> ! { usage::usage_error(msg, PERF_USAGE) };
     let mut out_dir = PathBuf::from("bench");
-    let mut scale = "quick".to_string();
+    let mut scale = "quick";
     let mut smoke = false;
     let mut baseline: Option<PathBuf> = None;
     let mut tolerance = 10.0f64;
     let mut profile_hz = cfinder::obs::profile::DEFAULT_HZ;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str, kind: &str| -> String {
-            match it.next() {
-                Some(v) if !v.starts_with("--") => v.clone(),
-                Some(flag2) => usage_error(&format!("{flag} expects {kind}, found flag `{flag2}`")),
-                None => usage_error(&format!("{flag} expects {kind}")),
-            }
-        };
-        match arg.as_str() {
-            "--out" => out_dir = PathBuf::from(value("--out", "a directory")),
+    while let Some(arg) = cli.token() {
+        match arg {
+            "--out" => out_dir = cli.path(arg, "a directory")?,
             "--scale" => {
-                scale = value("--scale", "quick|paper");
-                if scale != "quick" && scale != "paper" {
-                    usage_error(&format!("--scale expects quick|paper, found `{scale}`"));
+                scale = match cli.value(arg, "quick|paper")? {
+                    s @ ("quick" | "paper") => s,
+                    other => return Err(format!("--scale expects quick|paper, found `{other}`")),
                 }
             }
             "--smoke" => smoke = true,
-            "--baseline" => baseline = Some(PathBuf::from(value("--baseline", "a file"))),
+            "--baseline" => baseline = Some(cli.path(arg, "a file")?),
             "--tolerance" => {
-                let v = value("--tolerance", "a percentage");
-                tolerance = v
-                    .trim()
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|t| (0.0..100.0).contains(t))
-                    .unwrap_or_else(|| usage_error(&format!("invalid --tolerance value `{v}`")));
+                tolerance = cli.number(arg, "a percentage", |t: &f64| (0.0..100.0).contains(t))?;
             }
-            "--profile-hz" => {
-                let v = value("--profile-hz", "a positive integer");
-                profile_hz =
-                    v.trim().parse::<u32>().ok().filter(|n| *n > 0).unwrap_or_else(|| {
-                        usage_error(&format!("invalid --profile-hz value `{v}`"))
-                    });
-            }
-            other => usage_error(&format!("unknown argument `{other}`")),
+            "--profile-hz" => profile_hz = cli.positive(arg)?,
+            other => return Err(usage::unknown(other)),
         }
     }
     if smoke {
-        scale = "quick".to_string();
+        scale = "quick";
     }
     let options = if scale == "paper" {
         cfinder::corpus::GenOptions::paper()
@@ -642,7 +553,7 @@ fn run_perf(args: &[String], env: &EnvConfig) -> Outcome {
     let _ = fs::remove_dir_all(&cache_dir);
     if let Err(e) = fs::create_dir_all(&cache_dir) {
         eprintln!("perf: cannot create scratch cache {}: {e}", cache_dir.display());
-        return Outcome { missing: 1, incidents: 0, strict: false };
+        return Ok(1);
     }
     let unix_seconds = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -655,19 +566,19 @@ fn run_perf(args: &[String], env: &EnvConfig) -> Outcome {
         cfinder::report::QueryBenchOptions::quick()
     };
     eprintln!("perf: benchmarking 8 apps at {scale} scale (profiler at {profile_hz} Hz)…");
-    let doc = match perf::run_benchmark(options, &scale, profile_hz, &cache_dir, &stamp, query_opts)
+    let doc = match perf::run_benchmark(options, scale, profile_hz, &cache_dir, &stamp, query_opts)
     {
         Ok(doc) => doc,
         Err(e) => {
             let _ = fs::remove_dir_all(&cache_dir);
             eprintln!("perf: benchmark failed: {e}");
-            return Outcome { missing: 1, incidents: 0, strict: false };
+            return Ok(1);
         }
     };
     let _ = fs::remove_dir_all(&cache_dir);
     if let Err(e) = perf::validate_bench(&doc) {
         eprintln!("perf: emitted document failed schema validation: {e}");
-        return Outcome { missing: 1, incidents: 0, strict: false };
+        return Ok(1);
     }
 
     let text = serde_json::to_string_pretty(&doc).expect("BENCH serialization") + "\n";
@@ -676,7 +587,7 @@ fn run_perf(args: &[String], env: &EnvConfig) -> Outcome {
         .and_then(|()| atomic_write(&path, text.as_bytes(), env.atomic_fault))
     {
         eprintln!("perf: cannot write {}: {e}", path.display());
-        return Outcome { missing: 1, incidents: 0, strict: false };
+        return Ok(1);
     }
     let num = |key: &str| doc.get(key).and_then(|v| v.as_f64()).unwrap_or(0.0);
     eprintln!(
@@ -711,7 +622,7 @@ fn run_perf(args: &[String], env: &EnvConfig) -> Outcome {
     let failed = gates.iter().filter(|g| !g.passed()).count();
     if failed > 0 {
         eprintln!("perf: {failed} of {} gates FAILED", gates.len());
-        return Outcome { missing: 1, incidents: 0, strict: false };
+        return Ok(1);
     }
     if smoke {
         eprintln!("perf: smoke ok (schema v{} document validated)", perf::BENCH_SCHEMA_VERSION);
@@ -722,80 +633,44 @@ fn run_perf(args: &[String], env: &EnvConfig) -> Outcome {
             fs::read_to_string(&baseline_path).map_err(|e| e.to_string()).and_then(|text| {
                 serde_json::from_str::<serde_json::Value>(&text).map_err(|e| e.to_string())
             });
-        let baseline_doc = match baseline_doc {
-            Ok(doc) => doc,
-            Err(e) => {
-                usage_error(&format!("unreadable --baseline {}: {e}", baseline_path.display()))
-            }
-        };
+        let baseline_doc = baseline_doc
+            .map_err(|e| format!("unreadable --baseline {}: {e}", baseline_path.display()))?;
         match perf::regression_gate(&doc, &baseline_doc, tolerance) {
             Ok(verdict) => eprintln!("perf: gate passed: {verdict}"),
             Err(verdict) => {
                 eprintln!("perf: gate FAILED: {verdict}");
-                return Outcome { missing: 1, incidents: 0, strict: false };
+                return Ok(1);
             }
         }
     }
-    Outcome { missing: 0, incidents: 0, strict: false }
+    Ok(0)
 }
 
-/// `cfinder serve [--workers N] [--queue N] [--max-frame-bytes N]
-/// [--cache-dir DIR]`: run the multi-tenant analysis daemon over
+/// `cfinder serve`: run the multi-tenant analysis daemon over
 /// stdin/stdout until EOF or a `shutdown` frame.
-///
-/// Misuse (unknown flags, bad values, an unusable `--cache-dir`) exits 2
-/// through the same typed `error:`/`usage:` format as `reproduce` —
-/// every CFinder binary surface shares `cfinder::core::usage`.
-fn run_serve(args: &[String], env: &EnvConfig) -> Outcome {
-    let usage_error = |msg: &str| -> ! { usage::usage_error(msg, SERVE_USAGE) };
+fn run_serve(cli: &mut Args, env: &EnvConfig) -> Result<u8, String> {
     let mut config = cfinder::serve::ServeConfig {
         cache_dir: env.cache_dir.clone(),
         faults_enabled: env.serve_faults,
         ..cfinder::serve::ServeConfig::default()
     };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut numeric = |flag: &str| -> usize {
-            match it.next() {
-                Some(v) => v
-                    .trim()
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|n| *n > 0)
-                    .unwrap_or_else(|| usage_error(&format!("invalid {flag} value `{v}`"))),
-                None => usage_error(&format!("{flag} expects a positive integer")),
-            }
-        };
-        match arg.as_str() {
-            "--workers" => config.workers = numeric("--workers"),
-            "--queue" => config.queue_capacity = numeric("--queue"),
-            "--max-frame-bytes" => config.max_frame_bytes = numeric("--max-frame-bytes"),
-            "--cache-dir" => match it.next() {
-                Some(v) if !v.starts_with("--") => config.cache_dir = Some(PathBuf::from(v)),
-                Some(flag) => {
-                    usage_error(&format!("--cache-dir expects a directory, found flag `{flag}`"))
-                }
-                None => usage_error("--cache-dir expects a directory"),
-            },
-            "--slow-log" => match it.next() {
-                Some(v) if !v.starts_with("--") => config.slow_log = Some(PathBuf::from(v)),
-                Some(flag) => {
-                    usage_error(&format!("--slow-log expects a file, found flag `{flag}`"))
-                }
-                None => usage_error("--slow-log expects a file"),
-            },
-            "--slow-ms" => config.slow_threshold_ms = numeric("--slow-ms") as u64,
-            "--profile-hz" => config.profile_hz = Some(numeric("--profile-hz") as u32),
-            other => usage_error(&format!("unknown argument `{other}`")),
+    while let Some(arg) = cli.token() {
+        match arg {
+            "--workers" => config.workers = cli.positive(arg)?,
+            "--queue" => config.queue_capacity = cli.positive(arg)?,
+            "--max-frame-bytes" => config.max_frame_bytes = cli.positive(arg)?,
+            "--cache-dir" => config.cache_dir = Some(cli.path(arg, "a directory")?),
+            "--slow-log" => config.slow_log = Some(cli.path(arg, "a file")?),
+            "--slow-ms" => config.slow_threshold_ms = cli.positive(arg)?,
+            "--profile-hz" => config.profile_hz = Some(cli.positive(arg)?),
+            other => return Err(usage::unknown(other)),
         }
     }
-    // Probe the cache directory up front: an unusable path is a typed
-    // usage error before the daemon accepts a single frame, exactly like
-    // `reproduce --cache-dir`.
+    // Probe the cache directory up front: an unusable path is a usage
+    // error before the daemon accepts a single frame.
     if let Some(dir) = &config.cache_dir {
-        if let Err(e) = AnalysisCache::open(dir, &CFinderOptions::default(), &Limits::default()) {
-            usage_error(&e.to_string());
-        }
+        AnalysisCache::open(dir, &CFinderOptions::default(), &Limits::default())
+            .map_err(|e| e.to_string())?;
     }
 
     let stdin = std::io::stdin();
@@ -805,25 +680,23 @@ fn run_serve(args: &[String], env: &EnvConfig) -> Outcome {
                 "serve: drained after {} request(s), {} error frame(s), {} overload rejection(s)",
                 summary.requests, summary.errors, summary.rejected
             );
-            Outcome { missing: 0, incidents: 0, strict: false }
+            Ok(0)
         }
         Err(e) => {
+            // An unreadable stdin is an I/O failure, not misuse: the
+            // daemon drained what it could, and exits 1.
             eprintln!("serve: input failed: {e}");
-            // An unreadable stdin is an I/O failure, not misuse; exit 0
-            // is wrong and 2 is reserved for usage — the daemon drained
-            // what it could, so report it as an incident under strict
-            // semantics (exit 3 is not used by serve; plain exit 1).
-            Outcome { missing: 1, incidents: 0, strict: false }
+            Ok(1)
         }
     }
 }
 
 /// `cfinder cache stats|clear <dir>`: inspect or reset a cache directory.
-fn run_cache(args: &[String]) -> Result<Outcome, String> {
-    let (action, dir) = match args {
-        [action, dir] => (action.as_str(), Path::new(dir)),
-        _ => return Err("cache requires an action (stats|clear) and a directory".to_string()),
+fn run_cache(cli: &mut Args, _: &EnvConfig) -> Result<u8, String> {
+    let (Some(action), Some(dir), None) = (cli.token(), cli.token(), cli.token()) else {
+        return Err("cache requires an action (stats|clear) and a directory".to_string());
     };
+    let dir = Path::new(dir);
     match action {
         "stats" => {
             let stats = AnalysisCache::stats(dir).map_err(|e| e.to_string())?;
@@ -835,7 +708,7 @@ fn run_cache(args: &[String]) -> Result<Outcome, String> {
         }
         other => return Err(format!("unknown cache action `{other}` (expected stats or clear)")),
     }
-    Ok(Outcome { missing: 0, incidents: 0, strict: false })
+    Ok(0)
 }
 
 fn plural_y(n: usize) -> &'static str {
@@ -846,20 +719,9 @@ fn plural_y(n: usize) -> &'static str {
     }
 }
 
-fn print_chains(chains: &[cfinder::core::Provenance]) {
-    for p in chains {
-        println!("  {}: {}", p.pattern, p.rule);
-        // An interprocedural detection carries an extra hop: the rule fired
-        // inside a helper, and the constraint is credited to the call site.
-        if let Some(via) = &p.via {
-            println!("    via helper `{}` defined at {}:{}", via.helper, via.file, via.line);
-            let first_line = p.snippet.lines().next().unwrap_or("").trim();
-            println!("    call site at {}:{}: {first_line}", p.file, p.line);
-        } else {
-            let first_line = p.snippet.lines().next().unwrap_or("").trim();
-            println!("    at {}:{}: {first_line}", p.file, p.line);
-        }
-    }
+/// The app name of a source directory: its last component.
+fn app_name(dir: &Path) -> &str {
+    dir.file_name().and_then(|n| n.to_str()).unwrap_or("app")
 }
 
 /// Reads and parses a `schema.sql` dump, merging its tables and
@@ -896,44 +758,6 @@ fn merge_sql_schema(declared: &mut Schema, path: &Path) -> Result<(), String> {
                 pc.line,
                 pc.constraint
             );
-        }
-    }
-    Ok(())
-}
-
-/// Collects the app's `.py` files (deterministic order) and loads the
-/// declared schema.
-fn load_app(dir: &Path, schema_path: Option<&Path>) -> Result<(AppSource, Schema), String> {
-    let mut files = Vec::new();
-    collect_py_files(dir, dir, &mut files)
-        .map_err(|e| format!("reading {}: {e}", dir.display()))?;
-    if files.is_empty() {
-        return Err(format!("no .py files under {}", dir.display()));
-    }
-    files.sort_by(|a, b| a.path.cmp(&b.path));
-
-    let declared = match schema_path {
-        Some(p) => {
-            let text =
-                fs::read_to_string(p).map_err(|e| format!("reading {}: {e}", p.display()))?;
-            Schema::from_json(&text).map_err(|e| format!("parsing {}: {e}", p.display()))?
-        }
-        None => Schema::new(),
-    };
-    let name = dir.file_name().and_then(|n| n.to_str()).unwrap_or("app").to_string();
-    Ok((AppSource::new(name, files), declared))
-}
-
-fn collect_py_files(root: &Path, dir: &Path, out: &mut Vec<SourceFile>) -> std::io::Result<()> {
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let path = entry.path();
-        if path.is_dir() {
-            collect_py_files(root, &path, out)?;
-        } else if path.extension().is_some_and(|e| e == "py") {
-            let text = fs::read_to_string(&path)?;
-            let rel = path.strip_prefix(root).unwrap_or(&path).display().to_string();
-            out.push(SourceFile::new(rel, text));
         }
     }
     Ok(())

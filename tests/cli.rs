@@ -1,7 +1,7 @@
 //! Integration tests for the `cfinder` CLI binary.
 
 use std::fs;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn write_demo(dir: &std::path::Path) {
     fs::create_dir_all(dir.join("app")).unwrap();
@@ -466,4 +466,108 @@ fn cli_analyzes_an_exported_corpus_app() {
     // Wagtail's Table 4 row (10), its CHECK/DEFAULT extension sites (2),
     // and its helper-wrapped sites (2) — the CLI default has summaries on.
     assert_eq!(v["missing"].as_array().unwrap().len(), 14);
+}
+
+/// Every flag that takes a value refuses a missing value and a value that
+/// is itself a flag: exit 2, `error:` naming the flag, then `usage:` with
+/// the subcommand's synopsis, and no file named after the next flag.
+#[test]
+fn value_flags_never_swallow_the_next_flag() {
+    let dir = temp_dir("value-flags");
+    write_demo(&dir);
+    let app = dir.join("app").display().to_string();
+    let cases: [(&[&str], &str, &[&str]); 4] = [
+        (
+            &[app.as_str()],
+            "usage: cfinder <dir> ",
+            &[
+                "--schema",
+                "--schema-sql",
+                "--dialect",
+                "--fix-out",
+                "--trace-out",
+                "--metrics-out",
+                "--profile-out",
+                "--cache-dir",
+                "--profile-hz",
+                "--max-file-bytes",
+                "--ablate",
+            ],
+        ),
+        (&["explain", "Voucher.code", app.as_str()], "usage: cfinder explain ", &["--schema"]),
+        (
+            &["perf"],
+            "usage: cfinder perf ",
+            &["--out", "--scale", "--baseline", "--tolerance", "--profile-hz"],
+        ),
+        (
+            &["serve"],
+            "usage: cfinder serve ",
+            &[
+                "--workers",
+                "--queue",
+                "--max-frame-bytes",
+                "--cache-dir",
+                "--slow-log",
+                "--slow-ms",
+                "--profile-hz",
+            ],
+        ),
+    ];
+    for (command, synopsis, flags) in cases {
+        for flag in flags {
+            for tail in [&[*flag, "--json"][..], &[*flag][..]] {
+                let out = Command::new(env!("CARGO_BIN_EXE_cfinder"))
+                    .current_dir(&dir)
+                    .args(command)
+                    .args(tail)
+                    .stdin(Stdio::null())
+                    .output()
+                    .expect("binary runs");
+                assert_eq!(out.status.code(), Some(2), "{command:?} {tail:?}: {out:?}");
+                let stderr = String::from_utf8_lossy(&out.stderr);
+                let mut lines = stderr.lines();
+                assert!(
+                    lines.next().is_some_and(|l| l.starts_with(&format!("error: {flag} expects "))),
+                    "{command:?} {tail:?}: {stderr}"
+                );
+                assert!(
+                    lines.next().is_some_and(|l| l.starts_with(synopsis)),
+                    "{command:?} {tail:?}: {stderr}"
+                );
+                assert!(!dir.join("--json").exists(), "{command:?} {tail:?} wrote `--json`");
+            }
+        }
+    }
+}
+
+/// `--help` and `-h` print the subcommand's synopsis on stdout and exit 0;
+/// the top-level help lists every subcommand's synopsis unchanged.
+#[test]
+fn help_prints_each_synopsis_and_exits_zero() {
+    let help = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_cfinder"))
+            .args(args)
+            .stdin(Stdio::null())
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {out:?}");
+        assert!(out.stderr.is_empty(), "{args:?}: {out:?}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let top = help(&["--help"]);
+    assert_eq!(help(&["-h"]), top);
+    assert!(top.starts_with("usage: cfinder <dir> "), "{top}");
+    for sub in ["explain", "cache", "perf", "serve"] {
+        for flag in ["--help", "-h"] {
+            let text = help(&[sub, flag]);
+            let synopsis = text
+                .strip_prefix("usage: ")
+                .and_then(|t| t.strip_suffix('\n'))
+                .unwrap_or_else(|| panic!("{sub} {flag}: {text}"));
+            assert!(synopsis.starts_with(&format!("cfinder {sub} ")), "{sub} {flag}: {text}");
+            assert!(top.lines().any(|l| l.trim_start() == synopsis), "{sub}: {top}");
+        }
+    }
+    assert!(help(&["perf", "--help"]).contains("[--profile-hz N]"));
 }

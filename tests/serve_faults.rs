@@ -1,7 +1,8 @@
 //! The daemon fault-frame suite: every typed error code is reachable,
 //! every failure is request-scoped, both binary surfaces share one
-//! usage-error format, and an `analyze` frame's `ablate` and
-//! `file_deadline_ms` select the configuration they name.
+//! usage-error format, an `analyze` frame's `ablate` and
+//! `file_deadline_ms` select the configuration they name, and `explain`
+//! answers the same query as `cfinder explain`.
 //!
 //! The fault tests run the daemon with `CFINDER_SERVE_FAULTS=1` so
 //! `analyze` frames can carry `"fault": "panic"` / `"fault": "sleep:<ms>"`
@@ -14,8 +15,9 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use cfinder::core::{AppSource, CFinder, CFinderOptions, SourceFile};
+use cfinder::core::{load_app, AppSource, CFinder, CFinderOptions, SourceFile};
 use cfinder::corpus::{all_profiles, generate, GenOptions, GeneratedApp};
+use cfinder::schema::{Column, ColumnType, Constraint, Schema, Table};
 use serde_json::Value;
 use support::{err_code, ok_result, Client, Daemon};
 
@@ -331,6 +333,101 @@ fn file_deadline_ms_selects_a_cache_shard_and_zero_means_none() {
     }
     assert!(answers.iter().all(|a| *a == answers[0]), "the deadline changed an answer");
     assert_eq!(answers[0], in_process(&app, CFinderOptions::default()));
+
+    assert!(daemon.finish().success());
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// The daemon's `explain` serializes [`cfinder::core::AnalysisReport::explain`],
+/// the query `cfinder explain` prints: the same constraints in the same
+/// order, the same chains, and a `fix` on missing constraints only.
+#[test]
+fn explain_frames_answer_the_report_query_like_the_cli() {
+    let root = temp_dir("explain");
+    let proj = root.join("proj");
+    fs::create_dir_all(&proj).unwrap();
+    // Coupon.code is missing a unique constraint; Coupon.serial's is declared.
+    fs::write(
+        proj.join("models.py"),
+        format!("{PROJECT_SRC}\n\ndef lookup(serial):\n    return Coupon.objects.get(serial=serial)\n")
+            .replace(
+                "    code = models.CharField(max_length=32)\n",
+                "    code = models.CharField(max_length=32)\n    serial = models.CharField(max_length=32)\n",
+            ),
+    )
+    .unwrap();
+    let mut schema = Schema::new();
+    schema.add_table(
+        Table::new("Coupon")
+            .with_column(Column::new("code", ColumnType::VarChar(32)))
+            .with_column(Column::new("serial", ColumnType::VarChar(32))),
+    );
+    schema.add_constraint(Constraint::unique("Coupon", ["serial"])).unwrap();
+    let schema_path = root.join("schema.json");
+    fs::write(&schema_path, schema.to_json()).unwrap();
+    let (app, declared) = load_app(&proj, "p", Some(&schema_path)).unwrap();
+    let report = CFinder::new().analyze(&app, &declared);
+
+    let mut daemon = Daemon::spawn(&["--workers", "1"], 0, false);
+    let main = daemon.main_client();
+    ok_result(&main.call(
+        "reg",
+        &format!(
+            r#""cmd":"register","project":"p","dir":"{}","schema":"{}""#,
+            proj.display(),
+            schema_path.display()
+        ),
+    ));
+    for (target, statuses) in
+        [("Coupon.code", &["missing"][..]), ("Coupon", &["missing", "declared"][..])]
+    {
+        let expected = report.explain(target);
+        let resp =
+            main.call(target, &format!(r#""cmd":"explain","project":"p","target":"{target}""#));
+        let result = ok_result(&resp);
+        assert_eq!(result.get("target").and_then(Value::as_str), Some(target));
+        let entries = result.get("explained").and_then(Value::as_seq).expect("explained entries");
+        let status = |e: &Value| e.get("status").and_then(Value::as_str).map(str::to_string);
+        let got: Vec<Option<String>> = entries.iter().map(status).collect();
+        let want: Vec<Option<String>> = statuses.iter().map(|s| Some(s.to_string())).collect();
+        assert_eq!(got, want, "{target}");
+        assert_eq!(entries.len(), expected.len(), "{target}");
+        for (entry, e) in entries.iter().zip(&expected) {
+            let text =
+                |v: &Value, key: &str| v.get(key).and_then(Value::as_str).map(str::to_string);
+            assert_eq!(text(entry, "constraint"), Some(e.constraint.to_string()), "{target}");
+            assert_eq!(status(entry).as_deref() == Some("declared"), e.declared, "{target}");
+            assert_eq!(text(entry, "fix"), (!e.declared).then(|| e.constraint.ddl()), "{target}");
+            let chains = entry.get("chains").and_then(Value::as_seq).expect("chains");
+            assert_eq!(chains.len(), e.chains.len(), "{target}");
+            assert!(!chains.is_empty(), "{target}");
+            for (chain, p) in chains.iter().zip(&e.chains) {
+                assert_eq!(text(chain, "pattern"), Some(p.pattern.clone()), "{target}");
+                assert_eq!(text(chain, "rule"), Some(p.rule.clone()), "{target}");
+                assert_eq!(text(chain, "file"), Some(p.file.clone()), "{target}");
+                assert_eq!(chain.get("line").and_then(Value::as_u64), Some(u64::from(p.line)));
+            }
+        }
+
+        let out = Command::new(env!("CARGO_BIN_EXE_cfinder"))
+            .args(["explain", target])
+            .arg(&proj)
+            .arg("--schema")
+            .arg(&schema_path)
+            .output()
+            .expect("run cfinder explain");
+        assert_eq!(out.status.code(), Some(0), "{target}: {out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let printed: Vec<&str> = stdout
+            .lines()
+            .filter_map(|l| {
+                l.strip_suffix("   [missing from declared schema]")
+                    .or_else(|| l.strip_suffix("   [already declared; detections agree]"))
+            })
+            .collect();
+        let constraints: Vec<String> = expected.iter().map(|e| e.constraint.to_string()).collect();
+        assert_eq!(printed, constraints, "{target}: {stdout}");
+    }
 
     assert!(daemon.finish().success());
     let _ = fs::remove_dir_all(&root);
