@@ -6,11 +6,21 @@
 //! and rejects `ADD CONSTRAINT` migrations when existing rows violate them.
 //! Enforcement can be switched off per-database to model the "missing
 //! constraint" configuration of Figure 2(a).
+//!
+//! The catalogue is a [`Schema`]: table definitions, declared constraints
+//! and the NOT NULL/DEFAULT column flags they keep in sync live there, and
+//! the DDL methods below add only what a database with rows must check
+//! first. What a constraint admits is written once per kind and shared by
+//! write-time checks and migration validation: `check_admits` for CHECK
+//! (whose comparisons go through `CompareOp::holds`, like `WHERE` and the
+//! rewriter) and `unique_key` for unique.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 
-use cfinder_schema::{Column, CompareOp, Constraint, ConstraintSet, Literal, Predicate, Table};
+use cfinder_schema::{
+    Column, Condition, Constraint, ConstraintSet, Literal, Predicate, Schema, Table,
+};
 
 use crate::error::{DbError, DbResult};
 use crate::value::{Value, ValueKey};
@@ -21,11 +31,12 @@ pub type RowId = u64;
 /// A stored row: column name → value (always fully populated).
 pub type Row = BTreeMap<String, Value>;
 
-#[derive(Debug, Clone)]
+/// The rows of one catalogued table.
+#[derive(Debug, Clone, Default)]
 struct TableData {
-    def: Table,
     rows: BTreeMap<RowId, Row>,
-    next_id: RowId,
+    /// The last id handed out (ids start at 1 and are never reused).
+    last_id: RowId,
 }
 
 /// An in-memory database with declarative integrity constraints.
@@ -43,19 +54,27 @@ struct TableData {
 /// let dup = db.insert("users", [("email", Value::from("a@example.com"))]);
 /// assert!(dup.is_err(), "the database is the final guard");
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Database {
+    /// Tables and declared constraints.
+    schema: Schema,
+    /// Rows of every table in `schema`, by table name.
     tables: BTreeMap<String, TableData>,
-    constraints: ConstraintSet,
     /// When false, constraints are recorded but not enforced — the Figure
     /// 2(a) configuration used by the race experiments.
     enforcing: bool,
 }
 
+impl Default for Database {
+    fn default() -> Self {
+        Database::new()
+    }
+}
+
 impl Database {
     /// Creates an empty, enforcing database.
     pub fn new() -> Self {
-        Database { tables: BTreeMap::new(), constraints: ConstraintSet::new(), enforcing: true }
+        Database { schema: Schema::new(), tables: BTreeMap::new(), enforcing: true }
     }
 
     /// Creates a database that records but does not enforce constraints.
@@ -63,27 +82,24 @@ impl Database {
         Database { enforcing: false, ..Database::new() }
     }
 
-    /// Builds an enforcing database from a whole [`Schema`] — every table,
-    /// then every declared constraint. This is how a parsed `schema.sql`
-    /// dump (see `cfinder-sql`) becomes an executable database, closing
-    /// the pipeline: SQL dump → diff → fix DDL → re-parse → enforce here.
+    /// Builds an enforcing, empty database whose catalogue is `schema`.
+    /// This is how a parsed `schema.sql` dump (see `cfinder-sql`) becomes
+    /// an executable database, closing the pipeline: SQL dump → diff → fix
+    /// DDL → re-parse → enforce here.
     ///
     /// # Errors
     ///
-    /// Propagates the first [`DbError`] from table creation or constraint
-    /// declaration (duplicate tables, dangling targets). Not-null and
-    /// default constraints already implied by column definitions are
-    /// skipped, not double-declared.
-    pub fn from_schema(schema: &cfinder_schema::Schema) -> DbResult<Self> {
-        let mut db = Database::new();
-        for table in schema.tables() {
-            db.create_table(table.clone())?;
-        }
+    /// The first dangling constraint target, as [`DbError::NoSuchTable`] or
+    /// [`DbError::NoSuchColumn`] (a schema read from JSON skips `Schema`'s
+    /// own validation).
+    pub fn from_schema(schema: &Schema) -> DbResult<Self> {
+        let db = Database {
+            schema: schema.clone(),
+            tables: schema.tables().map(|t| (t.name.clone(), TableData::default())).collect(),
+            enforcing: true,
+        };
         for constraint in schema.constraints().iter() {
-            if db.constraints.contains(constraint) {
-                continue;
-            }
-            db.add_constraint(constraint.clone())?;
+            db.validate_constraint_targets(constraint)?;
         }
         Ok(db)
     }
@@ -95,7 +111,7 @@ impl Database {
 
     /// Declared constraints.
     pub fn constraints(&self) -> &ConstraintSet {
-        &self.constraints
+        self.schema.constraints()
     }
 
     // --- DDL -----------------------------------------------------------------
@@ -110,19 +126,8 @@ impl Database {
         if self.tables.contains_key(&def.name) {
             return Err(DbError::InvalidConstraint(format!("table `{}` exists", def.name)));
         }
-        for col in &def.columns {
-            if !col.nullable {
-                self.constraints.insert(Constraint::not_null(&def.name, &col.name));
-            }
-            if let Some(default) = col.default.as_ref().filter(|d| !d.is_null()) {
-                self.constraints.insert(Constraint::default_value(
-                    &def.name,
-                    &col.name,
-                    default.clone(),
-                ));
-            }
-        }
-        self.tables.insert(def.name.clone(), TableData { def, rows: BTreeMap::new(), next_id: 1 });
+        self.tables.insert(def.name.clone(), TableData::default());
+        self.schema.add_table(def);
         Ok(())
     }
 
@@ -134,35 +139,24 @@ impl Database {
     /// Fails if the table is missing, the column exists, or the column is
     /// declared NOT NULL without a default while rows exist.
     pub fn add_column(&mut self, table: &str, column: Column) -> DbResult<()> {
-        let t = self.tables.get_mut(table).ok_or_else(|| DbError::NoSuchTable(table.into()))?;
-        if t.def.column(&column.name).is_some() {
+        let (def, data) = self.table(table)?;
+        if def.column(&column.name).is_some() {
             return Err(DbError::InvalidConstraint(format!(
                 "column `{}.{}` exists",
                 table, column.name
             )));
         }
         let fill: Value = column.default.as_ref().map(Value::from).unwrap_or(Value::Null);
-        if !column.nullable && fill.is_null() && !t.rows.is_empty() {
+        if !column.nullable && fill.is_null() && !data.rows.is_empty() {
             return Err(DbError::MigrationRejected {
                 constraint: Constraint::not_null(table, &column.name),
-                violations: t.rows.len(),
+                violations: data.rows.len(),
             });
         }
-        for row in t.rows.values_mut() {
+        for row in self.tables.get_mut(table).expect("catalogued").rows.values_mut() {
             row.insert(column.name.clone(), fill.clone());
         }
-        if !column.nullable {
-            self.constraints.insert(Constraint::not_null(table, &column.name));
-        }
-        if let Some(default) = column.default.as_ref().filter(|d| !d.is_null()) {
-            self.constraints.insert(Constraint::default_value(
-                table,
-                &column.name,
-                default.clone(),
-            ));
-        }
-        t.def.columns.push(column);
-        Ok(())
+        self.schema.add_column(table, column).map_err(DbError::InvalidConstraint)
     }
 
     /// Declares and enforces a constraint; existing data is validated first
@@ -171,36 +165,18 @@ impl Database {
     /// # Errors
     ///
     /// [`DbError::MigrationRejected`] when existing rows violate the
-    /// constraint; [`DbError::InvalidConstraint`] for bad targets or
-    /// duplicates.
+    /// constraint; [`DbError::InvalidConstraint`] for duplicates, and
+    /// [`DbError::NoSuchTable`]/[`DbError::NoSuchColumn`] for bad targets.
     pub fn add_constraint(&mut self, constraint: Constraint) -> DbResult<()> {
         self.validate_constraint_targets(&constraint)?;
-        if self.constraints.contains(&constraint) {
+        if self.constraints().contains(&constraint) {
             return Err(DbError::InvalidConstraint(format!("duplicate: {constraint}")));
         }
         let violations = self.count_violations(&constraint);
         if violations > 0 {
             return Err(DbError::MigrationRejected { constraint, violations });
         }
-        match &constraint {
-            Constraint::NotNull { table, column } => {
-                if let Some(t) = self.tables.get_mut(table) {
-                    if let Some(c) = t.def.column_mut(column) {
-                        c.nullable = false;
-                    }
-                }
-            }
-            Constraint::Default { table, column, value } => {
-                if let Some(t) = self.tables.get_mut(table) {
-                    if let Some(c) = t.def.column_mut(column) {
-                        c.default = Some(value.clone());
-                    }
-                }
-            }
-            _ => {}
-        }
-        self.constraints.insert(constraint);
-        Ok(())
+        self.schema.add_constraint(constraint).map_err(DbError::InvalidConstraint)
     }
 
     /// Removes a declared constraint.
@@ -209,55 +185,40 @@ impl Database {
     ///
     /// [`DbError::InvalidConstraint`] when the constraint is not declared.
     pub fn drop_constraint(&mut self, constraint: &Constraint) -> DbResult<()> {
-        if !self.constraints.remove(constraint) {
-            return Err(DbError::InvalidConstraint(format!("not declared: {constraint}")));
+        self.schema.drop_constraint(constraint).map_err(DbError::InvalidConstraint)
+    }
+
+    /// Typed target checks: every table and column a constraint names —
+    /// partial-unique condition columns and the FK's referenced side
+    /// included — must exist.
+    fn validate_constraint_targets(&self, constraint: &Constraint) -> DbResult<()> {
+        let missing = |table: &str, column: &str| DbError::NoSuchColumn {
+            table: table.to_string(),
+            column: column.to_string(),
+        };
+        let (def, _) = self.table(constraint.table())?;
+        let mut columns = constraint.columns();
+        if let Constraint::Unique { conditions, .. } = constraint {
+            columns.extend(conditions.iter().map(|cond| cond.column.as_str()));
         }
-        match constraint {
-            Constraint::NotNull { table, column } => {
-                if let Some(t) = self.tables.get_mut(table) {
-                    if let Some(c) = t.def.column_mut(column) {
-                        c.nullable = true;
-                    }
-                }
+        if let Some(col) = columns.into_iter().find(|col| def.column(col).is_none()) {
+            return Err(missing(&def.name, col));
+        }
+        if let Constraint::ForeignKey { ref_table, ref_column, .. } = constraint {
+            let (rt, _) = self.table(ref_table)?;
+            if rt.column(ref_column).is_none() {
+                return Err(missing(ref_table, ref_column));
             }
-            Constraint::Default { table, column, .. } => {
-                if let Some(t) = self.tables.get_mut(table) {
-                    if let Some(c) = t.def.column_mut(column) {
-                        c.default = None;
-                    }
-                }
-            }
-            _ => {}
         }
         Ok(())
     }
 
-    fn validate_constraint_targets(&self, constraint: &Constraint) -> DbResult<()> {
-        let t = self
-            .tables
-            .get(constraint.table())
-            .ok_or_else(|| DbError::NoSuchTable(constraint.table().into()))?;
-        for col in constraint.columns() {
-            if t.def.column(col).is_none() {
-                return Err(DbError::NoSuchColumn {
-                    table: t.def.name.clone(),
-                    column: col.to_string(),
-                });
-            }
+    /// A table's definition and rows.
+    fn table(&self, name: &str) -> DbResult<(&Table, &TableData)> {
+        match (self.schema.table(name), self.tables.get(name)) {
+            (Some(def), Some(data)) => Ok((def, data)),
+            _ => Err(DbError::NoSuchTable(name.to_string())),
         }
-        if let Constraint::ForeignKey { ref_table, ref_column, .. } = constraint {
-            let rt = self
-                .tables
-                .get(ref_table)
-                .ok_or_else(|| DbError::NoSuchTable(ref_table.clone()))?;
-            if rt.def.column(ref_column).is_none() {
-                return Err(DbError::NoSuchColumn {
-                    table: ref_table.clone(),
-                    column: ref_column.clone(),
-                });
-            }
-        }
-        Ok(())
     }
 
     // --- DML -----------------------------------------------------------------
@@ -272,13 +233,13 @@ impl Database {
         I: IntoIterator<Item = (&'a str, Value)>,
     {
         let values: HashMap<&str, Value> = values.into_iter().collect();
-        let t = self.tables.get(table).ok_or_else(|| DbError::NoSuchTable(table.into()))?;
+        let (def, data) = self.table(table)?;
+        let id = data.last_id + 1;
         let mut row: Row = BTreeMap::new();
-        let next_id = t.next_id;
-        for col in &t.def.columns {
+        for col in &def.columns {
             let v = match values.get(col.name.as_str()) {
                 Some(v) => v.clone(),
-                None if col.name == t.def.primary_key => Value::Int(next_id as i64),
+                None if col.name == def.primary_key => Value::Int(id as i64),
                 None => col.default.as_ref().map(Value::from).unwrap_or(Value::Null),
             };
             if !v.fits(&col.ty) {
@@ -291,7 +252,7 @@ impl Database {
             row.insert(col.name.clone(), v);
         }
         for key in values.keys() {
-            if t.def.column(key).is_none() {
+            if def.column(key).is_none() {
                 return Err(DbError::NoSuchColumn { table: table.into(), column: key.to_string() });
             }
         }
@@ -299,8 +260,7 @@ impl Database {
             self.check_row(table, &row, None)?;
         }
         let t = self.tables.get_mut(table).expect("checked above");
-        let id = t.next_id;
-        t.next_id += 1;
+        t.last_id = id;
         t.rows.insert(id, row);
         Ok(id)
     }
@@ -314,12 +274,14 @@ impl Database {
     where
         I: IntoIterator<Item = (&'a str, Value)>,
     {
-        let t = self.tables.get(table).ok_or_else(|| DbError::NoSuchTable(table.into()))?;
-        let old =
-            t.rows.get(&row_id).ok_or(DbError::NoSuchRow { table: table.into(), row: row_id })?;
+        let (def, data) = self.table(table)?;
+        let old = data
+            .rows
+            .get(&row_id)
+            .ok_or(DbError::NoSuchRow { table: table.into(), row: row_id })?;
         let mut row = old.clone();
         for (k, v) in values {
-            let col = t.def.column(k).ok_or_else(|| DbError::NoSuchColumn {
+            let col = def.column(k).ok_or_else(|| DbError::NoSuchColumn {
                 table: table.into(),
                 column: k.to_string(),
             })?;
@@ -346,14 +308,13 @@ impl Database {
     ///
     /// Unknown row, or an FK restriction violation.
     pub fn delete(&mut self, table: &str, row_id: RowId) -> DbResult<()> {
-        let t = self.tables.get(table).ok_or_else(|| DbError::NoSuchTable(table.into()))?;
-        let row = t
+        let (_, data) = self.table(table)?;
+        let row = data
             .rows
             .get(&row_id)
-            .ok_or(DbError::NoSuchRow { table: table.into(), row: row_id })?
-            .clone();
+            .ok_or(DbError::NoSuchRow { table: table.into(), row: row_id })?;
         if self.enforcing {
-            for c in self.constraints.iter() {
+            for c in self.constraints().iter() {
                 let Constraint::ForeignKey { table: dep, column, ref_table, ref_column } = c else {
                     continue;
                 };
@@ -364,10 +325,7 @@ impl Database {
                 if pk_val.is_null() {
                     continue;
                 }
-                let dep_t = match self.tables.get(dep) {
-                    Some(t) => t,
-                    None => continue,
-                };
+                let Some(dep_t) = self.tables.get(dep) else { continue };
                 let referenced = dep_t
                     .rows
                     .values()
@@ -388,13 +346,14 @@ impl Database {
 
     /// Returns rows matching all equality filters (empty filter = all rows).
     pub fn select(&self, table: &str, filters: &[(&str, Value)]) -> DbResult<Vec<(RowId, &Row)>> {
-        let t = self.tables.get(table).ok_or_else(|| DbError::NoSuchTable(table.into()))?;
+        let (def, data) = self.table(table)?;
         for (col, _) in filters {
-            if t.def.column(col).is_none() {
+            if def.column(col).is_none() {
                 return Err(DbError::NoSuchColumn { table: table.into(), column: col.to_string() });
             }
         }
-        Ok(t.rows
+        Ok(data
+            .rows
             .iter()
             .filter(|(_, row)| {
                 filters.iter().all(|(col, v)| row.get(*col).map(|x| x.key()) == Some(v.key()))
@@ -405,9 +364,8 @@ impl Database {
 
     /// Fetches one row by id.
     pub fn get(&self, table: &str, row_id: RowId) -> DbResult<&Row> {
-        self.tables
-            .get(table)
-            .ok_or_else(|| DbError::NoSuchTable(table.into()))?
+        self.table(table)?
+            .1
             .rows
             .get(&row_id)
             .ok_or(DbError::NoSuchRow { table: table.into(), row: row_id })
@@ -420,12 +378,12 @@ impl Database {
 
     /// Table definition, if present.
     pub fn table_def(&self, table: &str) -> Option<&Table> {
-        self.tables.get(table).map(|t| &t.def)
+        self.schema.table(table)
     }
 
     /// All table names, sorted.
     pub fn table_names(&self) -> Vec<String> {
-        self.tables.keys().cloned().collect()
+        self.schema.tables().map(|t| t.name.clone()).collect()
     }
 
     // --- transaction-rollback internals (bypass constraint checks; they
@@ -450,7 +408,7 @@ impl Database {
     /// Validates `row` (a prospective insert/update of `exclude`) against
     /// every declared constraint.
     fn check_row(&self, table: &str, row: &Row, exclude: Option<RowId>) -> DbResult<()> {
-        for c in self.constraints.iter() {
+        for c in self.constraints().iter() {
             if c.table() != table {
                 // FKs also fire on the dependent side only; referenced-side
                 // checks happen in `delete`.
@@ -466,33 +424,10 @@ impl Database {
                     }
                 }
                 Constraint::Unique { columns, conditions, .. } => {
-                    if !conditions.iter().all(|cond| {
-                        row.get(&cond.column).map(|v| v.key())
-                            == Some(Value::from(&cond.value).key())
-                    }) {
-                        continue; // partial unique: row outside the condition
-                    }
-                    // NULL in any key column exempts the row (SQL semantics).
-                    let key: Option<Vec<ValueKey>> = columns
-                        .iter()
-                        .map(|col| row.get(col).filter(|v| !v.is_null()).map(Value::key))
-                        .collect();
-                    let Some(key) = key else { continue };
-                    let t = self.tables.get(table).expect("caller validated");
-                    let clash = t.rows.iter().any(|(id, other)| {
-                        if Some(*id) == exclude {
-                            return false;
-                        }
-                        if !conditions.iter().all(|cond| {
-                            other.get(&cond.column).map(|v| v.key())
-                                == Some(Value::from(&cond.value).key())
-                        }) {
-                            return false;
-                        }
-                        columns
-                            .iter()
-                            .zip(&key)
-                            .all(|(col, k)| other.get(col).map(|v| v.key()).as_ref() == Some(k))
+                    let Some(key) = unique_key(row, columns, conditions) else { continue };
+                    let clash = self.tables[table].rows.iter().any(|(id, other)| {
+                        Some(*id) != exclude
+                            && unique_key(other, columns, conditions).as_ref() == Some(&key)
                     });
                     if clash {
                         return Err(DbError::ConstraintViolation {
@@ -506,10 +441,7 @@ impl Database {
                     if v.is_null() {
                         continue; // NULL FK allowed unless NOT NULL also set
                     }
-                    let rt = self
-                        .tables
-                        .get(ref_table)
-                        .ok_or_else(|| DbError::NoSuchTable(ref_table.clone()))?;
+                    let (_, rt) = self.table(ref_table)?;
                     let exists = rt
                         .rows
                         .values()
@@ -522,7 +454,7 @@ impl Database {
                     }
                 }
                 Constraint::Check { predicate, .. } => {
-                    if !satisfies_predicate(row, predicate) {
+                    if !satisfies_check(row, predicate) {
                         return Err(DbError::ConstraintViolation {
                             constraint: c.clone(),
                             detail: format!("`{}` fails CHECK ({predicate})", predicate.column()),
@@ -547,22 +479,10 @@ impl Database {
             }
             Constraint::Unique { columns, conditions, .. } => {
                 let mut seen: HashMap<Vec<ValueKey>, usize> = HashMap::new();
-                for row in t.rows.values() {
-                    if !conditions.iter().all(|cond| {
-                        row.get(&cond.column).map(|v| v.key())
-                            == Some(Value::from(&cond.value).key())
-                    }) {
-                        continue;
-                    }
-                    let key: Option<Vec<ValueKey>> = columns
-                        .iter()
-                        .map(|col| row.get(col).filter(|v| !v.is_null()).map(Value::key))
-                        .collect();
-                    if let Some(key) = key {
-                        *seen.entry(key).or_insert(0) += 1;
-                    }
+                for key in t.rows.values().filter_map(|row| unique_key(row, columns, conditions)) {
+                    *seen.entry(key).or_insert(0) += 1;
                 }
-                seen.values().filter(|n| **n > 1).map(|n| n - 1).sum()
+                seen.values().map(|n| n - 1).sum()
             }
             Constraint::ForeignKey { column, ref_table, ref_column, .. } => {
                 let Some(rt) = self.tables.get(ref_table) else {
@@ -583,7 +503,7 @@ impl Database {
                     .count()
             }
             Constraint::Check { predicate, .. } => {
-                t.rows.values().filter(|r| !satisfies_predicate(r, predicate)).count()
+                t.rows.values().filter(|r| !satisfies_check(r, predicate)).count()
             }
             // A default never invalidates existing rows.
             Constraint::Default { .. } => 0,
@@ -591,28 +511,35 @@ impl Database {
     }
 }
 
-/// Evaluates a CHECK predicate against a row, with SQL's three-valued
-/// logic collapsed to enforcement semantics: a NULL (or absent) value
-/// makes the predicate *unknown*, which real databases do not treat as a
-/// violation. A type-mismatched comparison, by contrast, counts as a
-/// violation — the constraint and the data disagree about the column.
-fn satisfies_predicate(row: &Row, predicate: &Predicate) -> bool {
-    let Some(v) = row.get(predicate.column()) else { return true };
-    if v.is_null() {
-        return true;
+/// The key `row` holds under a unique constraint, or `None` when the
+/// constraint does not cover the row: a partial unique's condition fails,
+/// or a key column is NULL (SQL exempts such rows).
+fn unique_key(row: &Row, columns: &[String], conditions: &[Condition]) -> Option<Vec<ValueKey>> {
+    let in_scope = conditions
+        .iter()
+        .all(|cond| row.get(&cond.column).map(Value::key) == Some(Value::from(&cond.value).key()));
+    if !in_scope {
+        return None;
     }
+    columns.iter().map(|col| row.get(col).filter(|v| !v.is_null()).map(Value::key)).collect()
+}
+
+/// Does `row` satisfy a CHECK? SQL's three-valued logic collapses to
+/// enforcement semantics: a NULL (or absent) value makes the predicate
+/// *unknown*, which real databases do not treat as a violation.
+fn satisfies_check(row: &Row, predicate: &Predicate) -> bool {
+    row.get(predicate.column()).is_none_or(|v| v.is_null() || check_admits(v, predicate))
+}
+
+/// Does the CHECK `predicate` admit the non-NULL value `v`? A
+/// type-mismatched comparison is a violation: the constraint and the data
+/// disagree about the column. The rewriter asks this too, to prove that
+/// no stored value can satisfy a `WHERE` atom.
+pub(crate) fn check_admits(v: &Value, predicate: &Predicate) -> bool {
     match predicate {
-        Predicate::Compare { op, value, .. } => match compare_to_literal(v, value) {
-            Some(ord) => match op {
-                CompareOp::Eq => ord == Ordering::Equal,
-                CompareOp::Ne => ord != Ordering::Equal,
-                CompareOp::Lt => ord == Ordering::Less,
-                CompareOp::Le => ord != Ordering::Greater,
-                CompareOp::Gt => ord == Ordering::Greater,
-                CompareOp::Ge => ord != Ordering::Less,
-            },
-            None => false,
-        },
+        Predicate::Compare { op, value, .. } => {
+            compare_to_literal(v, value).is_some_and(|ord| op.holds(ord))
+        }
         Predicate::In { values, .. } => {
             values.iter().any(|lit| compare_to_literal(v, lit) == Some(Ordering::Equal))
         }
@@ -623,9 +550,9 @@ fn satisfies_predicate(row: &Row, predicate: &Predicate) -> bool {
 /// mismatch (including NULL literals, which never compare equal in SQL).
 ///
 /// Crate-visible so the query layer's WHERE evaluator (`query::Pred`)
-/// shares the exact comparison core with CHECK enforcement — the two
-/// differ only in how NULL collapses (CHECK: pass, WHERE: unknown), and
-/// the known-answer 3VL tests pin that difference.
+/// and the rewriter share the exact comparison core with CHECK
+/// enforcement — `WHERE` differs only in how NULL collapses (CHECK: pass,
+/// WHERE: unknown), and the known-answer 3VL tests pin that difference.
 pub(crate) fn compare_to_literal(v: &Value, lit: &Literal) -> Option<Ordering> {
     match (v, lit) {
         (Value::Int(a), Literal::Int(b)) => Some(a.cmp(b)),
@@ -641,7 +568,7 @@ pub(crate) fn compare_to_literal(v: &Value, lit: &Literal) -> Option<Ordering> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cfinder_schema::{ColumnType, Condition, Literal};
+    use cfinder_schema::{ColumnType, CompareOp};
 
     fn users() -> Table {
         Table::new("users")
@@ -800,6 +727,30 @@ mod tests {
         db.insert("users", [("email", Value::from("a"))]).unwrap();
         db.insert("users", [("email", Value::from("a"))]).unwrap();
         assert_eq!(db.count_violations(&Constraint::unique("users", ["email"])), 1);
+    }
+
+    #[test]
+    fn default_database_enforces_like_new() {
+        let mut db = Database::default();
+        assert!(db.is_enforcing());
+        db.create_table(users()).unwrap();
+        db.add_constraint(Constraint::not_null("users", "email")).unwrap();
+        assert!(db.insert("users", []).is_err());
+    }
+
+    #[test]
+    fn partial_unique_condition_column_must_exist() {
+        let mut db = db_with_users();
+        let ghost = Constraint::partial_unique(
+            "users",
+            ["email"],
+            vec![Condition { column: "ghost".into(), value: Literal::Bool(true) }],
+        );
+        assert_eq!(
+            db.add_constraint(ghost).unwrap_err(),
+            DbError::NoSuchColumn { table: "users".into(), column: "ghost".into() }
+        );
+        assert!(db.constraints().iter().all(|c| !c.is_partial_unique()));
     }
 
     #[test]

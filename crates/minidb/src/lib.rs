@@ -5,9 +5,10 @@
 //! sections of the CFinder paper (ASPLOS '23).
 //!
 //! * [`Database`] — tables, typed values, inserts/updates/deletes/selects,
-//!   and enforcement of not-null, unique (composite and partial), and
-//!   foreign-key constraints. `ADD CONSTRAINT` validates existing rows and
-//!   rejects the migration when data violates it (§4.2.1).
+//!   and enforcement of not-null, unique (composite and partial),
+//!   foreign-key and CHECK constraints. Its catalogue is a
+//!   [`cfinder_schema::Schema`]. `ADD CONSTRAINT` validates existing rows
+//!   and rejects the migration when data violates it (§4.2.1).
 //! * [`race`] — check-then-act race simulation (Figure 2): exhaustive
 //!   interleaving enumeration and real multi-threaded runs showing why
 //!   application-level validation alone fails under concurrency.

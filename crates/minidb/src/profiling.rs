@@ -42,7 +42,7 @@ impl Default for ProfileOptions {
 /// Mines all statistically-valid constraints from the database contents.
 pub fn discover_constraints(db: &Database, options: ProfileOptions) -> ConstraintSet {
     let mut out = ConstraintSet::new();
-    let tables: Vec<String> = db_tables(db);
+    let tables = db.table_names();
     // Primary-key value sets, for inclusion-dependency mining.
     let mut pk_sets: HashMap<String, HashSet<ValueKey>> = HashMap::new();
     for t in &tables {
@@ -141,13 +141,6 @@ pub fn discover_constraints(db: &Database, options: ProfileOptions) -> Constrain
         }
     }
     out
-}
-
-fn db_tables(db: &Database) -> Vec<String> {
-    // The Database API exposes tables via `table_def`; enumerate through a
-    // helper on the schema side would be nicer, but the trait surface is
-    // deliberately small. We reconstruct from the debug schema dump.
-    db.table_names()
 }
 
 #[cfg(test)]

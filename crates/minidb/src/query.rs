@@ -11,9 +11,11 @@
 //! any comparison against NULL is `Unknown`, and a `WHERE` clause keeps
 //! only rows that evaluate to `True`. That is the *opposite* collapse
 //! from CHECK enforcement (where `Unknown` passes — see
-//! `database::check_row`), and the known-answer tests in
-//! `tests/three_valued_logic.rs` pin the two evaluators against each
-//! other so they can never drift.
+//! `database::check_row`). Past the NULL handling the two evaluators
+//! share one comparison core, `database::compare_to_literal` read through
+//! [`CompareOp::holds`], and the known-answer grid in
+//! `tests/three_valued_logic.rs` checks that they agree for every
+//! operator and value kind.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -125,17 +127,7 @@ impl Pred {
                 if value.is_null() || lit.is_null() {
                     return Truth::Unknown;
                 }
-                match compare_to_literal(value, lit) {
-                    Some(ord) => Truth::from_bool(match op {
-                        CompareOp::Eq => ord == Ordering::Equal,
-                        CompareOp::Ne => ord != Ordering::Equal,
-                        CompareOp::Lt => ord == Ordering::Less,
-                        CompareOp::Le => ord != Ordering::Greater,
-                        CompareOp::Gt => ord == Ordering::Greater,
-                        CompareOp::Ge => ord != Ordering::Less,
-                    }),
-                    None => Truth::False,
-                }
+                Truth::from_bool(compare_to_literal(value, lit).is_some_and(|ord| op.holds(ord)))
             }
             Pred::InList { values, .. } => {
                 if value.is_null() {

@@ -36,7 +36,7 @@
 use cfinder_obs::Obs;
 use cfinder_schema::{CompareOp, ConstraintSet, Literal, Predicate};
 
-use crate::database::compare_to_literal;
+use crate::database::{check_admits, compare_to_literal};
 use crate::plan::Plan;
 use crate::query::{ColRef, Pred, Query, Truth};
 use crate::value::Value;
@@ -327,32 +327,9 @@ fn contradicts(check: &Predicate, pred: &Pred) -> bool {
         Pred::InList { values, .. } => {
             // The atom is True only when the column equals some listed
             // value; if each candidate violates the CHECK, no row can.
-            values.iter().all(|v| v.is_null() || !literal_satisfies_check(v, check))
+            values.iter().all(|v| v.is_null() || !check_admits(&Value::from(v), check))
         }
         Pred::IsNull(_) | Pred::IsNotNull(_) => false,
-    }
-}
-
-/// Would a (non-null) column holding exactly `lit` satisfy `check`?
-/// Mirrors CHECK enforcement: a type-mismatched comparison is a
-/// violation, so such a value cannot exist in enforced data.
-fn literal_satisfies_check(lit: &Literal, check: &Predicate) -> bool {
-    let v = Value::from(lit);
-    match check {
-        Predicate::Compare { op, value, .. } => match compare_to_literal(&v, value) {
-            Some(ord) => match op {
-                CompareOp::Eq => ord == std::cmp::Ordering::Equal,
-                CompareOp::Ne => ord != std::cmp::Ordering::Equal,
-                CompareOp::Lt => ord == std::cmp::Ordering::Less,
-                CompareOp::Le => ord != std::cmp::Ordering::Greater,
-                CompareOp::Gt => ord == std::cmp::Ordering::Greater,
-                CompareOp::Ge => ord != std::cmp::Ordering::Less,
-            },
-            None => false,
-        },
-        Predicate::In { values, .. } => {
-            values.iter().any(|w| compare_to_literal(&v, w) == Some(std::cmp::Ordering::Equal))
-        }
     }
 }
 
@@ -368,7 +345,7 @@ fn pair_unsatisfiable(c_op: CompareOp, c_lit: &Literal, p_op: CompareOp, p_lit: 
     use std::cmp::Ordering::*;
     // Literals of different kinds never both compare against one value;
     // conservative bail-out.
-    let Some(ord) = literal_cmp(c_lit, p_lit) else { return false };
+    let Some(ord) = compare_to_literal(&Value::from(c_lit), p_lit) else { return false };
 
     #[derive(Clone, Copy, PartialEq)]
     enum Shape {
@@ -416,16 +393,6 @@ fn pair_unsatisfiable(c_op: CompareOp, c_lit: &Literal, p_op: CompareOp, p_lit: 
         }
     };
     unsat(a, b, ord)
-}
-
-/// Orders two literals of the same kind; `None` for mixed kinds or NULL.
-fn literal_cmp(a: &Literal, b: &Literal) -> Option<std::cmp::Ordering> {
-    match (a, b) {
-        (Literal::Int(x), Literal::Int(y)) => Some(x.cmp(y)),
-        (Literal::Str(x), Literal::Str(y)) => Some(x.cmp(y)),
-        (Literal::Bool(x), Literal::Bool(y)) => Some(x.cmp(y)),
-        _ => None,
-    }
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 //! is only sound while the two stay aligned.
 
 use cfinder_minidb::query::{ColRef, Pred, Truth};
-use cfinder_minidb::{execute, plan_naive, Database, Query, Value};
+use cfinder_minidb::{execute, plan_naive, Database, DbError, Query, Value};
 use cfinder_schema::{Column, ColumnType, CompareOp, Constraint, Literal, Predicate, Table};
 
 fn orders_db() -> Database {
@@ -166,4 +166,132 @@ fn where_is_null_selects_exactly_what_check_admitted_as_unknown() {
     let rs = execute(&db, &plan_naive(&q), 1).unwrap();
     assert_eq!(rs.len(), 1);
     assert_eq!(rs.stable_serialized(), "[orders.id, orders.total]\n1, NULL\n");
+}
+
+/// A column type that fits `v`, so an insert can only fail on the CHECK.
+fn column_for(v: &Value) -> ColumnType {
+    match v {
+        Value::Int(_) | Value::Null => ColumnType::Integer,
+        Value::Float(_) => ColumnType::Float,
+        Value::Str(_) => ColumnType::Text,
+        Value::Bool(_) => ColumnType::Boolean,
+    }
+}
+
+/// Inserts `v` into a fresh enforcing table under `CHECK (check)` and
+/// asserts the row is admitted exactly when `v` is NULL or the `WHERE`
+/// atom `pred` is True on it. Returns whether the row was admitted.
+fn check_agrees_with_where(check: Predicate, pred: &Pred, v: &Value) -> bool {
+    let mut db = Database::new();
+    db.create_table(Table::new("t").with_column(Column::new("c", column_for(v)))).unwrap();
+    db.add_constraint(Constraint::check("t", check.clone())).unwrap();
+    let inserted = db.insert("t", [("c", v.clone())]);
+    let want = v.is_null() || pred.eval(v) == Truth::True;
+    assert_eq!(inserted.is_ok(), want, "CHECK ({check}) vs WHERE {pred} on {v}: {inserted:?}");
+    if let Err(e) = &inserted {
+        assert!(matches!(e, DbError::ConstraintViolation { .. }), "{e}");
+    }
+    inserted.is_ok()
+}
+
+#[test]
+fn check_and_where_agree_for_every_operator_and_value_kind() {
+    let cases = [
+        (
+            Literal::Int(10),
+            vec![
+                Value::Int(9),
+                Value::Int(10),
+                Value::Int(11),
+                Value::Float(9.5),
+                Value::Float(10.0),
+                Value::Float(10.5),
+                Value::from("10"),
+                Value::Bool(true),
+                Value::Null,
+            ],
+        ),
+        (
+            Literal::Str("m".into()),
+            vec![
+                Value::from("l"),
+                Value::from("m"),
+                Value::from("n"),
+                Value::Int(0),
+                Value::Bool(false),
+                Value::Null,
+            ],
+        ),
+        // Booleans have no value on both sides of a literal, so each
+        // literal covers one side.
+        (
+            Literal::Bool(false),
+            vec![
+                Value::Bool(false),
+                Value::Bool(true),
+                Value::Int(0),
+                Value::from("f"),
+                Value::Null,
+            ],
+        ),
+        (
+            Literal::Bool(true),
+            vec![
+                Value::Bool(false),
+                Value::Bool(true),
+                Value::Int(1),
+                Value::from("t"),
+                Value::Null,
+            ],
+        ),
+    ];
+    let (mut admitted, mut rejected) = (0, 0);
+    for (lit, values) in &cases {
+        for op in CompareOp::ALL {
+            let pred = Pred::Compare { col: ColRef::new("t", "c"), op, value: lit.clone() };
+            for v in values {
+                if check_agrees_with_where(Predicate::compare("c", op, lit.clone()), &pred, v) {
+                    admitted += 1;
+                } else {
+                    rejected += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(admitted + rejected, 6 * (9 + 6 + 5 + 5));
+    assert!(admitted > 0 && rejected > 0, "admitted {admitted}, rejected {rejected}");
+}
+
+#[test]
+fn check_and_where_agree_on_in_lists_for_every_value_kind() {
+    let lists = [
+        vec![Literal::Int(10), Literal::Int(12)],
+        vec![Literal::Str("m".into()), Literal::Str("p".into())],
+        vec![Literal::Bool(true)],
+        vec![Literal::Int(10), Literal::Str("m".into())],
+    ];
+    let values = [
+        Value::Int(9),
+        Value::Int(10),
+        Value::Int(12),
+        Value::Float(10.0),
+        Value::Float(10.5),
+        Value::from("m"),
+        Value::from("n"),
+        Value::Bool(true),
+        Value::Bool(false),
+        Value::Null,
+    ];
+    let (mut admitted, mut rejected) = (0, 0);
+    for list in &lists {
+        let pred = Pred::InList { col: ColRef::new("t", "c"), values: list.clone() };
+        for v in &values {
+            if check_agrees_with_where(Predicate::in_values("c", list.clone()), &pred, v) {
+                admitted += 1;
+            } else {
+                rejected += 1;
+            }
+        }
+    }
+    assert!(admitted > 0 && rejected > 0, "admitted {admitted}, rejected {rejected}");
 }

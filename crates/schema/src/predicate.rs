@@ -13,6 +13,7 @@
 //! Equality and hashing operate on the normalized form, so `IN ('a','b')`
 //! and `IN ('b','a')` are the same predicate.
 
+use std::cmp::Ordering;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -90,6 +91,20 @@ impl CompareOp {
             CompareOp::Le => CompareOp::Ge,
             CompareOp::Gt => CompareOp::Lt,
             CompareOp::Ge => CompareOp::Le,
+        }
+    }
+
+    /// Does `a op b` hold, given `a.cmp(b)`? The one comparison truth
+    /// table: CHECK enforcement, `WHERE` evaluation and the query
+    /// rewriter all ask it.
+    pub fn holds(self, ord: Ordering) -> bool {
+        match self {
+            CompareOp::Eq => ord == Ordering::Equal,
+            CompareOp::Ne => ord != Ordering::Equal,
+            CompareOp::Lt => ord == Ordering::Less,
+            CompareOp::Le => ord != Ordering::Greater,
+            CompareOp::Gt => ord == Ordering::Greater,
+            CompareOp::Ge => ord != Ordering::Less,
         }
     }
 }
@@ -223,6 +238,27 @@ mod tests {
         }
         assert_eq!(CompareOp::Le.negated(), CompareOp::Gt);
         assert_eq!(CompareOp::Lt.flipped(), CompareOp::Gt);
+    }
+
+    #[test]
+    fn holds_known_answers() {
+        use Ordering::{Equal, Greater, Less};
+        // Columns: does `op` hold when the left side is Less / Equal /
+        // Greater than the right?
+        let table = [
+            (CompareOp::Eq, [false, true, false]),
+            (CompareOp::Ne, [true, false, true]),
+            (CompareOp::Lt, [true, false, false]),
+            (CompareOp::Le, [true, true, false]),
+            (CompareOp::Gt, [false, false, true]),
+            (CompareOp::Ge, [false, true, true]),
+        ];
+        assert_eq!(table.map(|(op, _)| op), CompareOp::ALL);
+        for (op, answers) in table {
+            for (ord, want) in [Less, Equal, Greater].into_iter().zip(answers) {
+                assert_eq!(op.holds(ord), want, "{op} on {ord:?}");
+            }
+        }
     }
 
     #[test]

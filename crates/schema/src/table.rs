@@ -125,16 +125,7 @@ impl Schema {
     pub fn add_table(&mut self, table: Table) {
         assert!(!self.tables.contains_key(&table.name), "duplicate table `{}`", table.name);
         for col in &table.columns {
-            if !col.nullable {
-                self.constraints.insert(Constraint::not_null(&table.name, &col.name));
-            }
-            if let Some(default) = col.default.as_ref().filter(|d| !d.is_null()) {
-                self.constraints.insert(Constraint::default_value(
-                    &table.name,
-                    &col.name,
-                    default.clone(),
-                ));
-            }
+            declare_column_flags(&mut self.constraints, &table.name, col);
         }
         self.tables.insert(table.name.clone(), table);
     }
@@ -150,16 +141,7 @@ impl Schema {
         if t.column(&column.name).is_some() {
             return Err(format!("column `{}` already exists in `{table}`", column.name));
         }
-        if !column.nullable {
-            self.constraints.insert(Constraint::not_null(table, &column.name));
-        }
-        if let Some(default) = column.default.as_ref().filter(|d| !d.is_null()) {
-            self.constraints.insert(Constraint::default_value(
-                table,
-                &column.name,
-                default.clone(),
-            ));
-        }
+        declare_column_flags(&mut self.constraints, table, &column);
         t.columns.push(column);
         Ok(())
     }
@@ -294,6 +276,17 @@ impl Schema {
     /// Returns the underlying JSON error on malformed input.
     pub fn from_json(json: &str) -> Result<Schema, serde_json::Error> {
         serde_json::from_str(json)
+    }
+}
+
+/// Declares the not-null and default constraints a column's flags imply
+/// (a NULL default is no default).
+fn declare_column_flags(constraints: &mut ConstraintSet, table: &str, col: &Column) {
+    if !col.nullable {
+        constraints.insert(Constraint::not_null(table, &col.name));
+    }
+    if let Some(default) = col.default.as_ref().filter(|d| !d.is_null()) {
+        constraints.insert(Constraint::default_value(table, &col.name, default.clone()));
     }
 }
 

@@ -202,9 +202,11 @@ where
     };
     let workers = shared.config.workers.max(1);
 
-    let read_error = crossbeam::scope(|scope| {
+    // A worker panic outside the request fence is re-raised when the scope
+    // joins its threads, so `serve` ends in that panic, never in a summary.
+    let read_error = std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|_| worker_loop(&shared));
+            scope.spawn(|| worker_loop(&shared));
         }
         let err = reader_loop(&shared, &mut input);
         // EOF, shutdown, or a dead stdin: no new work can arrive. Close
@@ -212,8 +214,7 @@ where
         // scope joins them before we return.
         shared.queue.close();
         err
-    })
-    .expect("daemon worker panicked outside the request fence");
+    });
 
     // Stop the sampler before tearing the daemon down; samples stay
     // available through metrics until the handle drops.

@@ -1216,6 +1216,10 @@ impl Parser {
                         .push(ParsedConstraint { constraint: Constraint::check(table, p), line }),
                     None => self.skip_balanced(),
                 }
+            } else if self.eat_kw("EXCLUDE") {
+                // EXCLUDE bodies are outside the constraint model, as in
+                // CREATE TABLE.
+                return self.skip_clause();
             } else if self.is_kw("INDEX")
                 || self.is_kw("KEY")
                 || self.is_kw("FULLTEXT")
@@ -1698,6 +1702,20 @@ mod tests {
             "orders",
             Predicate::compare("kind", CompareOp::Ne, Literal::Str("void".into())),
         )));
+    }
+
+    #[test]
+    fn alter_add_exclude_is_skipped_not_read_as_a_column() {
+        let sql = r#"
+            CREATE TABLE t (id bigint, c varchar(20));
+            ALTER TABLE t ADD EXCLUDE USING gist (c WITH =);
+            ALTER TABLE t ADD CONSTRAINT no_overlap EXCLUDE USING gist (c WITH =);
+        "#;
+        let parsed = parse_sql(sql);
+        assert!(parsed.errors.is_empty(), "{:?}", parsed.errors);
+        let names: Vec<&str> = parsed.tables[0].columns.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["id", "c"]);
+        assert!(parsed.constraints.is_empty(), "{:?}", parsed.constraints);
     }
 
     #[test]

@@ -86,16 +86,23 @@ if ! $workspace; then
     # the only check of `reproduce`'s flags; its counts join the log so
     # the front-door floor sees them.
     cargo test -p cfinder-report --test reproduce_cli -- --quiet 2>&1 | tee -a "$test_log"
+
+    echo "==> report unit tests"
+    # The paper-table builders' own tests, among them the baseline check
+    # that loads each corpus schema into minidb and counts violations of
+    # every semantic constraint; outside the default test scope too.
+    cargo test -p cfinder-report --lib -- --quiet 2>&1 | tee -a "$test_log"
 fi
 
 echo "==> test-count floors"
 floor core 150 cfinder_core proptest_robustness
-floor SQL 48 cfinder_sql roundtrip_proptest sql_faults
+floor SQL 49 cfinder_sql roundtrip_proptest sql_faults
 floor pyast 138 cfinder_pyast django_torture proptest_recovery proptest_roundtrip
 floor flow 108 cfinder_flow proptest_interproc interproc_oracle reaching_oracle nullguard_oracle
 floor daemon 24 cfinder_serve serve_soak serve_faults cache_concurrency
-floor minidb 95 cfinder_minidb plan_golden proptest_integrity query_oracle three_valued_logic
+floor minidb 99 cfinder_minidb plan_golden proptest_integrity query_oracle three_valued_logic
 floor front-door 30 cli explain_golden hostile_env reproduce_cli
+floor report 30 cfinder_report
 
 echo "==> fault-injection suite with live tracing and metrics"
 # Same seeded corruption, but every analysis records spans and metrics:
