@@ -583,8 +583,18 @@ impl CFinder {
         let diff = stage.elapsed();
 
         let analysis_time = start.elapsed();
-        let orchestration =
-            analysis_time.saturating_sub(parse + model_extraction + detection + diff);
+        let timings = StageTimings {
+            parse,
+            model_extraction,
+            detection,
+            diff,
+            orchestration: analysis_time
+                .saturating_sub(parse + model_extraction + detection + diff),
+            threads,
+            cache_hits,
+            cache_misses,
+            files_parsed,
+        };
         drop(root);
 
         // Aggregate metrics are derived from the merged (deterministic)
@@ -612,13 +622,7 @@ impl CFinder {
             m.add("cfinder_existing_covered_total", existing_covered.iter().count() as u64);
             let coverage = Coverage::compute(app.files.len(), &incidents);
             m.add("cfinder_files_dropped_total", coverage.files_dropped as u64);
-            for (stage_label, duration) in [
-                ("parse", parse),
-                ("models", model_extraction),
-                ("detect", detection),
-                ("diff", diff),
-                ("orchestration", orchestration),
-            ] {
+            for (stage_label, duration) in timings.stages() {
                 m.add_labeled(
                     "cfinder_stage_duration_microseconds_total",
                     "stage",
@@ -638,17 +642,7 @@ impl CFinder {
             loc: app.loc(),
             incidents,
             files_total: app.files.len(),
-            timings: StageTimings {
-                parse,
-                model_extraction,
-                detection,
-                diff,
-                orchestration,
-                threads,
-                cache_hits,
-                cache_misses,
-                files_parsed,
-            },
+            timings,
         }
     }
 }

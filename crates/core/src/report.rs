@@ -5,6 +5,7 @@ use std::time::Duration;
 
 use cfinder_pyast::Span;
 use cfinder_schema::{Constraint, ConstraintSet, ConstraintType};
+use cfinder_sql::{constraint_ddl, Dialect};
 use serde::{Deserialize, Serialize};
 
 use crate::incident::{Coverage, Incident, IncidentKind};
@@ -207,7 +208,7 @@ impl Detection {
             table: self.constraint.table().to_string(),
             columns: self.constraint.columns().iter().map(|c| c.to_string()).collect(),
             constraint: self.constraint.to_string(),
-            ddl: self.constraint.ddl(),
+            ddl: constraint_ddl(&self.constraint, Dialect::Postgres, None),
         }
     }
 }
@@ -239,7 +240,8 @@ pub struct Provenance {
     pub columns: Vec<String>,
     /// The constraint, rendered (`"Voucher Unique (code)"`).
     pub constraint: String,
-    /// The constraint as `ALTER TABLE …` DDL.
+    /// The PostgreSQL DDL that adds the constraint
+    /// ([`cfinder_sql::constraint_ddl`]).
     pub ddl: String,
 }
 
@@ -343,6 +345,24 @@ pub struct StageTimings {
 }
 
 impl StageTimings {
+    /// The stage labels, in pipeline order, that every per-stage readout
+    /// (the stage-duration metric, `--timings`, BENCH `stages_seconds`)
+    /// uses.
+    pub const LABELS: [&'static str; 5] = ["parse", "models", "detect", "diff", "orchestration"];
+
+    /// Each stage's duration beside its label, in [`StageTimings::LABELS`]
+    /// order.
+    pub fn stages(&self) -> [(&'static str, Duration); 5] {
+        let [parse, models, detect, diff, orchestration] = Self::LABELS;
+        [
+            (parse, self.parse),
+            (models, self.model_extraction),
+            (detect, self.detection),
+            (diff, self.diff),
+            (orchestration, self.orchestration),
+        ]
+    }
+
     /// Sum of all five durations (the four passes plus orchestration) —
     /// equals `AnalysisReport::analysis_time` up to clock truncation.
     pub fn total(&self) -> Duration {

@@ -25,7 +25,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
-use cfinder_core::{AppSource, CFinder, Obs, SourceFile};
+use cfinder_core::{AppSource, CFinder, Obs, SourceFile, StageTimings};
 use cfinder_corpus::{GenOptions, GeneratedApp};
 use cfinder_schema::Schema;
 use serde_json::Value;
@@ -59,7 +59,7 @@ const TRACED_OVERHEAD_MAX_PCT: f64 = 50.0;
 const PROFILED_OVERHEAD_MAX_PCT: f64 = 75.0;
 
 /// Stage keys of the `stages_seconds` map, in pipeline order.
-pub const STAGE_KEYS: [&str; 5] = ["parse", "models", "detect", "diff", "orchestration"];
+pub const STAGE_KEYS: [&str; 5] = StageTimings::LABELS;
 
 /// Renders a unix timestamp as the compact UTC stamp used in BENCH file
 /// names: `YYYYMMDDTHHMMSSZ`.
@@ -140,14 +140,12 @@ pub fn run_benchmark(
     let obs_overhead = measure_obs_overhead(profile_hz)?;
 
     let loc_total: u64 = cold.iter().map(|a| a.report.loc as u64).sum();
-    let stage_seconds = |pick: fn(&AppEvaluation) -> f64| cold.iter().map(pick).sum::<f64>();
-    let stages: Vec<(&str, f64)> = vec![
-        ("parse", stage_seconds(|a| a.report.timings.parse.as_secs_f64())),
-        ("models", stage_seconds(|a| a.report.timings.model_extraction.as_secs_f64())),
-        ("detect", stage_seconds(|a| a.report.timings.detection.as_secs_f64())),
-        ("diff", stage_seconds(|a| a.report.timings.diff.as_secs_f64())),
-        ("orchestration", stage_seconds(|a| a.report.timings.orchestration.as_secs_f64())),
-    ];
+    let mut stages: Vec<(&str, f64)> = STAGE_KEYS.iter().map(|&k| (k, 0.0)).collect();
+    for a in &cold {
+        for (slot, (_, d)) in stages.iter_mut().zip(a.report.timings.stages()) {
+            slot.1 += d.as_secs_f64();
+        }
+    }
     let (hits, misses) = warm.iter().fold((0u64, 0u64), |acc, a| {
         (acc.0 + a.report.timings.cache_hits as u64, acc.1 + a.report.timings.cache_misses as u64)
     });

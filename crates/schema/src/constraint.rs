@@ -351,65 +351,6 @@ impl Constraint {
         matches!(self, Constraint::Unique { conditions, .. } if !conditions.is_empty())
     }
 
-    /// Renders the `ALTER TABLE` DDL that adds this constraint — what a
-    /// developer would paste into a migration after confirming a report.
-    ///
-    /// Identifiers are always double-quoted (PostgreSQL style): the
-    /// paper's own running example constrains a table named `order`, a
-    /// reserved word in every major dialect, so unquoted emission produced
-    /// invalid SQL. This is the canonical PostgreSQL form; `cfinder-sql`'s
-    /// `constraint_ddl` generalizes it to MySQL and SQLite and a drift
-    /// test there pins the two implementations together.
-    pub fn ddl(&self) -> String {
-        fn q(ident: &str) -> String {
-            format!("\"{}\"", ident.replace('"', "\"\""))
-        }
-        match self {
-            Constraint::NotNull { table, column } => {
-                format!("ALTER TABLE {} ALTER COLUMN {} SET NOT NULL;", q(table), q(column))
-            }
-            Constraint::Unique { table, columns, conditions } => {
-                let cols: Vec<String> = columns.iter().map(|c| q(c)).collect();
-                let cols = cols.join(", ");
-                let name = q(&clamp_identifier(&format!("uq_{table}_{}", columns.join("_"))));
-                if conditions.is_empty() {
-                    format!("ALTER TABLE {} ADD CONSTRAINT {name} UNIQUE ({cols});", q(table))
-                } else {
-                    // Partial uniques need a partial unique index (PostgreSQL).
-                    let conds: Vec<String> = conditions
-                        .iter()
-                        .map(|c| format!("{} = {}", q(&c.column), c.value))
-                        .collect();
-                    format!(
-                        "CREATE UNIQUE INDEX {name} ON {} ({cols}) WHERE {};",
-                        q(table),
-                        conds.join(" AND ")
-                    )
-                }
-            }
-            Constraint::ForeignKey { table, column, ref_table, ref_column } => format!(
-                "ALTER TABLE {} ADD CONSTRAINT {} FOREIGN KEY ({}) REFERENCES {}({});",
-                q(table),
-                q(&clamp_identifier(&format!("fk_{table}_{column}"))),
-                q(column),
-                q(ref_table),
-                q(ref_column)
-            ),
-            Constraint::Check { table, predicate } => format!(
-                "ALTER TABLE {} ADD CONSTRAINT {} CHECK ({});",
-                q(table),
-                q(&clamp_identifier(&format!("ck_{table}_{}", predicate.column()))),
-                predicate.render(&q)
-            ),
-            Constraint::Default { table, column, value } => format!(
-                "ALTER TABLE {} ALTER COLUMN {} SET DEFAULT {};",
-                q(table),
-                q(column),
-                value.sql()
-            ),
-        }
-    }
-
     /// Renders the constraint the way the paper writes them, e.g.
     /// `WishlistLine Unique (product, wishlist)` or
     /// `Discount FK (voucher_id) ref Voucher(id)`.
@@ -707,55 +648,6 @@ mod tests {
     }
 
     #[test]
-    fn ddl_generation() {
-        assert_eq!(
-            Constraint::not_null("orders", "total").ddl(),
-            "ALTER TABLE \"orders\" ALTER COLUMN \"total\" SET NOT NULL;"
-        );
-        assert_eq!(
-            Constraint::unique("users", ["email"]).ddl(),
-            "ALTER TABLE \"users\" ADD CONSTRAINT \"uq_users_email\" UNIQUE (\"email\");"
-        );
-        assert_eq!(
-            Constraint::foreign_key("orders", "basket_id", "baskets", "id").ddl(),
-            "ALTER TABLE \"orders\" ADD CONSTRAINT \"fk_orders_basket_id\" FOREIGN KEY (\"basket_id\") REFERENCES \"baskets\"(\"id\");"
-        );
-        let partial = Constraint::partial_unique(
-            "vouchers",
-            ["code"],
-            vec![Condition { column: "active".into(), value: Literal::Bool(true) }],
-        );
-        assert_eq!(
-            partial.ddl(),
-            "CREATE UNIQUE INDEX \"uq_vouchers_code\" ON \"vouchers\" (\"code\") WHERE \"active\" = TRUE;"
-        );
-    }
-
-    #[test]
-    fn ddl_quotes_reserved_word_identifiers() {
-        // Regression for the paper's §3 running example: table `order` is
-        // a reserved word in PostgreSQL, MySQL, and SQLite — the unquoted
-        // emission this replaced produced invalid SQL for it.
-        assert_eq!(
-            Constraint::not_null("order", "total").ddl(),
-            "ALTER TABLE \"order\" ALTER COLUMN \"total\" SET NOT NULL;"
-        );
-        assert_eq!(
-            Constraint::unique("order", ["number"]).ddl(),
-            "ALTER TABLE \"order\" ADD CONSTRAINT \"uq_order_number\" UNIQUE (\"number\");"
-        );
-        assert_eq!(
-            Constraint::foreign_key("order", "basket_id", "basket", "id").ddl(),
-            "ALTER TABLE \"order\" ADD CONSTRAINT \"fk_order_basket_id\" FOREIGN KEY (\"basket_id\") REFERENCES \"basket\"(\"id\");"
-        );
-        // Embedded quotes are doubled, never truncated.
-        assert_eq!(
-            Constraint::not_null("we\"ird", "c").ddl(),
-            "ALTER TABLE \"we\"\"ird\" ALTER COLUMN \"c\" SET NOT NULL;"
-        );
-    }
-
-    #[test]
     fn set_difference_is_missing_constraints() {
         let inferred: ConstraintSet = [
             Constraint::not_null("order", "total"),
@@ -840,7 +732,7 @@ mod tests {
     }
 
     #[test]
-    fn check_and_default_ddl_and_describe() {
+    fn check_and_default_type_columns_and_describe() {
         use crate::predicate::CompareOp;
         let check = Constraint::check(
             "orders",
@@ -848,10 +740,6 @@ mod tests {
         );
         assert_eq!(check.constraint_type(), ConstraintType::Check);
         assert_eq!(check.columns(), vec!["total"]);
-        assert_eq!(
-            check.ddl(),
-            "ALTER TABLE \"orders\" ADD CONSTRAINT \"ck_orders_total\" CHECK (\"total\" > 0);"
-        );
         assert_eq!(check.describe(), "orders Check (total > 0)");
 
         let member = Constraint::check(
@@ -861,18 +749,11 @@ mod tests {
                 [Literal::Str("Open".into()), Literal::Str("Closed".into())],
             ),
         );
-        assert_eq!(
-            member.ddl(),
-            "ALTER TABLE \"orders\" ADD CONSTRAINT \"ck_orders_status\" CHECK (\"status\" IN ('Closed', 'Open'));"
-        );
+        assert_eq!(member.describe(), "orders Check (status IN ('Closed', 'Open'))");
 
         let default = Constraint::default_value("orders", "status", Literal::Str("Pending".into()));
         assert_eq!(default.constraint_type(), ConstraintType::Default);
         assert_eq!(default.columns(), vec!["status"]);
-        assert_eq!(
-            default.ddl(),
-            "ALTER TABLE \"orders\" ALTER COLUMN \"status\" SET DEFAULT 'Pending';"
-        );
         assert_eq!(default.describe(), "orders Default (status = 'Pending')");
     }
 
@@ -1019,15 +900,5 @@ mod tests {
         let clamped = clamp_identifier(&unicode);
         assert!(clamped.len() <= MAX_IDENTIFIER_BYTES);
         assert!(std::str::from_utf8(clamped.as_bytes()).is_ok());
-    }
-
-    #[test]
-    fn long_generated_names_are_clamped_in_ddl() {
-        let cols: Vec<String> = (0..12).map(|i| format!("customer_reference_{i}")).collect();
-        let c = Constraint::unique("order_line_attribute_history", cols);
-        let ddl = c.ddl();
-        let name = ddl.split('"').nth(3).unwrap();
-        assert!(name.len() <= MAX_IDENTIFIER_BYTES, "{name}");
-        assert!(name.starts_with("uq_order_line_attribute_history_"), "{name}");
     }
 }

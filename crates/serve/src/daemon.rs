@@ -41,6 +41,7 @@ use cfinder_core::{
     AnalysisCache, AnalysisReport, CFinder, CFinderOptions, CacheError, Explanation, Limits, Obs,
 };
 use cfinder_obs::{Metrics, Profiler, Tracer};
+use cfinder_sql::{constraint_ddl, Dialect};
 use parking_lot::Mutex;
 use serde_json::Value;
 
@@ -646,7 +647,10 @@ fn explain<W: Write>(shared: &Shared<W>, id: &Value, project: &str, target: &str
                 ("chains".into(), Value::Seq(chains.collect())),
             ];
             if !declared {
-                entry.push(("fix".into(), Value::Str(constraint.ddl())));
+                entry.push((
+                    "fix".into(),
+                    Value::Str(constraint_ddl(&constraint, Dialect::Postgres, None)),
+                ));
             }
             Value::Map(entry)
         })

@@ -334,6 +334,72 @@ mod tests {
     }
 
     #[test]
+    fn postgres_ddl_known_answers() {
+        use cfinder_schema::Predicate;
+        let cases = [
+            (
+                Constraint::not_null("orders", "total"),
+                "ALTER TABLE \"orders\" ALTER COLUMN \"total\" SET NOT NULL;",
+            ),
+            (
+                Constraint::unique("users", ["email"]),
+                "ALTER TABLE \"users\" ADD CONSTRAINT \"uq_users_email\" UNIQUE (\"email\");",
+            ),
+            (
+                Constraint::foreign_key("orders", "basket_id", "baskets", "id"),
+                "ALTER TABLE \"orders\" ADD CONSTRAINT \"fk_orders_basket_id\" FOREIGN KEY (\"basket_id\") REFERENCES \"baskets\"(\"id\");",
+            ),
+            (
+                Constraint::partial_unique(
+                    "vouchers",
+                    ["code"],
+                    vec![Condition { column: "active".into(), value: Literal::Bool(true) }],
+                ),
+                "CREATE UNIQUE INDEX \"uq_vouchers_code\" ON \"vouchers\" (\"code\") WHERE \"active\" = TRUE;",
+            ),
+            (
+                Constraint::check(
+                    "orders",
+                    Predicate::in_values(
+                        "status",
+                        [Literal::Str("Open".into()), Literal::Str("Closed".into())],
+                    ),
+                ),
+                "ALTER TABLE \"orders\" ADD CONSTRAINT \"ck_orders_status\" CHECK (\"status\" IN ('Closed', 'Open'));",
+            ),
+            // The paper's §3 running example: `order` is reserved in every
+            // dialect, so identifiers are always quoted.
+            (
+                Constraint::unique("order", ["number"]),
+                "ALTER TABLE \"order\" ADD CONSTRAINT \"uq_order_number\" UNIQUE (\"number\");",
+            ),
+            (
+                Constraint::foreign_key("order", "basket_id", "basket", "id"),
+                "ALTER TABLE \"order\" ADD CONSTRAINT \"fk_order_basket_id\" FOREIGN KEY (\"basket_id\") REFERENCES \"basket\"(\"id\");",
+            ),
+            // Embedded quotes are doubled, never truncated.
+            (
+                Constraint::not_null("we\"ird", "c"),
+                "ALTER TABLE \"we\"\"ird\" ALTER COLUMN \"c\" SET NOT NULL;",
+            ),
+        ];
+        for (c, ddl) in cases {
+            assert_eq!(constraint_ddl(&c, Dialect::Postgres, None), ddl);
+        }
+    }
+
+    #[test]
+    fn long_generated_names_are_clamped_in_ddl() {
+        use cfinder_schema::MAX_IDENTIFIER_BYTES;
+        let cols: Vec<String> = (0..12).map(|i| format!("customer_reference_{i}")).collect();
+        let c = Constraint::unique("order_line_attribute_history", cols);
+        let ddl = constraint_ddl(&c, Dialect::Postgres, None);
+        let name = ddl.split('"').nth(3).unwrap();
+        assert!(name.len() <= MAX_IDENTIFIER_BYTES, "{name}");
+        assert!(name.starts_with("uq_order_line_attribute_history_"), "{name}");
+    }
+
+    #[test]
     fn generated_names_are_clamped_to_the_identifier_limit() {
         use cfinder_schema::MAX_IDENTIFIER_BYTES;
         let long_a = "a".repeat(40);

@@ -5,9 +5,14 @@
 //!
 //! * `CREATE TABLE` with inline and table-level constraints,
 //!   `SERIAL`/`AUTO_INCREMENT`, composite primary keys, `REFERENCES`;
-//! * `ALTER TABLE … ADD CONSTRAINT | ALTER COLUMN … SET NOT NULL |
-//!   ALTER COLUMN … SET DEFAULT lit | MODIFY COLUMN … NOT NULL |
-//!   ADD COLUMN`;
+//! * `ALTER TABLE … ADD [CONSTRAINT name] <table constraint> |
+//!   ADD [COLUMN] <column> | MODIFY [COLUMN] <column> |
+//!   CHANGE [COLUMN] old <column> | ALTER COLUMN … SET NOT NULL |
+//!   ALTER COLUMN … SET DEFAULT lit`. These share the CREATE TABLE
+//!   grammar: `ADD` reads its clause like one item of a table body, and
+//!   MODIFY/CHANGE read a full column definition that is merged into the
+//!   existing column additively (nothing is cleared). A key added by
+//!   `ADD PRIMARY KEY` follows the same rule as an inline one;
 //! * `CHECK` bodies in the normalized single-column grammar
 //!   (`col op literal`, `literal op col`, `col IN (lit, …)`) — anything
 //!   richer is skipped silently, exactly like an unparsable expression
@@ -35,6 +40,22 @@ pub const MAX_DEPTH: u32 = 64;
 
 /// Cap on recorded errors before parsing is abandoned outright.
 pub const MAX_ERRORS: usize = 256;
+
+/// The bare words that open a table-level constraint clause in a CREATE
+/// TABLE body or after ALTER TABLE's `ADD`; any other word starts a column
+/// definition.
+const TABLE_CONSTRAINT_KEYWORDS: [&str; 10] = [
+    "CONSTRAINT",
+    "PRIMARY",
+    "UNIQUE",
+    "FOREIGN",
+    "CHECK",
+    "EXCLUDE",
+    "KEY",
+    "INDEX",
+    "FULLTEXT",
+    "SPATIAL",
+];
 
 /// A constraint recovered from SQL, tagged with its source line.
 #[derive(Debug, Clone, PartialEq)]
@@ -121,6 +142,7 @@ pub fn parse_sql(src: &str) -> ParsedSql {
         out: ParsedSql { errors: lexed.errors, ..ParsedSql::default() },
     };
     p.run();
+    p.fallback_keys();
     p.out
 }
 
@@ -437,32 +459,59 @@ impl Parser {
             return;
         }
 
-        // Composite primary key: first column (in declaration order) holds
-        // the single-column `primary_key` slot; the full set becomes a
-        // unique constraint so no integrity information is lost.
-        if pk_columns.len() > 1 {
-            let line = self.line();
-            constraints.push(ParsedConstraint {
-                constraint: Constraint::unique(&name, pk_columns.clone()),
-                line,
-            });
+        let line = self.line();
+        self.out.tables.push(Table { name: name.clone(), columns, primary_key: String::new() });
+        if !pk_columns.is_empty() {
+            self.primary_key(&name, pk_columns, line);
         }
-        for pk in &pk_columns {
-            if let Some(c) = columns.iter_mut().find(|c| &c.name == pk) {
-                c.nullable = false;
+        self.out.constraints.extend(constraints);
+    }
+
+    /// A table no statement of the dump gave a key falls back to `id`,
+    /// else its first column. This runs after the last statement, so a
+    /// key added by ALTER TABLE replaces the fallback instead of joining
+    /// it.
+    fn fallback_keys(&mut self) {
+        let keyless: Vec<(String, String)> = self
+            .out
+            .tables
+            .iter()
+            .filter(|t| t.primary_key.is_empty())
+            .map(|t| (t.name.clone(), t.column("id").unwrap_or(&t.columns[0]).name.clone()))
+            .collect();
+        for (table, key) in keyless {
+            let line = self.line();
+            self.primary_key(&table, vec![key], line);
+        }
+    }
+
+    /// The one primary-key rule, shared by CREATE TABLE and `ALTER TABLE …
+    /// ADD PRIMARY KEY`: the first key column takes the table's
+    /// `primary_key` slot, every key column is NOT NULL, and a composite
+    /// key is also a unique constraint so no integrity information is
+    /// lost. On a table the dump never created only the not-null facets
+    /// are kept.
+    fn primary_key(&mut self, table: &str, key: Vec<String>, line: u32) {
+        match self.out.tables.iter_mut().find(|t| t.name == table) {
+            Some(t) => {
+                t.primary_key = key[0].clone();
+                for k in &key {
+                    if let Some(c) = t.column_mut(k) {
+                        c.nullable = false;
+                    }
+                }
+            }
+            None => {
+                for k in &key {
+                    self.push_not_null(table, k, line);
+                }
             }
         }
-        let primary_key = pk_columns
-            .first()
-            .cloned()
-            .or_else(|| columns.iter().find(|c| c.name == "id").map(|c| c.name.clone()))
-            .unwrap_or_else(|| columns[0].name.clone());
-        if let Some(c) = columns.iter_mut().find(|c| c.name == primary_key) {
-            c.nullable = false;
+        if key.len() > 1 {
+            self.out
+                .constraints
+                .push(ParsedConstraint { constraint: Constraint::unique(table, key), line });
         }
-
-        self.out.tables.push(Table { name, columns, primary_key });
-        self.out.constraints.extend(constraints);
     }
 
     /// One item of a CREATE TABLE body: a column definition or a
@@ -479,15 +528,8 @@ impl Parser {
         // are always column definitions (`"unique" integer` is a column).
         if let Some(Tok::Word(w)) = self.peek() {
             let kw = w.to_ascii_uppercase();
-            match kw.as_str() {
-                "CONSTRAINT" | "PRIMARY" | "UNIQUE" | "FOREIGN" | "CHECK" | "EXCLUDE" => {
-                    return self.table_constraint(table, pk_columns, constraints);
-                }
-                // MySQL inline index definitions.
-                "KEY" | "INDEX" | "FULLTEXT" | "SPATIAL" => {
-                    return self.skip_clause();
-                }
-                _ => {}
+            if TABLE_CONSTRAINT_KEYWORDS.contains(&kw.as_str()) {
+                return self.table_constraint(table, pk_columns, constraints);
             }
         }
         self.column_def(table, columns, pk_columns, constraints)
@@ -547,11 +589,17 @@ impl Parser {
                     .push(ParsedConstraint { constraint: Constraint::check(table, p), line });
             }
             return self.skip_clause();
-        } else if self.eat_kw("EXCLUDE") {
-            // EXCLUDE bodies are outside the constraint model.
+        } else if self.eat_kw("EXCLUDE")
+            || self.eat_kw("KEY")
+            || self.eat_kw("INDEX")
+            || self.eat_kw("FULLTEXT")
+            || self.eat_kw("SPATIAL")
+        {
+            // EXCLUDE bodies are outside the constraint model, and MySQL
+            // index definitions carry no integrity constraint.
             return self.skip_clause();
         } else {
-            self.error(format!("unrecognized table constraint in `{table}`"));
+            self.unsupported(format!("unrecognized table constraint on `{table}`"));
             return self.skip_clause();
         }
         false
@@ -1144,213 +1192,102 @@ impl Parser {
         }
     }
 
-    /// One ALTER TABLE action. Returns true when recovery consumed the
-    /// statement terminator (so the action loop must stop).
+    /// One ALTER TABLE action. `ADD`, `MODIFY` and `CHANGE` read their
+    /// clause with the CREATE TABLE grammar (`table_item`, `column_def`)
+    /// and graft the result onto the table. Returns true when recovery
+    /// consumed the statement terminator (so the action loop must stop).
     fn alter_action(&mut self, table: &str) -> bool {
         let line = self.line();
-        if self.eat_kw("ADD") {
-            if self.eat_kw("CONSTRAINT") {
-                let _ = self.ident(); // constraint name, discarded
-            }
-            if self.eat_kw("UNIQUE") {
-                self.eat_kw("KEY");
-                self.eat_kw("INDEX");
-                if !matches!(self.peek(), Some(Tok::LParen)) {
-                    let _ = self.ident();
-                }
-                match self.paren_name_list() {
-                    Ok(cols) => self.out.constraints.push(ParsedConstraint {
-                        constraint: Constraint::unique(table, cols),
-                        line,
-                    }),
-                    Err(msg) => {
-                        self.unsupported(format!("ADD UNIQUE on `{table}`: {msg}"));
-                        return self.skip_clause();
-                    }
-                }
-            } else if self.eat_kw("FOREIGN") {
-                self.eat_kw("KEY");
-                match self.foreign_key_tail(table) {
-                    Ok(c) => self.out.constraints.push(ParsedConstraint { constraint: c, line }),
-                    Err(msg) => {
-                        self.unsupported(format!("ADD FOREIGN KEY on `{table}`: {msg}"));
-                        return self.skip_clause();
-                    }
-                }
-            } else if self.eat_kw("PRIMARY") {
-                self.eat_kw("KEY");
-                match self.paren_name_list() {
-                    Ok(cols) => {
-                        // A PK added after creation: record the not-null
-                        // facet (and uniqueness for composites) directly.
-                        for c in &cols {
-                            self.out.constraints.push(ParsedConstraint {
-                                constraint: Constraint::not_null(table, c),
-                                line,
-                            });
-                            if let Some(col) = self
-                                .out
-                                .tables
-                                .iter_mut()
-                                .find(|t| t.name == table)
-                                .and_then(|t| t.column_mut(c))
-                            {
-                                col.nullable = false;
-                            }
-                        }
-                        self.out.constraints.push(ParsedConstraint {
-                            constraint: Constraint::unique(table, cols),
-                            line,
-                        });
-                    }
-                    Err(msg) => {
-                        self.unsupported(format!("ADD PRIMARY KEY on `{table}`: {msg}"));
-                        return self.skip_clause();
-                    }
-                }
-            } else if self.eat_kw("CHECK") {
-                match self.check_predicate() {
-                    Some(p) => self
-                        .out
-                        .constraints
-                        .push(ParsedConstraint { constraint: Constraint::check(table, p), line }),
-                    None => self.skip_balanced(),
-                }
-            } else if self.eat_kw("EXCLUDE") {
-                // EXCLUDE bodies are outside the constraint model, as in
-                // CREATE TABLE.
-                return self.skip_clause();
-            } else if self.is_kw("INDEX")
-                || self.is_kw("KEY")
-                || self.is_kw("FULLTEXT")
-                || self.is_kw("SPATIAL")
-            {
-                // MySQL `ADD INDEX ix (cols)` — no integrity constraint.
-                return self.skip_clause();
-            } else if self.eat_kw("COLUMN")
-                || matches!(self.peek(), Some(Tok::Word(_) | Tok::Quoted(_)))
-            {
-                // ADD [COLUMN] name type flags — reuse the column machinery
-                // against a scratch buffer, then graft onto the table.
-                let mut cols = Vec::new();
-                let mut pks = Vec::new();
-                let mut cons = Vec::new();
-                let terminated = self.column_def(table, &mut cols, &mut pks, &mut cons);
-                self.out.constraints.extend(cons);
-                if let Some(col) = cols.pop() {
-                    if let Some(t) = self.out.tables.iter_mut().find(|t| t.name == table) {
-                        if t.column(&col.name).is_none() {
-                            t.columns.push(col);
-                        } else {
-                            self.error(format!(
-                                "ADD COLUMN duplicates `{table}.{}`; ignored",
-                                col.name
-                            ));
-                        }
-                    } else {
-                        // Table unknown (partial dump): keep the not-null
-                        // facet so the constraint view stays faithful.
-                        if !col.nullable {
-                            self.out.constraints.push(ParsedConstraint {
-                                constraint: Constraint::not_null(table, &col.name),
-                                line,
-                            });
-                        }
-                    }
-                }
-                return terminated;
+        let mut columns = Vec::new();
+        let mut key = Vec::new();
+        let mut constraints = Vec::new();
+        let add = self.eat_kw("ADD");
+        let terminated = if add {
+            if self.eat_kw("COLUMN") {
+                self.column_def(table, &mut columns, &mut key, &mut constraints)
+            } else if matches!(self.peek(), Some(Tok::Word(_) | Tok::Quoted(_))) {
+                self.table_item(table, &mut columns, &mut key, &mut constraints)
             } else {
                 self.unsupported(format!("unrecognized ADD action on `{table}`"));
                 return self.skip_clause();
             }
+        } else if self.is_kw("MODIFY") || self.is_kw("CHANGE") {
+            // MySQL: MODIFY [COLUMN] c type flags
+            //        CHANGE [COLUMN] old new type flags — the definition
+            //        applies to the new name.
+            let change = self.is_kw("CHANGE");
+            self.pos += 1;
+            self.eat_kw("COLUMN");
+            if change && self.ident().is_none() {
+                self.error(format!("expected column name in CHANGE on `{table}`"));
+                return self.skip_clause();
+            }
+            self.column_def(table, &mut columns, &mut key, &mut constraints)
         } else if self.eat_kw("ALTER") {
-            // ALTER [COLUMN] c SET NOT NULL | DROP NOT NULL | SET DEFAULT | TYPE …
-            self.eat_kw("COLUMN");
-            let Some(column) = self.ident() else {
-                self.error(format!("expected column name in ALTER on `{table}`"));
-                return self.skip_clause();
-            };
-            if self.eat_kw("SET") {
-                if self.eat_kw("NOT") {
-                    self.eat_kw("NULL");
-                    self.push_not_null(table, &column, line);
-                } else if self.eat_kw("DEFAULT") {
-                    match self.parse_default() {
-                        Some(value) if !value.is_null() => {
-                            self.push_default(table, &column, value, line);
-                        }
-                        _ => {
-                            // DEFAULT NULL and expression defaults carry
-                            // no constraint.
-                            return self.skip_clause();
-                        }
-                    }
-                } else {
-                    // SET DATA TYPE …
-                    return self.skip_clause();
-                }
-            } else {
-                // DROP NOT NULL / DROP DEFAULT / TYPE … — no constraint
-                // model impact we track beyond skipping.
-                return self.skip_clause();
-            }
-        } else if self.eat_kw("MODIFY") || self.eat_kw("CHANGE") {
-            // MySQL: MODIFY [COLUMN] c type [NOT NULL …]
-            //        CHANGE [COLUMN] old new type [NOT NULL …]
-            let change = matches!(
-                self.toks.get(self.pos.wrapping_sub(1)).map(|t| &t.tok),
-                Some(Tok::Word(w)) if w.eq_ignore_ascii_case("CHANGE")
-            );
-            self.eat_kw("COLUMN");
-            let Some(mut column) = self.ident() else {
-                self.error(format!("expected column name in MODIFY on `{table}`"));
-                return self.skip_clause();
-            };
-            if change {
-                // CHANGE renames: the *new* name is the constrained one.
-                match self.ident() {
-                    Some(new_name) => column = new_name,
-                    None => {
-                        self.error(format!("expected new column name in CHANGE on `{table}`"));
-                        return self.skip_clause();
-                    }
-                }
-            }
-            let (_ty, implies_nn) = self.parse_type();
-            let mut not_null = implies_nn;
-            // Scan the remaining flags of this action for NOT NULL.
-            loop {
-                match self.peek() {
-                    None | Some(Tok::Comma) | Some(Tok::Semi) | Some(Tok::RParen) => break,
-                    Some(Tok::Word(w)) if w.eq_ignore_ascii_case("NOT") => {
-                        self.pos += 1;
-                        if self.eat_kw("NULL") {
-                            not_null = true;
-                        }
-                    }
-                    Some(Tok::Word(w)) if w.eq_ignore_ascii_case("DEFAULT") => {
-                        self.pos += 1;
-                        if let Some(value) = self.parse_default().filter(|v| !v.is_null()) {
-                            self.push_default(table, &column, value, line);
-                        }
-                    }
-                    Some(Tok::LParen) => self.skip_balanced(),
-                    _ => {
-                        self.pos += 1;
-                    }
-                }
-            }
-            if not_null {
-                self.push_not_null(table, &column, line);
-            }
-        } else if self.eat_kw("DROP") || self.eat_kw("RENAME") || self.eat_kw("OWNER") {
-            // Dropping/renaming is out of scope for declared-constraint
+            return self.alter_column(table, line);
+        } else {
+            // DROP / RENAME / OWNER / … are outside declared-constraint
             // ingestion; skip the action.
             return self.skip_clause();
-        } else {
+        };
+        for col in columns {
+            self.graft_column(table, col, add, line);
+        }
+        if !key.is_empty() {
+            self.primary_key(table, key, line);
+        }
+        self.out.constraints.extend(constraints);
+        terminated
+    }
+
+    /// Grafts a column definition read by `column_def` onto `table`. `ADD`
+    /// appends it; MODIFY and CHANGE merge it into the existing column
+    /// additively: a declared NOT NULL or literal DEFAULT is set, nothing
+    /// is cleared and the type is kept. On a table the dump never created,
+    /// or a column it lacks, only those constraint facets are kept.
+    fn graft_column(&mut self, table: &str, col: Column, add: bool, line: u32) {
+        if add {
+            if let Some(t) = self.out.tables.iter_mut().find(|t| t.name == table) {
+                if t.column(&col.name).is_none() {
+                    t.columns.push(col);
+                } else {
+                    self.error(format!("ADD COLUMN duplicates `{table}.{}`; ignored", col.name));
+                }
+                return;
+            }
+        }
+        if !col.nullable {
+            self.push_not_null(table, &col.name, line);
+        }
+        if let Some(value) = col.default.filter(|d| !d.is_null()) {
+            self.push_default(table, &col.name, value, line);
+        }
+    }
+
+    /// `ALTER [COLUMN] c SET NOT NULL | SET DEFAULT lit`; `DROP NOT NULL`,
+    /// `DROP DEFAULT`, `TYPE …` and expression or NULL defaults carry no
+    /// constraint and are skipped.
+    fn alter_column(&mut self, table: &str, line: u32) -> bool {
+        self.eat_kw("COLUMN");
+        let Some(column) = self.ident() else {
+            self.error(format!("expected column name in ALTER on `{table}`"));
+            return self.skip_clause();
+        };
+        if !self.eat_kw("SET") {
             return self.skip_clause();
         }
-        false
+        if self.eat_kw("NOT") {
+            self.eat_kw("NULL");
+            self.push_not_null(table, &column, line);
+            return false;
+        }
+        if self.eat_kw("DEFAULT") {
+            if let Some(value) = self.parse_default().filter(|v| !v.is_null()) {
+                self.push_default(table, &column, value, line);
+                return false;
+            }
+        }
+        self.skip_clause()
     }
 
     fn push_not_null(&mut self, table: &str, column: &str, line: u32) {
@@ -1716,6 +1653,58 @@ mod tests {
         let names: Vec<&str> = parsed.tables[0].columns.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(names, ["id", "c"]);
         assert!(parsed.constraints.is_empty(), "{:?}", parsed.constraints);
+    }
+
+    #[test]
+    fn alter_add_named_unknown_constraint_is_an_error_not_a_column() {
+        let sql = r#"
+            CREATE TABLE t (id bigint, c varchar(20));
+            ALTER TABLE t ADD CONSTRAINT x BOGUS (id);
+        "#;
+        let parsed = parse_sql(sql);
+        let names: Vec<&str> = parsed.tables[0].columns.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["id", "c"]);
+        assert_eq!(parsed.errors.len(), 1, "{:?}", parsed.errors);
+        assert_eq!(parsed.errors[0].kind, SqlErrorKind::Unsupported);
+        assert!(parsed.constraints.is_empty(), "{:?}", parsed.constraints);
+    }
+
+    #[test]
+    fn alter_add_primary_key_agrees_with_the_inline_key() {
+        for sql in [
+            "CREATE TABLE t (id int, code text, PRIMARY KEY (code));",
+            "CREATE TABLE t (id int, code text);\nALTER TABLE t ADD PRIMARY KEY (code);",
+            // pg_dump's spelling.
+            "CREATE TABLE t (id int, code text);\n\
+             ALTER TABLE ONLY t ADD CONSTRAINT t_pkey PRIMARY KEY (code);",
+        ] {
+            let parsed = parse_sql(sql);
+            assert!(parsed.errors.is_empty(), "{sql}: {:?}", parsed.errors);
+            let t = &parsed.tables[0];
+            assert_eq!(t.primary_key, "code", "{sql}");
+            assert!(t.column("id").unwrap().nullable, "{sql}: `id` is no longer the key");
+            // Only the key's NOT NULL: a single-column key declares no unique.
+            let expected: ConstraintSet = [Constraint::not_null("t", "code")].into_iter().collect();
+            assert_eq!(parsed.constraint_set(), expected, "{sql}");
+        }
+    }
+
+    #[test]
+    fn modify_records_what_create_table_records() {
+        let sql = r#"
+            CREATE TABLE users (id int PRIMARY KEY);
+            CREATE TABLE t (id int PRIMARY KEY, k int, code text, u int);
+            ALTER TABLE `t` MODIFY `k` int AUTO_INCREMENT;
+            ALTER TABLE `t` MODIFY COLUMN `code` text UNIQUE;
+            ALTER TABLE `t` CHANGE `u` `u` int REFERENCES `users` (`id`);
+        "#;
+        let parsed = parse_sql(sql);
+        assert!(parsed.errors.is_empty(), "{:?}", parsed.errors);
+        assert!(!parsed.tables[1].column("k").unwrap().nullable);
+        let set = parsed.constraint_set();
+        assert!(set.contains(&Constraint::not_null("t", "k")));
+        assert!(set.contains(&Constraint::unique("t", ["code"])));
+        assert!(set.contains(&Constraint::foreign_key("t", "u", "users", "id")));
     }
 
     #[test]

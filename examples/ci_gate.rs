@@ -13,6 +13,7 @@ use std::process::ExitCode;
 use cfinder::core::{AppSource, CFinder, SourceFile};
 use cfinder::minidb::Database;
 use cfinder::schema::{Column, ColumnType, Schema, Table};
+use cfinder::sql::{constraint_ddl, Dialect};
 
 const MODELS: &str = r#"
 class Coupon(models.Model):
@@ -70,7 +71,7 @@ fn main() -> ExitCode {
             "-- {} (evidence: {} at {}:{})",
             m.constraint, evidence.pattern, evidence.file, evidence.span.start.line
         );
-        println!("{}\n", m.constraint.ddl());
+        println!("{}\n", constraint_ddl(&m.constraint, Dialect::Postgres, None));
     }
 
     // Dry-run the migration against an empty staging database to prove the

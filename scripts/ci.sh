@@ -11,7 +11,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 test_scope=(-p cfinder -p cfinder-core -p cfinder-sql -p cfinder-pyast -p cfinder-flow -p cfinder-serve
-    -p cfinder-minidb)
+    -p cfinder-minidb -p cfinder-schema)
 workspace=false
 if [[ "${1:-}" == "--workspace" ]]; then
     test_scope=(--workspace)
@@ -61,18 +61,21 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test ${test_scope[*]}"
 # Every suite runs once here, the differential oracles included:
 # cold/warm cache equivalence at 1/2/4 threads and the invalidation
-# matrix, SQL emit → parse round-trips in every dialect, the explain
-# provenance goldens, the interproc off/on oracle and its pin of the
-# facts and summary bytes the cache stores, the reaching-definitions
+# matrix, SQL emit → parse round-trips in every dialect and the
+# inline/ALTER/MODIFY declaration forms re-parsing to one schema, the
+# explain provenance goldens, the interproc off/on oracle and its pin of
+# the facts and summary bytes the cache stores, the reaching-definitions
 # oracle against the worklist reference, the null-guard oracle against the
 # per-expression guard table, fault injection, the
 # daemon soak (4 clients x 8 apps x 3 rounds) with the fault-frame and
 # cache-concurrency suites, and minidb's naive-vs-rewritten query
-# oracle with its 3VL pins and plan goldens; cfinder-core's own unit
-# tests (the pattern detectors and the cache's option fingerprints) and
-# robustness proptests, and the parser's unit, torture and recovery and
-# round-trip proptest suites run here too. cargo's `Running` lines name each
-# target, which is what the floors below count by.
+# oracle with its 3VL pins and plan goldens; cfinder-schema's unit tests
+# (the comparison truth table, identifier clamping) and proptests,
+# cfinder-core's own unit tests (the pattern detectors and the cache's
+# option fingerprints) and robustness proptests, and the parser's unit,
+# torture and recovery and round-trip proptest suites run here too.
+# cargo's `Running` lines name each target, which is what the floors
+# below count by.
 cargo test "${test_scope[@]}" -- --quiet 2>&1 | tee "$test_log"
 
 if ! $workspace; then
@@ -96,7 +99,8 @@ fi
 
 echo "==> test-count floors"
 floor core 150 cfinder_core proptest_robustness
-floor SQL 49 cfinder_sql roundtrip_proptest sql_faults
+floor SQL 57 cfinder_sql roundtrip_proptest sql_faults
+floor schema 64 cfinder_schema proptest_schema
 floor pyast 138 cfinder_pyast django_torture proptest_recovery proptest_roundtrip
 floor flow 108 cfinder_flow proptest_interproc interproc_oracle reaching_oracle nullguard_oracle
 floor daemon 24 cfinder_serve serve_soak serve_faults cache_concurrency

@@ -390,14 +390,7 @@ fn run_analyze(cli: &mut Args, env: &EnvConfig) -> Result<u8, String> {
             let t = &report.timings;
             let total = t.total().as_secs_f64().max(f64::EPSILON);
             eprintln!("{:<15} {:>9} {:>7}", "stage", "seconds", "%");
-            for (label, d) in [
-                ("parse", t.parse),
-                ("models", t.model_extraction),
-                ("detect", t.detection),
-                ("diff", t.diff),
-                ("orchestration", t.orchestration),
-                ("total", t.total()),
-            ] {
+            for (label, d) in t.stages().into_iter().chain([("total", t.total())]) {
                 let secs = d.as_secs_f64();
                 eprintln!("{label:<15} {secs:>9.3} {:>7.1}", 100.0 * secs / total);
             }
@@ -493,7 +486,10 @@ fn run_explain(cli: &mut Args, env: &EnvConfig) -> Result<u8, String> {
             }
         }
         if !e.declared {
-            println!("  fix: {}", e.constraint.ddl());
+            println!(
+                "  fix: {}",
+                cfinder::sql::constraint_ddl(&e.constraint, Dialect::Postgres, None)
+            );
         }
         println!();
     }

@@ -18,6 +18,7 @@ use std::process::Command;
 use cfinder::core::{load_app, AppSource, CFinder, CFinderOptions, SourceFile};
 use cfinder::corpus::{all_profiles, generate, GenOptions, GeneratedApp};
 use cfinder::schema::{Column, ColumnType, Constraint, Schema, Table};
+use cfinder::sql::{constraint_ddl, Dialect};
 use serde_json::Value;
 use support::{err_code, ok_result, Client, Daemon};
 
@@ -397,7 +398,11 @@ fn explain_frames_answer_the_report_query_like_the_cli() {
                 |v: &Value, key: &str| v.get(key).and_then(Value::as_str).map(str::to_string);
             assert_eq!(text(entry, "constraint"), Some(e.constraint.to_string()), "{target}");
             assert_eq!(status(entry).as_deref() == Some("declared"), e.declared, "{target}");
-            assert_eq!(text(entry, "fix"), (!e.declared).then(|| e.constraint.ddl()), "{target}");
+            assert_eq!(
+                text(entry, "fix"),
+                (!e.declared).then(|| constraint_ddl(&e.constraint, Dialect::Postgres, None)),
+                "{target}"
+            );
             let chains = entry.get("chains").and_then(Value::as_seq).expect("chains");
             assert_eq!(chains.len(), e.chains.len(), "{target}");
             assert!(!chains.is_empty(), "{target}");
