@@ -19,7 +19,7 @@ use cfinder_flow::nullguard::{
 use cfinder_flow::{CheckKind, NullGuards, SummaryTable};
 use cfinder_pyast::ast::{Constant, Expr, ExprKind, Stmt, StmtKind};
 pub use cfinder_pyast::visit::walk_shallow;
-use cfinder_pyast::visit::{bfs_exprs, own_exprs};
+use cfinder_pyast::visit::{bfs_exprs, bfs_into, own_exprs};
 use cfinder_schema::{Condition, Constraint, Literal, Predicate};
 
 use crate::detect::CFinderOptions;
@@ -27,7 +27,8 @@ use crate::models::{FieldKind, ModelRegistry};
 use crate::report::{Detection, HelperHop, PatternId};
 use crate::resolve::{kwarg_bindings, ColBinding, Resolution, Resolver};
 use crate::syntax::{
-    match_bfs, match_bfs_all, p_error_call, p_exist_negative, p_exist_positive, p_get, p_save,
+    bfs_matches, match_bfs, SynMatch, TreePat, P_ERROR_CALL, P_EXIST_NEGATIVE, P_EXIST_POSITIVE,
+    P_GET, P_SAVE,
 };
 
 /// Labels of the statement-driven pattern families, in the order
@@ -145,16 +146,52 @@ fn timed(ctx: &DetectCtx<'_>, family: usize, f: impl FnOnce()) {
     }
 }
 
+/// The expressions one statement owns, in the order the families search
+/// them: each [`own_exprs`] root in turn, followed by its sub-expressions
+/// breadth-first. Computed once per statement and shared by every family
+/// that searches expressions; the buffers are reused across the body.
+#[derive(Default)]
+struct StmtExprs<'a> {
+    nodes: Vec<&'a Expr>,
+    /// Where each root's run starts in `nodes`.
+    roots: Vec<usize>,
+}
+
+impl<'a> StmtExprs<'a> {
+    fn fill(&mut self, stmt: &'a Stmt) {
+        self.nodes.clear();
+        self.roots.clear();
+        for root in own_exprs(stmt) {
+            self.roots.push(self.nodes.len());
+            bfs_into(root, &mut self.nodes);
+        }
+    }
+
+    /// Every match of `pat`, root by root, each root's search bounded by
+    /// MATCH's node budget as [`match_bfs`] bounds it.
+    fn matches<'s>(&'s self, pat: &'s TreePat) -> impl Iterator<Item = SynMatch<'a>> + 's {
+        let ends = self.roots.iter().skip(1).copied().chain([self.nodes.len()]);
+        self.roots
+            .iter()
+            .zip(ends)
+            .flat_map(move |(&start, end)| bfs_matches(self.nodes[start..end].iter().copied(), pat))
+    }
+}
+
 /// Runs all statement-driven detectors over one function body.
 pub fn detect_all(ctx: &DetectCtx<'_>, body: &[Stmt], out: &mut Vec<Detection>) {
+    let mut exprs = StmtExprs::default();
     walk_shallow(body, &mut |stmt| {
+        // Shared by the families below, so no family's clock holds it.
+        exprs.fill(stmt);
+        let exprs = &exprs;
         timed(ctx, 0, || detect_u1(ctx, stmt, out));
-        timed(ctx, 1, || detect_u2(ctx, stmt, out));
-        timed(ctx, 2, || detect_n1(ctx, stmt, out));
+        timed(ctx, 1, || detect_u2(ctx, stmt, exprs, out));
+        timed(ctx, 2, || detect_n1(ctx, stmt, exprs, out));
         timed(ctx, 3, || detect_n2(ctx, stmt, out));
-        timed(ctx, 4, || detect_f1(ctx, stmt, out));
-        timed(ctx, 5, || detect_f2(ctx, stmt, out));
-        timed(ctx, 6, || detect_x2(ctx, stmt, out));
+        timed(ctx, 4, || detect_f1(ctx, stmt, exprs, out));
+        timed(ctx, 5, || detect_f2(ctx, stmt, exprs, out));
+        timed(ctx, 6, || detect_x2(ctx, stmt, exprs, out));
         timed(ctx, 7, || detect_c1(ctx, stmt, out));
         timed(ctx, 8, || detect_c2(ctx, stmt, out));
         timed(ctx, 9, || detect_d1(ctx, stmt, out));
@@ -162,7 +199,7 @@ pub fn detect_all(ctx: &DetectCtx<'_>, body: &[Stmt], out: &mut Vec<Detection>) 
         // firing *is* a PA_n2/PA_c1/PA_c2/PA_d1 match one call away), so
         // they are not a timed family of their own; the summaries pass has
         // its own span and metrics instead.
-        detect_interproc(ctx, stmt, out);
+        detect_interproc(ctx, stmt, exprs, out);
     });
 }
 
@@ -239,9 +276,9 @@ fn detect_u1(ctx: &DetectCtx<'_>, stmt: &Stmt, out: &mut Vec<Detection>) {
     let (cond, flipped) = unwrap_not(test);
 
     // P-M on the condition: find the existence check and its subject.
-    let (subject, mut polarity) = if let Some(m) = match_bfs(cond, &p_exist_positive()) {
+    let (subject, mut polarity) = if let Some(m) = match_bfs(cond, &P_EXIST_POSITIVE) {
         (m.subject, Polarity::Exists)
-    } else if let Some(m) = match_bfs(cond, &p_exist_negative()) {
+    } else if let Some(m) = match_bfs(cond, &P_EXIST_NEGATIVE) {
         (m.subject, Polarity::NotExists)
     } else if matches!(
         cond.kind,
@@ -293,13 +330,12 @@ fn detect_u1(ctx: &DetectCtx<'_>, stmt: &Stmt, out: &mut Vec<Detection>) {
 /// the paper argues against in §3.3.2.
 fn branch_saves_model(ctx: &DetectCtx<'_>, branch: &[Stmt], model: &str) -> bool {
     let mut found = false;
-    let save_pat = p_save();
     walk_shallow(branch, &mut |stmt| {
         if found {
             return;
         }
         for root in own_exprs(stmt) {
-            for m in match_bfs_all(root, &save_pat) {
+            for m in bfs_matches(bfs_exprs(root), &P_SAVE) {
                 if !ctx.options.data_dependency_checks {
                     found = true;
                     return;
@@ -321,7 +357,6 @@ fn branch_saves_model(ctx: &DetectCtx<'_>, branch: &[Stmt], model: &str) -> bool
 fn branch_has_error(ctx: &DetectCtx<'_>, branch: &[Stmt]) -> bool {
     let _ = ctx;
     let mut found = false;
-    let err_pat = p_error_call();
     walk_shallow(branch, &mut |stmt| {
         if found {
             return;
@@ -331,7 +366,7 @@ fn branch_has_error(ctx: &DetectCtx<'_>, branch: &[Stmt]) -> bool {
             return;
         }
         for root in own_exprs(stmt) {
-            if match_bfs(root, &err_pat).is_some() {
+            if match_bfs(root, &P_ERROR_CALL).is_some() {
                 found = true;
                 return;
             }
@@ -342,62 +377,56 @@ fn branch_has_error(ctx: &DetectCtx<'_>, branch: &[Stmt]) -> bool {
 
 // --- PA_u2: APIs with uniqueness assumptions ----------------------------------
 
-fn detect_u2(ctx: &DetectCtx<'_>, stmt: &Stmt, out: &mut Vec<Detection>) {
-    let get_pat = p_get();
-    for root in own_exprs(stmt) {
-        for m in match_bfs_all(root, &get_pat) {
-            let ExprKind::Call { func, args, keywords } = &m.node.kind else { continue };
-            // Establish the queried model and base (implicit-join) columns.
-            let base = if matches!(func.kind, ExprKind::Name(_)) {
-                // `get_object_or_404(Model, col=v)`.
-                let Some(first) = args.first() else { continue };
-                match ctx.resolver.resolve(first, stmt.id) {
-                    Some(Resolution::Class(model)) => {
-                        Some(Resolution::Query { model, cols: Vec::new() })
-                    }
-                    other => other,
+fn detect_u2(ctx: &DetectCtx<'_>, stmt: &Stmt, exprs: &StmtExprs<'_>, out: &mut Vec<Detection>) {
+    for m in exprs.matches(&P_GET) {
+        let ExprKind::Call { func, args, keywords } = &m.node.kind else { continue };
+        // Establish the queried model and base (implicit-join) columns.
+        let base = if matches!(func.kind, ExprKind::Name(_)) {
+            // `get_object_or_404(Model, col=v)`.
+            let Some(first) = args.first() else { continue };
+            match ctx.resolver.resolve(first, stmt.id) {
+                Some(Resolution::Class(model)) => {
+                    Some(Resolution::Query { model, cols: Vec::new() })
                 }
-            } else {
-                m.subject.and_then(|s| ctx.resolver.resolve(s, stmt.id))
-            };
-            let Some(Resolution::Query { model, cols }) = base else { continue };
-            let mut all_cols = cols;
-            all_cols
-                .extend(kwarg_bindings(keywords).into_iter().filter(|b| b.column != "defaults"));
-            if all_cols.is_empty() {
-                continue;
+                other => other,
             }
-            let Some((columns, conditions)) =
-                split_cols(ctx.resolver.registry(), &model, &all_cols, ctx.options)
-            else {
-                continue;
-            };
-            let constraint = Constraint::partial_unique(&model, columns, conditions);
-            ctx.emit(out, PatternId::U2, constraint, stmt);
+        } else {
+            m.subject.and_then(|s| ctx.resolver.resolve(s, stmt.id))
+        };
+        let Some(Resolution::Query { model, cols }) = base else { continue };
+        let mut all_cols = cols;
+        all_cols.extend(kwarg_bindings(keywords).into_iter().filter(|b| b.column != "defaults"));
+        if all_cols.is_empty() {
+            continue;
         }
+        let Some((columns, conditions)) =
+            split_cols(ctx.resolver.registry(), &model, &all_cols, ctx.options)
+        else {
+            continue;
+        };
+        let constraint = Constraint::partial_unique(&model, columns, conditions);
+        ctx.emit(out, PatternId::U2, constraint, stmt);
     }
 }
 
 // --- PA_n1: invocation on a column without NULL check --------------------------
 
-fn detect_n1(ctx: &DetectCtx<'_>, stmt: &Stmt, out: &mut Vec<Detection>) {
-    for root in own_exprs(stmt) {
-        for e in bfs_exprs(root) {
-            let ExprKind::Attribute { value: base, .. } = &e.kind else { continue };
-            // The accessed base must itself be a column access.
-            let candidate = column_of_access(ctx, base, stmt);
-            let Some((model, column)) = candidate else { continue };
-            if column == "id" {
-                continue;
-            }
-            // C-D: no dominating NULL check on the base's access path.
-            // (Skipped entirely when the null-guard ablation is on, which
-            // reintroduces the false positives the check exists to prune.)
-            if ctx.options.null_guard_analysis && ctx.guards.is_guarded(base) {
-                continue;
-            }
-            ctx.emit(out, PatternId::N1, Constraint::not_null(model, column), stmt);
+fn detect_n1(ctx: &DetectCtx<'_>, stmt: &Stmt, exprs: &StmtExprs<'_>, out: &mut Vec<Detection>) {
+    for e in &exprs.nodes {
+        let ExprKind::Attribute { value: base, .. } = &e.kind else { continue };
+        // The accessed base must itself be a column access.
+        let candidate = column_of_access(ctx, base, stmt);
+        let Some((model, column)) = candidate else { continue };
+        if column == "id" {
+            continue;
         }
+        // C-D: no dominating NULL check on the base's access path.
+        // (Skipped entirely when the null-guard ablation is on, which
+        // reintroduces the false positives the check exists to prune.)
+        if ctx.options.null_guard_analysis && ctx.guards.is_guarded(base) {
+            continue;
+        }
+        ctx.emit(out, PatternId::N1, Constraint::not_null(model, column), stmt);
     }
 }
 
@@ -597,37 +626,40 @@ fn branch_assigns_constant(branch: &[Stmt], path: &AccessPath) -> Option<Literal
 /// site → constraint`). Each family honors its own ablation flag, so
 /// e.g. `--ablate check` silences helper-carried CHECKs exactly like
 /// in-line ones.
-fn detect_interproc(ctx: &DetectCtx<'_>, stmt: &Stmt, out: &mut Vec<Detection>) {
+fn detect_interproc(
+    ctx: &DetectCtx<'_>,
+    stmt: &Stmt,
+    exprs: &StmtExprs<'_>,
+    out: &mut Vec<Detection>,
+) {
     let Some(table) = ctx.summaries else { return };
     if table.is_empty() {
         return;
     }
-    for root in own_exprs(stmt) {
-        for e in bfs_exprs(root) {
-            let ExprKind::Call { func, args, keywords } = &e.kind else { continue };
-            let Some(call) = table.resolve_call(func, args, keywords) else { continue };
-            for (path, check) in &call.checks {
-                let ap = AccessPath(path.clone());
-                let Some((model, column)) = field_of_path(ctx, &ap, stmt) else { continue };
-                let Some((pattern, constraint)) =
-                    check_constraint(ctx.options, check.kind.clone(), model, column)
-                else {
-                    continue;
-                };
-                let via = HelperHop {
-                    helper: call.summary.name.clone(),
-                    file: call.summary.file.clone(),
-                    line: check.line,
-                };
-                ctx.emit_via(out, pattern, constraint, stmt, Some(via));
-            }
+    for e in &exprs.nodes {
+        let ExprKind::Call { func, args, keywords } = &e.kind else { continue };
+        let Some(call) = table.resolve_call(func, args, keywords) else { continue };
+        for (path, check) in &call.checks {
+            let ap = AccessPath(path.clone());
+            let Some((model, column)) = field_of_path(ctx, &ap, stmt) else { continue };
+            let Some((pattern, constraint)) =
+                check_constraint(ctx.options, check.kind.clone(), model, column)
+            else {
+                continue;
+            };
+            let via = HelperHop {
+                helper: call.summary.name.clone(),
+                file: call.summary.file.clone(),
+                line: check.line,
+            };
+            ctx.emit_via(out, pattern, constraint, stmt, Some(via));
         }
     }
 }
 
 // --- PA_f1 / PA_f2: foreign-key reference patterns ------------------------------
 
-fn detect_f1(ctx: &DetectCtx<'_>, stmt: &Stmt, out: &mut Vec<Detection>) {
+fn detect_f1(ctx: &DetectCtx<'_>, stmt: &Stmt, exprs: &StmtExprs<'_>, out: &mut Vec<Detection>) {
     // (a) `dep.col = ref.id`
     if let StmtKind::Assign { targets, value } = &stmt.kind {
         if let Some((ref_model, _)) = pk_field_of(ctx, value, stmt) {
@@ -648,83 +680,78 @@ fn detect_f1(ctx: &DetectCtx<'_>, stmt: &Stmt, out: &mut Vec<Detection>) {
         }
     }
     // (b) `Dep.objects.filter(col=ref.id)` / `create(col=ref.id)`
-    for root in own_exprs(stmt) {
-        for e in bfs_exprs(root) {
-            let ExprKind::Call { func, keywords, .. } = &e.kind else { continue };
-            let ExprKind::Attribute { value: recv, attr: method } = &func.kind else { continue };
-            if !crate::syntax::api::FILTER.contains(&method.as_str())
-                && !crate::syntax::api::SAVE.contains(&method.as_str())
-                && !crate::syntax::api::UNIQUE_GET.contains(&method.as_str())
-            {
+    for e in &exprs.nodes {
+        let ExprKind::Call { func, keywords, .. } = &e.kind else { continue };
+        let ExprKind::Attribute { value: recv, attr: method } = &func.kind else { continue };
+        if !crate::syntax::api::FILTER.contains(&method.as_str())
+            && !crate::syntax::api::SAVE.contains(&method.as_str())
+            && !crate::syntax::api::UNIQUE_GET.contains(&method.as_str())
+        {
+            continue;
+        }
+        let Some(res) = ctx.resolver.resolve(recv, stmt.id) else { continue };
+        let dep_model = match res {
+            Resolution::Query { model, .. } => model,
+            Resolution::Class(model) => model,
+            _ => continue,
+        };
+        for kw in keywords {
+            let Some(name) = kw.name.as_deref() else { continue };
+            let col = name.split("__").next().unwrap_or(name);
+            if col == "pk" || col == "id" {
+                continue; // that's PA_f2's shape
+            }
+            let Some((ref_model, _)) = pk_field_of(ctx, &kw.value, stmt) else { continue };
+            let Some((owner, field)) = ctx.resolver.registry().field_of(&dep_model, col) else {
+                continue;
+            };
+            if matches!(field.kind, FieldKind::ForeignKey { .. }) {
                 continue;
             }
-            let Some(res) = ctx.resolver.resolve(recv, stmt.id) else { continue };
-            let dep_model = match res {
-                Resolution::Query { model, .. } => model,
-                Resolution::Class(model) => model,
-                _ => continue,
-            };
-            for kw in keywords {
-                let Some(name) = kw.name.as_deref() else { continue };
-                let col = name.split("__").next().unwrap_or(name);
-                if col == "pk" || col == "id" {
-                    continue; // that's PA_f2's shape
-                }
-                let Some((ref_model, _)) = pk_field_of(ctx, &kw.value, stmt) else { continue };
-                let Some((owner, field)) = ctx.resolver.registry().field_of(&dep_model, col) else {
-                    continue;
-                };
-                if matches!(field.kind, FieldKind::ForeignKey { .. }) {
-                    continue;
-                }
-                let c = Constraint::foreign_key(&owner.name, field.column_name(), &ref_model, "id");
-                ctx.emit(out, PatternId::F1, c, stmt);
-            }
+            let c = Constraint::foreign_key(&owner.name, field.column_name(), &ref_model, "id");
+            ctx.emit(out, PatternId::F1, c, stmt);
         }
     }
 }
 
-fn detect_f2(ctx: &DetectCtx<'_>, stmt: &Stmt, out: &mut Vec<Detection>) {
-    let get_pat = p_get();
-    for root in own_exprs(stmt) {
-        for m in match_bfs_all(root, &get_pat) {
-            let ExprKind::Call { func, args, keywords } = &m.node.kind else { continue };
-            let ref_model = if matches!(func.kind, ExprKind::Name(_)) {
-                let Some(first) = args.first() else { continue };
-                match ctx.resolver.resolve(first, stmt.id) {
-                    Some(Resolution::Class(model)) => model,
-                    _ => continue,
-                }
-            } else {
-                match m.subject.and_then(|s| ctx.resolver.resolve(s, stmt.id)) {
-                    Some(Resolution::Query { model, .. }) => model,
-                    _ => continue,
-                }
-            };
-            for kw in keywords {
-                if !matches!(kw.name.as_deref(), Some("pk") | Some("id")) {
-                    continue;
-                }
-                // The argument must be a column of another (dependent) model.
-                let Some(Resolution::Field { model: dep_model, field }) =
-                    ctx.resolver.resolve(&kw.value, stmt.id)
-                else {
-                    continue;
-                };
-                if field == "id" {
-                    continue;
-                }
-                let registry = ctx.resolver.registry();
-                // Skip when the dependent field is already a declared FK.
-                if let Some((_, f)) = registry.field_of(&dep_model, &field) {
-                    if matches!(f.kind, FieldKind::ForeignKey { .. }) {
-                        continue;
-                    }
-                }
-                let column = db_column(registry, &dep_model, &field);
-                let c = Constraint::foreign_key(&dep_model, column, &ref_model, "id");
-                ctx.emit(out, PatternId::F2, c, stmt);
+fn detect_f2(ctx: &DetectCtx<'_>, stmt: &Stmt, exprs: &StmtExprs<'_>, out: &mut Vec<Detection>) {
+    for m in exprs.matches(&P_GET) {
+        let ExprKind::Call { func, args, keywords } = &m.node.kind else { continue };
+        let ref_model = if matches!(func.kind, ExprKind::Name(_)) {
+            let Some(first) = args.first() else { continue };
+            match ctx.resolver.resolve(first, stmt.id) {
+                Some(Resolution::Class(model)) => model,
+                _ => continue,
             }
+        } else {
+            match m.subject.and_then(|s| ctx.resolver.resolve(s, stmt.id)) {
+                Some(Resolution::Query { model, .. }) => model,
+                _ => continue,
+            }
+        };
+        for kw in keywords {
+            if !matches!(kw.name.as_deref(), Some("pk") | Some("id")) {
+                continue;
+            }
+            // The argument must be a column of another (dependent) model.
+            let Some(Resolution::Field { model: dep_model, field }) =
+                ctx.resolver.resolve(&kw.value, stmt.id)
+            else {
+                continue;
+            };
+            if field == "id" {
+                continue;
+            }
+            let registry = ctx.resolver.registry();
+            // Skip when the dependent field is already a declared FK.
+            if let Some((_, f)) = registry.field_of(&dep_model, &field) {
+                if matches!(f.kind, FieldKind::ForeignKey { .. }) {
+                    continue;
+                }
+            }
+            let column = db_column(registry, &dep_model, &field);
+            let c = Constraint::foreign_key(&dep_model, column, &ref_model, "id");
+            ctx.emit(out, PatternId::F2, c, stmt);
         }
     }
 }
@@ -1384,29 +1411,27 @@ pub fn detect_x1(registry: &ModelRegistry, out: &mut Vec<Detection>) {
 /// PA_x2 (extension, §4.3.1's "some fields are used in the URL as the
 /// identifier" improvement): a column interpolated into a URL-shaped
 /// f-string (`f'/orders/{order.number}/'`) implies it identifies the row.
-pub fn detect_x2(ctx: &DetectCtx<'_>, stmt: &Stmt, out: &mut Vec<Detection>) {
+fn detect_x2(ctx: &DetectCtx<'_>, stmt: &Stmt, exprs: &StmtExprs<'_>, out: &mut Vec<Detection>) {
     if !ctx.options.ext_url_identifier {
         return;
     }
-    for root in own_exprs(stmt) {
-        for e in bfs_exprs(root) {
-            let ExprKind::FString { raw, parts } = &e.kind else { continue };
-            // URL shape: a path with at least two segments and a hole
-            // directly between slashes.
-            if !raw.starts_with('/') || !raw.contains("/{") {
+    for e in &exprs.nodes {
+        let ExprKind::FString { raw, parts } = &e.kind else { continue };
+        // URL shape: a path with at least two segments and a hole
+        // directly between slashes.
+        if !raw.starts_with('/') || !raw.contains("/{") {
+            continue;
+        }
+        for part in parts {
+            let Some(Resolution::Field { model, field }) = ctx.resolver.resolve(part, stmt.id)
+            else {
+                continue;
+            };
+            if field == "id" {
                 continue;
             }
-            for part in parts {
-                let Some(Resolution::Field { model, field }) = ctx.resolver.resolve(part, stmt.id)
-                else {
-                    continue;
-                };
-                if field == "id" {
-                    continue;
-                }
-                let column = db_column(ctx.resolver.registry(), &model, &field);
-                ctx.emit(out, PatternId::X2, Constraint::unique(&model, [column]), stmt);
-            }
+            let column = db_column(ctx.resolver.registry(), &model, &field);
+            ctx.emit(out, PatternId::X2, Constraint::unique(&model, [column]), stmt);
         }
     }
 }

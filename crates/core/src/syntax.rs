@@ -7,8 +7,8 @@
 //! the pattern's root, then checking the pattern's children.
 //!
 //! The categories are deliberately easy to extend (the paper: "they can be
-//! easily customized and extended"): each is a [`TreePat`] value, and the
-//! Django API method names live in [`api`] constants.
+//! easily customized and extended"): each is a [`TreePat`] constant, and
+//! the Django API method names live in [`api`] constants.
 
 use cfinder_pyast::ast::{CmpOp, Constant, Expr, ExprKind};
 use cfinder_pyast::visit::bfs_exprs;
@@ -33,7 +33,8 @@ pub mod api {
     pub const FIRST: &[&str] = &["first", "last", "earliest", "latest"];
 }
 
-/// A small structural tree pattern (paper Figure 7 / Figure 8).
+/// A small structural tree pattern (paper Figure 7 / Figure 8). Built
+/// from `'static` parts only, so every category is a `const`.
 #[derive(Debug, Clone)]
 pub enum TreePat {
     /// `Call(func=Attribute(attr ∈ names))` — a method call like `.exists()`.
@@ -42,9 +43,9 @@ pub enum TreePat {
     FnCall(&'static [&'static str]),
     /// A comparison of an inner pattern with an integer literal using one of
     /// the given operators (either operand order).
-    IntCompare(Box<TreePat>, &'static [CmpOp], i64),
+    IntCompare(&'static TreePat, &'static [CmpOp], i64),
     /// Matches if any alternative matches.
-    Any(Vec<TreePat>),
+    Any(&'static [TreePat]),
 }
 
 /// Result of a successful match: the matched subtree plus, when the pattern
@@ -139,74 +140,57 @@ pub const MAX_BFS_NODES: usize = 1 << 16;
 /// and finds the node which matches the root of P_save"), bounded by
 /// [`MAX_BFS_NODES`].
 pub fn match_bfs<'a>(root: &'a Expr, pat: &TreePat) -> Option<SynMatch<'a>> {
-    bfs_exprs(root).take(MAX_BFS_NODES).find_map(|e| pat.matches(e))
+    bfs_matches(bfs_exprs(root), pat).next()
 }
 
-/// All matches in BFS order (a condition can mention several querysets),
+/// Every match of `pat` among `nodes`, one root's expressions in
+/// breadth-first order (a condition can mention several querysets),
 /// bounded by [`MAX_BFS_NODES`].
-pub fn match_bfs_all<'a>(root: &'a Expr, pat: &TreePat) -> Vec<SynMatch<'a>> {
-    bfs_exprs(root).take(MAX_BFS_NODES).filter_map(|e| pat.matches(e)).collect()
+pub fn bfs_matches<'a, 'p>(
+    nodes: impl IntoIterator<Item = &'a Expr> + 'p,
+    pat: &'p TreePat,
+) -> impl Iterator<Item = SynMatch<'a>> + 'p
+where
+    'a: 'p,
+{
+    nodes.into_iter().take(MAX_BFS_NODES).filter_map(|e| pat.matches(e))
 }
 
 // --- the pattern categories -------------------------------------------------
 
 /// P_exist, positive polarity: the expression is truthy iff a record exists.
 /// `qs.exists()`, `qs.count() > 0`, `qs.count() != 0`, `len(qs) > 0`, …
-pub fn p_exist_positive() -> TreePat {
-    TreePat::Any(vec![
-        TreePat::MethodCall(api::EXISTS),
-        TreePat::IntCompare(
-            Box::new(TreePat::MethodCall(api::COUNT)),
-            &[CmpOp::Gt, CmpOp::NotEq, CmpOp::GtEq],
-            0,
-        ),
-        TreePat::IntCompare(
-            Box::new(TreePat::FnCall(&["len"])),
-            &[CmpOp::Gt, CmpOp::NotEq, CmpOp::GtEq],
-            0,
-        ),
-    ])
-}
+pub const P_EXIST_POSITIVE: TreePat = TreePat::Any(&[
+    TreePat::MethodCall(api::EXISTS),
+    TreePat::IntCompare(
+        &TreePat::MethodCall(api::COUNT),
+        &[CmpOp::Gt, CmpOp::NotEq, CmpOp::GtEq],
+        0,
+    ),
+    TreePat::IntCompare(&TreePat::FnCall(&["len"]), &[CmpOp::Gt, CmpOp::NotEq, CmpOp::GtEq], 0),
+]);
 
 /// P_exist, negative polarity: truthy iff **no** record exists.
 /// `qs.count() == 0`, `len(qs) == 0` (plus `not qs.exists()` handled by the
 /// detector's `not` unwrapping).
-pub fn p_exist_negative() -> TreePat {
-    TreePat::Any(vec![
-        TreePat::IntCompare(
-            Box::new(TreePat::MethodCall(api::COUNT)),
-            &[CmpOp::Eq, CmpOp::LtEq],
-            0,
-        ),
-        TreePat::IntCompare(Box::new(TreePat::FnCall(&["len"])), &[CmpOp::Eq, CmpOp::LtEq], 0),
-    ])
-}
+pub const P_EXIST_NEGATIVE: TreePat = TreePat::Any(&[
+    TreePat::IntCompare(&TreePat::MethodCall(api::COUNT), &[CmpOp::Eq, CmpOp::LtEq], 0),
+    TreePat::IntCompare(&TreePat::FnCall(&["len"]), &[CmpOp::Eq, CmpOp::LtEq], 0),
+]);
 
 /// P_save: record creation or update (`….save()`, `….create(…)`, …).
-pub fn p_save() -> TreePat {
-    TreePat::MethodCall(api::SAVE)
-}
+pub const P_SAVE: TreePat = TreePat::MethodCall(api::SAVE);
 
 /// P_error in expression position: logger error calls. (The main error-
 /// handling form — `raise` — is a statement and is recognized directly by
 /// the detectors.)
-pub fn p_error_call() -> TreePat {
-    TreePat::MethodCall(api::LOG_ERROR)
-}
+pub const P_ERROR_CALL: TreePat = TreePat::MethodCall(api::LOG_ERROR);
 
 /// P_get: retrieval APIs with uniqueness assumptions (PA_u2).
-pub fn p_get() -> TreePat {
-    TreePat::Any(vec![
-        TreePat::MethodCall(api::UNIQUE_GET),
-        TreePat::FnCall(&["get_object_or_404", "get_obj_or_404"]),
-    ])
-}
-
-/// P_filter: queryset-returning retrieval (used for subjects of existence
-/// checks).
-pub fn p_filter() -> TreePat {
-    TreePat::MethodCall(api::FILTER)
-}
+pub const P_GET: TreePat = TreePat::Any(&[
+    TreePat::MethodCall(api::UNIQUE_GET),
+    TreePat::FnCall(&["get_object_or_404", "get_obj_or_404"]),
+]);
 
 #[cfg(test)]
 mod tests {
@@ -221,7 +205,7 @@ mod tests {
 
     #[test]
     fn exists_positive_forms() {
-        let pat = p_exist_positive();
+        let pat = P_EXIST_POSITIVE;
         assert_eq!(
             subject_of("qs.filter(email=email).exists()", &pat).unwrap(),
             "qs.filter(email=email)"
@@ -246,7 +230,7 @@ mod tests {
             src.push_str("qs.exists())");
             parse_expr(&src).unwrap()
         };
-        let pat = p_exist_positive();
+        let pat = P_EXIST_POSITIVE;
         // Well within the budget: found.
         assert!(match_bfs(&wide(50), &pat).is_some());
         // Past the horizon: the search gives up instead of scanning an
@@ -256,7 +240,7 @@ mod tests {
 
     #[test]
     fn exists_negative_forms() {
-        let pat = p_exist_negative();
+        let pat = P_EXIST_NEGATIVE;
         assert_eq!(subject_of("len(lines) == 0", &pat).unwrap(), "lines");
         assert_eq!(subject_of("0 == len(lines)", &pat).unwrap(), "lines");
         assert_eq!(subject_of("qs.count() == 0", &pat).unwrap(), "qs");
@@ -265,7 +249,7 @@ mod tests {
 
     #[test]
     fn save_forms() {
-        let pat = p_save();
+        let pat = P_SAVE;
         assert_eq!(subject_of("wishlist.lines.create(product=p)", &pat).unwrap(), "wishlist.lines");
         assert_eq!(subject_of("user.save()", &pat).unwrap(), "user");
         assert!(subject_of("user.delete()", &pat).is_none());
@@ -273,7 +257,7 @@ mod tests {
 
     #[test]
     fn get_forms() {
-        let pat = p_get();
+        let pat = P_GET;
         assert_eq!(subject_of("Order.objects.get(number=n)", &pat).unwrap(), "Order.objects");
         // Free-function form: subject is the first argument (the model).
         assert_eq!(subject_of("get_object_or_404(Order, number=n)", &pat).unwrap(), "Order");
@@ -281,7 +265,7 @@ mod tests {
 
     #[test]
     fn bfs_finds_nested_matches() {
-        let pat = p_exist_positive();
+        let pat = P_EXIST_POSITIVE;
         // The match is buried under a boolean operator and a call argument.
         assert!(subject_of("flag and check(qs.exists())", &pat).is_some());
     }
@@ -289,14 +273,14 @@ mod tests {
     #[test]
     fn bfs_order_prefers_shallow_match() {
         let e = parse_expr("outer.exists() and inner.filter(x=1).exists()").unwrap();
-        let m = match_bfs(&e, &p_exist_positive()).unwrap();
+        let m = match_bfs(&e, &P_EXIST_POSITIVE).unwrap();
         assert_eq!(unparse_expr(m.subject.unwrap()), "outer");
-        assert_eq!(match_bfs_all(&e, &p_exist_positive()).len(), 2);
+        assert_eq!(bfs_matches(bfs_exprs(&e), &P_EXIST_POSITIVE).count(), 2);
     }
 
     #[test]
     fn error_logger_call() {
-        let pat = p_error_call();
+        let pat = P_ERROR_CALL;
         assert!(subject_of("logger.error('dup')", &pat).is_some());
         assert!(subject_of("logger.info('dup')", &pat).is_none());
     }
@@ -305,11 +289,6 @@ mod tests {
     fn chained_comparison_not_matched() {
         // `0 < x.count() < 5` is a range check, not an existence check.
         let e = parse_expr("0 < x.count() < 5").unwrap();
-        assert!(match_bfs(&e, &p_exist_positive()).is_none());
-    }
-
-    #[test]
-    fn filter_pattern() {
-        assert_eq!(subject_of("wl.lines.filter(product=p)", &p_filter()).unwrap(), "wl.lines");
+        assert!(match_bfs(&e, &P_EXIST_POSITIVE).is_none());
     }
 }

@@ -756,7 +756,7 @@ fn expr_contains_yield(expr: &Expr) -> bool {
     if matches!(expr.kind, ExprKind::Yield(_)) {
         return true;
     }
-    expr_children(expr).into_iter().any(expr_contains_yield)
+    expr_children(expr).any(expr_contains_yield)
 }
 
 /// The body is a generator (has a `yield` in its own scope), so calling

@@ -572,7 +572,8 @@ mod tests {
             if cfinder_pyast::unparse_expr(e) == text {
                 return e;
             }
-            stack.extend(expr_children(e).into_iter().rev());
+            let children: Vec<&Expr> = expr_children(e).collect();
+            stack.extend(children.into_iter().rev());
         }
         panic!("expression `{text}` not found in `{within}`")
     }

@@ -163,12 +163,18 @@ impl Parser {
         &self.tokens[(self.idx + n).min(self.tokens.len() - 1)].kind
     }
 
+    /// Consumes the current token and hands it over. The parser never
+    /// rewinds, so the token moves out of its slot instead of being cloned;
+    /// the last token (the `Eof`) stays in place for every later `peek`.
     fn advance(&mut self) -> Token {
-        let t = self.tokens[self.idx.min(self.tokens.len() - 1)].clone();
-        if self.idx < self.tokens.len() - 1 {
+        let last = self.tokens.len() - 1;
+        if self.idx < last {
             self.idx += 1;
+            let consumed = Token::new(TokenKind::Newline, Span::DUMMY);
+            std::mem::replace(&mut self.tokens[self.idx - 1], consumed)
+        } else {
+            self.tokens[last].clone()
         }
-        t
     }
 
     fn check(&self, kind: &TokenKind) -> bool {
@@ -193,12 +199,12 @@ impl Parser {
     }
 
     fn eat_name(&mut self) -> Result<(String, Span)> {
-        match self.peek_kind().clone() {
-            TokenKind::Name(n) => {
-                let t = self.advance();
-                Ok((n, t.span))
-            }
-            _ => Err(self.unexpected("expected identifier")),
+        if !matches!(self.peek_kind(), TokenKind::Name(_)) {
+            return Err(self.unexpected("expected identifier"));
+        }
+        match self.advance() {
+            Token { kind: TokenKind::Name(n), span } => Ok((n, span)),
+            _ => unreachable!("peeked a name"),
         }
     }
 
@@ -1159,55 +1165,48 @@ impl Parser {
     }
 
     fn atom(&mut self) -> Result<Expr> {
-        let tok = self.peek().clone();
-        match tok.kind {
-            TokenKind::Name(n) => {
-                self.advance();
-                Ok(self.expr(tok.span, ExprKind::Name(n)))
-            }
-            TokenKind::Int(v) => {
-                self.advance();
-                Ok(self.expr(tok.span, ExprKind::Constant(Constant::Int(v))))
-            }
-            TokenKind::Float(v) => {
-                self.advance();
-                Ok(self.expr(tok.span, ExprKind::Constant(Constant::Float(v))))
-            }
-            TokenKind::Str(s) => {
-                self.advance();
+        match self.peek_kind() {
+            TokenKind::LParen => return self.paren_atom(),
+            TokenKind::LBracket => return self.list_atom(),
+            TokenKind::LBrace => return self.brace_atom(),
+            TokenKind::Lambda => return self.lambda(),
+            TokenKind::Name(_)
+            | TokenKind::Int(_)
+            | TokenKind::Float(_)
+            | TokenKind::Str(_)
+            | TokenKind::FStr(_)
+            | TokenKind::True
+            | TokenKind::False
+            | TokenKind::None => {}
+            _ => return Err(self.unexpected("expected expression")),
+        }
+        let Token { kind, span } = self.advance();
+        let kind = match kind {
+            TokenKind::Name(n) => ExprKind::Name(n),
+            TokenKind::Int(v) => ExprKind::Constant(Constant::Int(v)),
+            TokenKind::Float(v) => ExprKind::Constant(Constant::Float(v)),
+            TokenKind::Str(mut full) => {
                 // Adjacent string literals concatenate.
-                let mut full = s;
-                let mut span = tok.span;
-                while let TokenKind::Str(next) = self.peek_kind().clone() {
-                    span = span.to(self.peek().span);
-                    full.push_str(&next);
-                    self.advance();
+                let mut span = span;
+                while matches!(self.peek_kind(), TokenKind::Str(_)) {
+                    let next = self.advance();
+                    span = span.to(next.span);
+                    if let TokenKind::Str(s) = next.kind {
+                        full.push_str(&s);
+                    }
                 }
-                Ok(self.expr(span, ExprKind::Constant(Constant::Str(full))))
+                return Ok(self.expr(span, ExprKind::Constant(Constant::Str(full))));
             }
             TokenKind::FStr(raw) => {
-                self.advance();
-                let parts = self.parse_fstring_holes(&raw, tok.span)?;
-                Ok(self.expr(tok.span, ExprKind::FString { raw, parts }))
+                let parts = self.parse_fstring_holes(&raw, span)?;
+                ExprKind::FString { raw, parts }
             }
-            TokenKind::True => {
-                self.advance();
-                Ok(self.expr(tok.span, ExprKind::Constant(Constant::Bool(true))))
-            }
-            TokenKind::False => {
-                self.advance();
-                Ok(self.expr(tok.span, ExprKind::Constant(Constant::Bool(false))))
-            }
-            TokenKind::None => {
-                self.advance();
-                Ok(self.expr(tok.span, ExprKind::Constant(Constant::None)))
-            }
-            TokenKind::LParen => self.paren_atom(),
-            TokenKind::LBracket => self.list_atom(),
-            TokenKind::LBrace => self.brace_atom(),
-            TokenKind::Lambda => self.lambda(),
-            _ => Err(self.unexpected("expected expression")),
-        }
+            TokenKind::True => ExprKind::Constant(Constant::Bool(true)),
+            TokenKind::False => ExprKind::Constant(Constant::Bool(false)),
+            TokenKind::None => ExprKind::Constant(Constant::None),
+            _ => unreachable!("peeked an atom"),
+        };
+        Ok(self.expr(span, kind))
     }
 
     fn paren_atom(&mut self) -> Result<Expr> {

@@ -5,60 +5,64 @@
 //! * [`walk_shallow`] / [`own_exprs`] — the scope walk of the analyses: the
 //!   statements of one function body without nested `def`/`class` bodies,
 //!   and the expressions each statement owns directly.
-//! * [`bfs_exprs`] — breadth-first expression traversal, which is the order
-//!   CFinder's pattern matcher uses when searching candidate subtrees
-//!   (§3.4.2 of the paper: "performs a breadth-first traversal in T_body").
+//! * [`expr_children`] — the direct children of one expression, enumerated
+//!   without allocating; every walk here is built on it.
+//! * [`bfs_exprs`] / [`bfs_into`] — breadth-first expression traversal,
+//!   which is the order CFinder's pattern matcher uses when searching
+//!   candidate subtrees (§3.4.2 of the paper: "performs a breadth-first
+//!   traversal in T_body"); `bfs_into` appends the order to a reusable
+//!   buffer.
 
 use std::collections::VecDeque;
 
 use crate::ast::*;
 
-/// Returns the direct expression children of `expr` in source order.
-pub fn expr_children(expr: &Expr) -> Vec<&Expr> {
+/// Iterates the direct expression children of `expr` in source order,
+/// without allocating: the iterator is two words, so a recursive walker's
+/// frame stays small.
+pub fn expr_children(expr: &Expr) -> impl Iterator<Item = &Expr> {
+    (0..).map_while(move |i| nth_child(expr, i))
+}
+
+/// The `i`-th direct child of `expr` in source order.
+fn nth_child(expr: &Expr, i: usize) -> Option<&Expr> {
+    fn pick<const N: usize>(i: usize, items: [&Expr; N]) -> Option<&Expr> {
+        items.get(i).copied()
+    }
     match &expr.kind {
-        ExprKind::Name(_) | ExprKind::Constant(_) => vec![],
-        ExprKind::Attribute { value, .. } => vec![value],
-        ExprKind::Call { func, args, keywords } => {
-            let mut out: Vec<&Expr> = vec![func];
-            out.extend(args.iter());
-            out.extend(keywords.iter().map(|k| &k.value));
-            out
-        }
-        ExprKind::Subscript { value, index } => vec![value, index],
-        ExprKind::Tuple(v) | ExprKind::List(v) | ExprKind::Set(v) => v.iter().collect(),
-        ExprKind::Dict { keys, values } => keys.iter().chain(values.iter()).collect(),
-        ExprKind::BinOp { left, right, .. } => vec![left, right],
-        ExprKind::UnaryOp { operand, .. } => vec![operand],
-        ExprKind::BoolOp { values, .. } => values.iter().collect(),
-        ExprKind::Compare { left, comparators, .. } => {
-            let mut out: Vec<&Expr> = vec![left];
-            out.extend(comparators.iter());
-            out
-        }
-        ExprKind::IfExp { test, body, orelse } => vec![test, body, orelse],
+        ExprKind::Name(_) | ExprKind::Constant(_) => None,
+        ExprKind::Attribute { value: e, .. }
+        | ExprKind::UnaryOp { operand: e, .. }
+        | ExprKind::Starred(e) => pick(i, [e]),
+        ExprKind::Call { func, args, keywords } => match i.checked_sub(1) {
+            None => Some(func),
+            Some(j) => args.get(j).or_else(|| keywords.get(j - args.len()).map(|k| &k.value)),
+        },
+        ExprKind::Subscript { value, index } => pick(i, [value, index]),
+        ExprKind::Tuple(v)
+        | ExprKind::List(v)
+        | ExprKind::Set(v)
+        | ExprKind::BoolOp { values: v, .. }
+        | ExprKind::FString { parts: v, .. } => v.get(i),
+        ExprKind::Dict { keys, values } => keys.get(i).or_else(|| values.get(i - keys.len())),
+        ExprKind::BinOp { left, right, .. } => pick(i, [left, right]),
+        ExprKind::Compare { left, comparators, .. } => match i.checked_sub(1) {
+            None => Some(left),
+            Some(j) => comparators.get(j),
+        },
+        ExprKind::IfExp { test, body, orelse } => pick(i, [test, body, orelse]),
         ExprKind::Lambda { params, body } => {
-            let mut out: Vec<&Expr> = params.iter().filter_map(|p| p.default.as_ref()).collect();
-            out.push(body);
-            out
+            params.iter().filter_map(|p| p.default.as_ref()).chain([&**body]).nth(i)
         }
-        ExprKind::Starred(inner) => vec![inner],
-        ExprKind::FString { parts, .. } => parts.iter().collect(),
         ExprKind::Slice { lower, upper, step } => {
-            [lower, upper, step].into_iter().flatten().map(|b| b.as_ref()).collect()
+            [lower, upper, step].into_iter().flatten().nth(i).map(|b| &**b)
         }
         ExprKind::Comprehension { element, value, generators, .. } => {
-            let mut out: Vec<&Expr> = vec![element];
-            if let Some(val) = value {
-                out.push(val);
-            }
-            for g in generators {
-                out.push(&g.target);
-                out.push(&g.iter);
-                out.extend(g.ifs.iter());
-            }
-            out
+            let clauses =
+                generators.iter().flat_map(|g| [&g.target, &g.iter].into_iter().chain(&g.ifs));
+            [&**element].into_iter().chain(value.as_deref()).chain(clauses).nth(i)
         }
-        ExprKind::Yield(inner) => inner.iter().map(|b| b.as_ref()).collect(),
+        ExprKind::Yield(inner) => inner.as_deref().filter(|_| i == 0),
     }
 }
 
@@ -71,6 +75,17 @@ pub fn bfs_exprs(root: &Expr) -> impl Iterator<Item = &Expr> {
         queue.extend(expr_children(next));
         Some(next)
     })
+}
+
+/// Appends `root` and all transitive sub-expressions to `out` in the
+/// [`bfs_exprs`] order, using `out` itself as the queue.
+pub fn bfs_into<'a>(root: &'a Expr, out: &mut Vec<&'a Expr>) {
+    let mut next = out.len();
+    out.push(root);
+    while let Some(&e) = out.get(next) {
+        next += 1;
+        out.extend(expr_children(e));
+    }
 }
 
 /// Calls `f` on every expression reachable from `stmts` (pre-order,
@@ -331,11 +346,112 @@ mod tests {
         assert_eq!(kinds, vec![2, 1, 0]);
     }
 
+    /// The allocating child list `expr_children` replaced: the reference
+    /// order the iterator must reproduce.
+    fn reference_children(expr: &Expr) -> Vec<&Expr> {
+        match &expr.kind {
+            ExprKind::Name(_) | ExprKind::Constant(_) => vec![],
+            ExprKind::Attribute { value, .. } => vec![value],
+            ExprKind::Call { func, args, keywords } => {
+                let mut out: Vec<&Expr> = vec![func];
+                out.extend(args.iter());
+                out.extend(keywords.iter().map(|k| &k.value));
+                out
+            }
+            ExprKind::Subscript { value, index } => vec![value, index],
+            ExprKind::Tuple(v) | ExprKind::List(v) | ExprKind::Set(v) => v.iter().collect(),
+            ExprKind::Dict { keys, values } => keys.iter().chain(values.iter()).collect(),
+            ExprKind::BinOp { left, right, .. } => vec![left, right],
+            ExprKind::UnaryOp { operand, .. } => vec![operand],
+            ExprKind::BoolOp { values, .. } => values.iter().collect(),
+            ExprKind::Compare { left, comparators, .. } => {
+                let mut out: Vec<&Expr> = vec![left];
+                out.extend(comparators.iter());
+                out
+            }
+            ExprKind::IfExp { test, body, orelse } => vec![test, body, orelse],
+            ExprKind::Lambda { params, body } => {
+                let mut out: Vec<&Expr> =
+                    params.iter().filter_map(|p| p.default.as_ref()).collect();
+                out.push(body);
+                out
+            }
+            ExprKind::Starred(inner) => vec![inner],
+            ExprKind::FString { parts, .. } => parts.iter().collect(),
+            ExprKind::Slice { lower, upper, step } => {
+                [lower, upper, step].into_iter().flatten().map(|b| b.as_ref()).collect()
+            }
+            ExprKind::Comprehension { element, value, generators, .. } => {
+                let mut out: Vec<&Expr> = vec![element];
+                if let Some(val) = value {
+                    out.push(val);
+                }
+                for g in generators {
+                    out.push(&g.target);
+                    out.push(&g.iter);
+                    out.extend(g.ifs.iter());
+                }
+                out
+            }
+            ExprKind::Yield(inner) => inner.iter().map(|b| b.as_ref()).collect(),
+        }
+    }
+
     #[test]
     fn expr_children_comprehension() {
         let e = parse_expr("[x for x in rows if x.ok]").unwrap();
         // element, target, iter, if
-        assert_eq!(expr_children(&e).len(), 4);
+        assert_eq!(expr_children(&e).count(), 4);
+    }
+
+    #[test]
+    fn child_order_matches_the_reference_on_every_kind() {
+        // Every `ExprKind` with children: a dict comprehension with two
+        // generators and `ifs`, lambda defaults, slices, a dict, f-string
+        // holes, `yield`, starred, `IfExp`, a chained compare, calls with
+        // positional and keyword arguments, unary and boolean operators,
+        // subscripts, tuples, lists and sets.
+        let src = "f(*rest, {k: v for k, v in rows if k if not v for w in k.ws if w}, \
+                   lambda a, b=1, c=d.e: a + b, xs[1:n:2], xs[::], {1: a, b: [2, {c}]}, \
+                   f'{x.y} and {z}', (yield q.r), 0 < m <= n.p < 9, \
+                   t if u or w and not v else -s, key=(a, b), **kw)";
+        let e = parse_expr(src).unwrap();
+        let mut kinds = std::collections::HashSet::new();
+        let mut checked = 0;
+        let mut stack = vec![&e];
+        while let Some(node) = stack.pop() {
+            let expected = reference_children(node);
+            let got: Vec<&Expr> = expr_children(node).collect();
+            assert_eq!(got.len(), expected.len(), "{node:?}");
+            for (g, x) in got.iter().zip(&expected) {
+                assert!(std::ptr::eq(*g, *x), "child order differs under {node:?}");
+            }
+            if !expected.is_empty() {
+                kinds.insert(std::mem::discriminant(&node.kind));
+            }
+            checked += 1;
+            stack.extend(expected);
+        }
+        // Attribute, Call, Subscript, Tuple, List, Set, Dict, BinOp,
+        // UnaryOp, BoolOp, Compare, IfExp, Lambda, Starred, FString,
+        // Slice, Comprehension, Yield.
+        assert_eq!(kinds.len(), 18, "kinds with children covered");
+
+        // Breadth-first order, from the reference children.
+        let mut reference = vec![&e];
+        let mut next = 0;
+        while let Some(&node) = reference.get(next) {
+            next += 1;
+            reference.extend(reference_children(node));
+        }
+        assert_eq!(reference.len(), checked);
+        let bfs: Vec<&Expr> = bfs_exprs(&e).collect();
+        let mut into = Vec::new();
+        bfs_into(&e, &mut into);
+        for order in [&bfs, &into] {
+            assert_eq!(order.len(), reference.len());
+            assert!(order.iter().zip(&reference).all(|(a, b)| std::ptr::eq(*a, *b)));
+        }
     }
 
     #[test]

@@ -64,7 +64,10 @@ echo "==> cargo test ${test_scope[*]}"
 # matrix, SQL emit → parse round-trips in every dialect and the
 # inline/ALTER/MODIFY declaration forms re-parsing to one schema, the
 # explain provenance goldens, the interproc off/on oracle and its pin of
-# the facts and summary bytes the cache stores, the reaching-definitions
+# the facts and summary bytes the cache stores, the pins of every corpus
+# app's ordered detection list (paper, default, each ablation, the
+# extensions) and of the recovering parser's output on the clean and
+# fault-injected corpus, the reaching-definitions
 # oracle against the worklist reference, the null-guard oracle against the
 # per-expression guard table, fault injection, the
 # daemon soak (4 clients x 8 apps x 3 rounds) with the fault-frame and
@@ -98,10 +101,10 @@ if ! $workspace; then
 fi
 
 echo "==> test-count floors"
-floor core 150 cfinder_core proptest_robustness
+floor core 150 cfinder_core proptest_robustness detect_pin
 floor SQL 57 cfinder_sql roundtrip_proptest sql_faults
 floor schema 64 cfinder_schema proptest_schema
-floor pyast 138 cfinder_pyast django_torture proptest_recovery proptest_roundtrip
+floor pyast 141 cfinder_pyast django_torture proptest_recovery proptest_roundtrip parse_pin
 floor flow 108 cfinder_flow proptest_interproc interproc_oracle reaching_oracle nullguard_oracle
 floor daemon 24 cfinder_serve serve_soak serve_faults cache_concurrency
 floor minidb 99 cfinder_minidb plan_golden proptest_integrity query_oracle three_valued_logic
@@ -118,6 +121,12 @@ echo "==> depth-limit guard under a reduced stack"
 # 1.5 MiB is below the 2 MiB Rust default: the test only passes because
 # the parser's recursion-depth guard fires before the stack runs out.
 RUST_MIN_STACK=1572864 cargo test -q -p cfinder-pyast depth_limit
+
+echo "==> deepest admitted chains analyzed under a reduced stack"
+# Attribute, call and `+` chains one link below the parser's cap, inside
+# null guards: every recursive walker over a finished tree (the null-guard
+# marking, the child enumeration, the drop) must fit the same 1.5 MiB.
+RUST_MIN_STACK=1572864 cargo test -q --test deep_chains longest_admitted_chains
 
 echo "==> perf smoke: BENCH schema, perf gates, throughput gate"
 # `perf --smoke` runs the cold+warm corpus rounds at quick scale, the

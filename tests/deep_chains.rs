@@ -130,3 +130,32 @@ def validate_option(value_pk, value):
         "{missing:?}"
     );
 }
+
+#[test]
+fn longest_admitted_chains_analyze_without_incident() {
+    // Attribute, call and `+` chains one link short of the parser's cap,
+    // inside a `… is None: raise` guard and `and` guards, so the null-guard
+    // walk, the pattern families and the helper-summary matcher all
+    // descend the deepest trees the parser can produce. CI also runs this
+    // test on a reduced stack: every walker's per-level frame must stay
+    // small enough for a chain this deep.
+    let links = cfinder::pyast::parser::MAX_CHAIN - 1;
+    let attrs = format!("order{}", ".item".repeat(links));
+    let calls = format!("make{}", "()".repeat(links));
+    let sum = format!("order.total{}", " + 1".repeat(links));
+    let code = format!(
+        "def check(order):\n    \
+         if {attrs} is None:\n        \
+         raise ValueError('missing')\n    \
+         first = order.item and {attrs}\n    \
+         made = order.item and {calls}\n    \
+         total = order.item and ({sum})\n    \
+         return first, made, total\n"
+    );
+    let app = AppSource::new(
+        "deep",
+        vec![SourceFile::new("models.py", MODELS), SourceFile::new("views.py", code)],
+    );
+    let report = CFinder::new().with_threads(1).analyze(&app, &Schema::new());
+    assert!(report.incidents.is_empty(), "{:?}", report.incidents);
+}
