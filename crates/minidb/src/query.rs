@@ -265,13 +265,6 @@ impl Query {
         self
     }
 
-    /// Every table in scope: the base table, then joins in order.
-    pub fn tables_in_scope(&self) -> Vec<&str> {
-        let mut out = vec![self.from.as_str()];
-        out.extend(self.joins.iter().map(|j| j.table.as_str()));
-        out
-    }
-
     /// Validates the query against a database: tables and columns must
     /// exist, the projection must be non-empty, join keys must reference
     /// tables already in scope, no table may appear twice (the qualified

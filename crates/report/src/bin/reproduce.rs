@@ -223,8 +223,9 @@ fn run(cli: &mut Args, env: &EnvConfig) -> Result<(), String> {
         // analyzed standalone once plain and once traced (the evaluation's
         // own timings are contended by the 7 concurrent sibling apps, so
         // they can't serve as the baseline). Single-run numbers are still
-        // noisy — the Criterion group in cfinder-bench is the rigorous
-        // check — but this keeps the cost visible on every traced run.
+        // noisy — `cfinder perf`'s `obs_overhead_pct` gates are the
+        // rigorous check — but this keeps the cost visible on every
+        // traced run.
         let name = &eval.apps[0].app.name;
         let gen =
             || cfinder_corpus::generate(&cfinder_corpus::profile(name).expect("profile"), options);

@@ -1,8 +1,9 @@
-//! The `cfinder perf` benchmark harness: one cold round and one warm
-//! round of the eight-app evaluation over an ephemeral incremental
-//! cache, with the sampling profiler attached, plus the query-rewrite
-//! races and the observability-overhead runs, distilled into a
-//! schema-versioned `BENCH_<stamp>.json` document.
+//! The `cfinder perf` benchmark harness, the repo's one timing harness:
+//! three interleaved cold and warm rounds of the eight-app evaluation
+//! over an ephemeral incremental cache, with the sampling profiler
+//! attached, plus the query-rewrite races, the observability-overhead
+//! runs and Table 10's LoC sweep, distilled into a schema-versioned
+//! `BENCH_<stamp>.json` document.
 //!
 //! The document is the unit of the repo's perf-trajectory series: each
 //! data point is committed under `bench/`, and CI gates new points
@@ -17,15 +18,18 @@
 //!
 //! Timing covers only the analyses — corpus generation happens outside
 //! the measured window — so `loc_per_second` is analyzer throughput,
-//! not generator throughput. The warm round re-analyzes the identical
-//! corpus through the same cache directory, which is where the cache
-//! hit ratio comes from.
+//! not generator throughput. Each warm round re-analyzes the identical
+//! corpus through the cache its cold round filled, which is where the
+//! cache hit ratio comes from.
 
+use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use cfinder_core::{AppSource, CFinder, Obs, SourceFile, StageTimings};
+use cfinder_core::{
+    AnalysisCache, AnalysisReport, AppSource, CFinder, Obs, SourceFile, StageTimings,
+};
 use cfinder_corpus::{GenOptions, GeneratedApp};
 use cfinder_schema::Schema;
 use serde_json::Value;
@@ -36,9 +40,11 @@ use crate::AppEvaluation;
 /// Version stamped into every new BENCH document. Version 2 adds the
 /// `query_bench` section (constraint-driven query-rewrite speedups);
 /// version 3 adds `cache.report_mismatches`, the `obs_overhead` section
-/// and the `gates` verdicts. [`validate_bench`] still accepts committed
-/// version-1 and version-2 points, which simply predate them.
-pub const BENCH_SCHEMA_VERSION: u64 = 3;
+/// and the `gates` verdicts; version 4 adds the per-round seconds
+/// (`rounds`), Table 10's LoC sweep (`scaling`) and the host's
+/// `host_cores`. [`validate_bench`] still accepts committed version-1 to
+/// version-3 points, which simply predate them.
+pub const BENCH_SCHEMA_VERSION: u64 = 4;
 
 /// The warm round must be at least this many times faster than cold.
 const WARM_SPEEDUP_MIN: f64 = 5.0;
@@ -57,6 +63,15 @@ const TRACED_OVERHEAD_MAX_PCT: f64 = 50.0;
 /// live-stack push/pop adds one small allocation per span, within the
 /// ±20% run-to-run swing of shared CI boxes.
 const PROFILED_OVERHEAD_MAX_PCT: f64 = 75.0;
+
+/// Cold/warm round pairs per benchmark run; the headline seconds are
+/// their medians.
+const ROUNDS: usize = 3;
+/// Table 10's LoC sweep: oscar at these generator scales, about 3.7K to
+/// 29.6K LoC.
+const SCALING_LOC_SCALES: [f64; 4] = [0.05, 0.1, 0.2, 0.4];
+/// Analyses per sweep point; the point records the median one.
+const SCALING_PASSES: usize = 3;
 
 /// Stage keys of the `stages_seconds` map, in pipeline order.
 pub const STAGE_KEYS: [&str; 5] = StageTimings::LABELS;
@@ -84,9 +99,12 @@ fn civil_from_days(z: i64) -> (i64, u32, u32) {
     (if m <= 2 { y + 1 } else { y }, m, d)
 }
 
-/// Runs the benchmark: generates the corpus, analyzes it cold and then
-/// warm through a cache under `cache_dir`, and returns the BENCH
-/// document. `scale_label` and `stamp` are recorded verbatim (the
+/// Runs the benchmark and returns the BENCH document. It generates the
+/// corpus and analyzes it cold and then warm through a cache under
+/// `cache_dir`, [`ROUNDS`] times, emptying the cache before each cold
+/// round; the headline seconds are the medians. It then runs the
+/// query-rewrite races, the observability-overhead runs and Table 10's
+/// LoC sweep. `scale_label` and `stamp` are recorded verbatim (the
 /// caller owns clock access so results stay reproducible in tests).
 pub fn run_benchmark(
     options: GenOptions,
@@ -96,59 +114,81 @@ pub fn run_benchmark(
     stamp: &str,
     query_opts: QueryBenchOptions,
 ) -> Result<Value, String> {
-    let cache = Arc::new(AppEvaluation::open_cache(cache_dir).map_err(|e| e.to_string())?);
     let profiles = cfinder_corpus::all_profiles();
     let generate = || -> Vec<GeneratedApp> {
         profiles.iter().map(|p| cfinder_corpus::generate(p, options)).collect()
     };
-    // Two identical corpora, generated outside the measured windows.
-    let cold_apps = generate();
-    let warm_apps = generate();
-
     let obs = Obs::profiled(profile_hz);
-    let cold_start = Instant::now();
-    let cold: Vec<AppEvaluation> = cold_apps
-        .into_iter()
-        .map(|app| AppEvaluation::run_cached(app, obs.clone(), Some(cache.clone()), None))
-        .collect();
-    let wall_seconds = cold_start.elapsed().as_secs_f64();
-
-    let warm_start = Instant::now();
-    let warm: Vec<AppEvaluation> = warm_apps
-        .into_iter()
-        .map(|app| AppEvaluation::run_cached(app, obs.clone(), Some(cache.clone()), None))
-        .collect();
-    let warm_wall_seconds = warm_start.elapsed().as_secs_f64();
+    let mut rounds = Vec::with_capacity(ROUNDS);
+    std::fs::create_dir_all(cache_dir).map_err(|e| e.to_string())?;
+    for _ in 0..ROUNDS {
+        // Clearing also removes the shard directory, so every cold round
+        // reopens the cache.
+        AnalysisCache::clear(cache_dir).map_err(|e| e.to_string())?;
+        let cache = Arc::new(AppEvaluation::open_cache(cache_dir).map_err(|e| e.to_string())?);
+        let analyze = |apps: Vec<GeneratedApp>| {
+            let start = Instant::now();
+            let reports: Vec<AnalysisReport> = apps
+                .into_iter()
+                .map(|app| AppEvaluation::run_cached(app, obs.clone(), Some(cache.clone()), None))
+                .map(|a| a.report)
+                .collect();
+            (reports, start.elapsed().as_secs_f64())
+        };
+        // Two identical corpora, generated outside the measured windows.
+        let (cold_apps, warm_apps) = (generate(), generate());
+        let (cold, cold_seconds) = analyze(cold_apps);
+        let (warm, warm_seconds) = analyze(warm_apps);
+        rounds.push(Round { cold, warm, cold_seconds, warm_seconds });
+    }
 
     let profiler = obs.profiler();
     profiler.stop();
     let profile = profiler.report();
 
-    // The warm round's oracle, off the clock: a speedup bought by a
+    // Every warm round's oracle, off the clock: a speedup bought by a
     // wrong answer is not a speedup.
-    let report_mismatches = cold
+    let mismatched: BTreeSet<&str> = rounds
         .iter()
-        .zip(&warm)
-        .filter(|(c, w)| c.report.stable_json() != w.report.stable_json())
-        .map(|(c, _)| Value::Str(c.app.name.clone()))
+        .flat_map(|r| r.cold.iter().zip(&r.warm))
+        .filter(|(c, w)| c.stable_json() != w.stable_json())
+        .map(|(c, _)| c.app.as_str())
         .collect();
+    let report_mismatches =
+        Value::Seq(mismatched.into_iter().map(|n| Value::Str(n.into())).collect());
 
     // The query-rewrite benchmark: its own databases, its own timed
     // windows, oracle-gated inside run_query_bench.
     let query_results = run_query_bench(query_opts)?;
     let query_bench = query_bench_value(query_opts, &query_results);
     let obs_overhead = measure_obs_overhead(profile_hz)?;
+    let scaling = measure_scaling()?;
 
-    let loc_total: u64 = cold.iter().map(|a| a.report.loc as u64).sum();
-    let mut stages: Vec<(&str, f64)> = STAGE_KEYS.iter().map(|&k| (k, 0.0)).collect();
-    for a in &cold {
-        for (slot, (_, d)) in stages.iter_mut().zip(a.report.timings.stages()) {
-            slot.1 += d.as_secs_f64();
-        }
+    let seconds = |side: fn(&Round) -> f64| {
+        Value::Seq(rounds.iter().map(|r| Value::Float(side(r))).collect())
+    };
+    let round_seconds = Value::Map(vec![
+        ("cold_seconds".into(), seconds(|r| r.cold_seconds)),
+        ("warm_seconds".into(), seconds(|r| r.warm_seconds)),
+    ]);
+    let warm_wall_seconds = median(&rounds.iter().map(|r| r.warm_seconds).collect::<Vec<_>>());
+    // LoC, then the warm round's cache hits and misses.
+    let counts = |r: &Round| {
+        let sum = |reports: &[AnalysisReport], n: fn(&AnalysisReport) -> usize| {
+            reports.iter().map(|a| n(a) as u64).sum::<u64>()
+        };
+        (
+            sum(&r.cold, |a| a.loc),
+            sum(&r.warm, |a| a.timings.cache_hits),
+            sum(&r.warm, |a| a.timings.cache_misses),
+        )
+    };
+    if rounds.iter().any(|r| counts(r) != counts(&rounds[0])) {
+        return Err("perf rounds disagree on LoC or cache counts".into());
     }
-    let (hits, misses) = warm.iter().fold((0u64, 0u64), |acc, a| {
-        (acc.0 + a.report.timings.cache_hits as u64, acc.1 + a.report.timings.cache_misses as u64)
-    });
+    rounds.sort_by(|a, b| a.cold_seconds.total_cmp(&b.cold_seconds));
+    let Round { cold, cold_seconds: wall_seconds, .. } = &rounds[ROUNDS / 2];
+    let (loc_total, hits, misses) = counts(&rounds[ROUNDS / 2]);
     let hit_ratio = if hits + misses > 0 { hits as f64 / (hits + misses) as f64 } else { 0.0 };
     let parse_q =
         obs.metrics.snapshot().quantiles("cfinder_file_parse_seconds").unwrap_or([0.0; 3]);
@@ -157,10 +197,10 @@ pub fn run_benchmark(
         .iter()
         .map(|a| {
             Value::Map(vec![
-                ("name".into(), Value::Str(a.app.name.clone())),
-                ("loc".into(), Value::UInt(a.report.loc as u64)),
-                ("files".into(), Value::UInt(a.report.files_total as u64)),
-                ("analysis_seconds".into(), Value::Float(a.report.analysis_time.as_secs_f64())),
+                ("name".into(), Value::Str(a.app.clone())),
+                ("loc".into(), Value::UInt(a.loc as u64)),
+                ("files".into(), Value::UInt(a.files_total as u64)),
+                ("analysis_seconds".into(), Value::Float(a.analysis_time.as_secs_f64())),
             ])
         })
         .collect();
@@ -180,21 +220,23 @@ pub fn run_benchmark(
         ("schema_version".into(), Value::UInt(BENCH_SCHEMA_VERSION)),
         ("stamp".into(), Value::Str(stamp.to_string())),
         ("scale".into(), Value::Str(scale_label.to_string())),
+        (
+            "host_cores".into(),
+            Value::UInt(std::thread::available_parallelism().map_or(1, |n| n.get() as u64)),
+        ),
         ("loc_total".into(), Value::UInt(loc_total)),
-        ("wall_seconds".into(), Value::Float(wall_seconds)),
+        ("wall_seconds".into(), Value::Float(*wall_seconds)),
         ("warm_wall_seconds".into(), Value::Float(warm_wall_seconds)),
         ("loc_per_second".into(), Value::Float(loc_total as f64 / wall_seconds.max(f64::EPSILON))),
-        (
-            "stages_seconds".into(),
-            Value::Map(stages.into_iter().map(|(k, v)| (k.to_string(), Value::Float(v))).collect()),
-        ),
+        ("rounds".into(), round_seconds),
+        ("stages_seconds".into(), stages_value(cold)),
         (
             "cache".into(),
             Value::Map(vec![
                 ("hits".into(), Value::UInt(hits)),
                 ("misses".into(), Value::UInt(misses)),
                 ("hit_ratio".into(), Value::Float(hit_ratio)),
-                ("report_mismatches".into(), Value::Seq(report_mismatches)),
+                ("report_mismatches".into(), report_mismatches),
             ]),
         ),
         (
@@ -219,6 +261,7 @@ pub fn run_benchmark(
         ),
         ("query_bench".into(), query_bench),
         ("obs_overhead".into(), obs_overhead),
+        ("scaling".into(), scaling),
         ("apps".into(), Value::Seq(apps)),
     ]);
     let gates = evaluate_gates(&doc)?;
@@ -226,6 +269,87 @@ pub fn run_benchmark(
         entries.push(("gates".into(), Value::Seq(gates.iter().map(Gate::to_value).collect())));
     }
     Ok(doc)
+}
+
+/// One cold/warm round pair's reports and timed windows.
+struct Round {
+    cold: Vec<AnalysisReport>,
+    warm: Vec<AnalysisReport>,
+    cold_seconds: f64,
+    warm_seconds: f64,
+}
+
+/// A `stages_seconds` map: each stage's seconds summed over `reports`.
+fn stages_value<'a>(reports: impl IntoIterator<Item = &'a AnalysisReport>) -> Value {
+    let mut seconds = [0.0; 5];
+    for report in reports {
+        for (slot, (_, d)) in seconds.iter_mut().zip(report.timings.stages()) {
+            *slot += d.as_secs_f64();
+        }
+    }
+    Value::Map(
+        STAGE_KEYS.iter().zip(seconds).map(|(k, s)| (k.to_string(), Value::Float(s))).collect(),
+    )
+}
+
+/// The median of `values` (the upper middle one of an even count).
+fn median(values: &[f64]) -> f64 {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted[sorted.len() / 2]
+}
+
+/// Table 10's LoC sweep: oscar at each of [`SCALING_LOC_SCALES`],
+/// analyzed on one thread and without a cache, so neither parallel
+/// efficiency on small inputs nor cache hits bend the curve. Each point
+/// is the median of [`SCALING_PASSES`] analyses; `slopes` holds the
+/// least-squares log-log slope, against LoC, of the total and of each
+/// stage (1.0 is linear). It is recorded, not gated.
+fn measure_scaling() -> Result<Value, String> {
+    let profile = cfinder_corpus::profile("oscar").ok_or("no oscar profile")?;
+    let mut points = Vec::new();
+    for loc_scale in SCALING_LOC_SCALES {
+        let app = cfinder_corpus::generate(&profile, GenOptions { loc_scale });
+        let mut passes: Vec<AnalysisReport> = (0..SCALING_PASSES)
+            .map(|_| AppEvaluation::run_cached(app.clone(), Obs::disabled(), None, Some(1)).report)
+            .collect();
+        passes.sort_by_key(|r| r.analysis_time);
+        points.push(passes.swap_remove(SCALING_PASSES / 2));
+    }
+    // The least-squares slope of ln(seconds) against ln(LoC). Seconds are
+    // floored at 1 ns, so a stage too short for the clock stays finite.
+    let slope = |seconds: &dyn Fn(&AnalysisReport) -> Duration| {
+        let logs: Vec<(f64, f64)> = points
+            .iter()
+            .map(|r| ((r.loc as f64).ln(), seconds(r).as_secs_f64().max(1e-9).ln()))
+            .collect();
+        let mean = |f: fn(&(f64, f64)) -> f64| logs.iter().map(f).sum::<f64>() / logs.len() as f64;
+        let (mx, my) = (mean(|p| p.0), mean(|p| p.1));
+        let cov: f64 = logs.iter().map(|(x, y)| (x - mx) * (y - my)).sum();
+        Value::Float(cov / logs.iter().map(|(x, _)| (x - mx).powi(2)).sum::<f64>())
+    };
+    let mut slopes = vec![("total".to_string(), slope(&|r| r.analysis_time))];
+    for (i, key) in STAGE_KEYS.iter().enumerate() {
+        slopes.push((key.to_string(), slope(&|r| r.timings.stages()[i].1)));
+    }
+    let points = SCALING_LOC_SCALES
+        .iter()
+        .zip(&points)
+        .map(|(&loc_scale, r)| {
+            Value::Map(vec![
+                ("loc_scale".into(), Value::Float(loc_scale)),
+                ("loc".into(), Value::UInt(r.loc as u64)),
+                ("seconds".into(), Value::Float(r.analysis_time.as_secs_f64())),
+                ("stages_seconds".into(), stages_value([r])),
+            ])
+        })
+        .collect();
+    Ok(Value::Map(vec![
+        ("app".into(), Value::Str(profile.name.to_string())),
+        ("threads".into(), Value::UInt(1)),
+        ("points".into(), Value::Seq(points)),
+        ("slopes".into(), Value::Map(slopes)),
+    ]))
 }
 
 /// The observability-overhead runs: oscar at loc_scale 0.02, analyzed
@@ -262,10 +386,7 @@ fn measure_obs_overhead(profile_hz: u32) -> Result<Value, String> {
             }
         }
     }
-    let [disabled, traced, profiled] = samples.map(|mut s| {
-        s.sort_by(f64::total_cmp);
-        s[s.len() / 2]
-    });
+    let [disabled, traced, profiled] = samples.map(|s| median(&s));
     Ok(Value::Map(vec![
         ("disabled_seconds".into(), Value::Float(disabled)),
         ("traced_seconds".into(), Value::Float(traced)),
@@ -393,11 +514,13 @@ pub fn evaluate_gates(doc: &Value) -> Result<Vec<Gate>, String> {
 /// Validates a BENCH document: every required field present, typed, and
 /// internally consistent. Returns the first violation found.
 ///
-/// Accepts schema versions 1 to 3: version-1 documents predate the
-/// `query_bench` section and version-2 documents the gate inputs and
-/// verdicts; both are committed history. Version-3 documents must carry
-/// every gate input and a `gates` section whose verdicts agree with
-/// their own values and bounds.
+/// Accepts schema versions 1 to 4: version-1 documents predate the
+/// `query_bench` section, version-2 documents the gate inputs and
+/// verdicts, and version-3 documents the rounds and the LoC sweep; all
+/// are committed history. From version 3 on, documents must carry every
+/// gate input and a `gates` section whose verdicts agree with their own
+/// values and bounds; from version 4 on, per-round seconds whose medians
+/// are the headline seconds, the LoC sweep, and `host_cores`.
 pub fn validate_bench(doc: &Value) -> Result<(), String> {
     let field = |key: &str| doc.get(key).ok_or_else(|| format!("missing field `{key}`"));
     let f64_field =
@@ -483,6 +606,51 @@ pub fn validate_bench(doc: &Value) -> Result<(), String> {
     if version >= 3 {
         evaluate_gates(doc)?;
         validate_gates(field("gates")?)?;
+    }
+    if version >= 4 {
+        u64_field("host_cores")?;
+        validate_rounds(field("rounds")?, doc)?;
+        validate_scaling(field("scaling")?)?;
+    }
+    Ok(())
+}
+
+/// Validates the v4 `rounds` section: at least [`ROUNDS`] positive
+/// seconds per side, whose medians are the headline `wall_seconds` and
+/// `warm_wall_seconds`.
+fn validate_rounds(rounds: &Value, doc: &Value) -> Result<(), String> {
+    for (side, headline) in
+        [("cold_seconds", "wall_seconds"), ("warm_seconds", "warm_wall_seconds")]
+    {
+        let seconds = rounds.get(side).and_then(Value::as_seq).and_then(|s| {
+            s.iter().map(|v| v.as_f64().filter(|&x| x > 0.0)).collect::<Option<Vec<f64>>>()
+        });
+        let Some(seconds) = seconds.filter(|s| s.len() >= ROUNDS) else {
+            return Err(format!("rounds.{side} needs at least {ROUNDS} positive seconds"));
+        };
+        if doc.get(headline).and_then(Value::as_f64) != Some(median(&seconds)) {
+            return Err(format!("`{headline}` must be the median of rounds.{side}"));
+        }
+    }
+    Ok(())
+}
+
+/// Validates the v4 `scaling` section: at least three points of
+/// increasing LoC and a finite slope for the total and every stage.
+fn validate_scaling(scaling: &Value) -> Result<(), String> {
+    let locs: Vec<u64> = scaling
+        .get("points")
+        .and_then(Value::as_seq)
+        .and_then(|points| points.iter().map(|p| p.get("loc").and_then(Value::as_u64)).collect())
+        .unwrap_or_default();
+    if locs.len() < 3 || locs.windows(2).any(|w| w[0] >= w[1]) {
+        return Err("scaling.points needs at least 3 points of increasing `loc`".into());
+    }
+    let slopes = scaling.get("slopes").ok_or("scaling missing `slopes`")?;
+    for key in std::iter::once("total").chain(STAGE_KEYS) {
+        if !slopes.get(key).and_then(Value::as_f64).is_some_and(f64::is_finite) {
+            return Err(format!("scaling.slopes needs a finite `{key}`"));
+        }
     }
     Ok(())
 }

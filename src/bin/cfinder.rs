@@ -499,13 +499,13 @@ fn run_explain(cli: &mut Args, env: &EnvConfig) -> Result<u8, String> {
     Ok(u8::from(explained.is_empty()))
 }
 
-/// `cfinder perf`: run the two-round (cold + warm) benchmark over the
+/// `cfinder perf`: run the interleaved cold and warm rounds over the
 /// generated corpus with the sampling profiler attached, plus the
-/// query-rewrite and observability-overhead runs, publish the
-/// schema-versioned `BENCH_<stamp>.json` data point atomically under
-/// `--out` (default `bench/`), and exit 1 if any of its perf gates
-/// fails or — when `--baseline` names a previous data point — if
-/// throughput regressed against it. `--smoke` forces quick scale; it
+/// query-rewrite and observability-overhead runs and Table 10's LoC
+/// sweep, publish the schema-versioned `BENCH_<stamp>.json` data point
+/// atomically under `--out` (default `bench/`), and exit 1 if any of
+/// its perf gates fails or — when `--baseline` names a previous data
+/// point — if throughput regressed against it. `--smoke` forces quick scale; it
 /// exists so CI can state its intent.
 fn run_perf(cli: &mut Args, env: &EnvConfig) -> Result<u8, String> {
     use cfinder::report::perf;
@@ -593,6 +593,15 @@ fn run_perf(cli: &mut Args, env: &EnvConfig) -> Result<u8, String> {
         num("wall_seconds"),
         num("warm_wall_seconds"),
         path.display()
+    );
+    let slopes = doc.get("scaling").and_then(|s| s.get("slopes"));
+    let slope = |key| slopes.and_then(|s| s.get(key)).and_then(|v| v.as_f64()).unwrap_or(f64::NAN);
+    eprintln!(
+        "perf: Table 10 LoC sweep (oscar, 1 thread), log-log slope: total {:.2}, parse {:.2}, \
+         detect {:.2}",
+        slope("total"),
+        slope("parse"),
+        slope("detect")
     );
     if let Some(spans) =
         doc.get("profile").and_then(|p| p.get("hot_spans")).and_then(|s| s.as_seq())

@@ -153,6 +153,9 @@ fn perf_smoke_emits_a_schema_valid_bench_document() {
     let text = fs::read_to_string(&entries[0]).unwrap();
     let doc: Value = serde_json::from_str(&text).expect("BENCH is valid JSON");
     perf::validate_bench(&doc).expect("BENCH document is schema-valid");
+    assert_eq!(doc.get("schema_version").and_then(Value::as_u64), Some(perf::BENCH_SCHEMA_VERSION));
+    let points = doc.get("scaling").and_then(|s| s.get("points")).and_then(Value::as_seq);
+    assert_eq!(points.map(Vec::len), Some(4), "Table 10's LoC sweep: {points:?}");
     let gates = doc.get("gates").and_then(Value::as_seq).expect("BENCH carries its gates");
     assert_eq!(gates.len(), 8, "{gates:?}");
     for gate in gates {
@@ -234,17 +237,40 @@ fn without(doc: &Value, keys: &[&str]) -> Value {
     Value::Map(entries.iter().filter(|(k, _)| !keys.contains(&k.as_str())).cloned().collect())
 }
 
-/// Re-derives a synthetic document's `gates` section from its inputs.
+/// Three rounds whose median is `median`.
+fn rounds_around(median: f64) -> Value {
+    Value::Seq([1.1, 1.0, 0.9].iter().map(|f| Value::Float(f * median)).collect())
+}
+
+/// Re-derives a synthetic document's `rounds` from its headline seconds
+/// and its `gates` section from its inputs.
 fn regate(doc: &mut Value) {
+    for (side, headline) in
+        [("cold_seconds", "wall_seconds"), ("warm_seconds", "warm_wall_seconds")]
+    {
+        let median = at(doc, &[headline]).as_f64().unwrap();
+        *at(doc, &["rounds", side]) = rounds_around(median);
+    }
     let gates = perf::evaluate_gates(doc).unwrap();
     let Value::Map(entries) = doc else { unreachable!() };
     entries.retain(|(k, _)| k != "gates");
     entries.push(("gates".into(), Value::Seq(gates.iter().map(perf::Gate::to_value).collect())));
 }
 
-/// A complete, schema-valid v3 document whose every gate passes.
+/// A complete, schema-valid v4 document whose every gate passes.
 fn synthetic_bench() -> Value {
     let stages = STAGE_KEYS.iter().map(|k| (*k, Value::Float(0.1))).collect::<Vec<_>>();
+    let slopes = std::iter::once("total")
+        .chain(STAGE_KEYS)
+        .map(|k| (k, Value::Float(1.0)))
+        .collect::<Vec<_>>();
+    let point = |loc: u64| {
+        map(&[
+            ("loc", Value::UInt(loc)),
+            ("seconds", Value::Float(loc as f64 * 1e-6)),
+            ("stages_seconds", map(&stages)),
+        ])
+    };
     let class = |name: &str, rule: &str| {
         map(&[
             ("name", Value::Str(name.into())),
@@ -259,10 +285,12 @@ fn synthetic_bench() -> Value {
         ("schema_version", Value::UInt(perf::BENCH_SCHEMA_VERSION)),
         ("stamp", Value::Str("19700101T000000Z".into())),
         ("scale", Value::Str("quick".into())),
+        ("host_cores", Value::UInt(2)),
         ("loc_total", Value::UInt(1000)),
         ("wall_seconds", Value::Float(5.0)),
         ("warm_wall_seconds", Value::Float(0.5)),
         ("loc_per_second", Value::Float(200.0)),
+        ("rounds", map(&[("cold_seconds", Value::Null), ("warm_seconds", Value::Null)])),
         ("stages_seconds", map(&stages)),
         (
             "cache",
@@ -315,6 +343,13 @@ fn synthetic_bench() -> Value {
                 ("disabled_seconds", Value::Float(1.0)),
                 ("traced_seconds", Value::Float(1.1)),
                 ("profiled_seconds", Value::Float(1.2)),
+            ]),
+        ),
+        (
+            "scaling",
+            map(&[
+                ("points", Value::Seq(vec![point(1000), point(2000), point(4000)])),
+                ("slopes", map(&slopes)),
             ]),
         ),
         (
@@ -377,6 +412,59 @@ fn validate_bench_requires_gates_from_v3_and_accepts_the_committed_points() {
     }
     versions.sort();
     assert!(versions.starts_with(&[1, 2]), "committed points: {versions:?}");
+}
+
+/// From v4 on, a document must carry the per-round seconds, the LoC
+/// sweep and the host's core count, and its headline seconds must be
+/// the rounds' medians.
+#[test]
+fn validate_bench_requires_rounds_scaling_and_host_cores_from_v4() {
+    let v4 = synthetic_bench();
+    for missing in ["rounds", "scaling", "host_cores"] {
+        let err = perf::validate_bench(&without(&v4, &[missing])).unwrap_err();
+        assert!(err.contains(missing), "{missing}: {err}");
+    }
+    let mut v3 = without(&v4, &["rounds", "scaling", "host_cores"]);
+    *at(&mut v3, &["schema_version"]) = Value::UInt(3);
+    perf::validate_bench(&v3).unwrap();
+
+    for (headline, side) in
+        [("wall_seconds", "cold_seconds"), ("warm_wall_seconds", "warm_seconds")]
+    {
+        let mut doc = synthetic_bench();
+        let off_median = at(&mut doc, &[headline]).as_f64().unwrap() * 0.9;
+        *at(&mut doc, &[headline]) = Value::Float(off_median);
+        let err = perf::validate_bench(&doc).unwrap_err();
+        assert!(err.contains(headline) && err.contains(side), "{err}");
+
+        let mut doc = synthetic_bench();
+        let Value::Seq(rounds) = at(&mut doc, &["rounds", side]) else { unreachable!() };
+        rounds.pop();
+        let err = perf::validate_bench(&doc).unwrap_err();
+        assert!(err.contains(side), "{err}");
+    }
+}
+
+/// The LoC sweep needs at least three points of increasing LoC and a
+/// finite slope for the total and every stage.
+#[test]
+fn validate_bench_rejects_a_degenerate_loc_sweep() {
+    let mut doc = synthetic_bench();
+    *at(&mut doc, &["scaling", "points"]) = Value::Seq(vec![]);
+    assert!(perf::validate_bench(&doc).unwrap_err().contains("increasing `loc`"));
+
+    let mut doc = synthetic_bench();
+    let Value::Seq(points) = at(&mut doc, &["scaling", "points"]) else { unreachable!() };
+    points.swap(0, 1);
+    assert!(perf::validate_bench(&doc).unwrap_err().contains("increasing `loc`"));
+
+    for key in std::iter::once("total").chain(STAGE_KEYS) {
+        let mut doc = synthetic_bench();
+        // A non-finite slope serializes as JSON `null`.
+        *at(&mut doc, &["scaling", "slopes", key]) = Value::Null;
+        let err = perf::validate_bench(&doc).unwrap_err();
+        assert!(err.contains(&format!("`{key}`")), "{key}: {err}");
+    }
 }
 
 #[test]
