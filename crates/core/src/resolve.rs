@@ -514,7 +514,8 @@ class WishListLine(models.Model):
     fn params_do_not_resolve() {
         let r = registry();
         let m = Box::leak(Box::new(parse_module("y = request\n").unwrap()));
-        let chains = Box::leak(Box::new(UseDefChains::compute(&m.body, &["request".to_string()])));
+        let params = ["request".to_string()];
+        let chains = Box::leak(Box::new(UseDefChains::compute(&m.body, &params)));
         let resolver = Resolver::new(&r, chains, None);
         let StmtKind::Assign { value, .. } = &m.body[0].kind else { panic!() };
         assert!(resolver.resolve(value, m.body[0].id).is_none());

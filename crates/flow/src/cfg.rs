@@ -9,8 +9,6 @@
 //! [`crate::reaching`]; CFinder's use-def chains (§3.5.1 of the paper) are
 //! computed on top of it.
 
-use std::collections::HashMap;
-
 use cfinder_pyast::ast::{NodeId, Stmt, StmtKind};
 
 /// Index of a node within a [`Cfg`].
@@ -36,10 +34,15 @@ pub enum CfgNodeKind {
 #[derive(Debug, Clone)]
 pub struct Cfg {
     kinds: Vec<CfgNodeKind>,
-    succs: Vec<Vec<CfgNodeId>>,
-    preds: Vec<Vec<CfgNodeId>>,
-    /// Statement id → CFG node (branch headers map their compound statement).
-    by_stmt: HashMap<NodeId, CfgNodeId>,
+    /// Node `n`'s successors are `succs[succ_start[n]..succ_start[n + 1]]`.
+    succ_start: Vec<usize>,
+    succs: Vec<CfgNodeId>,
+    /// Node `n`'s predecessors, laid out like the successors.
+    pred_start: Vec<usize>,
+    preds: Vec<CfgNodeId>,
+    /// Statement id → CFG node (branch headers map their compound
+    /// statement), sorted by statement id.
+    by_stmt: Vec<(NodeId, CfgNodeId)>,
 }
 
 impl Cfg {
@@ -78,20 +81,21 @@ impl Cfg {
         &self.kinds[node]
     }
 
-    /// Successor edges.
+    /// Successor edges, in the order they were added.
     pub fn succs(&self, node: CfgNodeId) -> &[CfgNodeId] {
-        &self.succs[node]
+        &self.succs[self.succ_start[node]..self.succ_start[node + 1]]
     }
 
-    /// Predecessor edges.
+    /// Predecessor edges, in the order they were added.
     pub fn preds(&self, node: CfgNodeId) -> &[CfgNodeId] {
-        &self.preds[node]
+        &self.preds[self.pred_start[node]..self.pred_start[node + 1]]
     }
 
     /// Finds the CFG node for a statement id, if the statement is in this
     /// graph (nested function bodies get their own CFGs and are absent).
     pub fn node_of_stmt(&self, stmt: NodeId) -> Option<CfgNodeId> {
-        self.by_stmt.get(&stmt).copied()
+        let i = self.by_stmt.binary_search_by_key(&stmt, |&(s, _)| s).ok()?;
+        Some(self.by_stmt[i].1)
     }
 
     /// Iterates all node ids.
@@ -109,44 +113,27 @@ struct LoopCtx {
 
 struct Builder {
     kinds: Vec<CfgNodeKind>,
-    succs: Vec<Vec<CfgNodeId>>,
-    preds: Vec<Vec<CfgNodeId>>,
-    by_stmt: HashMap<NodeId, CfgNodeId>,
+    /// Every edge in the order it was added, repeats included.
+    edges: Vec<(CfgNodeId, CfgNodeId)>,
     entry: CfgNodeId,
     exit: CfgNodeId,
 }
 
 impl Builder {
     fn new() -> Builder {
-        let mut b = Builder {
-            kinds: Vec::new(),
-            succs: Vec::new(),
-            preds: Vec::new(),
-            by_stmt: HashMap::new(),
-            entry: 0,
-            exit: 0,
-        };
+        let mut b = Builder { kinds: Vec::new(), edges: Vec::new(), entry: 0, exit: 0 };
         b.entry = b.add_node(CfgNodeKind::Entry);
         b.exit = b.add_node(CfgNodeKind::Exit);
         b
     }
 
     fn add_node(&mut self, kind: CfgNodeKind) -> CfgNodeId {
-        let id = self.kinds.len();
-        if let CfgNodeKind::Statement(s) | CfgNodeKind::Branch(s) = kind {
-            self.by_stmt.insert(s, id);
-        }
         self.kinds.push(kind);
-        self.succs.push(Vec::new());
-        self.preds.push(Vec::new());
-        id
+        self.kinds.len() - 1
     }
 
     fn add_edge(&mut self, from: CfgNodeId, to: CfgNodeId) {
-        if !self.succs[from].contains(&to) {
-            self.succs[from].push(to);
-            self.preds[to].push(from);
-        }
+        self.edges.push((from, to));
     }
 
     /// Lowers a statement block; returns the node control flows out of
@@ -266,9 +253,56 @@ impl Builder {
         }
     }
 
+    /// Lays the edges out as flat successor and predecessor arrays. Each
+    /// node keeps its edges in the order they were added, and only the
+    /// first copy of a repeated edge.
     fn finish(self) -> Cfg {
-        Cfg { kinds: self.kinds, succs: self.succs, preds: self.preds, by_stmt: self.by_stmt }
+        let n = self.kinds.len();
+        let edges = &self.edges;
+        // Each source's edges, as indices into `edges` in the order added;
+        // an edge is a repeat when an earlier one has the same target.
+        let (start, by_source) = group_by(n, edges.iter().enumerate().map(|(i, e)| (e.0, i)));
+        let mut keep = vec![true; edges.len()];
+        for node in 0..n {
+            let out = &by_source[start[node]..start[node + 1]];
+            for (k, &i) in out.iter().enumerate() {
+                keep[i] = !out[..k].iter().any(|&j| edges[j].1 == edges[i].1);
+            }
+        }
+        let kept = || edges.iter().zip(&keep).filter(|(_, &k)| k).map(|(&e, _)| e);
+        let (succ_start, succs) = group_by(n, kept());
+        let (pred_start, preds) = group_by(n, kept().map(|(from, to)| (to, from)));
+        let mut by_stmt: Vec<(NodeId, CfgNodeId)> = (self.kinds.iter().enumerate())
+            .filter_map(|(node, kind)| match *kind {
+                CfgNodeKind::Statement(s) | CfgNodeKind::Branch(s) => Some((s, node)),
+                _ => None,
+            })
+            .collect();
+        by_stmt.sort_unstable();
+        Cfg { kinds: self.kinds, succ_start, succs, pred_start, preds, by_stmt }
     }
+}
+
+/// A counting sort of `(key, value)` pairs by key into `n` ranges:
+/// `values[start[k]..start[k + 1]]` holds key `k`'s values in input order.
+fn group_by(
+    n: usize,
+    pairs: impl Iterator<Item = (usize, usize)> + Clone,
+) -> (Vec<usize>, Vec<usize>) {
+    let mut start = vec![0; n + 1];
+    for (key, _) in pairs.clone() {
+        start[key + 1] += 1;
+    }
+    for k in 0..n {
+        start[k + 1] += start[k];
+    }
+    let mut next = start.clone();
+    let mut values = vec![0; start[n]];
+    for (key, value) in pairs {
+        values[next[key]] = value;
+        next[key] += 1;
+    }
+    (start, values)
 }
 
 #[cfg(test)]

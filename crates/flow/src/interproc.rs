@@ -765,7 +765,7 @@ fn body_has_own_yield(body: &[Stmt]) -> bool {
     let mut found = false;
     walk_shallow(body, &mut |s| {
         if !found {
-            found = own_exprs(s).into_iter().any(expr_contains_yield);
+            found = own_exprs(s).any(expr_contains_yield);
         }
     });
     found

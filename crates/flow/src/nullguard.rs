@@ -24,8 +24,6 @@
 //! summaries share: [`guard_paths`] for null checks (PA_n2, PA_d1) and
 //! [`value_guard`] for comparison and membership guards (PA_c1, PA_c2).
 
-use std::collections::HashSet;
-
 use cfinder_pyast::ast::{
     BoolOpKind, CmpOp, Constant, Expr, ExprKind, NodeId, Stmt, StmtKind, UnaryOp,
 };
@@ -47,9 +45,34 @@ impl AccessPath {
         Some(AccessPath(parts))
     }
 
+    /// Is `expr` the dotted expression of this path? The same answer as
+    /// comparing with [`AccessPath::of_expr`], without building a path.
+    pub(crate) fn matches(&self, expr: &Expr) -> bool {
+        let Some((root, attrs)) = self.0.split_first() else { return false };
+        let mut cur = expr;
+        for part in attrs.iter().rev() {
+            match &cur.kind {
+                ExprKind::Attribute { value, attr } if attr == part => cur = value,
+                _ => return false,
+            }
+        }
+        matches!(&cur.kind, ExprKind::Name(n) if n == root)
+    }
+
     /// Renders as `a.b.c`.
     pub fn dotted(&self) -> String {
         self.0.join(".")
+    }
+}
+
+/// Is `expr` a dotted expression (`x`, `x.y.z`)?
+fn is_dotted(mut expr: &Expr) -> bool {
+    loop {
+        match &expr.kind {
+            ExprKind::Name(_) => return true,
+            ExprKind::Attribute { value, .. } => expr = value,
+            _ => return false,
+        }
     }
 }
 
@@ -57,7 +80,8 @@ impl AccessPath {
 /// access path is known non-null where they evaluate.
 #[derive(Default)]
 pub struct NullGuards {
-    guarded: HashSet<NodeId>,
+    /// Sorted, without repeats.
+    guarded: Vec<NodeId>,
 }
 
 impl NullGuards {
@@ -67,8 +91,16 @@ impl NullGuards {
     /// non-null for the rest of the enclosing block (the helper
     /// dominates-on-raise).
     pub fn analyze_with(body: &[Stmt], summaries: Option<&SummaryTable>) -> NullGuards {
-        let mut walk = Walk { guarded: HashSet::new(), scoped: Vec::new(), summaries };
-        walk.walk_block(body, &mut HashSet::new(), false);
+        let mut walk = Walk {
+            guarded: Vec::new(),
+            active: Vec::new(),
+            undo: Vec::new(),
+            scoped: Vec::new(),
+            summaries,
+        };
+        walk.walk_block(body, false);
+        walk.guarded.sort_unstable();
+        walk.guarded.dedup();
         NullGuards { guarded: walk.guarded }
     }
 
@@ -78,90 +110,106 @@ impl NullGuards {
     /// non-null, a guard on `x.y` marks `x.y`. Deciding whether a guard
     /// makes a particular invocation safe is the detector's call.
     pub fn is_guarded(&self, expr: &Expr) -> bool {
-        self.guarded.contains(&expr.id)
+        self.guarded.binary_search(&expr.id).is_ok()
     }
 }
 
-/// The walk over one body. `active` (threaded through the statement walk)
-/// holds the paths known non-null at the current statement; `scoped` the
-/// extra ones a short-circuit or ternary establishes inside an expression.
+/// One change to [`Walk::active`], logged so that leaving a block undoes
+/// it.
+enum Undo {
+    /// A path was pushed.
+    Inserted,
+    /// The path at this index was swap-removed.
+    Removed(usize, AccessPath),
+}
+
+/// The walk over one body. `active` holds the paths known non-null at the
+/// current statement, a set kept as a `Vec`: a block's changes to it are
+/// logged in `undo` and rolled back when the block is left, so branches
+/// share one set instead of each cloning it. `scoped` holds the extra
+/// paths a short-circuit or ternary establishes inside an expression.
 struct Walk<'s> {
-    guarded: HashSet<NodeId>,
+    guarded: Vec<NodeId>,
+    active: Vec<AccessPath>,
+    undo: Vec<Undo>,
     scoped: Vec<AccessPath>,
     summaries: Option<&'s SummaryTable>,
 }
 
 impl Walk<'_> {
-    fn walk_block(
-        &mut self,
-        body: &[Stmt],
-        active: &mut HashSet<AccessPath>,
-        in_guarding_try: bool,
-    ) {
-        let mut added_by_escape: Vec<AccessPath> = Vec::new();
-        for stmt in body {
-            self.walk_stmt(stmt, active, in_guarding_try, &mut added_by_escape);
-        }
-        for p in added_by_escape {
-            active.remove(&p);
+    /// Adds `path` to the active set for the rest of the current block.
+    fn insert(&mut self, path: &AccessPath) {
+        if !self.active.contains(path) {
+            self.active.push(path.clone());
+            self.undo.push(Undo::Inserted);
         }
     }
 
-    fn walk_stmt(
-        &mut self,
-        stmt: &Stmt,
-        active: &mut HashSet<AccessPath>,
-        in_try: bool,
-        added_by_escape: &mut Vec<AccessPath>,
-    ) {
+    /// Walks `body` with `guards` added to the active set, then restores
+    /// the set as it was: nothing a nested block learns outlives it.
+    fn walk_nested(&mut self, body: &[Stmt], guards: &[AccessPath], in_try: bool) {
+        let mark = self.undo.len();
+        for p in guards {
+            self.insert(p);
+        }
+        self.walk_block(body, in_try);
+        for change in self.undo.drain(mark..).rev() {
+            match change {
+                Undo::Inserted => {
+                    self.active.pop();
+                }
+                Undo::Removed(i, path) => {
+                    self.active.push(path);
+                    let last = self.active.len() - 1;
+                    self.active.swap(i, last);
+                }
+            }
+        }
+    }
+
+    fn walk_block(&mut self, body: &[Stmt], in_try: bool) {
+        for stmt in body {
+            self.walk_stmt(stmt, in_try);
+        }
+    }
+
+    fn walk_stmt(&mut self, stmt: &Stmt, in_try: bool) {
         match &stmt.kind {
             StmtKind::If { test, body, orelse } => {
-                self.mark_expr(test, active, in_try);
+                self.mark_expr(test, in_try);
                 let (pos, neg) = guard_paths(test);
-
-                // Then-branch: positive guards active.
-                let mut then_active = active.clone();
-                then_active.extend(pos.iter().cloned());
-                self.walk_block(body, &mut then_active, in_try);
-
-                // Else-branch: negative guards active.
-                let mut else_active = active.clone();
-                else_active.extend(neg.iter().cloned());
-                self.walk_block(orelse, &mut else_active, in_try);
+                // Then-branch: positive guards active; else-branch: negative.
+                self.walk_nested(body, &pos, in_try);
+                self.walk_nested(orelse, &neg, in_try);
 
                 // `if x is None: <escape or assign x>` guards the rest of
                 // the enclosing block.
                 if !neg.is_empty() {
                     let escapes = block_always_escapes(body);
                     for p in &neg {
-                        let assigned = block_assigns_non_null(body, p);
-                        if (escapes || assigned) && active.insert(p.clone()) {
-                            added_by_escape.push(p.clone());
+                        if escapes || block_assigns_non_null(body, p) {
+                            self.insert(p);
                         }
                     }
                 }
                 // Symmetric: `if x: pass else: <escape>` guards the rest.
                 if !pos.is_empty() && block_always_escapes(orelse) && !orelse.is_empty() {
                     for p in &pos {
-                        if active.insert(p.clone()) {
-                            added_by_escape.push(p.clone());
-                        }
+                        self.insert(p);
                     }
                 }
             }
             StmtKind::While { test, body, orelse } => {
-                self.mark_expr(test, active, in_try);
+                self.mark_expr(test, in_try);
                 let (pos, _neg) = guard_paths(test);
-                let mut loop_active = active.clone();
-                loop_active.extend(pos);
-                self.walk_block(body, &mut loop_active, in_try);
-                self.walk_block(orelse, &mut active.clone(), in_try);
+                self.walk_nested(body, &pos, in_try);
+                self.walk_nested(orelse, &[], in_try);
             }
             StmtKind::For { target, iter, body, orelse } => {
-                self.mark_expr(target, active, in_try);
-                self.mark_expr(iter, active, in_try);
-                self.walk_block(body, &mut active.clone(), in_try);
-                self.walk_block(orelse, &mut active.clone(), in_try);
+                self.mark_expr(target, in_try);
+                self.mark_expr(iter, in_try);
+                self.walk_nested(body, &[], in_try);
+                self.walk_nested(orelse, &[], in_try);
             }
             StmtKind::Try { body, handlers, orelse, finalbody } => {
                 let catches_attr = handlers.iter().any(|h| match &h.typ {
@@ -179,73 +227,80 @@ impl Walk<'_> {
                         matches!(name.as_str(), "AttributeError" | "TypeError" | "Exception")
                     }
                 });
-                self.walk_block(body, &mut active.clone(), in_try || catches_attr);
+                self.walk_nested(body, &[], in_try || catches_attr);
                 for h in handlers {
-                    self.walk_block(&h.body, &mut active.clone(), in_try);
+                    self.walk_nested(&h.body, &[], in_try);
                 }
-                self.walk_block(orelse, &mut active.clone(), in_try);
-                self.walk_block(finalbody, &mut active.clone(), in_try);
+                self.walk_nested(orelse, &[], in_try);
+                self.walk_nested(finalbody, &[], in_try);
             }
             StmtKind::With { items, body } => {
                 for item in items {
-                    self.mark_expr(&item.context, active, in_try);
+                    self.mark_expr(&item.context, in_try);
                     if let Some(t) = &item.target {
-                        self.mark_expr(t, active, in_try);
+                        self.mark_expr(t, in_try);
                     }
                 }
-                self.walk_block(body, &mut active.clone(), in_try);
+                self.walk_nested(body, &[], in_try);
             }
             StmtKind::FunctionDef(f) => {
                 // Fresh scope: no outer guards apply.
                 for d in &f.decorators {
-                    self.mark_expr(d, active, in_try);
+                    self.mark_expr(d, in_try);
                 }
-                let mut inner = HashSet::new();
-                self.walk_block(&f.body, &mut inner, false);
+                let outer = std::mem::take(&mut self.active);
+                self.walk_nested(&f.body, &[], false);
+                self.active = outer;
             }
             StmtKind::ClassDef(c) => {
                 for d in &c.decorators {
-                    self.mark_expr(d, active, in_try);
+                    self.mark_expr(d, in_try);
                 }
                 for b in &c.bases {
-                    self.mark_expr(b, active, in_try);
+                    self.mark_expr(b, in_try);
                 }
-                let mut inner = active.clone();
-                self.walk_block(&c.body, &mut inner, in_try);
+                self.walk_nested(&c.body, &[], in_try);
             }
             StmtKind::Assign { targets, value } => {
-                self.mark_expr(value, active, in_try);
+                self.mark_expr(value, in_try);
                 for t in targets {
-                    self.mark_expr(t, active, in_try);
+                    self.mark_expr(t, in_try);
                     // Assigning a definitely-non-null value re-establishes a
                     // guard; assigning None (or anything unknown) kills it.
-                    if let Some(p) = AccessPath::of_expr(t) {
-                        if expr_definitely_not_none(value) {
-                            active.insert(p);
-                        } else {
-                            active.remove(&p);
+                    let held = self.active.iter().position(|p| p.matches(t));
+                    match (held, expr_definitely_not_none(value)) {
+                        (None, true) => {
+                            if let Some(p) = AccessPath::of_expr(t) {
+                                self.active.push(p);
+                                self.undo.push(Undo::Inserted);
+                            }
                         }
+                        (Some(i), false) => {
+                            let p = self.active.swap_remove(i);
+                            self.undo.push(Undo::Removed(i, p));
+                        }
+                        _ => {}
                     }
                 }
             }
             StmtKind::AugAssign { target, value, .. } => {
-                self.mark_expr(target, active, in_try);
-                self.mark_expr(value, active, in_try);
+                self.mark_expr(target, in_try);
+                self.mark_expr(value, in_try);
             }
             StmtKind::Return { value: Some(v) } => {
-                self.mark_expr(v, active, in_try);
+                self.mark_expr(v, in_try);
             }
             StmtKind::Return { value: None } => {}
             StmtKind::Raise { exc, cause } => {
                 if let Some(e) = exc {
-                    self.mark_expr(e, active, in_try);
+                    self.mark_expr(e, in_try);
                 }
                 if let Some(c) = cause {
-                    self.mark_expr(c, active, in_try);
+                    self.mark_expr(c, in_try);
                 }
             }
             StmtKind::Expr { value } => {
-                self.mark_expr(value, active, in_try);
+                self.mark_expr(value, in_try);
                 // `require(order.total)` guards `order.total` for the rest
                 // of the block, exactly like `assert order.total is not
                 // None`, when the helper's summary dominates-on-raise.
@@ -255,31 +310,26 @@ impl Walk<'_> {
                     if let Some(cc) = table.resolve_call(func, args, keywords) {
                         for (path, check) in cc.checks {
                             if matches!(check.kind, CheckKind::NotNone) {
-                                let p = AccessPath(path);
-                                if active.insert(p.clone()) {
-                                    added_by_escape.push(p);
-                                }
+                                self.insert(&AccessPath(path));
                             }
                         }
                     }
                 }
             }
             StmtKind::Assert { test, msg } => {
-                self.mark_expr(test, active, in_try);
+                self.mark_expr(test, in_try);
                 if let Some(m) = msg {
-                    self.mark_expr(m, active, in_try);
+                    self.mark_expr(m, in_try);
                 }
                 // `assert x is not None` guards the rest of the block.
                 let (pos, _) = guard_paths(test);
-                for p in pos {
-                    if active.insert(p.clone()) {
-                        added_by_escape.push(p);
-                    }
+                for p in &pos {
+                    self.insert(p);
                 }
             }
             StmtKind::Delete { targets } => {
                 for t in targets {
-                    self.mark_expr(t, active, in_try);
+                    self.mark_expr(t, in_try);
                 }
             }
             _ => {}
@@ -290,13 +340,14 @@ impl Walk<'_> {
     /// extending the known set inside short-circuit and ternary structures.
     /// Inside a guarding `try`, every dotted subject is treated as checked
     /// (the handler catches the failure).
-    fn mark_expr(&mut self, expr: &Expr, active: &HashSet<AccessPath>, in_try: bool) {
-        if in_try || !active.is_empty() || !self.scoped.is_empty() {
-            if let Some(p) = AccessPath::of_expr(expr) {
-                if in_try || active.contains(&p) || self.scoped.contains(&p) {
-                    self.guarded.insert(expr.id);
-                }
-            }
+    fn mark_expr(&mut self, expr: &Expr, in_try: bool) {
+        let known = if in_try {
+            is_dotted(expr)
+        } else {
+            self.active.iter().chain(&self.scoped).any(|p| p.matches(expr))
+        };
+        if known {
+            self.guarded.push(expr.id);
         }
         let mark = self.scoped.len();
         match &expr.kind {
@@ -304,23 +355,23 @@ impl Walk<'_> {
                 // `x and x.y and …`: each operand sees the positive guards
                 // of the ones before it; `x is None or x.y`: the negative.
                 for v in values {
-                    self.mark_expr(v, active, in_try);
+                    self.mark_expr(v, in_try);
                     let (pos, neg) = guard_paths(v);
                     self.scoped.extend(if *op == BoolOpKind::And { pos } else { neg });
                 }
             }
             ExprKind::IfExp { test, body, orelse } => {
-                self.mark_expr(test, active, in_try);
+                self.mark_expr(test, in_try);
                 let (pos, neg) = guard_paths(test);
                 self.scoped.extend(pos);
-                self.mark_expr(body, active, in_try);
+                self.mark_expr(body, in_try);
                 self.scoped.truncate(mark);
                 self.scoped.extend(neg);
-                self.mark_expr(orelse, active, in_try);
+                self.mark_expr(orelse, in_try);
             }
             _ => {
                 for c in expr_children(expr) {
-                    self.mark_expr(c, active, in_try);
+                    self.mark_expr(c, in_try);
                 }
             }
         }
@@ -423,7 +474,7 @@ fn block_assigns_non_null(body: &[Stmt], path: &AccessPath) -> bool {
 /// The value `stmt` assigns to exactly `path`, if it is such an assignment.
 pub fn assigned_value<'a>(stmt: &'a Stmt, path: &AccessPath) -> Option<&'a Expr> {
     let StmtKind::Assign { targets, value } = &stmt.kind else { return None };
-    targets.iter().any(|t| AccessPath::of_expr(t).as_ref() == Some(path)).then_some(value)
+    targets.iter().any(|t| path.matches(t)).then_some(value)
 }
 
 // --- value guards: the condition grammar of PA_c1/PA_c2 and helper summaries ---
@@ -632,6 +683,19 @@ mod tests {
     fn assign_none_kills_guard() {
         let (m, g) = guards("if x is not None:\n    x = None\n    x.method()\n");
         assert!(!g.is_guarded(find_expr(&m, "x.method()", "x")));
+    }
+
+    #[test]
+    fn kills_and_guards_inside_a_branch_end_with_it() {
+        // The nested branch kills `x` and guards `z`; after it, `x` and
+        // `y` are guarded again and `z` is not.
+        let src = "if x is not None and y is not None:\n    if c:\n        x = None\n        \
+                   assert z\n        x.a()\n        y.b()\n        z.c()\n    x.d()\n    \
+                   y.e()\n    z.f()\n";
+        let (m, g) = guards(src);
+        let at = |call: &str, subject: &str| g.is_guarded(find_expr(&m, call, subject));
+        assert!(!at("x.a()", "x") && at("y.b()", "y") && at("z.c()", "z"));
+        assert!(at("x.d()", "x") && at("y.e()", "y") && !at("z.f()", "z"));
     }
 
     #[test]

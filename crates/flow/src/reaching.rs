@@ -14,8 +14,6 @@
 //! is one bit, each CFG node keeps the bit set of definitions leaving it,
 //! and the nodes are swept in reverse post-order until no set changes.
 
-use std::collections::HashMap;
-
 use cfinder_pyast::ast::{Expr, ExprKind, NodeId, Stmt, StmtKind};
 
 use crate::cfg::{Cfg, CfgNodeId};
@@ -43,8 +41,9 @@ pub enum DefKind<'a> {
 /// One definition site.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Def<'a> {
-    /// The defined variable name.
-    pub name: String,
+    /// The defined variable name, borrowed from the body or the
+    /// parameter list.
+    pub name: &'a str,
     /// What defined it.
     pub kind: DefKind<'a>,
     /// The statement carrying the definition (`None` for parameters).
@@ -62,8 +61,9 @@ pub struct UseDefChains<'a> {
     /// Defs generated by node `n`: `gen_defs[gen_start[n]..gen_start[n + 1]]`.
     gen_start: Vec<usize>,
     gen_defs: Vec<DefId>,
-    /// Name → index into `name_defs`.
-    names: HashMap<String, usize>,
+    /// The distinct def names, sorted; name `names[k]` has the defs
+    /// `name_defs[k]`.
+    names: Vec<&'a str>,
     /// Each name's defs; doubles as the kill set of any def of that name.
     name_defs: Vec<WordMasks>,
     /// `words` u64s per CFG node: the defs reaching the node's exit.
@@ -75,14 +75,14 @@ pub struct UseDefChains<'a> {
 impl<'a> UseDefChains<'a> {
     /// Computes chains for a body, with optional parameter names (for
     /// function bodies).
-    pub fn compute(body: &'a [Stmt], params: &[String]) -> UseDefChains<'a> {
+    pub fn compute(body: &'a [Stmt], params: &'a [String]) -> UseDefChains<'a> {
         let cfg = Cfg::build(body);
         let mut defs: Vec<Def<'a>> = Vec::new();
         let mut def_node: Vec<CfgNodeId> = Vec::new();
 
         // Parameters are defs generated at the entry node.
         for p in params {
-            defs.push(Def { name: p.clone(), kind: DefKind::Param, stmt: None });
+            defs.push(Def { name: p, kind: DefKind::Param, stmt: None });
             def_node.push(cfg.entry());
         }
 
@@ -96,19 +96,20 @@ impl<'a> UseDefChains<'a> {
         let gen_start: Vec<usize> =
             (0..=n).map(|node| gen_defs.partition_point(|&id| def_node[id] < node)).collect();
 
-        let mut names: HashMap<String, usize> = HashMap::new();
+        // Group the defs by name: sorting by (name, id) keeps each name's
+        // defs in ascending id order, so its word masks come out ascending.
+        let mut by_name: Vec<DefId> = (0..defs.len()).collect();
+        by_name.sort_unstable_by_key(|&id| (defs[id].name, id));
+        let mut names: Vec<&'a str> = Vec::new();
         let mut name_defs: Vec<WordMasks> = Vec::new();
-        let mut name_of = Vec::with_capacity(defs.len());
-        for (id, d) in defs.iter().enumerate() {
-            let k = match names.get(d.name.as_str()) {
-                Some(&k) => k,
-                None => {
-                    names.insert(d.name.clone(), name_defs.len());
-                    name_defs.push(Vec::new());
-                    name_defs.len() - 1
-                }
-            };
-            name_of.push(k);
+        let mut name_of = vec![0; defs.len()];
+        for id in by_name {
+            if names.last() != Some(&defs[id].name) {
+                names.push(defs[id].name);
+                name_defs.push(Vec::new());
+            }
+            let k = names.len() - 1;
+            name_of[id] = k;
             let (word, bit) = (id / 64, 1u64 << (id % 64));
             match name_defs[k].last_mut() {
                 Some((w, mask)) if *w == word => *mask |= bit,
@@ -223,7 +224,7 @@ impl<'a> UseDefChains<'a> {
     /// intersected with the union of the predecessors' OUT sets.
     fn reaching(&self, stmt: NodeId, name: &str) -> impl Iterator<Item = &Def<'a>> + '_ {
         let preds = self.cfg.node_of_stmt(stmt).map_or(&[][..], |node| self.cfg.preds(node));
-        let masks = self.names.get(name).map_or(&[][..], |&k| &self.name_defs[k][..]);
+        let masks = self.names.binary_search(&name).map_or(&[][..], |k| &self.name_defs[k][..]);
         masks.iter().flat_map(move |&(w, mask)| {
             let mut hits =
                 preds.iter().fold(0, |acc, &p| acc | self.out[p * self.words + w]) & mask;
@@ -283,9 +284,9 @@ fn collect_defs<'a>(
 ) {
     for stmt in body {
         let node = cfg.node_of_stmt(stmt.id);
-        let mut push = |name: &str, kind: DefKind<'a>| {
+        let mut push = |name: &'a str, kind: DefKind<'a>| {
             if let Some(n) = node {
-                defs.push(Def { name: name.to_string(), kind, stmt: Some(stmt.id) });
+                defs.push(Def { name, kind, stmt: Some(stmt.id) });
                 def_node.push(n);
             }
         };
@@ -349,7 +350,7 @@ fn collect_defs<'a>(
 /// Binds an assignment target pattern: plain names and tuple/list
 /// destructuring define names; attribute/subscript targets do not define
 /// local variables.
-fn bind_target<'a>(target: &'a Expr, value: &'a Expr, push: &mut impl FnMut(&str, DefKind<'a>)) {
+fn bind_target<'a>(target: &'a Expr, value: &'a Expr, push: &mut impl FnMut(&'a str, DefKind<'a>)) {
     match &target.kind {
         ExprKind::Name(n) => push(n, DefKind::Assign(value)),
         ExprKind::Tuple(elems) | ExprKind::List(elems) => {
@@ -368,7 +369,7 @@ fn bind_target<'a>(target: &'a Expr, value: &'a Expr, push: &mut impl FnMut(&str
 fn bind_target_kinded<'a>(
     target: &'a Expr,
     kind: impl Fn() -> DefKind<'a>,
-    push: &mut impl FnMut(&str, DefKind<'a>),
+    push: &mut impl FnMut(&'a str, DefKind<'a>),
 ) {
     match &target.kind {
         ExprKind::Name(n) => push(n, kind()),
@@ -432,7 +433,8 @@ mod tests {
     #[test]
     fn params_reach_everywhere() {
         let m = Box::leak(Box::new(parse_module("y = request\n").unwrap()));
-        let ud = UseDefChains::compute(&m.body, &["request".to_string()]);
+        let params = ["request".to_string()];
+        let ud = UseDefChains::compute(&m.body, &params);
         let defs = ud.defs_of(m.body[0].id, "request");
         assert_eq!(defs.len(), 1);
         assert_eq!(defs[0].kind, DefKind::Param);

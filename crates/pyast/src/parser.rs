@@ -243,18 +243,20 @@ impl Parser {
 
     // --- blocks and statements ----------------------------------------------
 
-    /// In recover mode: parses one statement, recording the error and
-    /// resynchronizing on failure. Returns the statements that parsed.
-    fn statement_recovering(&mut self) -> Vec<Stmt> {
-        let before = self.idx;
-        match self.statement() {
-            Ok(stmts) => stmts,
-            Err(e) => {
-                self.errors.push(e);
-                self.synchronize(before);
-                Vec::new()
-            }
+    /// Parses one statement into `out`. In recover mode a failed
+    /// statement is recorded, its partial output dropped, and parsing
+    /// resynchronized at the next statement boundary.
+    fn block_statement(&mut self, out: &mut Vec<Stmt>) -> Result<()> {
+        if !self.recover {
+            return self.statement(out);
         }
+        let (before, len) = (self.idx, out.len());
+        if let Err(e) = self.statement(out) {
+            out.truncate(len);
+            self.errors.push(e);
+            self.synchronize(before);
+        }
+        Ok(())
     }
 
     /// Skips tokens up to the next statement boundary at the same
@@ -299,12 +301,7 @@ impl Parser {
     fn parse_block_until_eof(&mut self) -> Result<Vec<Stmt>> {
         let mut body = Vec::new();
         while !self.check(&TokenKind::Eof) {
-            if self.recover {
-                let stmts = self.statement_recovering();
-                body.extend(stmts);
-            } else {
-                body.extend(self.statement()?);
-            }
+            self.block_statement(&mut body)?;
         }
         Ok(body)
     }
@@ -313,56 +310,55 @@ impl Parser {
     /// the same line (`if x: pass`).
     fn suite(&mut self) -> Result<Vec<Stmt>> {
         self.eat(&TokenKind::Colon)?;
+        let mut body = Vec::new();
         if self.eat_if(&TokenKind::Newline) {
             self.eat(&TokenKind::Indent)?;
-            let mut body = Vec::new();
             while !self.check(&TokenKind::Dedent) && !self.check(&TokenKind::Eof) {
-                if self.recover {
-                    let stmts = self.statement_recovering();
-                    body.extend(stmts);
-                } else {
-                    body.extend(self.statement()?);
-                }
+                self.block_statement(&mut body)?;
             }
             // The Dedent is absent only when input ends inside the suite,
             // which strict lexing never produces (the indent stack is
             // drained before Eof).
             self.eat_if(&TokenKind::Dedent);
-            Ok(body)
         } else {
             // Inline suite: one or more `;`-separated simple statements.
-            self.simple_statement_line()
+            self.simple_statement_line(&mut body)?;
         }
+        Ok(body)
     }
 
-    /// Parses one statement; simple statements may expand to several via `;`.
-    fn statement(&mut self) -> Result<Vec<Stmt>> {
-        self.with_depth(Self::statement_impl)
+    /// Parses one statement into `out`; simple statements may expand to
+    /// several via `;`.
+    fn statement(&mut self, out: &mut Vec<Stmt>) -> Result<()> {
+        self.with_depth(|p| p.statement_impl(out))
     }
 
-    fn statement_impl(&mut self) -> Result<Vec<Stmt>> {
-        match self.peek_kind() {
-            TokenKind::Def | TokenKind::Class | TokenKind::At => Ok(vec![self.definition()?]),
-            TokenKind::If => Ok(vec![self.if_statement()?]),
-            TokenKind::For => Ok(vec![self.for_statement()?]),
-            TokenKind::While => Ok(vec![self.while_statement()?]),
-            TokenKind::Try => Ok(vec![self.try_statement()?]),
-            TokenKind::With => Ok(vec![self.with_statement()?]),
-            _ => self.simple_statement_line(),
-        }
+    fn statement_impl(&mut self, out: &mut Vec<Stmt>) -> Result<()> {
+        let stmt = match self.peek_kind() {
+            TokenKind::Def | TokenKind::Class | TokenKind::At => self.definition()?,
+            TokenKind::If => self.if_statement()?,
+            TokenKind::For => self.for_statement()?,
+            TokenKind::While => self.while_statement()?,
+            TokenKind::Try => self.try_statement()?,
+            TokenKind::With => self.with_statement()?,
+            _ => return self.simple_statement_line(out),
+        };
+        out.push(stmt);
+        Ok(())
     }
 
-    /// A physical line of `;`-separated simple statements ended by `Newline`.
-    fn simple_statement_line(&mut self) -> Result<Vec<Stmt>> {
-        let mut stmts = vec![self.simple_statement()?];
+    /// A physical line of `;`-separated simple statements ended by
+    /// `Newline`, pushed onto `out`.
+    fn simple_statement_line(&mut self, out: &mut Vec<Stmt>) -> Result<()> {
+        out.push(self.simple_statement()?);
         while self.eat_if(&TokenKind::Semi) {
             if self.check(&TokenKind::Newline) {
                 break;
             }
-            stmts.push(self.simple_statement()?);
+            out.push(self.simple_statement()?);
         }
         self.eat(&TokenKind::Newline)?;
-        Ok(stmts)
+        Ok(())
     }
 
     fn simple_statement(&mut self) -> Result<Stmt> {
@@ -879,7 +875,7 @@ impl Parser {
     }
 
     fn comparison(&mut self) -> Result<Expr> {
-        let left = self.bit_or()?;
+        let left = self.binary(1)?;
         let mut ops = Vec::new();
         let mut comparators = Vec::new();
         loop {
@@ -907,7 +903,7 @@ impl Parser {
             };
             self.advance();
             ops.push(op);
-            comparators.push(self.bit_or()?);
+            comparators.push(self.binary(1)?);
         }
         if ops.is_empty() {
             return Ok(left);
@@ -916,69 +912,28 @@ impl Parser {
         Ok(self.expr(span, ExprKind::Compare { left: Box::new(left), ops, comparators }))
     }
 
-    fn bit_or(&mut self) -> Result<Expr> {
-        self.binary_chain(&[(TokenKind::Pipe, BinOp::BitOr)], Self::bit_xor)
-    }
-
-    fn bit_xor(&mut self) -> Result<Expr> {
-        self.binary_chain(&[(TokenKind::Caret, BinOp::BitXor)], Self::bit_and)
-    }
-
-    fn bit_and(&mut self) -> Result<Expr> {
-        self.binary_chain(&[(TokenKind::Amp, BinOp::BitAnd)], Self::shift)
-    }
-
-    fn shift(&mut self) -> Result<Expr> {
-        self.binary_chain(
-            &[(TokenKind::Shl, BinOp::Shl), (TokenKind::Shr, BinOp::Shr)],
-            Self::arith,
-        )
-    }
-
-    fn arith(&mut self) -> Result<Expr> {
-        self.binary_chain(
-            &[(TokenKind::Plus, BinOp::Add), (TokenKind::Minus, BinOp::Sub)],
-            Self::term,
-        )
-    }
-
-    fn term(&mut self) -> Result<Expr> {
-        self.binary_chain(
-            &[
-                (TokenKind::Star, BinOp::Mul),
-                (TokenKind::Slash, BinOp::Div),
-                (TokenKind::SlashSlash, BinOp::FloorDiv),
-                (TokenKind::Percent, BinOp::Mod),
-            ],
-            Self::factor,
-        )
-    }
-
-    fn binary_chain(
-        &mut self,
-        ops: &[(TokenKind, BinOp)],
-        next: fn(&mut Self) -> Result<Expr>,
-    ) -> Result<Expr> {
-        let mut left = next(self)?;
-        let mut links = 0usize;
-        'outer: loop {
-            for (tok, op) in ops {
-                if self.check(tok) {
-                    links += 1;
-                    if links > MAX_CHAIN {
-                        return Err(ParseError::chain_limit(MAX_CHAIN, self.peek().span));
-                    }
-                    self.advance();
-                    let right = next(self)?;
-                    let span = left.span.to(right.span);
-                    left = self.expr(
-                        span,
-                        ExprKind::BinOp { left: Box::new(left), op: *op, right: Box::new(right) },
-                    );
-                    continue 'outer;
-                }
+    /// The binary operators from `|` down to `*`, by precedence climbing.
+    /// `min` is the loosest level this call may consume; the right operand
+    /// of a level-`p` operator takes only levels tighter than `p`, so every
+    /// level associates left and nodes are created in post-order. The
+    /// operators of one level this loop consumes in a row are that level's
+    /// chain, and each chain counts toward [`MAX_CHAIN`] on its own.
+    fn binary(&mut self, min: u8) -> Result<Expr> {
+        let mut left = self.factor()?;
+        let (mut run_level, mut links) = (0, 0usize);
+        while let Some((level, op)) = binary_op(self.peek_kind()).filter(|&(l, _)| l >= min) {
+            if level != run_level {
+                (run_level, links) = (level, 0);
             }
-            break;
+            links += 1;
+            if links > MAX_CHAIN {
+                return Err(ParseError::chain_limit(MAX_CHAIN, self.peek().span));
+            }
+            self.advance();
+            let right = self.binary(level + 1)?;
+            let span = left.span.to(right.span);
+            left = self
+                .expr(span, ExprKind::BinOp { left: Box::new(left), op, right: Box::new(right) });
         }
         Ok(left)
     }
@@ -1421,6 +1376,26 @@ impl Parser {
         }
         Ok(parts)
     }
+}
+
+/// A binary operator token's precedence level (1 = `|`, the loosest, to
+/// 6 = `*`, `/`, `//`, `%`) and node operator. `**` is not here: it is
+/// right-associative and binds tighter than unary minus ([`Parser::power`]).
+fn binary_op(kind: &TokenKind) -> Option<(u8, BinOp)> {
+    Some(match kind {
+        TokenKind::Pipe => (1, BinOp::BitOr),
+        TokenKind::Caret => (2, BinOp::BitXor),
+        TokenKind::Amp => (3, BinOp::BitAnd),
+        TokenKind::Shl => (4, BinOp::Shl),
+        TokenKind::Shr => (4, BinOp::Shr),
+        TokenKind::Plus => (5, BinOp::Add),
+        TokenKind::Minus => (5, BinOp::Sub),
+        TokenKind::Star => (6, BinOp::Mul),
+        TokenKind::Slash => (6, BinOp::Div),
+        TokenKind::SlashSlash => (6, BinOp::FloorDiv),
+        TokenKind::Percent => (6, BinOp::Mod),
+        _ => return None,
+    })
 }
 
 #[cfg(test)]
@@ -1902,6 +1877,112 @@ class OrderLine(models.Model):
         // A long-but-sane chain still parses.
         let fine = format!("x = 1{}\n", " + 1".repeat(500));
         assert!(parse_module(&fine).is_ok());
+    }
+
+    /// Renders an operator tree as `(Op#id@start..end operands…)`, leaves
+    /// as `name#id`: the shape, node ids and spans of every node.
+    fn op_tree(e: &Expr) -> String {
+        let at = format!("#{}@{}..{}", e.id.0, e.span.start.offset, e.span.end.offset);
+        match &e.kind {
+            ExprKind::Name(n) => format!("{n}{at}"),
+            ExprKind::Constant(Constant::Int(i)) => format!("{i}{at}"),
+            ExprKind::Constant(Constant::None) => format!("None{at}"),
+            ExprKind::BinOp { left, op, right } => {
+                format!("({op:?}{at} {} {})", op_tree(left), op_tree(right))
+            }
+            ExprKind::UnaryOp { op, operand } => format!("({op:?}{at} {})", op_tree(operand)),
+            ExprKind::BoolOp { op, values } => {
+                let values: Vec<String> = values.iter().map(op_tree).collect();
+                format!("({op:?}{at} {})", values.join(" "))
+            }
+            ExprKind::Compare { left, ops, comparators } => {
+                let rest: Vec<String> = comparators.iter().map(op_tree).collect();
+                format!("({ops:?}{at} {} {})", op_tree(left), rest.join(" "))
+            }
+            other => panic!("not an operator tree: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn operator_grammar_pins_shape_ids_and_spans() {
+        let cases = [
+            // Every binary level, loosest first: each nests to the right.
+            (
+                "a | b ^ c & d << e + f * g",
+                "(BitOr#12@0..26 a#0@0..1 (BitXor#11@4..26 b#1@4..5 (BitAnd#10@8..26 c#2@8..9 \
+                 (Shl#9@12..26 d#3@12..13 (Add#8@17..26 e#4@17..18 (Mul#7@21..26 f#5@21..22 \
+                 g#6@25..26))))))",
+            ),
+            // Tightest first: each nests to the left.
+            (
+                "a * b + c << d & e ^ f | g",
+                "(BitOr#12@0..26 (BitXor#10@0..22 (BitAnd#8@0..18 (Shl#6@0..14 (Add#4@0..9 \
+                 (Mul#2@0..5 a#0@0..1 b#1@4..5) c#3@8..9) d#5@13..14) e#7@17..18) f#9@21..22) \
+                 g#11@25..26)",
+            ),
+            // Left associativity within a level, every operator of it.
+            (
+                "a - b + c // d % e / f >> g << h",
+                "(Shl#14@0..32 (Shr#12@0..27 (Add#10@0..22 (Sub#2@0..5 a#0@0..1 b#1@4..5) \
+                 (Div#9@8..22 (Mod#7@8..18 (FloorDiv#5@8..14 c#3@8..9 d#4@13..14) e#6@17..18) \
+                 f#8@21..22)) g#11@26..27) h#13@31..32)",
+            ),
+            // Unary operators bind tighter than `*` and looser than `**`,
+            // and `**` nests to the right.
+            (
+                "-a ** -b ** c * ~d + +e",
+                "(Add#12@0..23 (Mul#9@0..18 (Neg#6@0..13 (Pow#5@1..13 a#0@1..2 (Neg#4@6..13 \
+                 (Pow#3@7..13 b#1@7..8 c#2@12..13)))) (Invert#8@16..18 d#7@17..18)) \
+                 (Pos#11@21..23 e#10@22..23))",
+            ),
+            // Binary operators inside comparisons, under `not`, `and`, `or`.
+            (
+                "not a | b < c & d == e and f or g ^ h is not None",
+                "(Or#16@0..49 (And#10@0..28 (Not#8@0..22 ([Lt, Eq]#7@4..22 (BitOr#2@4..9 \
+                 a#0@4..5 b#1@8..9) (BitAnd#5@12..17 c#3@12..13 d#4@16..17) e#6@21..22)) \
+                 f#9@27..28) ([IsNot]#15@32..49 (BitXor#13@32..37 g#11@32..33 h#12@36..37) \
+                 None#14@45..49))",
+            ),
+        ];
+        for (src, want) in cases {
+            assert_eq!(op_tree(&parse_expr(src).unwrap()), want, "{src}");
+        }
+    }
+
+    #[test]
+    fn chain_limit_error_is_pinned_per_level_run() {
+        let chain_error = |src: &str| {
+            let err = parse_module(src).unwrap_err();
+            let (s, e) = (err.span.start, err.span.end);
+            (err.kind, (s.line, s.col, s.offset, e.line, e.col, e.offset), err.message)
+        };
+        let message = "expression chain exceeds the maximum length of 1024".to_string();
+        // One level, alternating operators: the link past the cap fails.
+        let one_level = format!("x = 1{}\n", " + 1 - 1".repeat(MAX_CHAIN / 2 + 1));
+        assert_eq!(
+            chain_error(&one_level),
+            (
+                crate::error::ParseErrorKind::DepthLimit,
+                (1, 4103, 4102, 1, 4104, 4103),
+                message.clone()
+            )
+        );
+        // Across levels: `|` links whose operands are `+` chains of one
+        // link each; only the `|` run counts toward the cap.
+        let across = format!("x = 1 + 1{}\n", " | 1 + 1".repeat(MAX_CHAIN + 1));
+        assert_eq!(
+            chain_error(&across),
+            (crate::error::ParseErrorKind::DepthLimit, (1, 8203, 8202, 1, 8204, 8203), message)
+        );
+        // The cap is per run: more links than the cap in total, none of
+        // the runs over it, still parses.
+        let runs = format!(
+            "x = 1{}{}{}\n",
+            " * 1".repeat(900),
+            " + 1 * 1".repeat(900),
+            " - 1".repeat(100)
+        );
+        assert!(parse_module(&runs).is_ok());
     }
 
     #[test]

@@ -257,41 +257,32 @@ pub fn walk_shallow<'a>(body: &'a [Stmt], f: &mut dyn FnMut(&'a Stmt)) {
 }
 
 /// The expressions a statement directly owns (not those of nested
-/// statements). A nested `def`/`class` owns its decorators and bases: they
-/// evaluate in the enclosing scope.
-pub fn own_exprs(stmt: &Stmt) -> Vec<&Expr> {
-    match &stmt.kind {
-        StmtKind::Assign { targets, value } => {
-            let mut v: Vec<&Expr> = targets.iter().collect();
-            v.push(value);
-            v
+/// statements), in source order, without allocating. A nested
+/// `def`/`class` owns its decorators and bases: they evaluate in the
+/// enclosing scope.
+pub fn own_exprs(stmt: &Stmt) -> impl Iterator<Item = &Expr> {
+    // Every kind's list is some of: a leading slice, up to two single
+    // expressions, `with` items, and a trailing slice.
+    let none: &[Expr] = &[];
+    let (lead, one, two, items, tail): (_, _, _, &[WithItem], _) = match &stmt.kind {
+        StmtKind::Assign { targets, value } => (&targets[..], Some(value), None, &[], none),
+        StmtKind::AugAssign { target, value, .. } => (none, Some(target), Some(value), &[], none),
+        StmtKind::If { test, .. } | StmtKind::While { test, .. } => {
+            (none, Some(test), None, &[], none)
         }
-        StmtKind::AugAssign { target, value, .. } => vec![target, value],
-        StmtKind::If { test, .. } | StmtKind::While { test, .. } => vec![test],
-        StmtKind::For { target, iter, .. } => vec![target, iter],
-        StmtKind::With { items, .. } => {
-            let mut v = Vec::new();
-            for i in items {
-                v.push(&i.context);
-                if let Some(t) = &i.target {
-                    v.push(t);
-                }
-            }
-            v
-        }
-        StmtKind::Return { value } => value.iter().collect(),
-        StmtKind::Raise { exc, cause } => exc.iter().chain(cause.iter()).collect(),
-        StmtKind::Expr { value } => vec![value],
-        StmtKind::Assert { test, msg } => {
-            let mut v = vec![test];
-            v.extend(msg.iter());
-            v
-        }
-        StmtKind::Delete { targets } => targets.iter().collect(),
-        StmtKind::FunctionDef(f) => f.decorators.iter().collect(),
-        StmtKind::ClassDef(c) => c.decorators.iter().chain(c.bases.iter()).collect(),
-        _ => Vec::new(),
-    }
+        StmtKind::For { target, iter, .. } => (none, Some(target), Some(iter), &[], none),
+        StmtKind::With { items, .. } => (none, None, None, &items[..], none),
+        StmtKind::Return { value } => (none, value.as_ref(), None, &[], none),
+        StmtKind::Raise { exc, cause } => (none, exc.as_ref(), cause.as_ref(), &[], none),
+        StmtKind::Expr { value } => (none, Some(value), None, &[], none),
+        StmtKind::Assert { test, msg } => (none, Some(test), msg.as_ref(), &[], none),
+        StmtKind::Delete { targets } => (&targets[..], None, None, &[], none),
+        StmtKind::FunctionDef(f) => (&f.decorators[..], None, None, &[], none),
+        StmtKind::ClassDef(c) => (&c.decorators[..], None, None, &[], &c.bases[..]),
+        _ => (none, None, None, &[], none),
+    };
+    let items = items.iter().flat_map(|i| std::iter::once(&i.context).chain(&i.target));
+    lead.iter().chain(one).chain(two).chain(items).chain(tail)
 }
 
 #[cfg(test)]
@@ -340,10 +331,71 @@ mod tests {
         let m = parse_module("@d\nclass K(B):\n    x = 1\nif a:\n    def f():\n        pass\n")
             .unwrap();
         let mut kinds = Vec::new();
-        walk_shallow(&m.body, &mut |s| kinds.push(own_exprs(s).len()));
+        walk_shallow(&m.body, &mut |s| kinds.push(own_exprs(s).count()));
         // ClassDef (decorator + base), If (test), FunctionDef (none); the
         // class and function bodies are not visited.
         assert_eq!(kinds, vec![2, 1, 0]);
+    }
+
+    #[test]
+    fn own_exprs_order_on_every_statement_kind() {
+        let src = "a, b = c = f(x)\n\
+                   n += g(1)\n\
+                   if t:\n    pass\n\
+                   while w:\n    break\n\
+                   for i, j in rows:\n    continue\n\
+                   with A() as a, B(), C() as c:\n    pass\n\
+                   try:\n    pass\nexcept E:\n    pass\n\
+                   def h():\n    return v\n\
+                   raise X from y\n\
+                   raise\n\
+                   call(k)\n\
+                   assert p, 'msg'\n\
+                   assert q\n\
+                   del d[0], e.f\n\
+                   @dec(1)\n@other\ndef fn():\n    return\n\
+                   @d1\n@d2\nclass K(B1, B2, metaclass=M):\n    pass\n\
+                   import os\n\
+                   global z\n";
+        let m = parse_module(src).unwrap();
+        let mut got = Vec::new();
+        walk_stmts(&m.body, &mut |s| {
+            let mut owned = Vec::new();
+            for e in own_exprs(s) {
+                owned.push(crate::unparse::unparse_expr(e));
+            }
+            got.push(owned.join(" | "));
+        });
+        let want = [
+            "(a, b) | c | f(x)",
+            "n | g(1)",
+            "t",
+            "",
+            "w",
+            "",
+            "(i, j) | rows",
+            "",
+            "A() | a | B() | C() | c",
+            "",
+            "",
+            "",
+            "",
+            "",
+            "v",
+            "X | y",
+            "",
+            "call(k)",
+            "p | 'msg'",
+            "q",
+            "d[0] | e.f",
+            "dec(1) | other",
+            "",
+            "d1 | d2 | B1 | B2",
+            "",
+            "",
+            "",
+        ];
+        assert_eq!(got, want);
     }
 
     /// The allocating child list `expr_children` replaced: the reference

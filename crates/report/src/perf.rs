@@ -358,7 +358,9 @@ fn measure_scaling() -> Result<Value, String> {
 /// after 2 warm-ups; a fresh handle per run keeps traced buffers from
 /// growing across runs. The three configurations take turns run by
 /// run, so a load change on a shared host slows all three alike instead
-/// of reading as one configuration's overhead.
+/// of reading as one configuration's overhead. The analyses run on one
+/// thread: with a worker per core, any other process on the host makes
+/// one worker straggle, and that wait reads as overhead.
 fn measure_obs_overhead(profile_hz: u32) -> Result<Value, String> {
     const WARMUP_RUNS: usize = 2;
     const MEASURED_RUNS: usize = 9;
@@ -374,7 +376,7 @@ fn measure_obs_overhead(profile_hz: u32) -> Result<Value, String> {
     let mut samples: [Vec<f64>; 3] = Default::default();
     for run in 0..WARMUP_RUNS + MEASURED_RUNS {
         for (obs, samples) in configs.iter().zip(&mut samples) {
-            let finder = CFinder::new().with_obs(obs());
+            let finder = CFinder::new().with_threads(1).with_obs(obs());
             let start = Instant::now();
             let report = finder.analyze(&source, &declared);
             let elapsed = start.elapsed().as_secs_f64();

@@ -104,8 +104,8 @@ echo "==> test-count floors"
 floor core 150 cfinder_core proptest_robustness detect_pin
 floor SQL 57 cfinder_sql roundtrip_proptest sql_faults
 floor schema 64 cfinder_schema proptest_schema
-floor pyast 141 cfinder_pyast django_torture proptest_recovery proptest_roundtrip parse_pin
-floor flow 108 cfinder_flow proptest_interproc interproc_oracle reaching_oracle nullguard_oracle
+floor pyast 144 cfinder_pyast django_torture proptest_recovery proptest_roundtrip parse_pin
+floor flow 110 cfinder_flow proptest_interproc interproc_oracle reaching_oracle nullguard_oracle
 floor daemon 24 cfinder_serve serve_soak serve_faults cache_concurrency
 floor minidb 99 cfinder_minidb plan_golden proptest_integrity query_oracle three_valued_logic
 floor front-door 30 cli explain_golden hostile_env reproduce_cli
