@@ -5,14 +5,14 @@
 //!
 //! Per source file, two kinds of JSON entries:
 //!
-//! * a **parse entry** ([`CacheEntry`]) holding the facts derived from the
+//! * a **parse entry** (`CacheEntry`) holding the facts derived from the
 //!   file alone — the file-local class facts
 //!   ([`crate::models::extract_classes`]) that feed model-registry
 //!   construction, the parse incidents (recovered syntax errors,
 //!   resource-guard drops), and whether the file was dropped entirely;
-//! * zero or more **detect entries** ([`DetectEntry`]), one per model
+//! * zero or more **detect entries** (`DetectEntry`), one per model
 //!   registry the file has completed a detect pass under, holding the
-//!   file's pattern detections and none-assignment set ([`DetectFacts`]).
+//!   file's pattern detections and none-assignment set (`DetectFacts`).
 //!
 //! The split keeps the hot warm-run path cheap: pass 0 decodes only the
 //! small parse entries, and pass 2 decodes exactly one detect entry per
@@ -38,7 +38,7 @@
 //! Parse-level facts depend only on the file itself, so they are valid
 //! whenever the entry key matches. Detection facts additionally depend on
 //! the *whole app's* model registry (table identification follows
-//! foreign-key chains into other files), so [`DetectFacts`] carries the
+//! foreign-key chains into other files), so `DetectFacts` carries the
 //! registry hash it was computed under and is only reused when the
 //! current run's registry hashes identically. One edited `models.py`
 //! therefore re-runs detection everywhere (correctly), while an edited
@@ -52,7 +52,7 @@
 //! # Fault model
 //!
 //! A truncated, corrupt, or stale entry is **never** an error: lookups
-//! return [`Lookup::Corrupt`] and the pipeline falls back to a full
+//! return `Lookup::Corrupt` and the pipeline falls back to a full
 //! re-analysis of the file, recording a typed
 //! [`IncidentKind::CacheCorrupt`](crate::IncidentKind::CacheCorrupt)
 //! incident. Writes go through a temp file plus atomic rename, so a
@@ -74,10 +74,10 @@ use crate::incident::Incident;
 use crate::models::{ModelInfo, ModelRegistry};
 use crate::report::{Detection, PatternId};
 
-/// On-disk entry format version. Bump on any change to [`CacheEntry`]'s
+/// On-disk entry format version. Bump on any change to an entry's
 /// shape; it participates in the tool fingerprint, so old shards are
 /// simply never read again. Format 2 added the per-file inter-procedural
-/// facts ([`CacheEntry::interproc`]).
+/// facts to parse entries.
 pub const FORMAT: u32 = 2;
 
 /// Why a cache directory could not be opened. Typed so the CLI can map
@@ -154,7 +154,7 @@ impl std::error::Error for WriteSkip {}
 /// The detection-pass facts of one file, valid only under the registry
 /// they were computed with.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DetectFacts {
+pub(crate) struct DetectFacts {
     /// Stable hash of the model registry the detections were derived
     /// under. Detection follows foreign-key chains across files, so any
     /// registry change invalidates these facts (and only these — the
@@ -169,7 +169,7 @@ pub struct DetectFacts {
 
 /// One file's cached parse-level facts.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CacheEntry {
+pub(crate) struct CacheEntry {
     /// Entry format version ([`FORMAT`]); mismatches are stale.
     pub format: u32,
     /// Repository-relative path the facts belong to.
@@ -193,7 +193,7 @@ pub struct CacheEntry {
 /// its own entry file (addressed by path, content hash, *and* registry
 /// hash), so warm runs decode only the context they need.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DetectEntry {
+pub(crate) struct DetectEntry {
     /// Entry format version ([`FORMAT`]); mismatches are stale.
     pub format: u32,
     /// Repository-relative path the facts belong to.
@@ -205,10 +205,39 @@ pub struct DetectEntry {
     pub facts: DetectFacts,
 }
 
-/// Result of a cache lookup; `T` is [`CacheEntry`] for parse lookups and
-/// [`DetectFacts`] for detect lookups.
+/// An entry kind the cache stores: its JSON shape and the key it is
+/// addressed by.
+pub(crate) trait Keyed: Serialize + for<'de> Deserialize<'de> {
+    /// The entry's format version ([`FORMAT`]).
+    fn format(&self) -> u32;
+    /// The address key: the path and the content hash, plus the registry
+    /// hash for a detect entry.
+    fn key(&self) -> Vec<&str>;
+}
+
+impl Keyed for CacheEntry {
+    fn format(&self) -> u32 {
+        self.format
+    }
+
+    fn key(&self) -> Vec<&str> {
+        vec![&self.path, &self.content_hash]
+    }
+}
+
+impl Keyed for DetectEntry {
+    fn format(&self) -> u32 {
+        self.format
+    }
+
+    fn key(&self) -> Vec<&str> {
+        vec![&self.path, &self.content_hash, &self.facts.registry_hash]
+    }
+}
+
+/// Result of a cache lookup of one entry kind.
 #[derive(Debug)]
-pub enum Lookup<T> {
+pub(crate) enum Lookup<T> {
     /// A valid entry for this key.
     Hit(Box<T>),
     /// No entry on disk.
@@ -309,92 +338,43 @@ impl AnalysisCache {
         &self.fingerprint
     }
 
-    /// The parse-entry file for a `(path, content hash)` key.
-    fn entry_file(&self, path: &str, content_hash: &str) -> PathBuf {
+    /// The entry file for a key ([`Keyed::key`]).
+    fn entry_file(&self, key: &[&str]) -> PathBuf {
         let mut h = StableHasher::new();
-        h.write_str(path);
-        h.write_str(content_hash);
+        for part in key {
+            h.write_str(part);
+        }
         self.shard.join(format!("{}.json", h.finish_hex()))
     }
 
-    /// The detect-entry file for a `(path, content hash, registry hash)`
-    /// key.
-    fn detect_file(&self, path: &str, content_hash: &str, registry_hash: &str) -> PathBuf {
-        let mut h = StableHasher::new();
-        h.write_str(path);
-        h.write_str(content_hash);
-        h.write_str(registry_hash);
-        self.shard.join(format!("{}.json", h.finish_hex()))
-    }
-
-    /// Looks up the parse entry for a file's current content.
-    pub fn lookup(&self, path: &str, content_hash: &str) -> Lookup<CacheEntry> {
-        let entry: CacheEntry = match read_json(&self.entry_file(path, content_hash)) {
+    /// Looks up the entry addressed by `key`; an entry that decodes but
+    /// records another key or format is stale.
+    pub(crate) fn lookup<E: Keyed>(&self, key: &[&str]) -> Lookup<E> {
+        let entry: E = match read_json(&self.entry_file(key)) {
             Ok(Some(entry)) => entry,
             Ok(None) => return Lookup::Miss,
             Err(detail) => return Lookup::Corrupt(detail),
         };
-        if entry.format != FORMAT || entry.path != path || entry.content_hash != content_hash {
+        let recorded = entry.key();
+        if entry.format() != FORMAT || recorded != key {
             return Lookup::Corrupt(format!(
-                "stale entry: recorded (format {}, {}, {}) does not match (format {}, {}, {})",
-                entry.format, entry.path, entry.content_hash, FORMAT, path, content_hash
+                "stale entry: recorded (format {}, {}) does not match (format {FORMAT}, {})",
+                entry.format(),
+                recorded.join(", "),
+                key.join(", ")
             ));
         }
         Lookup::Hit(Box::new(entry))
     }
 
-    /// Looks up the detect entry for a file's current content under the
-    /// given model registry.
-    pub fn lookup_detect(
-        &self,
-        path: &str,
-        content_hash: &str,
-        registry_hash: &str,
-    ) -> Lookup<DetectFacts> {
-        let file = self.detect_file(path, content_hash, registry_hash);
-        let entry: DetectEntry = match read_json(&file) {
-            Ok(Some(entry)) => entry,
-            Ok(None) => return Lookup::Miss,
-            Err(detail) => return Lookup::Corrupt(detail),
-        };
-        if entry.format != FORMAT
-            || entry.path != path
-            || entry.content_hash != content_hash
-            || entry.facts.registry_hash != registry_hash
-        {
-            return Lookup::Corrupt(format!(
-                "stale detect entry: recorded (format {}, {}, {}, registry {}) does not match \
-                 (format {}, {}, {}, registry {})",
-                entry.format,
-                entry.path,
-                entry.content_hash,
-                entry.facts.registry_hash,
-                FORMAT,
-                path,
-                content_hash,
-                registry_hash
-            ));
-        }
-        Lookup::Hit(Box::new(entry.facts))
-    }
-
-    /// Writes (or replaces) a file's parse entry. Best-effort: a full
+    /// Writes (or replaces) an entry at its key. Best-effort: a full
     /// disk or a racing writer costs a future cache miss, never a wrong
     /// result, so failures come back as a typed [`WriteSkip`] (callers
     /// count them as skipped writes and keep going).
-    pub fn store(&self, entry: &CacheEntry) -> Result<(), WriteSkip> {
-        debug_assert_eq!(entry.format, FORMAT);
+    pub(crate) fn store(&self, entry: &impl Keyed) -> Result<(), WriteSkip> {
+        debug_assert_eq!(entry.format(), FORMAT);
         let json = serde_json::to_string(entry).map_err(|e| WriteSkip::Encode(e.to_string()))?;
-        self.write_atomic(&self.entry_file(&entry.path, &entry.content_hash), &json)
-    }
-
-    /// Writes (or replaces) a file's detect entry for one registry
-    /// context. Same best-effort contract as [`AnalysisCache::store`].
-    pub fn store_detect(&self, entry: &DetectEntry) -> Result<(), WriteSkip> {
-        debug_assert_eq!(entry.format, FORMAT);
-        let json = serde_json::to_string(entry).map_err(|e| WriteSkip::Encode(e.to_string()))?;
-        let file = self.detect_file(&entry.path, &entry.content_hash, &entry.facts.registry_hash);
-        self.write_atomic(&file, &json)
+        self.write_atomic(&self.entry_file(&entry.key()), &json)
     }
 
     /// Temp-file plus atomic-rename write, so a killed process leaves at
@@ -459,7 +439,7 @@ fn read_json<T: for<'de> Deserialize<'de>>(file: &Path) -> Result<Option<T>, Str
     }
 }
 
-/// Stable hash of a file's bytes, as stored in [`CacheEntry::content_hash`].
+/// Stable hash of a file's bytes, as parse and detect entries record it.
 pub fn content_hash(text: &str) -> String {
     stable_hash_hex(text.as_bytes())
 }
@@ -620,24 +600,27 @@ mod tests {
         let cache =
             AnalysisCache::open(&root, &CFinderOptions::default(), &Limits::default()).unwrap();
         let hash = content_hash("x = 1\n");
-        assert!(matches!(cache.lookup_detect("a.py", &hash, "reg-a"), Lookup::Miss));
+        assert!(matches!(cache.lookup::<DetectEntry>(&["a.py", &hash, "reg-a"]), Lookup::Miss));
 
         // Two registries' facts for the same (path, content) coexist —
         // apps sharing a byte-identical file never evict each other.
-        assert!(cache.store_detect(&detect_entry("a.py", "x = 1\n", "reg-a")).is_ok());
-        assert!(cache.store_detect(&detect_entry("a.py", "x = 1\n", "reg-b")).is_ok());
+        assert!(cache.store(&detect_entry("a.py", "x = 1\n", "reg-a")).is_ok());
+        assert!(cache.store(&detect_entry("a.py", "x = 1\n", "reg-b")).is_ok());
         for reg in ["reg-a", "reg-b"] {
-            match cache.lookup_detect("a.py", &hash, reg) {
-                Lookup::Hit(facts) => assert_eq!(facts.registry_hash, reg),
+            match cache.lookup::<DetectEntry>(&["a.py", &hash, reg]) {
+                Lookup::Hit(entry) => assert_eq!(entry.facts.registry_hash, reg),
                 other => panic!("expected hit for {reg}, got {other:?}"),
             }
         }
-        assert!(matches!(cache.lookup_detect("a.py", &hash, "reg-c"), Lookup::Miss));
+        assert!(matches!(cache.lookup::<DetectEntry>(&["a.py", &hash, "reg-c"]), Lookup::Miss));
 
         // A truncated detect entry is a typed miss, like any other entry.
-        let file = cache.detect_file("a.py", &hash, "reg-a");
+        let file = cache.entry_file(&["a.py", &hash, "reg-a"]);
         fs::write(&file, "{\"format\":").unwrap();
-        assert!(matches!(cache.lookup_detect("a.py", &hash, "reg-a"), Lookup::Corrupt(_)));
+        assert!(matches!(
+            cache.lookup::<DetectEntry>(&["a.py", &hash, "reg-a"]),
+            Lookup::Corrupt(_)
+        ));
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -647,14 +630,17 @@ mod tests {
         let cache =
             AnalysisCache::open(&root, &CFinderOptions::default(), &Limits::default()).unwrap();
         let e = entry("a.py", "x = 1\n");
-        assert!(matches!(cache.lookup("a.py", &e.content_hash), Lookup::Miss));
+        assert!(matches!(cache.lookup::<CacheEntry>(&["a.py", &e.content_hash]), Lookup::Miss));
         assert!(cache.store(&e).is_ok());
-        match cache.lookup("a.py", &e.content_hash) {
+        match cache.lookup::<CacheEntry>(&["a.py", &e.content_hash]) {
             Lookup::Hit(back) => assert_eq!(*back, e),
             other => panic!("expected hit, got {other:?}"),
         }
         // Different content is a different key.
-        assert!(matches!(cache.lookup("a.py", &content_hash("x = 2\n")), Lookup::Miss));
+        assert!(matches!(
+            cache.lookup::<CacheEntry>(&["a.py", &content_hash("x = 2\n")]),
+            Lookup::Miss
+        ));
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -665,17 +651,20 @@ mod tests {
             AnalysisCache::open(&root, &CFinderOptions::default(), &Limits::default()).unwrap();
         let e = entry("a.py", "x = 1\n");
         assert!(cache.store(&e).is_ok());
-        let file = cache.entry_file("a.py", &e.content_hash);
+        let file = cache.entry_file(&["a.py", &e.content_hash]);
 
         // Truncated garbage.
         fs::write(&file, "{\"format\":").unwrap();
-        assert!(matches!(cache.lookup("a.py", &e.content_hash), Lookup::Corrupt(_)));
+        assert!(matches!(
+            cache.lookup::<CacheEntry>(&["a.py", &e.content_hash]),
+            Lookup::Corrupt(_)
+        ));
 
         // Valid JSON, wrong recorded path: stale.
         let mut stale = e.clone();
         stale.path = "b.py".to_string();
         fs::write(&file, serde_json::to_string(&stale).unwrap()).unwrap();
-        match cache.lookup("a.py", &e.content_hash) {
+        match cache.lookup::<CacheEntry>(&["a.py", &e.content_hash]) {
             Lookup::Corrupt(detail) => assert!(detail.contains("stale"), "{detail}"),
             other => panic!("expected corrupt, got {other:?}"),
         }
@@ -684,7 +673,10 @@ mod tests {
         let mut old = e.clone();
         old.format = FORMAT + 1;
         fs::write(&file, serde_json::to_string(&old).unwrap()).unwrap();
-        assert!(matches!(cache.lookup("a.py", &e.content_hash), Lookup::Corrupt(_)));
+        assert!(matches!(
+            cache.lookup::<CacheEntry>(&["a.py", &e.content_hash]),
+            Lookup::Corrupt(_)
+        ));
         let _ = fs::remove_dir_all(&root);
     }
 

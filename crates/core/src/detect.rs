@@ -20,11 +20,13 @@ use cfinder_pyast::lex_recovering;
 use cfinder_pyast::parser::parse_tokens_recovering;
 use cfinder_schema::{ConstraintSet, Schema};
 
-use crate::cache::{self, AnalysisCache, CacheEntry, DetectEntry, DetectFacts, Lookup};
+use crate::cache::{self, AnalysisCache, CacheEntry, DetectEntry, DetectFacts, Keyed, Lookup};
 use crate::engine;
 use crate::incident::{Coverage, Incident, IncidentKind};
-use crate::models::{extract_classes, ModelInfo, ModelRegistry};
-use crate::patterns::{collect_none_assignments, detect_all, detect_n3, DetectCtx, FamilyTimers};
+use crate::models::{extract_classes, ModelRegistry};
+use crate::patterns::{
+    collect_none_assignments, detect_all, detect_n3, walk_shallow, DetectCtx, FamilyTimers,
+};
 use crate::report::{AnalysisReport, Detection, MissingConstraint, StageTimings};
 use crate::resolve::Resolver;
 
@@ -354,7 +356,13 @@ impl CFinder {
         let _span = obs.tracer.span("pass", || "parse".to_string());
         let outcomes = engine::map_ordered(&app.files, threads, &obs.tracer, "parse", |file| {
             cached(
-                || cache.map_or(Ok(None), |cache| lookup_file_facts(cache, file, obs)),
+                || {
+                    cache.map_or(Ok(None), |cache| {
+                        let key = [file.path.as_str(), &cache::content_hash(&file.text)];
+                        let hit = lookup(cache, &key, "", obs)?;
+                        Ok(hit.map(|entry| FileFacts { entry, module: None, parsed: false }))
+                    })
+                },
                 || parse_facts(file, &self.limits, cache.is_some(), obs),
                 |facts| match cache {
                     // Every freshly parsed file gets its parse entry here —
@@ -362,9 +370,13 @@ impl CFinder {
                     // must never be cached: the same file may parse in time
                     // on the next run.
                     Some(cache)
-                        if !facts.incidents.iter().any(|i| i.kind == IncidentKind::Deadline) =>
+                        if !facts
+                            .entry
+                            .incidents
+                            .iter()
+                            .any(|i| i.kind == IncidentKind::Deadline) =>
                     {
-                        store_entry(cache, file, facts, obs)
+                        store(cache, &facts.entry, "", obs)
                     }
                     _ => {}
                 },
@@ -381,7 +393,7 @@ impl CFinder {
                     pass.cache_misses += usize::from(f.parsed);
                 }
                 pass.files_parsed += usize::from(f.parsed);
-                pass.incidents.extend(f.incidents.iter().cloned());
+                pass.incidents.extend(f.entry.incidents.iter().cloned());
             }
             pass.facts.push(facts);
         }
@@ -391,13 +403,15 @@ impl CFinder {
     /// Pass 2's work for one file on a cache miss: pattern detection over
     /// its module. A parse hit carried no AST, so the module is re-parsed
     /// from source; the parser is deterministic, so this reproduces the
-    /// module the cached parse facts came from.
+    /// module the cached parse facts came from. The result carries the
+    /// detect entry for `context` (empty on uncached runs).
     fn detect_file(
         &self,
         registry: &ModelRegistry,
         summaries: Option<&SummaryTable>,
         file: &SourceFile,
         facts: &FileFacts,
+        context: &str,
     ) -> DetectOut {
         let obs = &self.obs;
         let reparse = facts.module.is_none().then(|| parse_file_guarded(file, &self.limits, obs));
@@ -406,8 +420,16 @@ impl CFinder {
             .map(|module| detect_module(registry, &self.options, file, module, summaries, obs))
             .unwrap_or_default();
         DetectOut {
-            detections,
-            none_assigned,
+            entry: DetectEntry {
+                format: cache::FORMAT,
+                path: file.path.clone(),
+                content_hash: facts.entry.content_hash.clone(),
+                facts: DetectFacts {
+                    registry_hash: context.to_string(),
+                    detections,
+                    none_assigned,
+                },
+            },
             reparsed: reparse.is_some(),
             // Re-parse incidents only matter if it *diverged* (a deadline
             // firing this time); a successful re-parse yields exactly the
@@ -454,7 +476,9 @@ impl CFinder {
                 .files
                 .iter()
                 .zip(&facts)
-                .filter_map(|(file, f)| f.as_ref().map(|f| (file.path.as_str(), &f.interproc)))
+                .filter_map(|(file, f)| {
+                    f.as_ref().map(|f| (file.path.as_str(), &f.entry.interproc))
+                })
                 .filter(|(_, ip)| !ip.is_empty())
                 .collect();
             let budget = SummaryBudget {
@@ -522,23 +546,29 @@ impl CFinder {
             .files
             .iter()
             .zip(&facts)
-            .filter_map(|(file, f)| f.as_ref().filter(|f| !f.dropped).map(|f| (file, f)))
+            .filter_map(|(file, f)| f.as_ref().filter(|f| !f.entry.dropped).map(|f| (file, f)))
             .collect();
         let per_module =
             engine::map_ordered(&analyzable, threads, &obs.tracer, "detect", |&(file, f)| {
-                let detect_cache = cache.zip(detect_context.as_deref());
+                let context = detect_context.as_deref().unwrap_or_default();
                 cached(
                     || {
-                        detect_cache.map_or(Ok(None), |(cache, hash)| {
-                            lookup_detect_facts(cache, file, f, hash, obs)
+                        cache.map_or(Ok(None), |cache| {
+                            let key = [file.path.as_str(), &f.entry.content_hash, context];
+                            let hit = lookup(cache, &key, "detect ", obs)?;
+                            Ok(hit.map(|entry| DetectOut {
+                                entry,
+                                reparse_incidents: Vec::new(),
+                                reparsed: false,
+                            }))
                         })
                     },
-                    || self.detect_file(&registry, summaries.as_ref(), file, f),
-                    |out| match detect_cache {
+                    || self.detect_file(&registry, summaries.as_ref(), file, f, context),
+                    |out| match cache {
                         // A file whose re-parse degraded this run must not be
                         // cached under facts it no longer matches.
-                        Some((cache, hash)) if out.reparse_incidents.is_empty() => {
-                            store_detect_entry(cache, file, f, hash, out, obs)
+                        Some(cache) if out.reparse_incidents.is_empty() => {
+                            store(cache, &out.entry, "detect ", obs)
                         }
                         _ => {}
                     },
@@ -550,8 +580,8 @@ impl CFinder {
             if let Some(out) = settle(&file.path, outcome, "detection stage: ", &mut incidents) {
                 files_parsed += usize::from(out.reparsed);
                 incidents.extend(out.reparse_incidents);
-                detections.extend(out.detections);
-                none_assigned.extend(out.none_assigned);
+                detections.extend(out.entry.facts.detections);
+                none_assigned.extend(out.entry.facts.none_assigned);
             }
         }
 
@@ -663,20 +693,19 @@ struct ParsePass {
 /// computed when a cache will address entries by it.
 fn parse_facts(file: &SourceFile, limits: &Limits, cached: bool, obs: &Obs) -> FileFacts {
     let (module, incidents) = parse_file_guarded(file, limits, obs);
-    let classes = module.as_ref().map(|m| extract_classes(m, &file.path)).unwrap_or_default();
-    // Inter-procedural facts are always extracted (they are a cheap single
-    // walk); the *use* is gated on the option, so flipping it never
-    // changes the cached parse facts.
-    let interproc = module.as_ref().map(InterprocFacts::extract).unwrap_or_default();
-    FileFacts {
-        dropped: module.is_none(),
-        module,
-        classes,
-        interproc,
-        incidents,
+    let entry = CacheEntry {
+        format: cache::FORMAT,
+        path: file.path.clone(),
         content_hash: if cached { cache::content_hash(&file.text) } else { String::new() },
-        parsed: true,
-    }
+        dropped: module.is_none(),
+        classes: module.as_ref().map(|m| extract_classes(m, &file.path)).unwrap_or_default(),
+        incidents,
+        // Inter-procedural facts are always extracted (they are a cheap
+        // single walk); the *use* is gated on the option, so flipping it
+        // never changes the cached parse facts.
+        interproc: module.as_ref().map(InterprocFacts::extract).unwrap_or_default(),
+    };
+    FileFacts { entry, module, parsed: true }
 }
 
 /// Pass 1: model metadata from every file's class facts. Registry
@@ -687,7 +716,7 @@ fn build_registry(facts: &[Option<FileFacts>], obs: &Obs) -> ModelRegistry {
     let _span = obs.tracer.span("pass", || "models".to_string());
     let mut registry = ModelRegistry::new();
     for f in facts.iter().flatten() {
-        registry.add_classes(&f.classes);
+        registry.add_classes(&f.entry.classes);
     }
     registry
 }
@@ -840,26 +869,18 @@ fn parse_file_guarded(
     (Some(recovered.module), incidents)
 }
 
-/// Per-file facts flowing through passes 0–2: the in-memory image of a
-/// [`CacheEntry`] plus, on a fresh parse, the module itself. A cache hit
-/// replays the facts without an AST (`module: None`); detection re-parses
-/// lazily only when its own facts also missed.
+/// Per-file facts flowing through passes 0–2: the file's parse entry
+/// plus, on a fresh parse, the module itself. A cache hit replays the
+/// entry without an AST (`module: None`); detection re-parses lazily only
+/// when its own entry also missed.
 #[derive(Debug)]
 struct FileFacts {
-    /// The file contributed no statements (guards, parse failure).
-    dropped: bool,
+    /// The parse entry pass 0 looked up or computed and stores. Its
+    /// content hash is computed once in pass 0 and reused by the pass-2
+    /// detect-entry lookups (empty on uncached runs, which never read it).
+    entry: CacheEntry,
     /// The parsed module — present on fresh parses, absent on cache hits.
     module: Option<Module>,
-    /// File-local class facts ([`extract_classes`]).
-    classes: Vec<ModelInfo>,
-    /// File-local inter-procedural facts ([`InterprocFacts::extract`]).
-    interproc: InterprocFacts,
-    /// Parse-stage incidents.
-    incidents: Vec<Incident>,
-    /// The file's stable content hash, computed once in pass 0 and reused
-    /// by the pass-2 detect-entry lookups and every store (empty on
-    /// uncached runs, which never touch it).
-    content_hash: String,
     /// Whether this run actually parsed the file in pass 0 (false on a
     /// cache hit) — the differential oracle's parse-work observable.
     parsed: bool,
@@ -868,10 +889,10 @@ struct FileFacts {
 /// One module's pass-2 output.
 #[derive(Debug)]
 struct DetectOut {
-    /// The module's detections, in source order.
-    detections: Vec<Detection>,
-    /// The module's `(model, field)` none-assignment pairs.
-    none_assigned: BTreeSet<(String, String)>,
+    /// The detect entry pass 2 looked up or computed and stores: the
+    /// module's detections in source order and its `(model, field)`
+    /// none-assignment pairs.
+    entry: DetectEntry,
     /// Incidents from a lazy re-parse that *diverged* from the cached
     /// parse facts (e.g. a deadline firing this run). Empty on fresh
     /// modules and on faithful re-parses.
@@ -880,50 +901,20 @@ struct DetectOut {
     reparsed: bool,
 }
 
-/// Pass-0 cache lookup for one file: `Ok(Some)` replays the entry's facts,
-/// `Ok(None)` is a clean miss, `Err(detail)` is a damaged-entry miss the
-/// caller surfaces as an [`IncidentKind::CacheCorrupt`] incident.
-fn lookup_file_facts(
+/// One cache lookup inside a `cache` span (`what` names the entry kind
+/// in the span), counted in the metrics registry (a damaged entry is a
+/// miss and a corruption) and mapped to the lookup contract of
+/// [`cached`]: `Ok(Some)` is a hit, `Ok(None)` a clean miss, and
+/// `Err(detail)` a damaged-entry miss the caller surfaces as an
+/// [`IncidentKind::CacheCorrupt`] incident.
+fn lookup<E: Keyed>(
     cache: &AnalysisCache,
-    file: &SourceFile,
+    key: &[&str],
+    what: &str,
     obs: &Obs,
-) -> Result<Option<FileFacts>, String> {
-    let _span = obs.tracer.span("cache", || format!("lookup {}", file.path));
-    let content_hash = cache::content_hash(&file.text);
-    let hit = counted(cache.lookup(&file.path, &content_hash), obs)?;
-    Ok(hit.map(|entry| FileFacts {
-        dropped: entry.dropped,
-        module: None,
-        classes: entry.classes,
-        interproc: entry.interproc,
-        incidents: entry.incidents,
-        content_hash,
-        parsed: false,
-    }))
-}
-
-/// Pass-2 cache lookup for one analyzable file's detect facts under the
-/// current registry. Same contract as [`lookup_file_facts`].
-fn lookup_detect_facts(
-    cache: &AnalysisCache,
-    file: &SourceFile,
-    facts: &FileFacts,
-    registry_hash: &str,
-    obs: &Obs,
-) -> Result<Option<DetectOut>, String> {
-    let _span = obs.tracer.span("cache", || format!("lookup detect {}", file.path));
-    let hit = counted(cache.lookup_detect(&file.path, &facts.content_hash, registry_hash), obs)?;
-    Ok(hit.map(|d| DetectOut {
-        detections: d.detections,
-        none_assigned: d.none_assigned.into_iter().collect(),
-        reparse_incidents: Vec::new(),
-        reparsed: false,
-    }))
-}
-
-/// Counts one lookup in the metrics registry (a damaged entry is a miss
-/// and a corruption) and maps it to the lookup contract of [`cached`].
-fn counted<T>(lookup: Lookup<T>, obs: &Obs) -> Result<Option<T>, String> {
+) -> Result<Option<E>, String> {
+    let _span = obs.tracer.span("cache", || format!("lookup {what}{}", key[0]));
+    let lookup = cache.lookup(key);
     let hit = matches!(lookup, Lookup::Hit(_));
     obs.metrics.inc(if hit { "cfinder_cache_hits_total" } else { "cfinder_cache_misses_total" });
     match lookup {
@@ -936,52 +927,13 @@ fn counted<T>(lookup: Lookup<T>, obs: &Obs) -> Result<Option<T>, String> {
     }
 }
 
-/// Writes one file's parse entry back to the cache (best-effort; a failed
-/// write costs a future miss, never correctness).
-fn store_entry(cache: &AnalysisCache, file: &SourceFile, facts: &FileFacts, obs: &Obs) {
-    let _span = obs.tracer.span("cache", || format!("write {}", file.path));
-    let entry = CacheEntry {
-        format: cache::FORMAT,
-        path: file.path.clone(),
-        content_hash: facts.content_hash.clone(),
-        dropped: facts.dropped,
-        classes: facts.classes.clone(),
-        incidents: facts.incidents.clone(),
-        interproc: facts.interproc.clone(),
-    };
-    record_write(cache.store(&entry), obs)
-}
-
-/// Writes one file's detect entry for the current registry back to the
-/// cache (best-effort, like [`store_entry`]).
-fn store_detect_entry(
-    cache: &AnalysisCache,
-    file: &SourceFile,
-    facts: &FileFacts,
-    registry_hash: &str,
-    out: &DetectOut,
-    obs: &Obs,
-) {
-    let _span = obs.tracer.span("cache", || format!("write detect {}", file.path));
-    let entry = DetectEntry {
-        format: cache::FORMAT,
-        path: file.path.clone(),
-        content_hash: facts.content_hash.clone(),
-        facts: DetectFacts {
-            registry_hash: registry_hash.to_string(),
-            detections: out.detections.clone(),
-            none_assigned: out.none_assigned.iter().cloned().collect(),
-        },
-    };
-    record_write(cache.store_detect(&entry), obs)
-}
-
-/// Folds one best-effort write outcome into the metrics registry: a
-/// success counts toward `cfinder_cache_writes_total`, a typed skip
-/// toward `cfinder_cache_write_errors_total` (labelled by cause). Either
-/// way the analysis proceeds — a skip only costs a future miss.
-fn record_write(outcome: Result<(), cache::WriteSkip>, obs: &Obs) {
-    match outcome {
+/// Writes one entry back to the cache inside a `cache` span
+/// (best-effort; a failed write costs a future miss, never correctness).
+/// A success counts toward `cfinder_cache_writes_total`, a typed skip
+/// toward `cfinder_cache_write_errors_total` (labelled by cause).
+fn store(cache: &AnalysisCache, entry: &impl Keyed, what: &str, obs: &Obs) {
+    let _span = obs.tracer.span("cache", || format!("write {what}{}", entry.key()[0]));
+    match cache.store(entry) {
         Ok(()) => obs.metrics.inc("cfinder_cache_writes_total"),
         Err(skip) => {
             obs.metrics.add_labeled("cfinder_cache_write_errors_total", "cause", skip.label(), 1)
@@ -991,7 +943,8 @@ fn record_write(outcome: Result<(), cache::WriteSkip>, obs: &Obs) {
 
 /// Runs pattern detection over one parsed module, with the per-module
 /// observability probe (detect span + schematic per-family child spans +
-/// latency histogram) when observability is enabled.
+/// latency histogram) when observability is enabled. Returns the
+/// module's detections and its sorted none-assignment pairs.
 fn detect_module(
     registry: &ModelRegistry,
     options: &CFinderOptions,
@@ -999,27 +952,23 @@ fn detect_module(
     module: &Module,
     summaries: Option<&SummaryTable>,
     obs: &Obs,
-) -> (Vec<Detection>, BTreeSet<(String, String)>) {
+) -> (Vec<Detection>, Vec<(String, String)>) {
     // When observability is on, measure the module's detection wall-clock
     // and per-family split; `probe` stays `None` on production runs so the
     // only cost is this branch.
     let probe =
         obs.is_enabled().then(|| (obs.tracer.now_us(), Instant::now(), FamilyTimers::new()));
-    let mut detections: Vec<Detection> = Vec::new();
-    let mut none_assigned: BTreeSet<(String, String)> = BTreeSet::new();
-    analyze_scopes(
+    let mut scan = ModuleScan {
         registry,
         options,
-        &module.body,
-        &file.path,
-        &file.text,
-        None,
+        file,
         summaries,
-        &mut detections,
-        &mut none_assigned,
-        probe.as_ref().map(|(_, _, timers)| timers),
-        &obs.metrics,
-    );
+        families: probe.as_ref().map(|(_, _, timers)| timers),
+        metrics: &obs.metrics,
+        detections: Vec::new(),
+        none_assigned: BTreeSet::new(),
+    };
+    scan.scopes(&module.body, None);
     if let Some((ts0, started, timers)) = &probe {
         // The module's detect span, then one synthetic child span per
         // pattern family laid end to end from the span's start. Family
@@ -1033,7 +982,7 @@ fn detect_module(
             format!("detect {}", file.path),
             *ts0,
             dur_us,
-            vec![("detections", detections.len().to_string())],
+            vec![("detections", scan.detections.len().to_string())],
         );
         let mut cursor = *ts0;
         let end = *ts0 + dur_us;
@@ -1050,165 +999,106 @@ fn detect_module(
         }
         obs.metrics.observe("cfinder_file_detect_seconds", started.elapsed().as_secs_f64());
     }
-    (detections, none_assigned)
+    (scan.detections, scan.none_assigned.into_iter().collect())
 }
 
-/// Recursively analyzes every function scope in a statement list.
-///
-/// `class_ctx` carries the enclosing model class name (binding `self`) when
-/// descending into model methods.
-#[allow(clippy::too_many_arguments)]
-fn analyze_scopes(
-    registry: &ModelRegistry,
-    options: &CFinderOptions,
-    body: &[Stmt],
-    file: &str,
-    source: &str,
-    class_ctx: Option<&ClassDef>,
-    summaries: Option<&SummaryTable>,
-    detections: &mut Vec<Detection>,
-    none_assigned: &mut BTreeSet<(String, String)>,
-    families: Option<&FamilyTimers>,
-    metrics: &Metrics,
-) {
-    // Module/class level: look for functions and classes.
-    for stmt in body {
-        match &stmt.kind {
-            StmtKind::FunctionDef(f) => {
-                let self_model =
-                    class_ctx.and_then(|c| registry.is_model(&c.name).then(|| c.name.clone()));
-                analyze_function(
-                    registry,
-                    options,
-                    &f.body,
-                    &f.params.iter().map(|p| p.name.clone()).collect::<Vec<_>>(),
-                    self_model,
-                    file,
-                    source,
-                    summaries,
-                    detections,
-                    none_assigned,
-                    true,
-                    families,
-                    metrics,
-                );
-                // Nested defs inside this function are handled by the inner
-                // recursion in `analyze_function`.
+/// Pass 2's walk over one module: what every function scope's detection
+/// needs, and the module's outputs.
+struct ModuleScan<'a> {
+    registry: &'a ModelRegistry,
+    options: &'a CFinderOptions,
+    file: &'a SourceFile,
+    summaries: Option<&'a SummaryTable>,
+    families: Option<&'a FamilyTimers>,
+    metrics: &'a Metrics,
+    detections: Vec<Detection>,
+    none_assigned: BTreeSet<(String, String)>,
+}
+
+impl ModuleScan<'_> {
+    /// Recursively analyzes every function scope in a statement list.
+    ///
+    /// `class_ctx` carries the enclosing class (binding `self` when it is
+    /// a model) when descending into methods.
+    fn scopes(&mut self, body: &[Stmt], class_ctx: Option<&ClassDef>) {
+        // Module/class level: look for functions and classes. Nested defs
+        // inside a function are handled by the inner recursion in
+        // `function`.
+        for stmt in body {
+            match &stmt.kind {
+                StmtKind::FunctionDef(f) => {
+                    let self_model = class_ctx
+                        .and_then(|c| self.registry.is_model(&c.name).then(|| c.name.clone()));
+                    let params: Vec<String> = f.params.iter().map(|p| p.name.clone()).collect();
+                    self.function(&f.body, &params, self_model, true);
+                }
+                StmtKind::ClassDef(c) => self.scopes(&c.body, Some(c)),
+                _ => {}
             }
-            StmtKind::ClassDef(c) => {
-                analyze_scopes(
-                    registry,
-                    options,
-                    &c.body,
-                    file,
-                    source,
-                    Some(c),
-                    summaries,
-                    detections,
-                    none_assigned,
-                    families,
-                    metrics,
-                );
-            }
-            _ => {}
         }
-    }
-    // Top-level straight-line code (scripts, module init) — only at module
-    // level, where there is no enclosing class.
-    if class_ctx.is_none() {
-        let has_code = body.iter().any(|s| {
-            !matches!(
-                s.kind,
-                StmtKind::FunctionDef(_)
-                    | StmtKind::ClassDef(_)
-                    | StmtKind::Import { .. }
-                    | StmtKind::ImportFrom { .. }
-            )
-        });
-        if has_code {
+        // Top-level straight-line code (scripts, module init) — only at
+        // module level, where there is no enclosing class.
+        let has_code = || {
+            body.iter().any(|s| {
+                !matches!(
+                    s.kind,
+                    StmtKind::FunctionDef(_)
+                        | StmtKind::ClassDef(_)
+                        | StmtKind::Import { .. }
+                        | StmtKind::ImportFrom { .. }
+                )
+            })
+        };
+        if class_ctx.is_none() && has_code() {
             // Top-level defs were already analyzed above; don't recurse.
-            analyze_function(
-                registry,
-                options,
-                body,
-                &[],
-                None,
-                file,
-                source,
-                summaries,
-                detections,
-                none_assigned,
-                false,
-                families,
-                metrics,
-            );
+            self.function(body, &[], None, false);
         }
     }
-}
 
-#[allow(clippy::too_many_arguments)]
-fn analyze_function(
-    registry: &ModelRegistry,
-    options: &CFinderOptions,
-    body: &[Stmt],
-    params: &[String],
-    self_model: Option<String>,
-    file: &str,
-    source: &str,
-    summaries: Option<&SummaryTable>,
-    detections: &mut Vec<Detection>,
-    none_assigned: &mut BTreeSet<(String, String)>,
-    recurse_nested: bool,
-    families: Option<&FamilyTimers>,
-    metrics: &Metrics,
-) {
-    let chains = UseDefChains::compute(body, params);
-    // With summaries available, a call to a NotNone-checking helper guards
-    // its argument path for the rest of the block (assert-like), which
-    // suppresses PA_n1 false positives after the call. PA_n1 is the only
-    // reader of the guards, so the walk is skipped when it is ablated.
-    let guards = if options.null_guard_analysis {
-        NullGuards::analyze_with(body, summaries)
-    } else {
-        NullGuards::default()
-    };
-    let resolver = Resolver::new(registry, &chains, self_model);
-    let ctx = DetectCtx {
-        resolver: &resolver,
-        guards: &guards,
-        file,
-        source,
-        options,
-        summaries,
-        families,
-    };
-    detect_all(&ctx, body, detections);
-    collect_none_assignments(&ctx, body, none_assigned);
-    metrics.add("cfinder_resolutions_total", resolver.resolution_count());
+    /// One function scope: use-def chains, null guards and the pattern
+    /// families, then (with `recurse_nested`) its nested defs, each with
+    /// a fresh scope.
+    fn function(
+        &mut self,
+        body: &[Stmt],
+        params: &[String],
+        self_model: Option<String>,
+        recurse_nested: bool,
+    ) {
+        let chains = UseDefChains::compute(body, params);
+        // With summaries available, a call to a NotNone-checking helper
+        // guards its argument path for the rest of the block (assert-like),
+        // which suppresses PA_n1 false positives after the call. PA_n1 is
+        // the only reader of the guards, so the walk is skipped when it is
+        // ablated.
+        let guards = if self.options.null_guard_analysis {
+            NullGuards::analyze_with(body, self.summaries)
+        } else {
+            NullGuards::default()
+        };
+        let resolver = Resolver::new(self.registry, &chains, self_model);
+        let ctx = DetectCtx {
+            resolver: &resolver,
+            guards: &guards,
+            file: &self.file.path,
+            source: &self.file.text,
+            options: self.options,
+            summaries: self.summaries,
+            families: self.families,
+        };
+        detect_all(&ctx, body, &mut self.detections);
+        collect_none_assignments(&ctx, body, &mut self.none_assigned);
+        self.metrics.add("cfinder_resolutions_total", resolver.resolution_count());
 
-    if !recurse_nested {
-        return;
-    }
-    // Recurse into nested function definitions with fresh scopes.
-    crate::patterns::walk_shallow(body, &mut |stmt| {
-        if let StmtKind::FunctionDef(f) = &stmt.kind {
-            analyze_function(
-                registry,
-                options,
-                &f.body,
-                &f.params.iter().map(|p| p.name.clone()).collect::<Vec<_>>(),
-                None,
-                file,
-                source,
-                summaries,
-                detections,
-                none_assigned,
-                true,
-                families,
-                metrics,
-            );
+        if recurse_nested {
+            walk_shallow(body, &mut |stmt| {
+                if let StmtKind::FunctionDef(f) = &stmt.kind {
+                    let params: Vec<String> = f.params.iter().map(|p| p.name.clone()).collect();
+                    self.function(&f.body, &params, None, true);
+                }
+            });
         }
-    });
+    }
 }
 
 #[cfg(test)]

@@ -46,9 +46,7 @@ pub mod resolve;
 pub mod syntax;
 pub mod usage;
 
-pub use cache::{
-    AnalysisCache, CacheEntry, CacheError, CacheStats, DetectEntry, DetectFacts, Lookup, WriteSkip,
-};
+pub use cache::{AnalysisCache, CacheError, CacheStats, WriteSkip};
 pub use cfinder_obs::Obs;
 pub use detect::{effective_limits, AppSource, CFinder, CFinderOptions, Limits, SourceFile};
 pub use fsio::{atomic_write, load_app};

@@ -7,7 +7,7 @@
 //! analysis flags): properly-guarded invocations on nullable columns and
 //! cross-model sanity checks.
 
-use cfinder_core::{AppSource, CFinder, CFinderOptions, SourceFile};
+use cfinder_core::{AppSource, CFinder, CFinderOptions};
 use cfinder_corpus::{generate, profile, GenOptions, GeneratedApp, Verdict};
 
 use crate::render::{pct, TextTable};
@@ -57,15 +57,7 @@ pub fn configurations() -> Vec<(&'static str, CFinderOptions)> {
 
 /// Runs the grid over the given generated apps.
 pub fn ablation_study(apps: &[GeneratedApp]) -> Vec<AblationRow> {
-    let sources: Vec<AppSource> = apps
-        .iter()
-        .map(|app| {
-            AppSource::new(
-                app.name.clone(),
-                app.files.iter().map(|f| SourceFile::new(f.path.clone(), f.text.clone())).collect(),
-            )
-        })
-        .collect();
+    let sources: Vec<AppSource> = apps.iter().map(crate::app_source).collect();
     configurations()
         .into_iter()
         .map(|(label, options)| {

@@ -10,7 +10,7 @@
 //! wrong-parameter and non-dominating-raise traps must stay silent).
 
 use cfinder_core::engine::{map_ordered, resolve_threads};
-use cfinder_core::{AppSource, CFinder, CFinderOptions, SourceFile};
+use cfinder_core::{CFinder, CFinderOptions};
 use cfinder_corpus::{all_profiles, generate, GenOptions, GeneratedApp, Verdict};
 use cfinder_obs::Tracer;
 
@@ -36,10 +36,7 @@ pub struct InterprocRow {
 
 /// Runs both configurations over one generated app.
 pub fn interproc_compare(app: &GeneratedApp) -> InterprocRow {
-    let source = AppSource::new(
-        app.name.clone(),
-        app.files.iter().map(|f| SourceFile::new(f.path.clone(), f.text.clone())).collect(),
-    );
+    let source = crate::app_source(app);
     let intra = CFinder::with_options(CFinderOptions::paper()).analyze(&source, &app.declared);
     let inter = CFinder::new().analyze(&source, &app.declared);
     let fp_count = |report: &cfinder_core::AnalysisReport| {

@@ -26,3 +26,14 @@ pub use interproc::{interproc_compare, interproc_study, interproc_table, Interpr
 pub use metrics::{AppEvaluation, CoverageCell, Evaluation, HistoryRecall, PrecisionCell};
 pub use querybench::{query_bench_value, run_query_bench, ClassResult, QueryBenchOptions};
 pub use render::{pct, TextTable};
+
+use cfinder_core::{AppSource, SourceFile};
+use cfinder_corpus::GeneratedApp;
+
+/// The analyzer's view of a generated corpus app: its name and files.
+pub(crate) fn app_source(app: &GeneratedApp) -> AppSource {
+    AppSource::new(
+        app.name.clone(),
+        app.files.iter().map(|f| SourceFile::new(f.path.clone(), f.text.clone())).collect(),
+    )
+}

@@ -98,10 +98,7 @@ impl AppEvaluation {
         cache: Option<Arc<AnalysisCache>>,
         threads: Option<usize>,
     ) -> AppEvaluation {
-        let source = AppSource::new(
-            app.name.clone(),
-            app.files.iter().map(|f| SourceFile::new(f.path.clone(), f.text.clone())).collect(),
-        );
+        let source = crate::app_source(&app);
         let (options, limits) = evaluation_config();
         let mut finder = CFinder::with_options(options)
             .with_limits(limits)

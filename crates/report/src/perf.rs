@@ -27,9 +27,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cfinder_core::{
-    AnalysisCache, AnalysisReport, AppSource, CFinder, Obs, SourceFile, StageTimings,
-};
+use cfinder_core::{AnalysisCache, AnalysisReport, CFinder, Obs, StageTimings};
 use cfinder_corpus::{GenOptions, GeneratedApp};
 use cfinder_schema::Schema;
 use serde_json::Value;
@@ -357,19 +355,19 @@ fn measure_scaling() -> Result<Value, String> {
 /// `profile_hz`. Each configuration reports its median over 9 runs
 /// after 2 warm-ups; a fresh handle per run keeps traced buffers from
 /// growing across runs. The three configurations take turns run by
-/// run, so a load change on a shared host slows all three alike instead
-/// of reading as one configuration's overhead. The analyses run on one
-/// thread: with a worker per core, any other process on the host makes
-/// one worker straggle, and that wait reads as overhead.
+/// run, and the traced and profiled configurations also report the
+/// median of their per-run ratios to the disabled run beside them
+/// (`traced_ratio`, `profiled_ratio`), which the gates read: a load
+/// regime that spans one run slows both sides of its ratio alike and
+/// cancels out. The analyses run on one thread: with a worker per core,
+/// any other process on the host makes one worker straggle, and that
+/// wait reads as overhead.
 fn measure_obs_overhead(profile_hz: u32) -> Result<Value, String> {
     const WARMUP_RUNS: usize = 2;
     const MEASURED_RUNS: usize = 9;
     let profile = cfinder_corpus::profile("oscar").ok_or("no oscar profile")?;
     let app = cfinder_corpus::generate(&profile, GenOptions { loc_scale: 0.02 });
-    let source = AppSource::new(
-        app.name.clone(),
-        app.files.iter().map(|f| SourceFile::new(f.path.clone(), f.text.clone())).collect(),
-    );
+    let source = crate::app_source(&app);
     let declared = Schema::new();
     let configs: [&dyn Fn() -> Obs; 3] =
         [&Obs::disabled, &Obs::enabled, &|| Obs::profiled(profile_hz)];
@@ -388,11 +386,16 @@ fn measure_obs_overhead(profile_hz: u32) -> Result<Value, String> {
             }
         }
     }
-    let [disabled, traced, profiled] = samples.map(|s| median(&s));
+    let [disabled, traced, profiled] = &samples;
+    let paired = |s: &[f64]| {
+        Value::Float(median(&s.iter().zip(disabled).map(|(x, d)| x / d).collect::<Vec<f64>>()))
+    };
     Ok(Value::Map(vec![
-        ("disabled_seconds".into(), Value::Float(disabled)),
-        ("traced_seconds".into(), Value::Float(traced)),
-        ("profiled_seconds".into(), Value::Float(profiled)),
+        ("disabled_seconds".into(), Value::Float(median(disabled))),
+        ("traced_seconds".into(), Value::Float(median(traced))),
+        ("profiled_seconds".into(), Value::Float(median(profiled))),
+        ("traced_ratio".into(), paired(traced)),
+        ("profiled_ratio".into(), paired(profiled)),
     ]))
 }
 
@@ -448,7 +451,9 @@ impl Gate {
 /// * `rewrite_speedup.<class>`: every class at least 0.95×,
 ///   `distinct_drop` and `join_elimination` at least 1.5×;
 /// * `obs_overhead_pct.traced` / `.profiled`: percent over obs disabled,
-///   at most 50% / 75%.
+///   at most 50% / 75%, from the median per-run ratio (`traced_ratio`,
+///   `profiled_ratio`), or from the medians' ratio in points that
+///   predate it.
 ///
 /// A document lacking any of these inputs is an error, not a pass.
 pub fn evaluate_gates(doc: &Value) -> Result<Vec<Gate>, String> {
@@ -499,14 +504,19 @@ pub fn evaluate_gates(doc: &Value) -> Result<Vec<Gate>, String> {
     }
     let obs = doc.get("obs_overhead").ok_or("gates need the `obs_overhead` section")?;
     let disabled = num(obs.get("disabled_seconds"), "disabled_seconds")?;
-    for (config, key, max) in [
-        ("traced", "traced_seconds", TRACED_OVERHEAD_MAX_PCT),
-        ("profiled", "profiled_seconds", PROFILED_OVERHEAD_MAX_PCT),
-    ] {
-        let seconds = num(obs.get(key), key)?;
+    for (config, max) in
+        [("traced", TRACED_OVERHEAD_MAX_PCT), ("profiled", PROFILED_OVERHEAD_MAX_PCT)]
+    {
+        let (ratio, seconds) = (format!("{config}_ratio"), format!("{config}_seconds"));
+        let value = match obs.get(&ratio) {
+            Some(r) => 100.0 * (num(Some(r), &ratio)? - 1.0),
+            None => {
+                100.0 * (num(obs.get(&seconds), &seconds)? - disabled) / disabled.max(f64::EPSILON)
+            }
+        };
         gates.push(Gate {
             name: format!("obs_overhead_pct.{config}"),
-            value: 100.0 * (seconds - disabled) / disabled.max(f64::EPSILON),
+            value,
             bound: Bound::Max(max),
         });
     }

@@ -206,17 +206,33 @@ fn class_contradiction_prune(rows: usize) -> BenchClass {
     BenchClass { name: "contradiction_prune", db, constraints, query }
 }
 
-/// Times one plan: one warmup run, then the median of `repeats`.
-fn median_seconds(db: &Database, plan: &Plan, repeats: usize) -> Result<f64, String> {
-    execute(db, plan, 1).map_err(|e| e.to_string())?;
-    let mut samples = Vec::with_capacity(repeats);
-    for _ in 0..repeats.max(1) {
-        let start = Instant::now();
+/// Times a class's two plans: one warmup run of each, then `repeats`
+/// rounds that run the naive plan and then the rewritten one, so a load
+/// burst on a shared host lands on both sides alike instead of on one.
+/// Returns the naive and the rewritten median.
+fn paired_median_seconds(
+    db: &Database,
+    naive: &Plan,
+    rewritten: &Plan,
+    repeats: usize,
+) -> Result<(f64, f64), String> {
+    let plans = [naive, rewritten];
+    for plan in plans {
         execute(db, plan, 1).map_err(|e| e.to_string())?;
-        samples.push(start.elapsed().as_secs_f64());
     }
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    Ok(samples[samples.len() / 2])
+    let mut samples: [Vec<f64>; 2] = Default::default();
+    for _ in 0..repeats.max(1) {
+        for (plan, samples) in plans.iter().zip(&mut samples) {
+            let start = Instant::now();
+            execute(db, plan, 1).map_err(|e| e.to_string())?;
+            samples.push(start.elapsed().as_secs_f64());
+        }
+    }
+    let [naive, rewritten] = samples.map(|mut s| {
+        s.sort_by(f64::total_cmp);
+        s[s.len() / 2]
+    });
+    Ok((naive, rewritten))
 }
 
 /// Runs all four workload classes. Setup and the oracle gate are
@@ -243,8 +259,8 @@ pub fn run_query_bench(opts: QueryBenchOptions) -> Result<Vec<ClassResult>, Stri
         if a.stable_serialized() != b.stable_serialized() {
             return Err(format!("{}: naive and rewritten plans disagree", class.name));
         }
-        let naive_seconds = median_seconds(&class.db, &naive, opts.repeats)?;
-        let rewritten_seconds = median_seconds(&class.db, &rewritten, opts.repeats)?;
+        let (naive_seconds, rewritten_seconds) =
+            paired_median_seconds(&class.db, &naive, &rewritten, opts.repeats)?;
         out.push(ClassResult {
             name: class.name,
             rows: opts.rows,

@@ -64,7 +64,8 @@ echo "==> cargo test ${test_scope[*]}"
 # matrix, SQL emit → parse round-trips in every dialect and the
 # inline/ALTER/MODIFY declaration forms re-parsing to one schema, the
 # explain provenance goldens, the interproc off/on oracle and its pin of
-# the facts and summary bytes the cache stores, the pins of every corpus
+# the facts and summary bytes the cache stores, the pin of the cache's
+# entry addresses and bytes for every corpus app, the pins of every corpus
 # app's ordered detection list (paper, default, each ablation, the
 # extensions) and of the recovering parser's output on the clean and
 # fault-injected corpus, the reaching-definitions
@@ -107,10 +108,11 @@ floor schema 64 cfinder_schema proptest_schema
 floor pyast 144 cfinder_pyast django_torture proptest_recovery proptest_roundtrip parse_pin
 floor flow 110 cfinder_flow proptest_interproc interproc_oracle reaching_oracle nullguard_oracle
 floor daemon 24 cfinder_serve serve_soak serve_faults cache_concurrency
+floor cache 11 cache_equivalence cache_invalidation cache_pin
 floor minidb 99 cfinder_minidb plan_golden proptest_integrity query_oracle three_valued_logic
 floor front-door 30 cli explain_golden hostile_env reproduce_cli
 floor report 30 cfinder_report
-floor perf 13 perf_cli
+floor perf 14 perf_cli
 
 echo "==> fault-injection suite with live tracing and metrics"
 # Same seeded corruption, but every analysis records spans and metrics:

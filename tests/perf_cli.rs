@@ -499,6 +499,26 @@ fn regression_gate_passes_within_tolerance_and_fails_beyond_it() {
     assert!(err.contains("regression"), "{err}");
 }
 
+/// A document that carries the paired per-run ratios is gated on them,
+/// not on the ratio of the medians: here the medians pass (10% and 20%
+/// overhead) and each ratio decides its gate at and just past the bound.
+#[test]
+fn obs_gates_read_the_paired_ratios_when_present() {
+    for (config, at_bound) in [("traced", 1.5), ("profiled", 1.75)] {
+        for (ratio, expect_pass) in [(at_bound, true), (at_bound + 0.001, false)] {
+            let mut doc = synthetic_bench();
+            let Value::Map(obs) = at(&mut doc, &["obs_overhead"]) else { unreachable!() };
+            obs.push((format!("{config}_ratio"), Value::Float(ratio)));
+            let gates = perf::evaluate_gates(&doc).unwrap();
+            let name = format!("obs_overhead_pct.{config}");
+            let gate = gates.iter().find(|g| g.name == name).unwrap();
+            assert_eq!(gate.passed(), expect_pass, "{config} at ratio {ratio}: {gate:?}");
+            regate(&mut doc);
+            perf::validate_bench(&doc).unwrap();
+        }
+    }
+}
+
 /// Every perf gate passes with its input exactly at the bound and fails
 /// just past it, and only that gate fails.
 #[test]
