@@ -75,10 +75,13 @@ use crate::models::{ModelInfo, ModelRegistry};
 use crate::report::{Detection, PatternId};
 
 /// On-disk entry format version. Bump on any change to an entry's
-/// shape; it participates in the tool fingerprint, so old shards are
-/// simply never read again. Format 2 added the per-file inter-procedural
-/// facts to parse entries.
-pub const FORMAT: u32 = 2;
+/// shape or to what it holds for a given source; it participates in the
+/// tool fingerprint, so old shards are simply never read again. Format 2
+/// added the per-file inter-procedural facts to parse entries; format 3
+/// holds the facts and detections of the one binding rule
+/// (`cfinder_pyast::visit::bindings`), under which imports and nested
+/// `def`s rebind a helper's parameter.
+pub const FORMAT: u32 = 3;
 
 /// Why a cache directory could not be opened. Typed so the CLI can map
 /// each case onto a usage error (exit 2) instead of an I/O panic

@@ -17,8 +17,9 @@
 //!
 //! The resolver is intra-procedural and alias-unaware, like the paper's.
 
-use cfinder_flow::{DefKind, UseDefChains};
+use cfinder_flow::UseDefChains;
 use cfinder_pyast::ast::{Constant, Expr, ExprKind, Keyword, NodeId};
+use cfinder_pyast::visit::Binding;
 use cfinder_schema::Literal;
 
 use crate::models::{FieldKind, ModelRegistry};
@@ -169,11 +170,11 @@ impl<'a> Resolver<'a> {
         // (two conflicting defs would make the type unknown).
         let def = self.chains.unique_def_of(at, name)?;
         match &def.kind {
-            DefKind::Assign(rhs) => {
+            Binding::Assign(rhs) => {
                 let def_at = def.stmt.unwrap_or(at);
                 self.resolve_depth(rhs, def_at, depth + 1)
             }
-            DefKind::ForTarget(iter) => {
+            Binding::ForTarget(iter) => {
                 let def_at = def.stmt.unwrap_or(at);
                 // Iterating a queryset yields instances.
                 match self.resolve_depth(iter, def_at, depth + 1)? {
@@ -181,7 +182,12 @@ impl<'a> Resolver<'a> {
                     _ => None,
                 }
             }
-            DefKind::WithAs(_) | DefKind::Param | DefKind::Import | DefKind::AugAssign(_) => None,
+            Binding::WithAs(_)
+            | Binding::AugAssign(_)
+            | Binding::Param
+            | Binding::Import
+            | Binding::Delete
+            | Binding::Def => None,
         }
     }
 

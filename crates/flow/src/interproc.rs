@@ -37,7 +37,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
 use cfinder_pyast::ast::{Expr, ExprKind, FunctionDef, Keyword, Module, ParamStar, Stmt, StmtKind};
-use cfinder_pyast::visit::{expr_children, own_exprs, walk_shallow};
+use cfinder_pyast::visit::{bindings, expr_children, own_exprs, walk_shallow};
 use cfinder_schema::{CompareOp, Literal};
 use serde::{Deserialize, Serialize};
 
@@ -782,95 +782,28 @@ fn contains_return(stmt: &Stmt) -> bool {
     found
 }
 
-/// Adds parameter indices that `stmt` may rebind (bare-name assignment
-/// anywhere inside, including loop targets and `del`).
+/// Adds parameter indices that `stmt` may rebind: any [`bindings`] of the
+/// name anywhere inside, loop targets, `del`, imports and nested `def`s
+/// included.
 fn collect_reassigned(stmt: &Stmt, params: &[String], out: &mut BTreeSet<usize>) {
-    let mut add_target = |e: &Expr| collect_target_names(e, params, out);
-    walk_shallow(std::slice::from_ref(stmt), &mut |s| match &s.kind {
-        StmtKind::Assign { targets, .. } => targets.iter().for_each(&mut add_target),
-        StmtKind::AugAssign { target, .. } => add_target(target),
-        StmtKind::For { target, .. } => add_target(target),
-        StmtKind::With { items, .. } => {
-            for i in items {
-                if let Some(t) = &i.target {
-                    add_target(t);
-                }
-            }
-        }
-        StmtKind::Delete { targets } => targets.iter().for_each(&mut add_target),
-        _ => {}
-    });
-}
-
-fn collect_target_names(target: &Expr, params: &[String], out: &mut BTreeSet<usize>) {
-    match &target.kind {
-        ExprKind::Name(n) => {
-            if let Some(i) = params.iter().position(|p| p == n) {
+    walk_shallow(std::slice::from_ref(stmt), &mut |s| {
+        bindings(s, &mut |name, _| {
+            if let Some(i) = params.iter().position(|p| p == name) {
                 out.insert(i);
             }
-        }
-        ExprKind::Tuple(elements) | ExprKind::List(elements) => {
-            for e in elements {
-                collect_target_names(e, params, out);
-            }
-        }
-        ExprKind::Starred(inner) => collect_target_names(inner, params, out),
-        _ => {}
-    }
-}
-
-/// Module-level statements outside `def`/`class` that rebind names.
-fn collect_module_rebinds(stmt: &Stmt, rebound: &mut BTreeSet<String>) {
-    walk_shallow(std::slice::from_ref(stmt), &mut |s| match &s.kind {
-        StmtKind::Assign { targets, .. } => {
-            targets.iter().for_each(|t| collect_rebound_names(t, rebound))
-        }
-        StmtKind::AugAssign { target, .. } => collect_rebound_names(target, rebound),
-        StmtKind::For { target, .. } => collect_rebound_names(target, rebound),
-        StmtKind::With { items, .. } => {
-            for i in items {
-                if let Some(t) = &i.target {
-                    collect_rebound_names(t, rebound);
-                }
-            }
-        }
-        StmtKind::Delete { targets } => {
-            targets.iter().for_each(|t| collect_rebound_names(t, rebound))
-        }
-        StmtKind::Import { names } | StmtKind::ImportFrom { names, .. } => {
-            for a in names {
-                let local = a
-                    .asname
-                    .clone()
-                    .unwrap_or_else(|| a.name.split('.').next().unwrap_or(&a.name).to_string());
-                rebound.insert(local);
-            }
-        }
-        // A def/class nested in control flow is a *conditional* definition:
-        // exclude the name rather than guess which branch ran.
-        StmtKind::FunctionDef(f) => {
-            rebound.insert(f.name.clone());
-        }
-        StmtKind::ClassDef(c) => {
-            rebound.insert(c.name.clone());
-        }
-        _ => {}
+        })
     });
 }
 
-fn collect_rebound_names(target: &Expr, rebound: &mut BTreeSet<String>) {
-    match &target.kind {
-        ExprKind::Name(n) => {
-            rebound.insert(n.clone());
-        }
-        ExprKind::Tuple(elements) | ExprKind::List(elements) => {
-            for e in elements {
-                collect_rebound_names(e, rebound);
-            }
-        }
-        ExprKind::Starred(inner) => collect_rebound_names(inner, rebound),
-        _ => {}
-    }
+/// Module-level statements outside `def`/`class` that rebind names. A
+/// def/class nested in control flow is a *conditional* definition: the
+/// name is excluded rather than guessing which branch ran.
+fn collect_module_rebinds(stmt: &Stmt, rebound: &mut BTreeSet<String>) {
+    walk_shallow(std::slice::from_ref(stmt), &mut |s| {
+        bindings(s, &mut |name, _| {
+            rebound.insert(name.to_string());
+        })
+    });
 }
 
 #[cfg(test)]
@@ -1181,6 +1114,20 @@ mod tests {
         assert_eq!(cc.summary.name, "require");
         assert_eq!(cc.checks.len(), 1);
         assert_eq!(cc.checks[0].0, vec!["order".to_string(), "total".to_string()]);
+    }
+
+    #[test]
+    fn param_rebound_by_import_or_nested_def_is_not_checked() {
+        for rebind in ["from m import x", "def x():\n        pass"] {
+            let src =
+                format!("def require(x):\n    {rebind}\n    if x is None:\n        raise E()\n");
+            let t = table(&src);
+            let m = parse_module("require(o)\n").unwrap();
+            let StmtKind::Expr { value } = &m.body[0].kind else { panic!() };
+            let ExprKind::Call { func, args, keywords } = &value.kind else { panic!() };
+            let checks = t.resolve_call(func, args, keywords).map_or(0, |cc| cc.checks.len());
+            assert_eq!(checks, 0, "{src}");
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! let m = parse_module("wl = WishList.objects.get(key=k)\nlines = wl.lines\n").unwrap();
 //! let chains = UseDefChains::compute(&m.body, &[]);
 //! let def = chains.unique_def_of(m.body[1].id, "wl").unwrap();
-//! assert!(matches!(def.kind, cfinder_flow::DefKind::Assign(_)));
+//! assert!(matches!(def.kind, cfinder_pyast::visit::Binding::Assign(_)));
 //! ```
 
 #![warn(missing_docs)]
@@ -38,4 +38,4 @@ pub use interproc::{
     SummaryStats, SummaryTable,
 };
 pub use nullguard::{AccessPath, NullGuards};
-pub use reaching::{Def, DefId, DefKind, UseDefChains};
+pub use reaching::{Def, DefId, UseDefChains};

@@ -14,29 +14,13 @@
 //! is one bit, each CFG node keeps the bit set of definitions leaving it,
 //! and the nodes are swept in reverse post-order until no set changes.
 
-use cfinder_pyast::ast::{Expr, ExprKind, NodeId, Stmt, StmtKind};
+use cfinder_pyast::ast::{NodeId, Stmt};
+use cfinder_pyast::visit::{bindings, walk_shallow, Binding};
 
 use crate::cfg::{Cfg, CfgNodeId};
 
 /// Identifier of a definition site within one [`UseDefChains`].
 pub type DefId = usize;
-
-/// How a name was defined.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DefKind<'a> {
-    /// `name = value` (the defining value expression).
-    Assign(&'a Expr),
-    /// A `for name in iter` loop target (the iterated expression).
-    ForTarget(&'a Expr),
-    /// A `with ctx as name` binding (the context expression).
-    WithAs(&'a Expr),
-    /// A function parameter.
-    Param,
-    /// `import`/`from … import` binding.
-    Import,
-    /// An augmented assignment `name op= value` (redefines using itself).
-    AugAssign(&'a Expr),
-}
 
 /// One definition site.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,7 +29,7 @@ pub struct Def<'a> {
     /// parameter list.
     pub name: &'a str,
     /// What defined it.
-    pub kind: DefKind<'a>,
+    pub kind: Binding<'a>,
     /// The statement carrying the definition (`None` for parameters).
     pub stmt: Option<NodeId>,
 }
@@ -82,12 +66,21 @@ impl<'a> UseDefChains<'a> {
 
         // Parameters are defs generated at the entry node.
         for p in params {
-            defs.push(Def { name: p, kind: DefKind::Param, stmt: None });
+            defs.push(Def { name: p, kind: Binding::Param, stmt: None });
             def_node.push(cfg.entry());
         }
 
-        // Collect defs from every statement that owns a CFG node.
-        collect_defs(body, &cfg, &mut defs, &mut def_node);
+        // Every statement of the scope generates the names it binds at its
+        // own node; a star import binds names unknown here.
+        walk_shallow(body, &mut |stmt| {
+            let Some(node) = cfg.node_of_stmt(stmt.id) else { return };
+            bindings(stmt, &mut |name, kind| {
+                if name != "*" {
+                    defs.push(Def { name, kind, stmt: Some(stmt.id) });
+                    def_node.push(node);
+                }
+            });
+        });
 
         let n = cfg.len();
         // Stable, so each node's defs stay in ascending DefId order.
@@ -274,119 +267,10 @@ fn sweep_order(cfg: &Cfg) -> Vec<CfgNodeId> {
     post
 }
 
-/// Recursively collects definition sites from statements that own CFG
-/// nodes, recording each def's generating node in `def_node`.
-fn collect_defs<'a>(
-    body: &'a [Stmt],
-    cfg: &Cfg,
-    defs: &mut Vec<Def<'a>>,
-    def_node: &mut Vec<CfgNodeId>,
-) {
-    for stmt in body {
-        let node = cfg.node_of_stmt(stmt.id);
-        let mut push = |name: &'a str, kind: DefKind<'a>| {
-            if let Some(n) = node {
-                defs.push(Def { name, kind, stmt: Some(stmt.id) });
-                def_node.push(n);
-            }
-        };
-        match &stmt.kind {
-            StmtKind::Assign { targets, value } => {
-                for t in targets {
-                    bind_target(t, value, &mut push);
-                }
-            }
-            StmtKind::AugAssign { target, value, .. } => {
-                if let ExprKind::Name(n) = &target.kind {
-                    push(n, DefKind::AugAssign(value));
-                }
-            }
-            StmtKind::For { target, iter, body, orelse } => {
-                bind_target_kinded(target, || DefKind::ForTarget(iter), &mut push);
-                collect_defs(body, cfg, defs, def_node);
-                collect_defs(orelse, cfg, defs, def_node);
-            }
-            StmtKind::With { items, body } => {
-                for item in items {
-                    if let Some(t) = &item.target {
-                        bind_target_kinded(t, || DefKind::WithAs(&item.context), &mut push);
-                    }
-                }
-                collect_defs(body, cfg, defs, def_node);
-            }
-            StmtKind::Import { names } | StmtKind::ImportFrom { names, .. } => {
-                for a in names {
-                    let bound = a.asname.as_deref().unwrap_or_else(|| {
-                        // `import a.b` binds `a`; `from m import x` binds `x`.
-                        a.name.split('.').next().unwrap_or(&a.name)
-                    });
-                    if bound != "*" {
-                        push(bound, DefKind::Import);
-                    }
-                }
-            }
-            StmtKind::If { body, orelse, .. } => {
-                collect_defs(body, cfg, defs, def_node);
-                collect_defs(orelse, cfg, defs, def_node);
-            }
-            StmtKind::While { body, orelse, .. } => {
-                collect_defs(body, cfg, defs, def_node);
-                collect_defs(orelse, cfg, defs, def_node);
-            }
-            StmtKind::Try { body, handlers, orelse, finalbody } => {
-                collect_defs(body, cfg, defs, def_node);
-                for h in handlers {
-                    collect_defs(&h.body, cfg, defs, def_node);
-                }
-                collect_defs(orelse, cfg, defs, def_node);
-                collect_defs(finalbody, cfg, defs, def_node);
-            }
-            // Nested functions/classes: separate scopes, skipped here.
-            _ => {}
-        }
-    }
-}
-
-/// Binds an assignment target pattern: plain names and tuple/list
-/// destructuring define names; attribute/subscript targets do not define
-/// local variables.
-fn bind_target<'a>(target: &'a Expr, value: &'a Expr, push: &mut impl FnMut(&'a str, DefKind<'a>)) {
-    match &target.kind {
-        ExprKind::Name(n) => push(n, DefKind::Assign(value)),
-        ExprKind::Tuple(elems) | ExprKind::List(elems) => {
-            // Destructuring: the individual element values are unknown
-            // statically; record the whole RHS as each name's source.
-            for e in elems {
-                if let ExprKind::Name(n) = &e.kind {
-                    push(n, DefKind::Assign(value));
-                }
-            }
-        }
-        _ => {}
-    }
-}
-
-fn bind_target_kinded<'a>(
-    target: &'a Expr,
-    kind: impl Fn() -> DefKind<'a>,
-    push: &mut impl FnMut(&'a str, DefKind<'a>),
-) {
-    match &target.kind {
-        ExprKind::Name(n) => push(n, kind()),
-        ExprKind::Tuple(elems) | ExprKind::List(elems) => {
-            for e in elems {
-                if let ExprKind::Name(n) = &e.kind {
-                    push(n, kind());
-                }
-            }
-        }
-        _ => {}
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cfinder_pyast::ast::StmtKind;
     use cfinder_pyast::parse_module;
     use cfinder_pyast::unparse::unparse_expr;
 
@@ -401,7 +285,7 @@ mod tests {
         let (ud, body) = chains("x = f()\ny = x\n");
         let defs = ud.defs_of(body[1].id, "x");
         assert_eq!(defs.len(), 1);
-        let DefKind::Assign(rhs) = &defs[0].kind else { panic!() };
+        let Binding::Assign(rhs) = &defs[0].kind else { panic!() };
         assert_eq!(unparse_expr(rhs), "f()");
         assert!(ud.unique_def_of(body[1].id, "x").is_some());
     }
@@ -411,7 +295,7 @@ mod tests {
         let (ud, body) = chains("x = a()\nx = b()\ny = x\n");
         let defs = ud.defs_of(body[2].id, "x");
         assert_eq!(defs.len(), 1);
-        let DefKind::Assign(rhs) = &defs[0].kind else { panic!() };
+        let Binding::Assign(rhs) = &defs[0].kind else { panic!() };
         assert_eq!(unparse_expr(rhs), "b()");
     }
 
@@ -437,7 +321,7 @@ mod tests {
         let ud = UseDefChains::compute(&m.body, &params);
         let defs = ud.defs_of(m.body[0].id, "request");
         assert_eq!(defs.len(), 1);
-        assert_eq!(defs[0].kind, DefKind::Param);
+        assert_eq!(defs[0].kind, Binding::Param);
     }
 
     #[test]
@@ -446,7 +330,7 @@ mod tests {
         let StmtKind::For { body: fb, .. } = &body[0].kind else { panic!() };
         let defs = ud.defs_of(fb[0].id, "line");
         assert_eq!(defs.len(), 1);
-        let DefKind::ForTarget(iter) = &defs[0].kind else { panic!() };
+        let Binding::ForTarget(iter) = &defs[0].kind else { panic!() };
         assert_eq!(unparse_expr(iter), "order.lines");
     }
 
@@ -456,7 +340,7 @@ mod tests {
         let StmtKind::With { body: wb, .. } = &body[0].kind else { panic!() };
         let defs = ud.defs_of(wb[0].id, "fh");
         assert_eq!(defs.len(), 1);
-        assert!(matches!(defs[0].kind, DefKind::WithAs(_)));
+        assert!(matches!(defs[0].kind, Binding::WithAs(_)));
     }
 
     #[test]
@@ -467,12 +351,38 @@ mod tests {
     }
 
     #[test]
+    fn nested_destructuring_defines_every_name() {
+        let (ud, body) = chains("a, (b, [c, d]) = xs\ny = a + b + c + d\n");
+        for name in ["a", "b", "c", "d"] {
+            let defs = ud.defs_of(body[1].id, name);
+            assert_eq!(defs.len(), 1, "{name}");
+            let Binding::Assign(rhs) = &defs[0].kind else { panic!() };
+            assert_eq!(unparse_expr(rhs), "xs");
+        }
+    }
+
+    #[test]
+    fn del_kills_earlier_def() {
+        let (ud, body) = chains("x = a()\ndel x\ny = x\n");
+        assert_eq!(sites(&ud, body[2].id, "x"), [Some(body[1].id)]);
+        assert_eq!(ud.defs_of(body[2].id, "x")[0].kind, Binding::Delete);
+    }
+
+    #[test]
+    fn nested_def_and_class_names_are_defs() {
+        let (ud, body) = chains("g = a()\ndef g():\n    pass\nclass K:\n    pass\ny = g(K)\n");
+        assert_eq!(sites(&ud, body[3].id, "g"), [Some(body[1].id)]);
+        assert_eq!(sites(&ud, body[3].id, "K"), [Some(body[2].id)]);
+        assert_eq!(ud.defs_of(body[3].id, "g")[0].kind, Binding::Def);
+    }
+
+    #[test]
     fn import_binds_names() {
         let (ud, body) =
             chains("from app.models import Order\nimport utils.helpers as uh\no = Order\n");
         assert_eq!(ud.defs_of(body[2].id, "Order").len(), 1);
         assert_eq!(ud.defs_of(body[2].id, "uh").len(), 1);
-        assert!(matches!(ud.defs_of(body[2].id, "Order")[0].kind, DefKind::Import));
+        assert!(matches!(ud.defs_of(body[2].id, "Order")[0].kind, Binding::Import));
     }
 
     #[test]
@@ -490,7 +400,7 @@ mod tests {
         // After the early return, only the `b()` def reaches `y = x`.
         let defs = ud.defs_of(body[2].id, "x");
         assert_eq!(defs.len(), 1);
-        let DefKind::Assign(rhs) = &defs[0].kind else { panic!() };
+        let Binding::Assign(rhs) = &defs[0].kind else { panic!() };
         assert_eq!(unparse_expr(rhs), "b()");
     }
 
@@ -597,6 +507,6 @@ mod tests {
         let (ud, body) = chains("x = a()\nx += 1\ny = x\n");
         let defs = ud.defs_of(body[2].id, "x");
         assert_eq!(defs.len(), 1);
-        assert!(matches!(defs[0].kind, DefKind::AugAssign(_)));
+        assert!(matches!(defs[0].kind, Binding::AugAssign(_)));
     }
 }

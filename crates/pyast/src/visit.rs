@@ -5,6 +5,8 @@
 //! * [`walk_shallow`] / [`own_exprs`] — the scope walk of the analyses: the
 //!   statements of one function body without nested `def`/`class` bodies,
 //!   and the expressions each statement owns directly.
+//! * [`bindings`] — the names one statement binds in its own scope, the
+//!   one binding rule of reaching definitions and helper summaries.
 //! * [`expr_children`] — the direct children of one expression, enumerated
 //!   without allocating; every walk here is built on it.
 //! * [`bfs_exprs`] / [`bfs_into`] — breadth-first expression traversal,
@@ -285,6 +287,68 @@ pub fn own_exprs(stmt: &Stmt) -> impl Iterator<Item = &Expr> {
     lead.iter().chain(one).chain(two).chain(items).chain(tail)
 }
 
+/// How a statement binds a name (see [`bindings`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Binding<'a> {
+    /// `name = value`, destructured or not (the whole right-hand side).
+    Assign(&'a Expr),
+    /// `name op= value` (redefines using itself).
+    AugAssign(&'a Expr),
+    /// A `for` loop target (the iterated expression).
+    ForTarget(&'a Expr),
+    /// A `with ctx as name` target (the context expression).
+    WithAs(&'a Expr),
+    /// `import` / `from … import`.
+    Import,
+    /// `del name`.
+    Delete,
+    /// A `def` or `class` name.
+    Def,
+    /// A function parameter: never reported by [`bindings`], it marks the
+    /// defs a function body starts with.
+    Param,
+}
+
+/// Calls `f` on every name `stmt` binds in its own scope, in source order,
+/// without allocating: assignment, augmented-assignment, `for` and `with`
+/// targets (destructured through nested tuples and lists), `del` targets,
+/// `def`/`class` names and imports. `import a.b` binds `a`; a star import
+/// is reported as `*`. A compound statement reports only its header's
+/// bindings, and attribute or subscript targets bind no name.
+pub fn bindings<'a>(stmt: &'a Stmt, f: &mut dyn FnMut(&'a str, Binding<'a>)) {
+    fn target<'a>(t: &'a Expr, how: Binding<'a>, f: &mut dyn FnMut(&'a str, Binding<'a>)) {
+        match &t.kind {
+            ExprKind::Name(n) => f(n, how),
+            ExprKind::Tuple(v) | ExprKind::List(v) => v.iter().for_each(|e| target(e, how, f)),
+            _ => {}
+        }
+    }
+    match &stmt.kind {
+        StmtKind::Assign { targets, value } => {
+            targets.iter().for_each(|t| target(t, Binding::Assign(value), f))
+        }
+        StmtKind::AugAssign { target: t, value, .. } => target(t, Binding::AugAssign(value), f),
+        StmtKind::For { target: t, iter, .. } => target(t, Binding::ForTarget(iter), f),
+        StmtKind::With { items, .. } => {
+            for i in items {
+                if let Some(t) = &i.target {
+                    target(t, Binding::WithAs(&i.context), f);
+                }
+            }
+        }
+        StmtKind::Delete { targets } => targets.iter().for_each(|t| target(t, Binding::Delete, f)),
+        StmtKind::Import { names } | StmtKind::ImportFrom { names, .. } => {
+            for a in names {
+                let bound = a.name.split('.').next().unwrap_or(&a.name);
+                f(a.asname.as_deref().unwrap_or(bound), Binding::Import);
+            }
+        }
+        StmtKind::FunctionDef(d) => f(&d.name, Binding::Def),
+        StmtKind::ClassDef(c) => f(&c.name, Binding::Def),
+        _ => {}
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -504,6 +568,54 @@ mod tests {
             assert_eq!(order.len(), reference.len());
             assert!(order.iter().zip(&reference).all(|(a, b)| std::ptr::eq(*a, *b)));
         }
+    }
+
+    #[test]
+    fn bindings_on_every_form() {
+        let src = "a, (b, [c, d]) = e = xs\n\
+                   n += 1\n\
+                   obj.attr, k[0] = pair\n\
+                   for i, (j, k) in rows:\n    pass\n\
+                   with A() as (p, q), B(), C() as r:\n    pass\n\
+                   del x, (y, z), w.v\n\
+                   def g():\n    inner = 1\n\
+                   class K:\n    pass\n\
+                   import a.b, c.d as cd\n\
+                   from .models import *\n\
+                   from m import u as uu, t\n\
+                   if s:\n    pass\n";
+        let m = parse_module(src).unwrap();
+        let mut got = Vec::new();
+        for s in &m.body {
+            let mut line = Vec::new();
+            bindings(s, &mut |name, how| {
+                let value = |kind, v| format!("{kind}({})", crate::unparse::unparse_expr(v));
+                let how = match how {
+                    Binding::Assign(v) => value("Assign", v),
+                    Binding::AugAssign(v) => value("AugAssign", v),
+                    Binding::ForTarget(v) => value("ForTarget", v),
+                    Binding::WithAs(v) => value("WithAs", v),
+                    unit => format!("{unit:?}"),
+                };
+                line.push(format!("{name}:{how}"));
+            });
+            got.push(line.join(" "));
+        }
+        let want = [
+            "a:Assign(xs) b:Assign(xs) c:Assign(xs) d:Assign(xs) e:Assign(xs)",
+            "n:AugAssign(1)",
+            "",
+            "i:ForTarget(rows) j:ForTarget(rows) k:ForTarget(rows)",
+            "p:WithAs(A()) q:WithAs(A()) r:WithAs(C())",
+            "x:Delete y:Delete z:Delete",
+            "g:Def",
+            "K:Def",
+            "a:Import cd:Import",
+            "*:Import",
+            "uu:Import t:Import",
+            "",
+        ];
+        assert_eq!(got, want);
     }
 
     #[test]

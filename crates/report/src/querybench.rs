@@ -32,9 +32,10 @@ pub struct QueryBenchOptions {
 }
 
 impl QueryBenchOptions {
-    /// CI-sized: small enough for the smoke gate.
+    /// CI-sized: small enough for the smoke gate. Nine repeats, so a
+    /// class's median moves only when five samples are preempted, not two.
     pub fn quick() -> Self {
-        QueryBenchOptions { rows: 2_000, repeats: 3 }
+        QueryBenchOptions { rows: 2_000, repeats: 9 }
     }
 
     /// Paper-sized.

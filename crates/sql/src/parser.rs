@@ -8,10 +8,13 @@
 //! * `ALTER TABLE … ADD [CONSTRAINT name] <table constraint> |
 //!   ADD [COLUMN] <column> | MODIFY [COLUMN] <column> |
 //!   CHANGE [COLUMN] old <column> | ALTER COLUMN … SET NOT NULL |
-//!   ALTER COLUMN … SET DEFAULT lit`. These share the CREATE TABLE
+//!   ALTER COLUMN … SET DEFAULT lit | ALTER COLUMN … DROP NOT NULL |
+//!   ALTER COLUMN … DROP DEFAULT`. These share the CREATE TABLE
 //!   grammar: `ADD` reads its clause like one item of a table body, and
 //!   MODIFY/CHANGE read a full column definition that is merged into the
-//!   existing column additively (nothing is cleared). A key added by
+//!   existing column additively (nothing is cleared); CHANGE first renames
+//!   `old`, in the table and in the constraints recorded on it. A DROP
+//!   undoes what the matching SET declared. A key added by
 //!   `ADD PRIMARY KEY` follows the same rule as an inline one;
 //! * `CHECK` bodies in the normalized single-column grammar
 //!   (`col op literal`, `literal op col`, `col IN (lit, …)`) — anything
@@ -1213,16 +1216,21 @@ impl Parser {
             }
         } else if self.is_kw("MODIFY") || self.is_kw("CHANGE") {
             // MySQL: MODIFY [COLUMN] c type flags
-            //        CHANGE [COLUMN] old new type flags — the definition
-            //        applies to the new name.
+            //        CHANGE [COLUMN] old new type flags — `old` is renamed
+            //        to `new`, then the definition applies to it.
             let change = self.is_kw("CHANGE");
             self.pos += 1;
             self.eat_kw("COLUMN");
-            if change && self.ident().is_none() {
+            let old = if change { self.ident() } else { None };
+            if change && old.is_none() {
                 self.error(format!("expected column name in CHANGE on `{table}`"));
                 return self.skip_clause();
             }
-            self.column_def(table, &mut columns, &mut key, &mut constraints)
+            let terminated = self.column_def(table, &mut columns, &mut key, &mut constraints);
+            if let (Some(old), Some(new)) = (old, columns.first()) {
+                self.rename_column(table, &old, &new.name);
+            }
+            terminated
         } else if self.eat_kw("ALTER") {
             return self.alter_column(table, line);
         } else {
@@ -1264,15 +1272,93 @@ impl Parser {
         }
     }
 
-    /// `ALTER [COLUMN] c SET NOT NULL | SET DEFAULT lit`; `DROP NOT NULL`,
-    /// `DROP DEFAULT`, `TYPE …` and expression or NULL defaults carry no
-    /// constraint and are skipped.
+    /// `CHANGE old new …`: renames `table.old` to `new` in the table and
+    /// in every constraint recorded on it so far, before the new definition
+    /// is merged. A rename onto another existing column is ignored.
+    fn rename_column(&mut self, table: &str, old: &str, new: &str) {
+        if old == new {
+            return;
+        }
+        if self.out.tables.iter().any(|t| t.name == table && t.column(new).is_some()) {
+            self.error(format!("CHANGE renames `{table}.{old}` onto `{new}`; ignored"));
+            return;
+        }
+        if let Some(t) = self.out.tables.iter_mut().find(|t| t.name == table) {
+            if let Some(c) = t.column_mut(old) {
+                c.name = new.to_string();
+            }
+            if t.primary_key == old {
+                t.primary_key = new.to_string();
+            }
+        }
+        let rename = |col: &mut String| {
+            if col == old {
+                *col = new.to_string();
+            }
+        };
+        for pc in &mut self.out.constraints {
+            let here = pc.constraint.table() == table;
+            match &mut pc.constraint {
+                Constraint::NotNull { column, .. } | Constraint::Default { column, .. } if here => {
+                    rename(column)
+                }
+                Constraint::Check {
+                    predicate: Predicate::Compare { column, .. } | Predicate::In { column, .. },
+                    ..
+                } if here => rename(column),
+                Constraint::Unique { columns, conditions, .. } if here => {
+                    columns.iter_mut().for_each(rename);
+                    conditions.iter_mut().for_each(|c| rename(&mut c.column));
+                    columns.sort();
+                    conditions.sort();
+                }
+                Constraint::ForeignKey { column, ref_table, ref_column, .. } => {
+                    if here {
+                        rename(column);
+                    }
+                    if ref_table == table {
+                        rename(ref_column);
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// `ALTER [COLUMN] c SET NOT NULL | SET DEFAULT lit | DROP NOT NULL |
+    /// DROP DEFAULT`; a DROP undoes what SET declared, in the column and in
+    /// the recorded constraints. `TYPE …` and expression or NULL defaults
+    /// carry no constraint and are skipped.
     fn alter_column(&mut self, table: &str, line: u32) -> bool {
         self.eat_kw("COLUMN");
         let Some(column) = self.ident() else {
             self.error(format!("expected column name in ALTER on `{table}`"));
             return self.skip_clause();
         };
+        if self.eat_kw("DROP") {
+            let not_null = self.eat_kw("NOT") && self.eat_kw("NULL");
+            if !not_null && !self.eat_kw("DEFAULT") {
+                return self.skip_clause();
+            }
+            let dropped = |pc: &ParsedConstraint| match &pc.constraint {
+                Constraint::NotNull { table: t, column: c } => {
+                    not_null && t == table && *c == column
+                }
+                Constraint::Default { table: t, column: c, .. } => {
+                    !not_null && t == table && *c == column
+                }
+                _ => false,
+            };
+            self.out.constraints.retain(|pc| !dropped(pc));
+            if let Some(col) = self.column_mut(table, &column) {
+                if not_null {
+                    col.nullable = true;
+                } else {
+                    col.default = None;
+                }
+            }
+            return false;
+        }
         if !self.eat_kw("SET") {
             return self.skip_clause();
         }
@@ -1290,13 +1376,16 @@ impl Parser {
         self.skip_clause()
     }
 
+    /// The column `table.column` of a table the dump created, if any.
+    fn column_mut(&mut self, table: &str, column: &str) -> Option<&mut Column> {
+        self.out.tables.iter_mut().find(|t| t.name == table)?.column_mut(column)
+    }
+
     fn push_not_null(&mut self, table: &str, column: &str, line: u32) {
         self.out
             .constraints
             .push(ParsedConstraint { constraint: Constraint::not_null(table, column), line });
-        if let Some(col) =
-            self.out.tables.iter_mut().find(|t| t.name == table).and_then(|t| t.column_mut(column))
-        {
+        if let Some(col) = self.column_mut(table, column) {
             col.nullable = false;
         }
     }
@@ -1309,9 +1398,7 @@ impl Parser {
             constraint: Constraint::default_value(table, column, value.clone()),
             line,
         });
-        if let Some(col) =
-            self.out.tables.iter_mut().find(|t| t.name == table).and_then(|t| t.column_mut(column))
-        {
+        if let Some(col) = self.column_mut(table, column) {
             col.default = Some(value);
         }
     }
@@ -1639,6 +1726,90 @@ mod tests {
             "orders",
             Predicate::compare("kind", CompareOp::Ne, Literal::Str("void".into())),
         )));
+    }
+
+    #[test]
+    fn change_renames_the_column_and_its_constraints() {
+        // The plain probe: the renamed column takes the new definition.
+        let sql = "CREATE TABLE t (id int PRIMARY KEY, old_name int);\n\
+                   ALTER TABLE t CHANGE old_name new_name int NOT NULL;";
+        let (schema, errors) = parse_sql(sql).into_schema();
+        assert!(errors.is_empty(), "{errors:?}");
+        let t = schema.table("t").unwrap();
+        assert!(t.column("old_name").is_none());
+        assert!(!t.column("new_name").unwrap().nullable);
+        assert!(schema.constraints().contains(&Constraint::not_null("t", "new_name")));
+
+        // Constraints recorded on the old name follow it, on this table and
+        // from the tables that reference it.
+        let sql = r#"
+            CREATE TABLE t (id int, a int DEFAULT 1 CHECK (a > 0), b int, c int);
+            ALTER TABLE t ADD CONSTRAINT uq UNIQUE (a, c);
+            CREATE TABLE u (id int PRIMARY KEY, ta int REFERENCES t (a));
+            CREATE UNIQUE INDEX p ON t (b) WHERE a = 1;
+            ALTER TABLE t ALTER COLUMN a SET NOT NULL;
+            ALTER TABLE t CHANGE COLUMN a z int;
+        "#;
+        let (schema, errors) = parse_sql(sql).into_schema();
+        assert!(errors.is_empty(), "{errors:?}");
+        let names: Vec<&str> =
+            schema.table("t").unwrap().columns.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["id", "z", "b", "c"]);
+        let z = Literal::Int(1);
+        let want = [
+            Constraint::not_null("t", "z"),
+            Constraint::default_value("t", "z", z.clone()),
+            Constraint::check("t", Predicate::compare("z", CompareOp::Gt, Literal::Int(0))),
+            Constraint::unique("t", ["c", "z"]),
+            Constraint::foreign_key("u", "ta", "t", "z"),
+            Constraint::partial_unique(
+                "t",
+                ["b"],
+                vec![Condition { column: "z".into(), value: z }],
+            ),
+        ];
+        for c in &want {
+            assert!(schema.constraints().contains(c), "missing {c}");
+        }
+        let on_a = |c: &Constraint| c.table() == "t" && c.columns().contains(&"a");
+        assert!(!schema.constraints().iter().any(on_a), "{schema:?}");
+
+        // A rename onto another existing column is refused.
+        let parsed = parse_sql("CREATE TABLE t (a int, b int);\nALTER TABLE t CHANGE a b int;");
+        assert_eq!(parsed.errors.len(), 1, "{:?}", parsed.errors);
+        let names: Vec<&str> = parsed.tables[0].columns.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["a", "b"]);
+    }
+
+    #[test]
+    fn alter_column_drop_undoes_set() {
+        let sql = r#"
+            CREATE TABLE t (id int, a int NOT NULL DEFAULT 5, b int);
+            ALTER TABLE t ALTER COLUMN b SET NOT NULL, ALTER COLUMN b SET DEFAULT 7;
+            ALTER TABLE t ALTER COLUMN a DROP NOT NULL;
+            ALTER TABLE t ALTER b DROP DEFAULT;
+            ALTER TABLE gone ALTER COLUMN x SET NOT NULL;
+            ALTER TABLE gone ALTER COLUMN x DROP NOT NULL;
+        "#;
+        let parsed = parse_sql(sql);
+        assert!(parsed.errors.is_empty(), "{:?}", parsed.errors);
+        let kept =
+            [Constraint::default_value("t", "a", Literal::Int(5)), Constraint::not_null("t", "b")];
+        let dropped = [
+            Constraint::not_null("t", "a"),
+            Constraint::default_value("t", "b", Literal::Int(7)),
+            Constraint::not_null("gone", "x"),
+        ];
+        let set = parsed.constraint_set();
+        let (schema, errors) = parsed.into_schema();
+        assert!(errors.is_empty(), "{errors:?}");
+        for declared in [&set, schema.constraints()] {
+            assert!(kept.iter().all(|c| declared.contains(c)), "{declared:?}");
+            assert!(!dropped.iter().any(|c| declared.contains(c)), "{declared:?}");
+        }
+        let t = schema.table("t").unwrap();
+        assert!(t.column("a").unwrap().nullable);
+        assert_eq!(t.column("b").unwrap().default, None);
     }
 
     #[test]

@@ -103,10 +103,10 @@ fi
 
 echo "==> test-count floors"
 floor core 150 cfinder_core proptest_robustness detect_pin
-floor SQL 57 cfinder_sql roundtrip_proptest sql_faults
+floor SQL 59 cfinder_sql roundtrip_proptest sql_faults
 floor schema 64 cfinder_schema proptest_schema
-floor pyast 144 cfinder_pyast django_torture proptest_recovery proptest_roundtrip parse_pin
-floor flow 110 cfinder_flow proptest_interproc interproc_oracle reaching_oracle nullguard_oracle
+floor pyast 145 cfinder_pyast django_torture proptest_recovery proptest_roundtrip parse_pin
+floor flow 114 cfinder_flow proptest_interproc interproc_oracle reaching_oracle nullguard_oracle
 floor daemon 24 cfinder_serve serve_soak serve_faults cache_concurrency
 floor cache 11 cache_equivalence cache_invalidation cache_pin
 floor minidb 99 cfinder_minidb plan_golden proptest_integrity query_oracle three_valued_logic

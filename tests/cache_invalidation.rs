@@ -243,9 +243,9 @@ fn deadline_env_changes_the_tool_fingerprint() {
     let with = fingerprint(&default, Some(120_000));
     assert_ne!(without, with);
     assert_ne!(with, fingerprint(&default, Some(5)), "each duration is its own shard");
-    assert_eq!(without, "768eb15cb27e6026548715e1f38f9a79");
-    assert_eq!(with, "f57944b7de7e66a8af567a4734c56272");
-    assert_eq!(fingerprint(&CFinderOptions::paper(), None), "3fa551bfd73242c6a0df864fb4ef3c26");
+    assert_eq!(without, "83265010f870cea7a0bf602ec7982e54");
+    assert_eq!(with, "a0993a6b8c70c83b7e640d1f22ddeba3");
+    assert_eq!(fingerprint(&CFinderOptions::paper(), None), "a723462bc8f959e11edd8c3b801243df");
     let _ = fs::remove_dir_all(&dir);
 }
 

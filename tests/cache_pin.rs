@@ -69,8 +69,8 @@ fn cache_digest(label: &str, options: CFinderOptions) -> (usize, String) {
 #[test]
 fn cache_entry_files_are_pinned() {
     let pins = [
-        ("default", CFinderOptions::default(), 259, "9d53f8f2880ab45c16b2ea8fc077cc5e"),
-        ("paper", CFinderOptions::paper(), 259, "c21d330a3961a5293782eb2c2f089909"),
+        ("default", CFinderOptions::default(), 259, "ff2c2b42c93f8a18cbfc7cba6005a244"),
+        ("paper", CFinderOptions::paper(), 259, "20fa2ebe7c9eaaef3fe49e8b446d33a7"),
     ];
     for (label, options, count, digest) in pins {
         assert_eq!(cache_digest(label, options), (count, digest.to_string()), "{label}");
