@@ -1,13 +1,12 @@
-//! Physical query plans: explainable nodes and a deterministic,
-//! thread-count-invariant executor.
+//! Physical query plans: explainable nodes and a serial, deterministic
+//! executor.
 //!
 //! A plan is a small tree assembled by [`crate::rewrite`] (never by
-//! hand-rolled execution logic) and run by [`execute`]. Determinism is
-//! by construction, not by luck: parallelism only ever splits a node's
-//! input rows into contiguous chunks whose outputs are concatenated in
-//! order, so the produced [`ResultSet`] is byte-identical at 1, 2, or 4
-//! threads — the property the plan-golden and differential-oracle tests
-//! assert.
+//! hand-rolled execution logic) and run by [`execute`], one node at a
+//! time on the calling thread: scans visit rows in RowId order and every
+//! node preserves its input order, so a plan's [`ResultSet`] is the same
+//! on every run — the property the plan-golden and differential-oracle
+//! tests assert.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -185,14 +184,14 @@ impl ResultSet {
     }
 }
 
-/// Executes a plan with no observability and the given parallelism.
+/// Executes a plan with no observability.
 ///
 /// # Errors
 ///
 /// [`DbError::NoSuchTable`] / [`DbError::NoSuchColumn`] when the plan
 /// references objects the database does not have.
-pub fn execute(db: &Database, plan: &Plan, threads: usize) -> DbResult<ResultSet> {
-    execute_with_obs(db, plan, threads, &Obs::disabled())
+pub fn execute(db: &Database, plan: &Plan) -> DbResult<ResultSet> {
+    execute_with_obs(db, plan, &Obs::disabled())
 }
 
 /// Executes a plan, recording per-node spans and the `cfinder_query_*`
@@ -201,17 +200,11 @@ pub fn execute(db: &Database, plan: &Plan, threads: usize) -> DbResult<ResultSet
 /// # Errors
 ///
 /// See [`execute`].
-pub fn execute_with_obs(
-    db: &Database,
-    plan: &Plan,
-    threads: usize,
-    obs: &Obs,
-) -> DbResult<ResultSet> {
-    let threads = threads.max(1);
+pub fn execute_with_obs(db: &Database, plan: &Plan, obs: &Obs) -> DbResult<ResultSet> {
     let _span = obs.tracer.span("query", || "execute".to_string());
     let start = std::time::Instant::now();
     obs.metrics.inc("cfinder_query_executions_total");
-    let out = exec_node(db, plan, threads, obs)?;
+    let out = exec_node(db, plan, obs)?;
     obs.metrics.add("cfinder_query_rows_returned_total", out.rows.len() as u64);
     obs.metrics.observe("cfinder_query_seconds", start.elapsed().as_secs_f64());
     Ok(ResultSet { columns: out.columns, rows: out.rows })
@@ -234,7 +227,7 @@ impl Batch {
     }
 }
 
-fn exec_node(db: &Database, plan: &Plan, threads: usize, obs: &Obs) -> DbResult<Batch> {
+fn exec_node(db: &Database, plan: &Plan, obs: &Obs) -> DbResult<Batch> {
     let _span = obs.tracer.span("query", || plan.label());
     match plan {
         Plan::Scan { table } => scan(db, table, None, obs),
@@ -247,10 +240,11 @@ fn exec_node(db: &Database, plan: &Plan, threads: usize, obs: &Obs) -> DbResult<
             scan(db, table, Some(&pred), obs)
         }
         Plan::Filter { input, predicates } => {
-            let batch = exec_node(db, input, threads, obs)?;
+            let batch = exec_node(db, input, obs)?;
             let idx: Vec<usize> =
                 predicates.iter().map(|p| batch.index_of(p.col())).collect::<DbResult<_>>()?;
-            let rows = par_retain(batch.rows, threads, |row| {
+            let mut rows = batch.rows;
+            rows.retain(|row| {
                 predicates
                     .iter()
                     .zip(&idx)
@@ -260,7 +254,7 @@ fn exec_node(db: &Database, plan: &Plan, threads: usize, obs: &Obs) -> DbResult<
             Ok(Batch { columns: batch.columns, rows })
         }
         Plan::HashJoin { input, table, left, right_column } => {
-            let batch = exec_node(db, input, threads, obs)?;
+            let batch = exec_node(db, input, obs)?;
             let probe_idx = batch.index_of(left)?;
             let build = scan(db, table, None, obs)?;
             let build_key = build.index_of(&ColRef::new(table.clone(), right_column.clone()))?;
@@ -275,29 +269,22 @@ fn exec_node(db: &Database, plan: &Plan, threads: usize, obs: &Obs) -> DbResult<
             }
             let mut columns = batch.columns;
             columns.extend(build.columns.iter().cloned());
-            let build_rows = &build.rows;
-            let index = &index;
-            let rows = par_flat_map(batch.rows, threads, |row| {
+            let mut rows = Vec::new();
+            for row in &batch.rows {
                 let v = &row[probe_idx];
                 if v.is_null() {
-                    return Vec::new();
+                    continue;
                 }
-                match index.get(&v.key()) {
-                    None => Vec::new(),
-                    Some(matches) => matches
-                        .iter()
-                        .map(|&i| {
-                            let mut joined = row.to_vec();
-                            joined.extend(build_rows[i].iter().cloned());
-                            joined
-                        })
-                        .collect(),
+                for &i in index.get(&v.key()).into_iter().flatten() {
+                    let mut joined = row.clone();
+                    joined.extend(build.rows[i].iter().cloned());
+                    rows.push(joined);
                 }
-            });
+            }
             Ok(Batch { columns, rows })
         }
         Plan::Project { input, columns } => {
-            let batch = exec_node(db, input, threads, obs)?;
+            let batch = exec_node(db, input, obs)?;
             let idx: Vec<usize> =
                 columns.iter().map(|c| batch.index_of(c)).collect::<DbResult<_>>()?;
             let rows = batch
@@ -308,7 +295,7 @@ fn exec_node(db: &Database, plan: &Plan, threads: usize, obs: &Obs) -> DbResult<
             Ok(Batch { columns: columns.clone(), rows })
         }
         Plan::Distinct { input } => {
-            let batch = exec_node(db, input, threads, obs)?;
+            let batch = exec_node(db, input, obs)?;
             let mut seen: std::collections::HashSet<Vec<ValueKey>> =
                 std::collections::HashSet::new();
             let rows = batch
@@ -319,7 +306,7 @@ fn exec_node(db: &Database, plan: &Plan, threads: usize, obs: &Obs) -> DbResult<
             Ok(Batch { columns: batch.columns, rows })
         }
         Plan::Sort { input, columns } => {
-            let batch = exec_node(db, input, threads, obs)?;
+            let batch = exec_node(db, input, obs)?;
             let idx: Vec<usize> =
                 columns.iter().map(|c| batch.index_of(c)).collect::<DbResult<_>>()?;
             let mut rows = batch.rows;
@@ -366,37 +353,6 @@ fn scan(db: &Database, table: &str, stop_at: Option<&Pred>, obs: &Obs) -> DbResu
     Ok(Batch { columns, rows })
 }
 
-/// Order-preserving parallel filter: splits `rows` into contiguous
-/// chunks, filters each on its own thread, and concatenates the chunk
-/// outputs in order. `threads == 1` (or small inputs) run inline.
-fn par_retain<F>(rows: Vec<Vec<Value>>, threads: usize, keep: F) -> Vec<Vec<Value>>
-where
-    F: Fn(&[Value]) -> bool + Sync,
-{
-    par_flat_map(rows, threads, |row| if keep(row) { vec![row.to_vec()] } else { Vec::new() })
-}
-
-/// Order-preserving parallel flat-map over contiguous chunks.
-fn par_flat_map<F>(rows: Vec<Vec<Value>>, threads: usize, f: F) -> Vec<Vec<Value>>
-where
-    F: Fn(&[Value]) -> Vec<Vec<Value>> + Sync,
-{
-    const MIN_ROWS_PER_THREAD: usize = 64;
-    if threads <= 1 || rows.len() < 2 * MIN_ROWS_PER_THREAD {
-        return rows.iter().flat_map(|r| f(r)).collect();
-    }
-    let chunk = rows.len().div_ceil(threads);
-    let chunks: Vec<&[Vec<Value>]> = rows.chunks(chunk).collect();
-    let outputs: Vec<Vec<Vec<Value>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|c| scope.spawn(|| c.iter().flat_map(|r| f(r)).collect::<Vec<_>>()))
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("query worker panicked")).collect()
-    });
-    outputs.into_iter().flatten().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -435,34 +391,8 @@ mod tests {
             }),
             columns: vec![col("items", "n")],
         };
-        let rs = execute(&db, &plan, 1).unwrap();
+        let rs = execute(&db, &plan).unwrap();
         assert_eq!(rs.rows, vec![vec![Value::Int(7)], vec![Value::Int(8)], vec![Value::Int(9)]]);
-    }
-
-    #[test]
-    fn result_is_thread_count_invariant() {
-        let db = sample_db(500);
-        let plan = Plan::Sort {
-            input: Box::new(Plan::Project {
-                input: Box::new(Plan::Filter {
-                    input: Box::new(Plan::Scan { table: "items".into() }),
-                    predicates: vec![Pred::Compare {
-                        col: col("items", "tag"),
-                        op: CompareOp::Eq,
-                        value: Literal::Str("odd".into()),
-                    }],
-                }),
-                columns: vec![col("items", "n")],
-            }),
-            columns: vec![col("items", "n")],
-        };
-        let one = execute(&db, &plan, 1).unwrap();
-        assert_eq!(one.len(), 250);
-        for threads in [2, 4] {
-            let t = execute(&db, &plan, threads).unwrap();
-            assert_eq!(t.stable_serialized(), one.stable_serialized());
-            assert_eq!(t.rows, one.rows, "row order must also be invariant");
-        }
     }
 
     #[test]
@@ -473,12 +403,12 @@ mod tests {
             column: "n".into(),
             value: Literal::Int(42),
         };
-        let rs = execute(&db, &lookup, 1).unwrap();
+        let rs = execute(&db, &lookup).unwrap();
         assert_eq!(rs.len(), 1);
         assert_eq!(rs.rows[0][1], Value::Int(42), "n is the second column after id");
         // Early termination is observable in the scan counter.
         let obs = Obs::enabled();
-        execute_with_obs(&db, &lookup, 1, &obs).unwrap();
+        execute_with_obs(&db, &lookup, &obs).unwrap();
         let scanned = obs.metrics.snapshot().counter("cfinder_query_rows_scanned_total");
         assert_eq!(scanned, 43, "stops right after row 42 (ids start at 1)");
     }
@@ -505,7 +435,7 @@ mod tests {
             }),
             columns: vec![col("orders", "id"), col("users", "name")],
         };
-        let rs = execute(&db, &plan, 1).unwrap();
+        let rs = execute(&db, &plan).unwrap();
         assert_eq!(rs.rows, vec![vec![Value::Int(1), Value::Str("ada".into())]]);
     }
 
@@ -521,7 +451,7 @@ mod tests {
             }),
             columns: vec![col("items", "tag")],
         };
-        let rs = execute(&db, &plan, 1).unwrap();
+        let rs = execute(&db, &plan).unwrap();
         assert_eq!(rs.rows, vec![vec![Value::Str("even".into())], vec![Value::Str("odd".into())]]);
     }
 
@@ -529,7 +459,7 @@ mod tests {
     fn empty_plan_has_shape_but_no_rows() {
         let db = sample_db(3);
         let plan = Plan::Empty { columns: vec![col("items", "n")] };
-        let rs = execute(&db, &plan, 4).unwrap();
+        let rs = execute(&db, &plan).unwrap();
         assert!(rs.is_empty());
         assert_eq!(rs.stable_serialized(), "[items.n]\n");
     }
@@ -549,14 +479,14 @@ mod tests {
     fn unknown_objects_error() {
         let db = sample_db(1);
         assert!(matches!(
-            execute(&db, &Plan::Scan { table: "ghost".into() }, 1),
+            execute(&db, &Plan::Scan { table: "ghost".into() }),
             Err(DbError::NoSuchTable(_))
         ));
         let plan = Plan::Filter {
             input: Box::new(Plan::Scan { table: "items".into() }),
             predicates: vec![Pred::IsNull(col("items", "ghost"))],
         };
-        assert!(matches!(execute(&db, &plan, 1), Err(DbError::NoSuchColumn { .. })));
+        assert!(matches!(execute(&db, &plan), Err(DbError::NoSuchColumn { .. })));
     }
 
     #[test]

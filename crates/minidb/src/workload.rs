@@ -360,8 +360,7 @@ fn pick_subset(rng: &mut StdRng, all: &[&str]) -> Vec<String> {
 }
 
 /// Runs every query of a workload through the naive and the rewritten
-/// plan at 1/2/4 threads and demands byte-identical stable
-/// serializations across all six executions.
+/// plan and demands byte-identical stable serializations.
 ///
 /// # Errors
 ///
@@ -376,29 +375,25 @@ pub fn differential_check(w: &Workload) -> Result<(), String> {
             .map_err(|e| format!("generator produced an invalid query #{qi}: {e}"))?;
         let naive = plan_naive(query);
         let (rewritten, rewrites) = plan_with_constraints(query, &view);
-        let reference = execute(&db, &naive, 1)
+        let reference = execute(&db, &naive)
             .map_err(|e| format!("query #{qi} naive execution failed: {e}"))?
             .stable_serialized();
-        for threads in [1usize, 2, 4] {
-            for (kind, plan) in [("naive", &naive), ("rewritten", &rewritten)] {
-                let got = execute(&db, plan, threads)
-                    .map_err(|e| format!("query #{qi} {kind} execution failed: {e}"))?
-                    .stable_serialized();
-                if got != reference {
-                    let fired: Vec<String> = rewrites.iter().map(|r| r.describe()).collect();
-                    return Err(format!(
-                        "query #{qi} diverged ({kind}, {threads} threads)\n\
-                         query: {}\nrewrites: [{}]\nnaive plan:\n{}rewritten plan:\n{}\
-                         expected:\n{}got:\n{}",
-                        query.describe(),
-                        fired.join("; "),
-                        naive.render(),
-                        rewritten.render(),
-                        truncate(&reference, 2000),
-                        truncate(&got, 2000),
-                    ));
-                }
-            }
+        let got = execute(&db, &rewritten)
+            .map_err(|e| format!("query #{qi} rewritten execution failed: {e}"))?
+            .stable_serialized();
+        if got != reference {
+            let fired: Vec<String> = rewrites.iter().map(|r| r.describe()).collect();
+            return Err(format!(
+                "query #{qi} diverged\n\
+                 query: {}\nrewrites: [{}]\nnaive plan:\n{}rewritten plan:\n{}\
+                 expected:\n{}got:\n{}",
+                query.describe(),
+                fired.join("; "),
+                naive.render(),
+                rewritten.render(),
+                truncate(&reference, 2000),
+                truncate(&got, 2000),
+            ));
         }
     }
     Ok(())

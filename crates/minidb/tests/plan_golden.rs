@@ -1,10 +1,10 @@
 //! Golden plan tests for the constraint-driven rewriter.
 //!
 //! A fixed query suite over a fixed schema is planned naively and with
-//! constraints, executed at 1/2/4 threads, and the whole textual
-//! rendering — query, visible constraints, rewrites fired, both plan
-//! trees, and the stable-serialized result — must match a checked-in
-//! golden byte for byte at every thread count. Each rewrite rule has a
+//! constraints, executed, and the whole textual rendering — query,
+//! visible constraints, rewrites fired, both plan trees, and the
+//! stable-serialized result — must match a checked-in golden byte for
+//! byte. Each rewrite rule has a
 //! case where it fires and a control where the enabling constraint is
 //! absent and it must NOT fire.
 //!
@@ -183,56 +183,48 @@ fn suite() -> Vec<(&'static str, ConstraintSet, Query)> {
     ]
 }
 
-/// Renders one case end to end, asserting the rendering is identical at
-/// 1, 2, and 4 executor threads.
+/// Renders one case end to end, asserting the naive and rewritten plans
+/// agree.
 fn render_case(name: &str, constraints: &ConstraintSet, query: &Query) -> String {
     let db = fixture(constraints);
     query.validate(&db).unwrap_or_else(|e| panic!("{name}: invalid query: {e}"));
     let naive = plan_naive(query);
     let (rewritten, rewrites) = plan_with_constraints(query, constraints);
 
-    let mut renderings = Vec::new();
-    for threads in [1usize, 2, 4] {
-        let naive_rs = execute(&db, &naive, threads).unwrap();
-        let opt_rs = execute(&db, &rewritten, threads).unwrap();
-        assert_eq!(
-            naive_rs.stable_serialized(),
-            opt_rs.stable_serialized(),
-            "{name} @ {threads} threads: naive and rewritten plans disagree"
-        );
-        let mut out = String::new();
-        out.push_str(&format!("query: {}\n", query.describe()));
-        out.push_str("constraints:\n");
-        if constraints.is_empty() {
-            out.push_str("  (none)\n");
-        }
-        for c in constraints.iter() {
-            out.push_str(&format!("  {c}\n"));
-        }
-        out.push_str("rewrites:\n");
-        if rewrites.is_empty() {
-            out.push_str("  (none)\n");
-        }
-        for r in &rewrites {
-            out.push_str(&format!("  {}: {}\n", r.rule(), r.describe()));
-        }
-        out.push_str("naive plan:\n");
-        out.push_str(&naive.render());
-        out.push_str("rewritten plan:\n");
-        out.push_str(&rewritten.render());
-        out.push_str(&format!("result ({} rows):\n", opt_rs.len()));
-        out.push_str(&opt_rs.stable_serialized());
-        renderings.push(out);
-    }
-    assert!(
-        renderings.windows(2).all(|w| w[0] == w[1]),
-        "{name}: rendering differs across thread counts"
+    let naive_rs = execute(&db, &naive).unwrap();
+    let opt_rs = execute(&db, &rewritten).unwrap();
+    assert_eq!(
+        naive_rs.stable_serialized(),
+        opt_rs.stable_serialized(),
+        "{name}: naive and rewritten plans disagree"
     );
-    renderings.pop().unwrap()
+    let mut out = String::new();
+    out.push_str(&format!("query: {}\n", query.describe()));
+    out.push_str("constraints:\n");
+    if constraints.is_empty() {
+        out.push_str("  (none)\n");
+    }
+    for c in constraints.iter() {
+        out.push_str(&format!("  {c}\n"));
+    }
+    out.push_str("rewrites:\n");
+    if rewrites.is_empty() {
+        out.push_str("  (none)\n");
+    }
+    for r in &rewrites {
+        out.push_str(&format!("  {}: {}\n", r.rule(), r.describe()));
+    }
+    out.push_str("naive plan:\n");
+    out.push_str(&naive.render());
+    out.push_str("rewritten plan:\n");
+    out.push_str(&rewritten.render());
+    out.push_str(&format!("result ({} rows):\n", opt_rs.len()));
+    out.push_str(&opt_rs.stable_serialized());
+    out
 }
 
 #[test]
-fn plans_match_goldens_at_every_thread_count() {
+fn plans_match_goldens() {
     let golden_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/goldens/plans");
     let bless = std::env::var_os("CFINDER_BLESS").is_some();
     if bless {

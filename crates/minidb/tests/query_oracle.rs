@@ -1,11 +1,10 @@
 //! Differential query-equivalence oracle.
 //!
 //! Every randomly generated query runs through both the naive plan and
-//! the constraint-rewritten plan, at 1, 2, and 4 threads, over data that
-//! provably satisfies the constraint set the rewriter saw (the workload
-//! builds its rows through an *enforcing* database). All six executions
-//! must produce byte-identical stable serializations — any divergence is
-//! an unsound rewrite or a nondeterministic executor.
+//! the constraint-rewritten plan over data that provably satisfies the
+//! constraint set the rewriter saw (the workload builds its rows through
+//! an *enforcing* database). Both executions must produce byte-identical
+//! stable serializations — any divergence is an unsound rewrite.
 //!
 //! The vendored proptest shim cannot shrink, so failures are minimized
 //! by `cfinder_minidb::minimize` before being reported.

@@ -51,7 +51,7 @@ fn null_passes_check_but_fails_where() {
         op: CompareOp::Gt,
         value: Literal::Int(0),
     });
-    let rs = execute(&db, &plan_naive(&q), 1).unwrap();
+    let rs = execute(&db, &plan_naive(&q)).unwrap();
     assert_eq!(rs.stable_serialized(), "[orders.total]\n5\n");
 }
 
@@ -130,7 +130,7 @@ fn check_and_where_agree_on_in_lists() {
         col: ColRef::new("orders", "status"),
         values: vec![Literal::Str("Open".into()), Literal::Str("Closed".into())],
     });
-    let rs = execute(&db, &plan_naive(&q), 1).unwrap();
+    let rs = execute(&db, &plan_naive(&q)).unwrap();
     assert_eq!(rs.stable_serialized(), "[orders.status]\n'Open'\n");
 
     // count_violations agrees that the surviving data is CHECK-clean.
@@ -163,7 +163,7 @@ fn where_is_null_selects_exactly_what_check_admitted_as_unknown() {
     // CHECK constraint prune an IS NULL predicate.
     let q = Query::select("orders", ["id", "total"])
         .filter(Pred::IsNull(ColRef::new("orders", "total")));
-    let rs = execute(&db, &plan_naive(&q), 1).unwrap();
+    let rs = execute(&db, &plan_naive(&q)).unwrap();
     assert_eq!(rs.len(), 1);
     assert_eq!(rs.stable_serialized(), "[orders.id, orders.total]\n1, NULL\n");
 }

@@ -219,13 +219,13 @@ fn paired_median_seconds(
 ) -> Result<(f64, f64), String> {
     let plans = [naive, rewritten];
     for plan in plans {
-        execute(db, plan, 1).map_err(|e| e.to_string())?;
+        execute(db, plan).map_err(|e| e.to_string())?;
     }
     let mut samples: [Vec<f64>; 2] = Default::default();
     for _ in 0..repeats.max(1) {
         for (plan, samples) in plans.iter().zip(&mut samples) {
             let start = Instant::now();
-            execute(db, plan, 1).map_err(|e| e.to_string())?;
+            execute(db, plan).map_err(|e| e.to_string())?;
             samples.push(start.elapsed().as_secs_f64());
         }
     }
@@ -255,8 +255,8 @@ pub fn run_query_bench(opts: QueryBenchOptions) -> Result<Vec<ClassResult>, Stri
         }
         // Differential oracle, off the clock: speedups from wrong
         // answers are not speedups.
-        let a = execute(&class.db, &naive, 1).map_err(|e| e.to_string())?;
-        let b = execute(&class.db, &rewritten, 1).map_err(|e| e.to_string())?;
+        let a = execute(&class.db, &naive).map_err(|e| e.to_string())?;
+        let b = execute(&class.db, &rewritten).map_err(|e| e.to_string())?;
         if a.stable_serialized() != b.stable_serialized() {
             return Err(format!("{}: naive and rewritten plans disagree", class.name));
         }

@@ -346,6 +346,44 @@ impl Constraint {
         }
     }
 
+    /// Renames column `old` of `table` to `new` wherever this constraint
+    /// names it: its own columns and conditions on `table`, and the
+    /// referenced column of a foreign key into `table`. A unique
+    /// constraint is re-normalized afterwards.
+    pub fn rename_column(&mut self, table: &str, old: &str, new: &str) {
+        let here = self.table() == table;
+        let rename = |col: &mut String| {
+            if col == old {
+                *col = new.to_string();
+            }
+        };
+        match self {
+            Constraint::NotNull { column, .. } | Constraint::Default { column, .. } if here => {
+                rename(column)
+            }
+            Constraint::Check {
+                predicate: Predicate::Compare { column, .. } | Predicate::In { column, .. },
+                ..
+            } if here => rename(column),
+            Constraint::Unique { columns, conditions, .. } if here => {
+                columns.iter_mut().for_each(rename);
+                conditions.iter_mut().for_each(|c| rename(&mut c.column));
+                columns.sort();
+                columns.dedup();
+                conditions.sort();
+            }
+            Constraint::ForeignKey { column, ref_table, ref_column, .. } => {
+                if here {
+                    rename(column);
+                }
+                if ref_table == table {
+                    rename(ref_column);
+                }
+            }
+            _ => {}
+        }
+    }
+
     /// True for a partial (conditional) unique constraint.
     pub fn is_partial_unique(&self) -> bool {
         matches!(self, Constraint::Unique { conditions, .. } if !conditions.is_empty())

@@ -201,6 +201,53 @@ impl Schema {
         Ok(())
     }
 
+    /// Makes `key` the table's primary key: its first column takes the key
+    /// slot and every key column the table has is declared NOT NULL. A
+    /// composite key's uniqueness is a separate [`Constraint::Unique`].
+    ///
+    /// # Errors
+    ///
+    /// Returns an error message if the table is missing or `key` is empty.
+    pub fn set_primary_key(&mut self, table: &str, key: &[String]) -> Result<(), String> {
+        let t = self.tables.get_mut(table).ok_or_else(|| format!("no such table `{table}`"))?;
+        t.primary_key = key.first().ok_or("empty primary key")?.clone();
+        for k in key {
+            if let Some(c) = t.column_mut(k) {
+                c.nullable = false;
+                self.constraints.insert(Constraint::not_null(table, k));
+            }
+        }
+        Ok(())
+    }
+
+    /// Renames column `old` of `table` to `new`: in the table, its key
+    /// slot, and every declared constraint that names the column (see
+    /// [`Constraint::rename_column`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error message if the table or column is missing, or
+    /// `new` names another existing column.
+    pub fn rename_column(&mut self, table: &str, old: &str, new: &str) -> Result<(), String> {
+        let t = self.tables.get_mut(table).ok_or_else(|| format!("no such table `{table}`"))?;
+        if old != new && t.column(new).is_some() {
+            return Err(format!("column `{new}` already exists in `{table}`"));
+        }
+        t.column_mut(old).ok_or_else(|| format!("no such column `{table}.{old}`"))?.name =
+            new.to_string();
+        if t.primary_key == old {
+            t.primary_key = new.to_string();
+        }
+        self.constraints = std::mem::take(&mut self.constraints)
+            .into_iter()
+            .map(|mut c| {
+                c.rename_column(table, old, new);
+                c
+            })
+            .collect();
+        Ok(())
+    }
+
     fn validate_constraint(&self, constraint: &Constraint) -> Result<(), String> {
         let table = self
             .tables
@@ -409,6 +456,51 @@ mod tests {
         assert!(s.table("users").unwrap().column("phone").is_some());
         assert!(s.add_column("users", Column::new("phone", ColumnType::VarChar(20))).is_err());
         assert!(s.add_column("ghosts", Column::new("x", ColumnType::Integer)).is_err());
+    }
+
+    #[test]
+    fn set_primary_key_moves_the_slot_and_declares_not_null() {
+        let mut s = Schema::new();
+        s.add_table(users_table());
+        s.set_primary_key("users", &["email".to_string()]).unwrap();
+        let t = s.table("users").unwrap();
+        assert_eq!(t.primary_key, "email");
+        assert!(!t.column("email").unwrap().nullable);
+        assert!(s.constraints().contains(&Constraint::not_null("users", "email")));
+        assert!(s.set_primary_key("ghosts", &["id".to_string()]).is_err());
+        assert!(s.set_primary_key("users", &[]).is_err());
+    }
+
+    #[test]
+    fn rename_column_rewrites_the_table_its_key_and_its_constraints() {
+        let mut s = Schema::new();
+        s.add_table(users_table());
+        s.add_table(Table::new("orders").with_column(Column::new("user_id", ColumnType::BigInt)));
+        s.add_constraint(Constraint::unique("users", ["email", "name"])).unwrap();
+        s.add_constraint(Constraint::foreign_key("orders", "user_id", "users", "id")).unwrap();
+        s.rename_column("users", "id", "uid").unwrap();
+        s.rename_column("users", "email", "address").unwrap();
+        let t = s.table("users").unwrap();
+        assert_eq!(t.primary_key, "uid");
+        assert!(t.column("email").is_none() && t.column("address").is_some());
+        for c in [
+            Constraint::not_null("users", "uid"),
+            Constraint::unique("users", ["address", "name"]),
+            Constraint::foreign_key("orders", "user_id", "users", "uid"),
+        ] {
+            assert!(s.constraints().contains(&c), "missing {c}");
+        }
+        let stale = |c: &Constraint| match c {
+            Constraint::ForeignKey { ref_column, .. } => ref_column == "id",
+            c => {
+                c.table() == "users" && c.columns().iter().any(|&col| col == "id" || col == "email")
+            }
+        };
+        assert!(!s.constraints().iter().any(stale), "{s:?}");
+        // Onto another existing column, or of a missing table or column.
+        assert!(s.rename_column("users", "name", "address").is_err());
+        assert!(s.rename_column("users", "ghost", "x").is_err());
+        assert!(s.rename_column("ghosts", "a", "b").is_err());
     }
 
     #[test]

@@ -14,7 +14,8 @@ use crate::dialect::Dialect;
 
 /// The deterministic name given to an emitted constraint
 /// (`uq_…`/`fk_…`/`ck_…`). Names are dialect-independent and do not
-/// participate in constraint identity — the parser discards them. Names
+/// participate in constraint identity — the parser keeps them only for
+/// `DROP CONSTRAINT`. Names
 /// are clamped to 63 bytes with a hash suffix (see
 /// [`cfinder_schema::clamp_identifier`]): PostgreSQL silently truncates
 /// longer identifiers, which collides distinct composite uniques, and
@@ -410,7 +411,7 @@ mod tests {
         assert!(na.len() <= MAX_IDENTIFIER_BYTES, "{na}");
         assert!(nb.len() <= MAX_IDENTIFIER_BYTES, "{nb}");
         assert_ne!(na, nb, "distinct constraints must keep distinct clamped names");
-        // Clamped names still round-trip: the parser discards names.
+        // Clamped names still round-trip: names are not part of identity.
         round_trips(&ca, None);
         round_trips(&cb, None);
     }

@@ -30,4 +30,4 @@ pub use dialect::Dialect;
 pub use emit::{constraint_ddl, constraint_name, fix_script, schema_to_sql, table_to_sql};
 pub use error::{SqlError, SqlErrorKind};
 pub use faults::{mutate, SqlFaultKind};
-pub use parser::{parse_sql, ParsedConstraint, ParsedSql};
+pub use parser::{parse_sql, parse_sql_onto, ParsedSql};

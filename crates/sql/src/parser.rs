@@ -9,13 +9,16 @@
 //!   ADD [COLUMN] <column> | MODIFY [COLUMN] <column> |
 //!   CHANGE [COLUMN] old <column> | ALTER COLUMN … SET NOT NULL |
 //!   ALTER COLUMN … SET DEFAULT lit | ALTER COLUMN … DROP NOT NULL |
-//!   ALTER COLUMN … DROP DEFAULT`. These share the CREATE TABLE
-//!   grammar: `ADD` reads its clause like one item of a table body, and
-//!   MODIFY/CHANGE read a full column definition that is merged into the
-//!   existing column additively (nothing is cleared); CHANGE first renames
-//!   `old`, in the table and in the constraints recorded on it. A DROP
-//!   undoes what the matching SET declared. A key added by
-//!   `ADD PRIMARY KEY` follows the same rule as an inline one;
+//!   ALTER COLUMN … DROP DEFAULT | DROP CONSTRAINT [IF EXISTS] name`.
+//!   These share the CREATE TABLE grammar: `ADD` reads its clause like
+//!   one item of a table body, and MODIFY/CHANGE read a full column
+//!   definition that is merged into the existing column additively
+//!   (nothing is cleared); CHANGE first renames `old`, in the table and in
+//!   every constraint naming it. A DROP undoes what the matching SET
+//!   declared, a new default replaces the column's earlier one, and
+//!   `DROP CONSTRAINT` drops what the clause or unique index of that name
+//!   declared. A key added by `ADD PRIMARY KEY` follows the same rule as
+//!   an inline one;
 //! * `CHECK` bodies in the normalized single-column grammar
 //!   (`col op literal`, `literal op col`, `col IN (lit, …)`) — anything
 //!   richer is skipped silently, exactly like an unparsable expression
@@ -23,11 +26,18 @@
 //! * `CREATE UNIQUE INDEX … ON t (cols) [WHERE col = lit [AND …]]`
 //!   (partial unique, §3.5.2).
 //!
+//! Each statement is applied, in order, to one [`Schema`] through its own
+//! methods, so the column flags and the constraints stay in step there
+//! alone. A constraint whose table or column is not declared yet waits
+//! until [`ParsedSql::into_schema`] retries it.
+//!
 //! Everything else (INSERT, SET, COMMENT, non-unique indexes, …) is
 //! skipped statement-by-statement, mirroring the resynchronization
 //! discipline of `cfinder_pyast`: one bad statement never poisons the
 //! rest of the dump, and parsing is total — malformed input yields
 //! [`SqlError`]s, never panics.
+
+use std::collections::BTreeMap;
 
 use cfinder_schema::{
     Column, ColumnType, CompareOp, Condition, Constraint, ConstraintSet, Literal, Predicate,
@@ -60,24 +70,20 @@ const TABLE_CONSTRAINT_KEYWORDS: [&str; 10] = [
     "SPATIAL",
 ];
 
-/// A constraint recovered from SQL, tagged with its source line.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ParsedConstraint {
-    /// The recovered constraint.
-    pub constraint: Constraint,
-    /// 1-based line of the statement that declared it.
-    pub line: u32,
-}
-
-/// The result of parsing a SQL DDL dump.
+/// The result of parsing a SQL DDL dump: the declared schema its
+/// statements built, each applied in order, plus the constraints still
+/// waiting for a table or column.
 #[derive(Debug, Clone, Default)]
 pub struct ParsedSql {
-    /// Tables recovered from `CREATE TABLE` statements, in source order.
-    pub tables: Vec<Table>,
-    /// Constraints recovered from table-level clauses, `ALTER TABLE`, and
-    /// `CREATE UNIQUE INDEX` statements. Not-null constraints implied by
-    /// column flags are *not* listed here; use [`ParsedSql::constraint_set`].
-    pub constraints: Vec<ParsedConstraint>,
+    /// The schema as the last statement left it. Constraints still
+    /// waiting for a table or column are not in it; see
+    /// [`ParsedSql::into_schema`].
+    pub schema: Schema,
+    /// Constraints whose table or column was not declared when their
+    /// statement ran (forward FKs in mysqldump order, ALTER-only
+    /// fragments), with that statement's line. Renames and drops apply
+    /// to them too.
+    pending: Vec<(Constraint, u32)>,
     /// Errors recorded along the way (lexer + parser).
     pub errors: Vec<SqlError>,
     /// Number of top-level statements seen (including skipped ones).
@@ -85,64 +91,58 @@ pub struct ParsedSql {
 }
 
 impl ParsedSql {
-    /// The full declared constraint set: explicit constraints plus
-    /// not-nulls derived from column flags and defaults derived from
-    /// non-NULL column defaults — the `information_schema` view the diff
-    /// step consumes.
+    /// The full declared constraint set — the schema's constraints (with
+    /// the not-nulls and defaults its column flags imply) plus the waiting
+    /// ones: the `information_schema` view the diff step consumes.
     pub fn constraint_set(&self) -> ConstraintSet {
-        let mut set = ConstraintSet::new();
-        for t in &self.tables {
-            for c in &t.columns {
-                if !c.nullable {
-                    set.insert(Constraint::not_null(&t.name, &c.name));
-                }
-                if let Some(default) = c.default.as_ref().filter(|d| !d.is_null()) {
-                    set.insert(Constraint::default_value(&t.name, &c.name, default.clone()));
-                }
-            }
-        }
-        for pc in &self.constraints {
-            set.insert(pc.constraint.clone());
-        }
+        let mut set = self.schema.constraints().clone();
+        set.extend(self.pending.iter().map(|(c, _)| c.clone()));
         set
     }
 
-    /// Converts the parse result into a validated [`Schema`].
+    /// Converts the parse result into a validated [`Schema`], retrying each
+    /// waiting constraint once.
     ///
-    /// Constraints whose targets don't resolve (a unique on a table the
-    /// dump never created, an FK to a missing table) are dropped with an
-    /// `Unsupported` warning rather than failing the whole ingestion —
+    /// Constraints whose targets still don't resolve (a unique on a table
+    /// the dump never created, an FK to a missing table) are dropped with
+    /// an `Unsupported` warning rather than failing the whole ingestion —
     /// dumps are routinely partial.
-    pub fn into_schema(self) -> (Schema, Vec<SqlError>) {
-        let mut schema = Schema::new();
-        let mut errors = self.errors;
-        for t in self.tables {
-            // Parser-level dedup guarantees no duplicate table names, so
-            // `add_table` cannot panic here.
-            schema.add_table(t);
-        }
-        for pc in self.constraints {
-            if schema.constraints().contains(&pc.constraint) {
-                continue;
-            }
-            if let Err(msg) = schema.add_constraint(pc.constraint.clone()) {
-                errors.push(SqlError::unsupported(
-                    format!("dropped constraint ({msg}): {}", pc.constraint),
-                    pc.line,
-                ));
+    pub fn into_schema(mut self) -> (Schema, Vec<SqlError>) {
+        for (c, line) in self.pending {
+            if let Err(msg) = declare_on(&mut self.schema, &c) {
+                self.errors
+                    .push(SqlError::unsupported(format!("dropped constraint ({msg}): {c}"), line));
             }
         }
-        (schema, errors)
+        (self.schema, self.errors)
     }
 }
 
-/// Parses a SQL DDL dump, recovering at statement boundaries.
+/// Declares `c` on `schema`; an already declared constraint is no error.
+fn declare_on(schema: &mut Schema, c: &Constraint) -> Result<(), String> {
+    if schema.constraints().contains(c) {
+        return Ok(());
+    }
+    schema.add_constraint(c.clone())
+}
+
+/// Parses a SQL DDL dump, recovering at statement boundaries, and applies
+/// its statements to an empty schema.
 pub fn parse_sql(src: &str) -> ParsedSql {
+    parse_sql_onto(Schema::new(), src)
+}
+
+/// Parses a SQL DDL dump and applies each statement, in order, to
+/// `schema`. A `CREATE TABLE` of a table `schema` already declares is a
+/// duplicate: the first definition wins, with an error; later `ALTER
+/// TABLE` and `CREATE UNIQUE INDEX` statements apply to it.
+pub fn parse_sql_onto(schema: Schema, src: &str) -> ParsedSql {
     let lexed = lex(src);
     let mut p = Parser {
         toks: lexed.tokens,
         pos: 0,
-        out: ParsedSql { errors: lexed.errors, ..ParsedSql::default() },
+        out: ParsedSql { schema, errors: lexed.errors, ..ParsedSql::default() },
+        names: BTreeMap::new(),
     };
     p.run();
     p.fallback_keys();
@@ -153,6 +153,22 @@ struct Parser {
     toks: Vec<Token>,
     pos: usize,
     out: ParsedSql,
+    /// `(table, name)` of every named constraint clause and unique index
+    /// the model keeps, with its constraint (renames applied), for `DROP
+    /// CONSTRAINT`.
+    names: BTreeMap<(String, String), Constraint>,
+}
+
+/// What one CREATE TABLE body, or one ALTER TABLE action, declares before
+/// it is applied to the schema.
+#[derive(Default)]
+struct Body {
+    columns: Vec<Column>,
+    /// Primary-key columns, inline or table-level.
+    key: Vec<String>,
+    /// Constraints with the line and the name of the clause that
+    /// declared them.
+    constraints: Vec<(Constraint, u32, Option<String>)>,
 }
 
 impl Parser {
@@ -415,10 +431,7 @@ impl Parser {
         }
         self.pos += 1; // consume `(`
 
-        let mut columns: Vec<Column> = Vec::new();
-        let mut pk_columns: Vec<String> = Vec::new();
-        let mut constraints: Vec<ParsedConstraint> = Vec::new();
-
+        let mut body = Body::default();
         let mut terminated = false;
         loop {
             match self.peek() {
@@ -441,7 +454,7 @@ impl Parser {
                     break;
                 }
                 _ => {
-                    if self.table_item(&name, &mut columns, &mut pk_columns, &mut constraints) {
+                    if self.table_item(&name, &mut body) {
                         terminated = true;
                         break;
                     }
@@ -453,21 +466,66 @@ impl Parser {
             self.skip_to_semi();
         }
 
-        if columns.is_empty() {
+        if body.columns.is_empty() {
             self.unsupported(format!("CREATE TABLE `{name}` yielded no columns; dropped"));
             return;
         }
-        if self.out.tables.iter().any(|t| t.name == name) {
+        if self.out.schema.table(&name).is_some() {
             self.error(format!("duplicate CREATE TABLE `{name}`; keeping the first"));
             return;
         }
 
         let line = self.line();
-        self.out.tables.push(Table { name: name.clone(), columns, primary_key: String::new() });
-        if !pk_columns.is_empty() {
-            self.primary_key(&name, pk_columns, line);
+        let columns = std::mem::take(&mut body.columns);
+        self.out.schema.add_table(Table {
+            name: name.clone(),
+            columns,
+            primary_key: String::new(),
+        });
+        self.apply(&name, body, line);
+    }
+
+    /// Applies what a body or action declared beyond its columns: the key,
+    /// then each constraint in order, and the names of its named clauses.
+    fn apply(&mut self, table: &str, body: Body, line: u32) {
+        if !body.key.is_empty() {
+            self.primary_key(table, body.key, line);
         }
-        self.out.constraints.extend(constraints);
+        for (c, line, name) in body.constraints {
+            if let Some(name) = name {
+                self.names.insert((table.to_string(), name), c.clone());
+            }
+            self.declare(c, line);
+        }
+    }
+
+    /// Declares `c`, or leaves it waiting for its table or column.
+    fn declare(&mut self, c: Constraint, line: u32) {
+        if declare_on(&mut self.out.schema, &c).is_err() {
+            self.out.pending.push((c, line));
+        }
+    }
+
+    /// Drops every declared or waiting constraint `doomed` selects.
+    fn drop_where(&mut self, doomed: impl Fn(&Constraint) -> bool) {
+        let declared: Vec<Constraint> =
+            self.out.schema.constraints().iter().filter(|c| doomed(c)).cloned().collect();
+        for c in &declared {
+            let _ = self.out.schema.drop_constraint(c);
+        }
+        self.out.pending.retain(|(c, _)| !doomed(c));
+    }
+
+    /// Replaces the column's default: the earlier one goes, then `value`,
+    /// when given, is declared. `SET DEFAULT`, a MODIFY or CHANGE
+    /// `DEFAULT` and `DROP DEFAULT` all come here, so the last one wins.
+    fn set_default(&mut self, table: &str, column: &str, value: Option<Literal>, line: u32) {
+        self.drop_where(|c| {
+            matches!(c, Constraint::Default { table: t, column: col, .. } if t == table && col == column)
+        });
+        if let Some(value) = value {
+            self.declare(Constraint::default_value(table, column, value), line);
+        }
     }
 
     /// A table no statement of the dump gave a key falls back to `id`,
@@ -477,83 +535,58 @@ impl Parser {
     fn fallback_keys(&mut self) {
         let keyless: Vec<(String, String)> = self
             .out
-            .tables
-            .iter()
+            .schema
+            .tables()
             .filter(|t| t.primary_key.is_empty())
-            .map(|t| (t.name.clone(), t.column("id").unwrap_or(&t.columns[0]).name.clone()))
+            .filter_map(|t| {
+                Some((t.name.clone(), t.column("id").or(t.columns.first())?.name.clone()))
+            })
             .collect();
         for (table, key) in keyless {
-            let line = self.line();
-            self.primary_key(&table, vec![key], line);
+            let _ = self.out.schema.set_primary_key(&table, &[key]);
         }
     }
 
     /// The one primary-key rule, shared by CREATE TABLE and `ALTER TABLE …
-    /// ADD PRIMARY KEY`: the first key column takes the table's
-    /// `primary_key` slot, every key column is NOT NULL, and a composite
-    /// key is also a unique constraint so no integrity information is
-    /// lost. On a table the dump never created only the not-null facets
-    /// are kept.
+    /// ADD PRIMARY KEY`: [`Schema::set_primary_key`], and a composite key
+    /// is also a unique constraint so no integrity information is lost.
+    /// On a table the schema lacks only the not-null facets wait.
     fn primary_key(&mut self, table: &str, key: Vec<String>, line: u32) {
-        match self.out.tables.iter_mut().find(|t| t.name == table) {
-            Some(t) => {
-                t.primary_key = key[0].clone();
-                for k in &key {
-                    if let Some(c) = t.column_mut(k) {
-                        c.nullable = false;
-                    }
-                }
-            }
-            None => {
-                for k in &key {
-                    self.push_not_null(table, k, line);
-                }
+        if self.out.schema.set_primary_key(table, &key).is_err() {
+            for k in &key {
+                self.declare(Constraint::not_null(table, k), line);
             }
         }
         if key.len() > 1 {
-            self.out
-                .constraints
-                .push(ParsedConstraint { constraint: Constraint::unique(table, key), line });
+            self.declare(Constraint::unique(table, key), line);
         }
     }
 
     /// One item of a CREATE TABLE body: a column definition or a
     /// table-level constraint. Recovers to the next `,`/`)` on error.
     /// Returns true when recovery consumed the statement terminator.
-    fn table_item(
-        &mut self,
-        table: &str,
-        columns: &mut Vec<Column>,
-        pk_columns: &mut Vec<String>,
-        constraints: &mut Vec<ParsedConstraint>,
-    ) -> bool {
+    fn table_item(&mut self, table: &str, body: &mut Body) -> bool {
         // Table-level constraints start with a bare keyword; quoted names
         // are always column definitions (`"unique" integer` is a column).
         if let Some(Tok::Word(w)) = self.peek() {
             let kw = w.to_ascii_uppercase();
             if TABLE_CONSTRAINT_KEYWORDS.contains(&kw.as_str()) {
-                return self.table_constraint(table, pk_columns, constraints);
+                return self.table_constraint(table, body);
             }
         }
-        self.column_def(table, columns, pk_columns, constraints)
+        self.column_def(table, body)
     }
 
-    fn table_constraint(
-        &mut self,
-        table: &str,
-        pk_columns: &mut Vec<String>,
-        constraints: &mut Vec<ParsedConstraint>,
-    ) -> bool {
+    /// A table-level constraint clause. Its name, from `CONSTRAINT <name>`
+    /// or MySQL's `UNIQUE KEY <name>`, goes with the constraint it
+    /// declares, for `DROP CONSTRAINT`.
+    fn table_constraint(&mut self, table: &str, body: &mut Body) -> bool {
         let line = self.line();
-        if self.eat_kw("CONSTRAINT") {
-            // Constraint name — parsed and discarded: names don't affect
-            // constraint identity in the model.
-            let _ = self.ident();
-        }
+        let mut name = if self.eat_kw("CONSTRAINT") { self.ident() } else { None };
         if self.eat_kw("PRIMARY") {
             self.eat_kw("KEY");
             match self.paren_name_list() {
-                Ok(cols) => pk_columns.extend(cols),
+                Ok(cols) => body.key.extend(cols),
                 Err(msg) => {
                     self.unsupported(format!("PRIMARY KEY on `{table}`: {msg}"));
                     return self.skip_clause();
@@ -564,11 +597,11 @@ impl Parser {
             self.eat_kw("INDEX");
             // MySQL allows `UNIQUE KEY name (cols)`.
             if !matches!(self.peek(), Some(Tok::LParen)) {
-                let _ = self.ident();
+                let index = self.ident();
+                name = name.or(index);
             }
             match self.paren_name_list() {
-                Ok(cols) => constraints
-                    .push(ParsedConstraint { constraint: Constraint::unique(table, cols), line }),
+                Ok(cols) => body.constraints.push((Constraint::unique(table, cols), line, name)),
                 Err(msg) => {
                     self.unsupported(format!("UNIQUE on `{table}`: {msg}"));
                     return self.skip_clause();
@@ -577,7 +610,7 @@ impl Parser {
         } else if self.eat_kw("FOREIGN") {
             self.eat_kw("KEY");
             match self.foreign_key_tail(table) {
-                Ok(c) => constraints.push(ParsedConstraint { constraint: c, line }),
+                Ok(c) => body.constraints.push((c, line, name)),
                 Err(msg) => {
                     self.unsupported(format!("FOREIGN KEY on `{table}`: {msg}"));
                     return self.skip_clause();
@@ -588,8 +621,7 @@ impl Parser {
             // anything richer is skipped silently (resync handles the
             // rest of the clause either way, e.g. PostgreSQL NO INHERIT).
             if let Some(p) = self.check_predicate() {
-                constraints
-                    .push(ParsedConstraint { constraint: Constraint::check(table, p), line });
+                body.constraints.push((Constraint::check(table, p), line, name));
             }
             return self.skip_clause();
         } else if self.eat_kw("EXCLUDE")
@@ -712,13 +744,7 @@ impl Parser {
 
     // ---- column definitions ---------------------------------------------
 
-    fn column_def(
-        &mut self,
-        table: &str,
-        columns: &mut Vec<Column>,
-        pk_columns: &mut Vec<String>,
-        constraints: &mut Vec<ParsedConstraint>,
-    ) -> bool {
+    fn column_def(&mut self, table: &str, body: &mut Body) -> bool {
         let line = self.line();
         let Some(name) = self.ident() else {
             self.error(format!("expected a column name in `{table}`"));
@@ -749,16 +775,17 @@ impl Parser {
                         "PRIMARY" => {
                             self.pos += 1;
                             self.eat_kw("KEY");
-                            pk_columns.push(name.clone());
+                            body.key.push(name.clone());
                             col.nullable = false;
                         }
                         "UNIQUE" => {
                             self.pos += 1;
                             self.eat_kw("KEY");
-                            constraints.push(ParsedConstraint {
-                                constraint: Constraint::unique(table, [name.clone()]),
+                            body.constraints.push((
+                                Constraint::unique(table, [name.clone()]),
                                 line,
-                            });
+                                None,
+                            ));
                         }
                         "DEFAULT" => {
                             self.pos += 1;
@@ -767,14 +794,14 @@ impl Parser {
                         "REFERENCES" => {
                             self.pos += 1;
                             match self.references_tail(table, &name) {
-                                Ok(c) => constraints.push(ParsedConstraint { constraint: c, line }),
+                                Ok(c) => body.constraints.push((c, line, None)),
                                 Err(msg) => {
                                     self.unsupported(format!(
                                         "REFERENCES on `{table}.{name}`: {msg}"
                                     ));
                                     let terminated = self.skip_clause();
-                                    if columns.iter().all(|c| c.name != name) {
-                                        columns.push(col);
+                                    if body.columns.iter().all(|c| c.name != name) {
+                                        body.columns.push(col);
                                     }
                                     return terminated;
                                 }
@@ -783,10 +810,9 @@ impl Parser {
                         "CHECK" => {
                             self.pos += 1;
                             match self.check_predicate() {
-                                Some(p) => constraints.push(ParsedConstraint {
-                                    constraint: Constraint::check(table, p),
-                                    line,
-                                }),
+                                Some(p) => {
+                                    body.constraints.push((Constraint::check(table, p), line, None))
+                                }
                                 None => self.skip_balanced(),
                             }
                         }
@@ -838,11 +864,11 @@ impl Parser {
             }
         }
 
-        if columns.iter().any(|c| c.name == name) {
+        if body.columns.iter().any(|c| c.name == name) {
             self.error(format!("duplicate column `{name}` in `{table}`; keeping the first"));
             return false;
         }
-        columns.push(col);
+        body.columns.push(col);
         false
     }
 
@@ -959,47 +985,37 @@ impl Parser {
         args
     }
 
-    /// A literal after `DEFAULT`. Function calls and expressions yield
-    /// `None` (the model only stores literal defaults).
+    /// A literal — string, integer with optional sign, or
+    /// TRUE/FALSE/NULL — consumed; anything else is left in place.
+    fn literal(&mut self) -> Option<Literal> {
+        let (lit, len) = match (self.peek()?, self.peek2()) {
+            (Tok::Str(s), _) => (Literal::Str(s.clone()), 1),
+            (Tok::Num(n), _) => (Literal::Int(n.parse().ok()?), 1),
+            (Tok::Op('-'), Some(Tok::Num(n))) => (Literal::Int(-n.parse::<i64>().ok()?), 2),
+            (Tok::Word(w), _) => match w.to_ascii_uppercase().as_str() {
+                "TRUE" => (Literal::Bool(true), 1),
+                "FALSE" => (Literal::Bool(false), 1),
+                "NULL" => (Literal::Null, 1),
+                _ => return None,
+            },
+            _ => return None,
+        };
+        self.pos += len;
+        Some(lit)
+    }
+
+    /// A literal after `DEFAULT`. Function calls and expressions are
+    /// skipped and yield `None` (the model only stores literal defaults).
     fn parse_default(&mut self) -> Option<Literal> {
-        match self.peek().cloned() {
-            Some(Tok::Str(s)) => {
-                self.pos += 1;
-                Some(Literal::Str(s))
-            }
-            Some(Tok::Num(n)) => {
-                self.pos += 1;
-                n.parse::<i64>().ok().map(Literal::Int)
-            }
-            Some(Tok::Op('-')) => {
-                if let Some(Tok::Num(n)) = self.peek2().cloned() {
-                    self.pos += 2;
-                    n.parse::<i64>().ok().map(|v| Literal::Int(-v))
-                } else {
-                    self.pos += 1;
-                    None
-                }
-            }
-            Some(Tok::Word(w)) => {
-                let kw = w.to_ascii_uppercase();
-                self.pos += 1;
-                match kw.as_str() {
-                    "TRUE" => Some(Literal::Bool(true)),
-                    "FALSE" => Some(Literal::Bool(false)),
-                    "NULL" => Some(Literal::Null),
-                    _ => {
-                        // now(), CURRENT_TIMESTAMP, nextval('…'), …
-                        self.skip_balanced();
-                        None
-                    }
-                }
-            }
-            Some(Tok::LParen) => {
-                self.skip_balanced();
-                None
-            }
-            _ => None,
+        if let Some(lit) = self.literal() {
+            return Some(lit);
         }
+        // now(), CURRENT_TIMESTAMP, nextval('…'), 1.5, (expr), …
+        if matches!(self.peek(), Some(Tok::Num(_) | Tok::Op('-') | Tok::Word(_))) {
+            self.pos += 1;
+        }
+        self.skip_balanced();
+        None
     }
 
     // ---- CHECK predicates -----------------------------------------------
@@ -1094,40 +1110,11 @@ impl Parser {
         Some(op)
     }
 
-    /// A comparable literal inside a CHECK body: string, integer (with
-    /// optional sign), or boolean. `NULL` is rejected — `col op NULL` is
-    /// never satisfiable and such a body is skipped rather than modeled.
+    /// A comparable literal inside a CHECK body. `NULL` is rejected —
+    /// `col op NULL` is never satisfiable and such a body is skipped
+    /// rather than modeled.
     fn check_literal(&mut self) -> Option<Literal> {
-        match self.peek().cloned() {
-            Some(Tok::Str(s)) => {
-                self.pos += 1;
-                Some(Literal::Str(s))
-            }
-            Some(Tok::Num(n)) => {
-                self.pos += 1;
-                n.parse::<i64>().ok().map(Literal::Int)
-            }
-            Some(Tok::Op('-')) => {
-                if let Some(Tok::Num(n)) = self.peek2().cloned() {
-                    self.pos += 2;
-                    n.parse::<i64>().ok().map(|v| Literal::Int(-v))
-                } else {
-                    None
-                }
-            }
-            Some(Tok::Word(w)) => match w.to_ascii_uppercase().as_str() {
-                "TRUE" => {
-                    self.pos += 1;
-                    Some(Literal::Bool(true))
-                }
-                "FALSE" => {
-                    self.pos += 1;
-                    Some(Literal::Bool(false))
-                }
-                _ => None,
-            },
-            _ => None,
-        }
+        self.literal().filter(|v| !v.is_null())
     }
 
     /// `( lit [, lit]* )` after `IN` — at least one literal, all non-NULL.
@@ -1197,19 +1184,17 @@ impl Parser {
 
     /// One ALTER TABLE action. `ADD`, `MODIFY` and `CHANGE` read their
     /// clause with the CREATE TABLE grammar (`table_item`, `column_def`)
-    /// and graft the result onto the table. Returns true when recovery
+    /// and apply the result to the table. Returns true when recovery
     /// consumed the statement terminator (so the action loop must stop).
     fn alter_action(&mut self, table: &str) -> bool {
         let line = self.line();
-        let mut columns = Vec::new();
-        let mut key = Vec::new();
-        let mut constraints = Vec::new();
+        let mut body = Body::default();
         let add = self.eat_kw("ADD");
         let terminated = if add {
             if self.eat_kw("COLUMN") {
-                self.column_def(table, &mut columns, &mut key, &mut constraints)
+                self.column_def(table, &mut body)
             } else if matches!(self.peek(), Some(Tok::Word(_) | Tok::Quoted(_))) {
-                self.table_item(table, &mut columns, &mut key, &mut constraints)
+                self.table_item(table, &mut body)
             } else {
                 self.unsupported(format!("unrecognized ADD action on `{table}`"));
                 return self.skip_clause();
@@ -1226,109 +1211,84 @@ impl Parser {
                 self.error(format!("expected column name in CHANGE on `{table}`"));
                 return self.skip_clause();
             }
-            let terminated = self.column_def(table, &mut columns, &mut key, &mut constraints);
-            if let (Some(old), Some(new)) = (old, columns.first()) {
-                self.rename_column(table, &old, &new.name);
+            let terminated = self.column_def(table, &mut body);
+            if let (Some(old), Some(new)) = (old, body.columns.first()) {
+                if old != new.name {
+                    if self.out.schema.table(table).is_some_and(|t| t.column(&new.name).is_some()) {
+                        self.error(format!(
+                            "CHANGE renames `{table}.{old}` onto `{}`; ignored",
+                            new.name
+                        ));
+                    } else {
+                        // On a table or column the schema lacks, only what
+                        // waits for it is renamed.
+                        let _ = self.out.schema.rename_column(table, &old, &new.name);
+                        let waiting = self.out.pending.iter_mut().map(|(c, _)| c);
+                        for c in waiting.chain(self.names.values_mut()) {
+                            c.rename_column(table, &old, &new.name);
+                        }
+                    }
+                }
             }
             terminated
         } else if self.eat_kw("ALTER") {
             return self.alter_column(table, line);
+        } else if self.is_kw("DROP") && self.is_kw2("CONSTRAINT") {
+            self.pos += 2;
+            return self.drop_constraint(table);
         } else {
-            // DROP / RENAME / OWNER / … are outside declared-constraint
-            // ingestion; skip the action.
+            // DROP COLUMN / RENAME / OWNER / … are outside declared-
+            // constraint ingestion; skip the action.
             return self.skip_clause();
         };
-        for col in columns {
-            self.graft_column(table, col, add, line);
+        // ADD appends a column; MODIFY and CHANGE merge it into the
+        // existing column additively: a declared NOT NULL or literal
+        // DEFAULT is set, nothing is cleared and the type is kept. On a
+        // table or column the schema lacks, those constraints wait.
+        for col in std::mem::take(&mut body.columns) {
+            if add && self.out.schema.table(table).is_some() {
+                let name = col.name.clone();
+                if self.out.schema.add_column(table, col).is_err() {
+                    self.error(format!("ADD COLUMN duplicates `{table}.{name}`; ignored"));
+                }
+                continue;
+            }
+            if !col.nullable {
+                self.declare(Constraint::not_null(table, &col.name), line);
+            }
+            if let Some(value) = col.default.filter(|d| !d.is_null()) {
+                self.set_default(table, &col.name, Some(value), line);
+            }
         }
-        if !key.is_empty() {
-            self.primary_key(table, key, line);
-        }
-        self.out.constraints.extend(constraints);
+        self.apply(table, body, line);
         terminated
     }
 
-    /// Grafts a column definition read by `column_def` onto `table`. `ADD`
-    /// appends it; MODIFY and CHANGE merge it into the existing column
-    /// additively: a declared NOT NULL or literal DEFAULT is set, nothing
-    /// is cleared and the type is kept. On a table the dump never created,
-    /// or a column it lacks, only those constraint facets are kept.
-    fn graft_column(&mut self, table: &str, col: Column, add: bool, line: u32) {
-        if add {
-            if let Some(t) = self.out.tables.iter_mut().find(|t| t.name == table) {
-                if t.column(&col.name).is_none() {
-                    t.columns.push(col);
-                } else {
-                    self.error(format!("ADD COLUMN duplicates `{table}.{}`; ignored", col.name));
-                }
-                return;
-            }
+    /// `DROP CONSTRAINT [IF EXISTS] <name>` after the table name: drops
+    /// what the named clause or unique index declared. An unknown name
+    /// without `IF EXISTS` is an `Unsupported` warning.
+    fn drop_constraint(&mut self, table: &str) -> bool {
+        let if_exists = self.is_kw("IF") && self.is_kw2("EXISTS");
+        if if_exists {
+            self.pos += 2;
         }
-        if !col.nullable {
-            self.push_not_null(table, &col.name, line);
-        }
-        if let Some(value) = col.default.filter(|d| !d.is_null()) {
-            self.push_default(table, &col.name, value, line);
-        }
-    }
-
-    /// `CHANGE old new …`: renames `table.old` to `new` in the table and
-    /// in every constraint recorded on it so far, before the new definition
-    /// is merged. A rename onto another existing column is ignored.
-    fn rename_column(&mut self, table: &str, old: &str, new: &str) {
-        if old == new {
-            return;
-        }
-        if self.out.tables.iter().any(|t| t.name == table && t.column(new).is_some()) {
-            self.error(format!("CHANGE renames `{table}.{old}` onto `{new}`; ignored"));
-            return;
-        }
-        if let Some(t) = self.out.tables.iter_mut().find(|t| t.name == table) {
-            if let Some(c) = t.column_mut(old) {
-                c.name = new.to_string();
-            }
-            if t.primary_key == old {
-                t.primary_key = new.to_string();
-            }
-        }
-        let rename = |col: &mut String| {
-            if col == old {
-                *col = new.to_string();
-            }
+        let Some(name) = self.ident() else {
+            self.error(format!("expected constraint name in DROP CONSTRAINT on `{table}`"));
+            return self.skip_clause();
         };
-        for pc in &mut self.out.constraints {
-            let here = pc.constraint.table() == table;
-            match &mut pc.constraint {
-                Constraint::NotNull { column, .. } | Constraint::Default { column, .. } if here => {
-                    rename(column)
-                }
-                Constraint::Check {
-                    predicate: Predicate::Compare { column, .. } | Predicate::In { column, .. },
-                    ..
-                } if here => rename(column),
-                Constraint::Unique { columns, conditions, .. } if here => {
-                    columns.iter_mut().for_each(rename);
-                    conditions.iter_mut().for_each(|c| rename(&mut c.column));
-                    columns.sort();
-                    conditions.sort();
-                }
-                Constraint::ForeignKey { column, ref_table, ref_column, .. } => {
-                    if here {
-                        rename(column);
-                    }
-                    if ref_table == table {
-                        rename(ref_column);
-                    }
-                }
-                _ => {}
-            }
+        match self.names.remove(&(table.to_string(), name.clone())) {
+            Some(c) => self.drop_where(|x| *x == c),
+            None if !if_exists => self.unsupported(format!(
+                "DROP CONSTRAINT on `{table}`: no modeled constraint named `{name}`; skipped"
+            )),
+            None => {}
         }
+        false
     }
 
     /// `ALTER [COLUMN] c SET NOT NULL | SET DEFAULT lit | DROP NOT NULL |
-    /// DROP DEFAULT`; a DROP undoes what SET declared, in the column and in
-    /// the recorded constraints. `TYPE …` and expression or NULL defaults
-    /// carry no constraint and are skipped.
+    /// DROP DEFAULT`; a DROP undoes what SET declared. `TYPE …` and
+    /// expression or NULL defaults carry no constraint and are skipped.
     fn alter_column(&mut self, table: &str, line: u32) -> bool {
         self.eat_kw("COLUMN");
         let Some(column) = self.ident() else {
@@ -1336,26 +1296,13 @@ impl Parser {
             return self.skip_clause();
         };
         if self.eat_kw("DROP") {
-            let not_null = self.eat_kw("NOT") && self.eat_kw("NULL");
-            if !not_null && !self.eat_kw("DEFAULT") {
+            if self.eat_kw("NOT") && self.eat_kw("NULL") {
+                let not_null = Constraint::not_null(table, &column);
+                self.drop_where(|c| *c == not_null);
+            } else if self.eat_kw("DEFAULT") {
+                self.set_default(table, &column, None, line);
+            } else {
                 return self.skip_clause();
-            }
-            let dropped = |pc: &ParsedConstraint| match &pc.constraint {
-                Constraint::NotNull { table: t, column: c } => {
-                    not_null && t == table && *c == column
-                }
-                Constraint::Default { table: t, column: c, .. } => {
-                    !not_null && t == table && *c == column
-                }
-                _ => false,
-            };
-            self.out.constraints.retain(|pc| !dropped(pc));
-            if let Some(col) = self.column_mut(table, &column) {
-                if not_null {
-                    col.nullable = true;
-                } else {
-                    col.default = None;
-                }
             }
             return false;
         }
@@ -1364,43 +1311,16 @@ impl Parser {
         }
         if self.eat_kw("NOT") {
             self.eat_kw("NULL");
-            self.push_not_null(table, &column, line);
+            self.declare(Constraint::not_null(table, &column), line);
             return false;
         }
         if self.eat_kw("DEFAULT") {
             if let Some(value) = self.parse_default().filter(|v| !v.is_null()) {
-                self.push_default(table, &column, value, line);
+                self.set_default(table, &column, Some(value), line);
                 return false;
             }
         }
         self.skip_clause()
-    }
-
-    /// The column `table.column` of a table the dump created, if any.
-    fn column_mut(&mut self, table: &str, column: &str) -> Option<&mut Column> {
-        self.out.tables.iter_mut().find(|t| t.name == table)?.column_mut(column)
-    }
-
-    fn push_not_null(&mut self, table: &str, column: &str, line: u32) {
-        self.out
-            .constraints
-            .push(ParsedConstraint { constraint: Constraint::not_null(table, column), line });
-        if let Some(col) = self.column_mut(table, column) {
-            col.nullable = false;
-        }
-    }
-
-    /// Records a `DEFAULT` constraint and syncs the column's default so
-    /// [`ParsedSql::constraint_set`] and [`ParsedSql::into_schema`] agree.
-    /// Callers must have filtered out `Literal::Null`.
-    fn push_default(&mut self, table: &str, column: &str, value: Literal, line: u32) {
-        self.out.constraints.push(ParsedConstraint {
-            constraint: Constraint::default_value(table, column, value.clone()),
-            line,
-        });
-        if let Some(col) = self.column_mut(table, column) {
-            col.default = Some(value);
-        }
     }
 
     // ---- CREATE [UNIQUE] INDEX ------------------------------------------
@@ -1413,9 +1333,7 @@ impl Parser {
             self.eat_kw("EXISTS");
         }
         // Index name is optional in PostgreSQL.
-        if !self.is_kw("ON") {
-            let _ = self.qualified_name();
-        }
+        let name = if self.is_kw("ON") { None } else { self.qualified_name() };
         if !self.eat_kw("ON") {
             self.error("expected ON in CREATE INDEX");
             self.skip_to_semi();
@@ -1472,7 +1390,12 @@ impl Parser {
         // (`x = 1 AND x = 2`); the fallible constructor turns that into a
         // typed warning instead of a panic.
         match Constraint::try_partial_unique(&table, cols, conditions) {
-            Ok(c) => self.out.constraints.push(ParsedConstraint { constraint: c, line }),
+            Ok(c) => {
+                if let Some(name) = name {
+                    self.names.insert((table.clone(), name), c.clone());
+                }
+                self.declare(c, line);
+            }
             Err(e) => {
                 self.unsupported(format!("dropped constraint ({e}): unique index on `{table}`"));
             }
@@ -1498,39 +1421,12 @@ impl Parser {
                 return Err(format!("expected `=` after `{column}`"));
             }
             self.pos += 1;
-            let value = match self.peek().cloned() {
-                Some(Tok::Str(s)) => {
-                    self.pos += 1;
-                    Literal::Str(s)
-                }
-                Some(Tok::Num(n)) => {
-                    self.pos += 1;
-                    n.parse::<i64>().map(Literal::Int).map_err(|_| "non-integer number")?
-                }
-                Some(Tok::Op('-')) => {
-                    self.pos += 1;
-                    match self.peek().cloned() {
-                        Some(Tok::Num(n)) => {
-                            self.pos += 1;
-                            n.parse::<i64>()
-                                .map(|v| Literal::Int(-v))
-                                .map_err(|_| "non-integer number")?
-                        }
-                        _ => return Err("expected a number after `-`".to_string()),
-                    }
-                }
-                Some(Tok::Word(w)) => {
-                    let kw = w.to_ascii_uppercase();
-                    self.pos += 1;
-                    match kw.as_str() {
-                        "TRUE" => Literal::Bool(true),
-                        "FALSE" => Literal::Bool(false),
-                        "NULL" => Literal::Null,
-                        _ => return Err(format!("non-literal value `{w}`")),
-                    }
-                }
-                _ => return Err("expected a literal value".to_string()),
-            };
+            let value = self.literal().ok_or_else(|| match self.peek() {
+                Some(Tok::Word(w)) => format!("non-literal value `{w}`"),
+                Some(Tok::Num(_)) => "non-integer number".to_string(),
+                Some(Tok::Op('-')) => "expected a number after `-`".to_string(),
+                _ => "expected a literal value".to_string(),
+            })?;
             conds.push(Condition { column, value });
             // Close any parens wrapping this term or the whole predicate.
             while parens > 0 && matches!(self.peek(), Some(Tok::RParen)) {
@@ -1577,8 +1473,8 @@ mod tests {
         "#;
         let parsed = parse_sql(sql);
         assert!(parsed.errors.is_empty(), "{:?}", parsed.errors);
-        assert_eq!(parsed.tables.len(), 1);
-        let t = &parsed.tables[0];
+        assert_eq!(parsed.schema.table_count(), 1);
+        let t = parsed.schema.tables().next().unwrap();
         assert_eq!(t.name, "users");
         assert_eq!(t.primary_key, "id");
         assert!(!t.column("id").unwrap().nullable);
@@ -1609,7 +1505,7 @@ mod tests {
         "#;
         let parsed = parse_sql(sql);
         assert!(parsed.errors.is_empty(), "{:?}", parsed.errors);
-        let t = &parsed.tables[0];
+        let t = parsed.schema.tables().next().unwrap();
         assert_eq!(t.name, "order");
         assert_eq!(t.primary_key, "id");
         assert_eq!(t.column("id").unwrap().ty, ColumnType::Integer);
@@ -1657,7 +1553,7 @@ mod tests {
         assert!(set.contains(&Constraint::unique("t", ["a", "c"])));
         assert!(set.contains(&Constraint::foreign_key("t", "b", "u", "id")));
         // The column flags were synced too.
-        let t = &parsed.tables[0];
+        let t = parsed.schema.table("t").unwrap();
         assert!(!t.column("a").unwrap().nullable);
         assert!(!t.column("c").unwrap().nullable);
     }
@@ -1777,7 +1673,8 @@ mod tests {
         // A rename onto another existing column is refused.
         let parsed = parse_sql("CREATE TABLE t (a int, b int);\nALTER TABLE t CHANGE a b int;");
         assert_eq!(parsed.errors.len(), 1, "{:?}", parsed.errors);
-        let names: Vec<&str> = parsed.tables[0].columns.iter().map(|c| c.name.as_str()).collect();
+        let names: Vec<&str> =
+            parsed.schema.table("t").unwrap().columns.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(names, ["a", "b"]);
     }
 
@@ -1821,9 +1718,11 @@ mod tests {
         "#;
         let parsed = parse_sql(sql);
         assert!(parsed.errors.is_empty(), "{:?}", parsed.errors);
-        let names: Vec<&str> = parsed.tables[0].columns.iter().map(|c| c.name.as_str()).collect();
+        let names: Vec<&str> =
+            parsed.schema.table("t").unwrap().columns.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(names, ["id", "c"]);
-        assert!(parsed.constraints.is_empty(), "{:?}", parsed.constraints);
+        let key = Constraint::not_null("t", "id");
+        assert!(parsed.constraint_set().iter().all(|c| *c == key), "{:?}", parsed.constraint_set());
     }
 
     #[test]
@@ -1833,11 +1732,13 @@ mod tests {
             ALTER TABLE t ADD CONSTRAINT x BOGUS (id);
         "#;
         let parsed = parse_sql(sql);
-        let names: Vec<&str> = parsed.tables[0].columns.iter().map(|c| c.name.as_str()).collect();
+        let names: Vec<&str> =
+            parsed.schema.table("t").unwrap().columns.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(names, ["id", "c"]);
         assert_eq!(parsed.errors.len(), 1, "{:?}", parsed.errors);
         assert_eq!(parsed.errors[0].kind, SqlErrorKind::Unsupported);
-        assert!(parsed.constraints.is_empty(), "{:?}", parsed.constraints);
+        let key = Constraint::not_null("t", "id");
+        assert!(parsed.constraint_set().iter().all(|c| *c == key), "{:?}", parsed.constraint_set());
     }
 
     #[test]
@@ -1851,7 +1752,7 @@ mod tests {
         ] {
             let parsed = parse_sql(sql);
             assert!(parsed.errors.is_empty(), "{sql}: {:?}", parsed.errors);
-            let t = &parsed.tables[0];
+            let t = parsed.schema.table("t").unwrap();
             assert_eq!(t.primary_key, "code", "{sql}");
             assert!(t.column("id").unwrap().nullable, "{sql}: `id` is no longer the key");
             // Only the key's NOT NULL: a single-column key declares no unique.
@@ -1871,7 +1772,7 @@ mod tests {
         "#;
         let parsed = parse_sql(sql);
         assert!(parsed.errors.is_empty(), "{:?}", parsed.errors);
-        assert!(!parsed.tables[1].column("k").unwrap().nullable);
+        assert!(!parsed.schema.table("t").unwrap().column("k").unwrap().nullable);
         let set = parsed.constraint_set();
         assert!(set.contains(&Constraint::not_null("t", "k")));
         assert!(set.contains(&Constraint::unique("t", ["code"])));
@@ -1890,7 +1791,7 @@ mod tests {
         "#;
         let parsed = parse_sql(sql);
         assert!(parsed.errors.is_empty(), "{:?}", parsed.errors);
-        assert_eq!(parsed.tables[0].columns.len(), 2);
+        assert_eq!(parsed.schema.table("t").unwrap().columns.len(), 2);
         assert!(!parsed.constraint_set().iter().any(|c| matches!(c, Constraint::Check { .. })));
     }
 
@@ -1917,7 +1818,7 @@ mod tests {
             c,
             Constraint::Default { column, .. } if column == "z"
         )));
-        let t = &parsed.tables[0];
+        let t = parsed.schema.table("t").unwrap();
         assert_eq!(t.column("status").unwrap().default, Some(Literal::Str("Open".into())));
         assert_eq!(t.column("n").unwrap().default, Some(Literal::Int(7)));
     }
@@ -1948,7 +1849,7 @@ mod tests {
             CREATE UNIQUE INDEX w ON t (a) WHERE a > 0;
         "#;
         let parsed = parse_sql(sql);
-        assert_eq!(parsed.tables.len(), 1);
+        assert_eq!(parsed.schema.table_count(), 1);
         assert!(parsed.constraint_set().iter().all(|c| matches!(c, Constraint::NotNull { .. })));
         assert_eq!(parsed.errors.len(), 3, "{:?}", parsed.errors);
         assert!(parsed.errors.iter().all(|e| e.kind == SqlErrorKind::Unsupported));
@@ -1961,7 +1862,7 @@ mod tests {
             CREATE TABLE fine (id bigint PRIMARY KEY, x varchar(5) NOT NULL);
         "#;
         let parsed = parse_sql(sql);
-        assert!(parsed.tables.iter().any(|t| t.name == "fine"));
+        assert!(parsed.schema.table("fine").is_some());
         assert!(parsed.constraint_set().contains(&Constraint::not_null("fine", "x")));
     }
 
@@ -1972,8 +1873,8 @@ mod tests {
             CREATE TABLE t (b bigint);
         "#;
         let parsed = parse_sql(sql);
-        assert_eq!(parsed.tables.len(), 1);
-        assert_eq!(parsed.tables[0].columns.len(), 1);
+        assert_eq!(parsed.schema.table_count(), 1);
+        assert_eq!(parsed.schema.table("t").unwrap().columns.len(), 1);
         assert_eq!(parsed.errors.len(), 2);
         // into_schema is safe: parser-level dedup means add_table can't panic.
         let (schema, _) = parsed.into_schema();
@@ -1985,7 +1886,7 @@ mod tests {
         let sql = "CREATE TABLE m (a bigint, b bigint, PRIMARY KEY (a, b));";
         let parsed = parse_sql(sql);
         assert!(parsed.errors.is_empty(), "{:?}", parsed.errors);
-        let t = &parsed.tables[0];
+        let t = parsed.schema.table("m").unwrap();
         assert_eq!(t.primary_key, "a");
         assert!(!t.column("a").unwrap().nullable);
         assert!(!t.column("b").unwrap().nullable);
@@ -2013,7 +1914,7 @@ mod tests {
             CREATE TABLE t (id bigint PRIMARY KEY);
         "#;
         let parsed = parse_sql(sql);
-        assert_eq!(parsed.tables.len(), 1);
+        assert_eq!(parsed.schema.table_count(), 1);
         assert!(parsed.errors.is_empty(), "{:?}", parsed.errors);
         assert_eq!(parsed.statements, 5);
     }
@@ -2025,7 +1926,84 @@ mod tests {
             ALTER TABLE public.users ADD CONSTRAINT u UNIQUE (id);
         "#;
         let parsed = parse_sql(sql);
-        assert_eq!(parsed.tables[0].name, "users");
+        assert_eq!(parsed.schema.tables().next().unwrap().name, "users");
         assert!(parsed.constraint_set().contains(&Constraint::unique("users", ["id"])));
+    }
+
+    #[test]
+    fn drop_constraint_drops_what_the_named_clause_declared() {
+        let sql = "CREATE TABLE t (id int PRIMARY KEY, b int, CONSTRAINT uq_b UNIQUE (b));\n\
+                   ALTER TABLE t DROP CONSTRAINT uq_b;";
+        let parsed = parse_sql(sql);
+        let unique = Constraint::unique("t", ["b"]);
+        assert!(!parsed.constraint_set().contains(&unique), "{:?}", parsed.constraint_set());
+        let (schema, errors) = parsed.into_schema();
+        assert!(errors.is_empty(), "{errors:?}");
+        assert!(!schema.constraints().contains(&unique), "{schema:?}");
+
+        // Names from ALTER TABLE and CREATE UNIQUE INDEX, a constraint that
+        // still waits for its table, and a name that followed a rename.
+        let sql = r#"
+            CREATE TABLE t (id int PRIMARY KEY, a int, b int, c int);
+            ALTER TABLE t ADD CONSTRAINT fk_u FOREIGN KEY (a) REFERENCES u (id);
+            ALTER TABLE t ADD CONSTRAINT ck_b CHECK (b > 0), ADD CONSTRAINT uq_c UNIQUE (c);
+            CREATE UNIQUE INDEX ix_a ON t (a) WHERE b = 1;
+            ALTER TABLE t CHANGE b z int;
+            ALTER TABLE t DROP CONSTRAINT fk_u, DROP CONSTRAINT ck_b;
+            ALTER TABLE t DROP CONSTRAINT IF EXISTS ix_a;
+            ALTER TABLE t DROP CONSTRAINT IF EXISTS never_declared;
+            CREATE TABLE u (id int PRIMARY KEY);
+        "#;
+        let parsed = parse_sql(sql);
+        let set = parsed.constraint_set();
+        let (schema, errors) = parsed.into_schema();
+        assert!(errors.is_empty(), "{errors:?}");
+        let kept = Constraint::unique("t", ["c"]);
+        for declared in [&set, schema.constraints()] {
+            assert!(declared.contains(&kept), "{declared:?}");
+            assert!(
+                declared.iter().all(|c| matches!(c, Constraint::NotNull { .. }) || *c == kept),
+                "{declared:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn drop_constraint_of_an_unknown_name_warns() {
+        let sql = "CREATE TABLE t (id int PRIMARY KEY, b int UNIQUE);\n\
+                   ALTER TABLE t DROP CONSTRAINT t_b_key;";
+        let (schema, errors) = parse_sql(sql).into_schema();
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert_eq!(errors[0].kind, SqlErrorKind::Unsupported);
+        assert_eq!(errors[0].line, 2);
+        assert!(errors[0].message.contains("`t_b_key`"), "{}", errors[0]);
+        assert!(schema.constraints().contains(&Constraint::unique("t", ["b"])));
+    }
+
+    #[test]
+    fn the_last_default_wins() {
+        for sql in [
+            "CREATE TABLE t (id int PRIMARY KEY, a int);\n\
+             ALTER TABLE t ALTER COLUMN a SET DEFAULT 1;\n\
+             ALTER TABLE t ALTER COLUMN a SET DEFAULT 2;",
+            "CREATE TABLE t (id int PRIMARY KEY, a int);\n\
+             ALTER TABLE t MODIFY a int DEFAULT 1;\n\
+             ALTER TABLE t MODIFY a int DEFAULT 2;",
+            "CREATE TABLE t (id int PRIMARY KEY, a int DEFAULT 1);\n\
+             ALTER TABLE t CHANGE a a int DEFAULT 2;",
+        ] {
+            let parsed = parse_sql(sql);
+            let set = parsed.constraint_set();
+            let (schema, errors) = parsed.into_schema();
+            assert!(errors.is_empty(), "{sql}: {errors:?}");
+            let defaults = |declared: &ConstraintSet| -> Vec<Constraint> {
+                declared.of_type(cfinder_schema::ConstraintType::Default).cloned().collect()
+            };
+            let want = vec![Constraint::default_value("t", "a", Literal::Int(2))];
+            assert_eq!(defaults(&set), want, "{sql}");
+            assert_eq!(defaults(schema.constraints()), want, "{sql}");
+            let a = schema.table("t").unwrap().column("a").unwrap();
+            assert_eq!(a.default, Some(Literal::Int(2)), "{sql}");
+        }
     }
 }

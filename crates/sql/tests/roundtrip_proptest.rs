@@ -496,8 +496,8 @@ proptest! {
                 "{d}: {sql}\nerrors: {:?}",
                 parsed.errors
             );
-            prop_assert_eq!(parsed.tables.len(), 1, "{} {}", d, sql);
-            prop_assert_eq!(&parsed.tables[0], &table, "{} {}", d, sql);
+            prop_assert_eq!(parsed.schema.table_count(), 1, "{} {}", d, sql);
+            prop_assert_eq!(parsed.schema.tables().next(), Some(&table), "{} {}", d, sql);
         }
     }
 

@@ -58,10 +58,10 @@ fn parser_survives_all_fault_kinds_on_all_dialect_dumps() {
                 }
                 // Recovery must not conjure tables that never existed.
                 assert!(
-                    parsed.tables.len() <= 4,
+                    parsed.schema.table_count() <= 4,
                     "{dialect}/{}/seed {seed}: {} tables from a 2-table dump",
                     kind.label(),
-                    parsed.tables.len()
+                    parsed.schema.table_count()
                 );
             }
         }

@@ -22,10 +22,13 @@
 //!   constraint is reported as missing.
 //! * `--schema-sql FILE` — declared schema as a SQL DDL dump (`pg_dump
 //!   --schema-only`, `mysqldump --no-data`, `sqlite3 .schema`); parsed by
-//!   the recovering multi-dialect parser in `cfinder::sql` and merged with
-//!   `--schema` (JSON wins on conflicts). A missing or unreadable file is
-//!   a usage error (exit 2); malformed statements inside the dump are
-//!   per-statement warnings, matching the analyzer's recovery discipline.
+//!   the recovering multi-dialect parser in `cfinder::sql`, whose
+//!   statements apply in order on top of `--schema`: a `CREATE TABLE` of
+//!   a table the JSON already declares is skipped with a warning, and
+//!   `ALTER TABLE`/`CREATE UNIQUE INDEX` statements apply to the JSON
+//!   tables. A missing or unreadable file is a usage error (exit 2);
+//!   malformed statements inside the dump are per-statement warnings,
+//!   matching the analyzer's recovery discipline.
 //! * `--dialect postgres|mysql|sqlite` — the SQL dialect used for every
 //!   emitted fix (the `fix:` lines and `--fix-out`); defaults to
 //!   `postgres`. An unknown name is a usage error (exit 2).
@@ -121,7 +124,6 @@ use std::sync::Arc;
 use cfinder::core::engine::resolve_threads;
 use cfinder::core::usage::{self, Args, EnvConfig};
 use cfinder::core::{atomic_write, load_app, AnalysisCache, CFinder, CFinderOptions, Limits, Obs};
-use cfinder::schema::Schema;
 use cfinder::sql::Dialect;
 
 /// One synopsis per subcommand: each prints its own on `--help` and
@@ -206,8 +208,14 @@ fn run_analyze(cli: &mut Args, env: &EnvConfig) -> Result<u8, String> {
     }
     let dir = dir.ok_or("missing source directory argument")?;
     let (app, mut declared) = load_app(dir, app_name(dir), schema_path.as_deref())?;
-    if let Some(sql_path) = &schema_sql_path {
-        merge_sql_schema(&mut declared, sql_path)?;
+    if let Some(path) = &schema_sql_path {
+        let text =
+            fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
+        let errors;
+        (declared, errors) = cfinder::sql::parse_sql_onto(declared, &text).into_schema();
+        for err in &errors {
+            eprintln!("warning: {}: {err}", path.display());
+        }
     }
 
     let obs = if profile_out.is_some() {
@@ -727,43 +735,4 @@ fn plural_y(n: usize) -> &'static str {
 /// The app name of a source directory: its last component.
 fn app_name(dir: &Path) -> &str {
     dir.file_name().and_then(|n| n.to_str()).unwrap_or("app")
-}
-
-/// Reads and parses a `schema.sql` dump, merging its tables and
-/// constraints into `declared`. A missing or unreadable file is a usage
-/// error; malformed or unsupported statements inside the dump degrade to
-/// per-statement warnings on stderr (the dump's remaining statements are
-/// still ingested). When a table exists in both sources the JSON `--schema`
-/// definition wins and the SQL one is skipped with a warning.
-fn merge_sql_schema(declared: &mut Schema, path: &Path) -> Result<(), String> {
-    let text = fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
-    let parsed = cfinder::sql::parse_sql(&text);
-    for err in &parsed.errors {
-        eprintln!("warning: {}: {err}", path.display());
-    }
-    for table in parsed.tables {
-        if declared.table(&table.name).is_some() {
-            eprintln!(
-                "warning: {}: table `{}` already declared via --schema; keeping the JSON definition",
-                path.display(),
-                table.name
-            );
-            continue;
-        }
-        declared.add_table(table);
-    }
-    for pc in parsed.constraints {
-        if declared.constraints().contains(&pc.constraint) {
-            continue;
-        }
-        if let Err(msg) = declared.add_constraint(pc.constraint.clone()) {
-            eprintln!(
-                "warning: {}:{}: dropped constraint ({msg}): {}",
-                path.display(),
-                pc.line,
-                pc.constraint
-            );
-        }
-    }
-    Ok(())
 }

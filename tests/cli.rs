@@ -447,6 +447,73 @@ fn fix_out_script_closes_the_loop_through_schema_sql() {
     assert_eq!(out.status.code(), Some(0), "fixed point not reached: {out:?}");
 }
 
+/// The `Voucher` table as `--schema` JSON, with no unique on `code`.
+fn write_voucher_json(dir: &std::path::Path) -> std::path::PathBuf {
+    use cfinder::schema::{Column, ColumnType, Schema, Table};
+    let mut schema = Schema::new();
+    schema
+        .add_table(Table::new("Voucher").with_column(Column::new("code", ColumnType::VarChar(32))));
+    let path = dir.join("schema.json");
+    fs::write(&path, schema.to_json()).unwrap();
+    path
+}
+
+/// `--schema-sql` replays onto the `--schema` tables: a `CREATE TABLE` of
+/// a table the JSON declares is a duplicate (the JSON definition and none
+/// of the SQL body is kept, with a warning), and a later `ALTER TABLE`
+/// applies to the JSON table.
+#[test]
+fn schema_sql_replays_onto_a_table_the_json_declares() {
+    let dir = temp_dir("schema-both");
+    write_demo(&dir);
+    let json = write_voucher_json(&dir);
+    let create =
+        "CREATE TABLE \"Voucher\" (\"id\" bigint PRIMARY KEY, \"code\" varchar(32) UNIQUE);\n";
+    let alter = "ALTER TABLE \"Voucher\" ADD CONSTRAINT \"uq_code\" UNIQUE (\"code\");\n";
+    for (dump, code) in [(create.to_string(), 1), (format!("{create}{alter}"), 0)] {
+        fs::write(dir.join("schema.sql"), &dump).unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_cfinder"))
+            .arg(dir.join("app"))
+            .arg("--schema")
+            .arg(&json)
+            .arg("--schema-sql")
+            .arg(dir.join("schema.sql"))
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(code), "{dump}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("duplicate CREATE TABLE `Voucher`; keeping the first"), "{stderr}");
+    }
+}
+
+/// A dump of fixes alone (no `CREATE TABLE`) applies to the JSON tables.
+#[test]
+fn fix_only_dump_applies_to_the_json_tables() {
+    let dir = temp_dir("fix-only");
+    write_demo(&dir);
+    let json = write_voucher_json(&dir);
+    let fixes = dir.join("fixes.sql");
+    let out = Command::new(env!("CARGO_BIN_EXE_cfinder"))
+        .arg(dir.join("app"))
+        .arg("--schema")
+        .arg(&json)
+        .arg("--fix-out")
+        .arg(&fixes)
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let out = Command::new(env!("CARGO_BIN_EXE_cfinder"))
+        .arg(dir.join("app"))
+        .arg("--schema")
+        .arg(&json)
+        .arg("--schema-sql")
+        .arg(&fixes)
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(out.stderr.is_empty(), "{}", String::from_utf8_lossy(&out.stderr));
+}
+
 #[test]
 fn cli_analyzes_an_exported_corpus_app() {
     use cfinder::corpus::{generate, profile, GenOptions};
