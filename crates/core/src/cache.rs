@@ -24,16 +24,22 @@
 //! A parse entry is addressed by `(tool fingerprint, file path, content
 //! hash)`; a detect entry additionally by the registry hash:
 //!
-//! * the **tool fingerprint** folds together the cache format version,
-//!   the crate version, a hash of the pattern table (every `PA_*` label
-//!   and rule), the analyzer options (ablations change detections), the
-//!   resource limits (including the per-file deadline — a different
-//!   deadline is a different tool), and a salt (empty unless a test
-//!   simulates a fingerprint bump). Entries from different fingerprints
-//!   live in different shard directories and never mix.
+//! * the **tool fingerprint** ([`fingerprint`]) folds together the cache
+//!   format version, the crate version, a hash of the pattern table
+//!   (every `PA_*` label and rule), the analyzer options (ablations
+//!   change detections) and the resource limits (including the per-file
+//!   deadline — a different deadline is a different tool). Entries from
+//!   different fingerprints live in different shard directories and
+//!   never mix.
 //! * the **content hash** is a stable 128-bit digest of the file bytes
 //!   ([`cfinder_pyast::hash`]), so an edited file misses without any
 //!   timestamp heuristics.
+//!
+//! An [`AnalysisCache`] handle holds only its root directory. The
+//! analyzer is the one place an analysis is configured: once per run it
+//! derives the fingerprint from its own options and limits and picks
+//! that shard, so one handle serves any mix of configurations, each in
+//! its own shard, by construction.
 //!
 //! Parse-level facts depend only on the file itself, so they are valid
 //! whenever the entry key matches. Detection facts additionally depend on
@@ -59,6 +65,8 @@
 //! killed process leaves at worst a `.tmp` orphan, not a torn entry.
 //! Files that were dropped by the (timing-dependent) per-file deadline
 //! are never written back, so a degraded run cannot poison a later one.
+//! A shard directory that cannot be created is not an error either: its
+//! lookups miss and its writes come back as typed [`WriteSkip`]s.
 
 use std::fmt;
 use std::fs;
@@ -273,36 +281,20 @@ impl fmt::Display for CacheStats {
     }
 }
 
-/// A handle on one opened cache directory, pinned to one tool
-/// fingerprint. Cheap to share behind an `Arc`; all methods take `&self`
-/// and are safe to call from concurrent analysis workers (distinct files
-/// never collide on an entry, and writes are atomic renames).
+/// A handle on one opened cache directory. It holds only the root: each
+/// analysis picks its configuration's shard (see the module docs).
+/// Cheap to share behind an `Arc`; all methods take `&self` and are safe
+/// to call from concurrent analysis workers (distinct files never collide
+/// on an entry, and writes are atomic renames).
 #[derive(Debug)]
 pub struct AnalysisCache {
     root: PathBuf,
-    shard: PathBuf,
-    fingerprint: String,
 }
 
 impl AnalysisCache {
-    /// Opens (creating if needed) a cache directory for the given
-    /// analyzer configuration, with the empty salt.
-    pub fn open(
-        root: impl Into<PathBuf>,
-        options: &CFinderOptions,
-        limits: &Limits,
-    ) -> Result<AnalysisCache, CacheError> {
-        AnalysisCache::open_with_salt(root, options, limits, "")
-    }
-
-    /// [`AnalysisCache::open`] with an explicit fingerprint salt (tests
-    /// use this to simulate a tool fingerprint bump).
-    pub fn open_with_salt(
-        root: impl Into<PathBuf>,
-        options: &CFinderOptions,
-        limits: &Limits,
-        salt: &str,
-    ) -> Result<AnalysisCache, CacheError> {
+    /// Opens (creating if needed) a cache directory, checking up front
+    /// that it is a writable directory.
+    pub fn open(root: impl Into<PathBuf>) -> Result<AnalysisCache, CacheError> {
         let root = root.into();
         if let Err(e) = fs::create_dir_all(&root) {
             return Err(match e.kind() {
@@ -323,12 +315,21 @@ impl AnalysisCache {
             return Err(CacheError::Unwritable(root, e.to_string()));
         }
         let _ = fs::remove_file(&probe);
+        Ok(AnalysisCache { root })
+    }
 
-        let fingerprint = tool_fingerprint(options, limits, salt);
-        let shard = root.join(&fingerprint[..16]);
-        fs::create_dir_all(&shard)
-            .map_err(|e| CacheError::Unwritable(root.clone(), e.to_string()))?;
-        Ok(AnalysisCache { root, shard, fingerprint })
+    /// [`AnalysisCache::open`]; the configuration and the salt are
+    /// ignored. Kept only because the benchmark's `workloads.rs` imports
+    /// it and the benchmark changes only in a change of its own; nothing
+    /// else may call it.
+    #[doc(hidden)]
+    pub fn open_with_salt(
+        root: impl Into<PathBuf>,
+        _options: &CFinderOptions,
+        _limits: &Limits,
+        _salt: &str,
+    ) -> Result<AnalysisCache, CacheError> {
+        AnalysisCache::open(root)
     }
 
     /// The cache's root directory.
@@ -336,18 +337,61 @@ impl AnalysisCache {
         &self.root
     }
 
-    /// The 32-hex tool fingerprint this handle is pinned to.
-    pub fn fingerprint(&self) -> &str {
-        &self.fingerprint
+    /// The shard of one analyzer configuration, named by its
+    /// [`fingerprint`]. The directory is created best-effort: when that
+    /// fails, the shard's lookups miss and its writes are skipped.
+    pub(crate) fn shard(&self, options: &CFinderOptions, limits: &Limits) -> Shard {
+        let dir = self.root.join(&fingerprint(options, limits)[..16]);
+        let _ = fs::create_dir_all(&dir);
+        Shard { dir }
     }
 
+    /// Aggregate statistics over every fingerprint shard under `root`.
+    pub fn stats(root: &Path) -> Result<CacheStats, CacheError> {
+        let mut stats = CacheStats::default();
+        for shard in shard_dirs(root)? {
+            stats.fingerprints += 1;
+            for entry in entry_files(&shard) {
+                stats.entries += 1;
+                stats.bytes += fs::metadata(&entry).map(|m| m.len()).unwrap_or(0);
+            }
+        }
+        Ok(stats)
+    }
+
+    /// Removes every cache entry (and emptied shard directory) under
+    /// `root`, returning the number of entries removed. Only files
+    /// matching the cache's own layout are touched.
+    pub fn clear(root: &Path) -> Result<usize, CacheError> {
+        let mut removed = 0;
+        for shard in shard_dirs(root)? {
+            for entry in entry_files(&shard) {
+                if fs::remove_file(&entry).is_ok() {
+                    removed += 1;
+                }
+            }
+            // Best-effort: only succeeds when nothing foreign remains.
+            let _ = fs::remove_dir(&shard);
+        }
+        Ok(removed)
+    }
+}
+
+/// One configuration's shard of an opened cache: the directory its
+/// entries live in. An analysis picks it once per run and passes it to
+/// every lookup and store.
+pub(crate) struct Shard {
+    dir: PathBuf,
+}
+
+impl Shard {
     /// The entry file for a key ([`Keyed::key`]).
     fn entry_file(&self, key: &[&str]) -> PathBuf {
         let mut h = StableHasher::new();
         for part in key {
             h.write_str(part);
         }
-        self.shard.join(format!("{}.json", h.finish_hex()))
+        self.dir.join(format!("{}.json", h.finish_hex()))
     }
 
     /// Looks up the entry addressed by `key`; an entry that decodes but
@@ -395,36 +439,6 @@ impl AnalysisCache {
             let _ = fs::remove_file(&tmp);
             WriteSkip::Rename(format!("{} -> {}: {e}", tmp.display(), file.display()))
         })
-    }
-
-    /// Aggregate statistics over every fingerprint shard under `root`.
-    pub fn stats(root: &Path) -> Result<CacheStats, CacheError> {
-        let mut stats = CacheStats::default();
-        for shard in shard_dirs(root)? {
-            stats.fingerprints += 1;
-            for entry in entry_files(&shard) {
-                stats.entries += 1;
-                stats.bytes += fs::metadata(&entry).map(|m| m.len()).unwrap_or(0);
-            }
-        }
-        Ok(stats)
-    }
-
-    /// Removes every cache entry (and emptied shard directory) under
-    /// `root`, returning the number of entries removed. Only files
-    /// matching the cache's own layout are touched.
-    pub fn clear(root: &Path) -> Result<usize, CacheError> {
-        let mut removed = 0;
-        for shard in shard_dirs(root)? {
-            for entry in entry_files(&shard) {
-                if fs::remove_file(&entry).is_ok() {
-                    removed += 1;
-                }
-            }
-            // Best-effort: only succeeds when nothing foreign remains.
-            let _ = fs::remove_dir(&shard);
-        }
-        Ok(removed)
     }
 }
 
@@ -475,9 +489,10 @@ pub fn detect_context_hash(registry_hash: &str, summaries: Option<&SummaryTable>
     }
 }
 
-/// The tool fingerprint: everything besides file content that can change
-/// per-file analysis facts.
-fn tool_fingerprint(options: &CFinderOptions, limits: &Limits, salt: &str) -> String {
+/// The 32-hex tool fingerprint: everything besides file content that can
+/// change per-file analysis facts. Its first 16 hex digits name the
+/// configuration's shard directory.
+pub fn fingerprint(options: &CFinderOptions, limits: &Limits) -> String {
     let mut h = StableHasher::new();
     h.write_u64(u64::from(FORMAT));
     h.write_str(env!("CARGO_PKG_VERSION"));
@@ -504,7 +519,8 @@ fn tool_fingerprint(options: &CFinderOptions, limits: &Limits, salt: &str) -> St
         Some(d) => h.write_u64(d.as_micros() as u64 + 1),
         None => h.write_u64(0),
     }
-    h.write_str(salt);
+    // The empty string once hashed here keeps every shard name stable.
+    h.write_str("");
     h.finish_hex()
 }
 
@@ -597,11 +613,14 @@ mod tests {
         }
     }
 
+    fn default_shard(root: &Path) -> Shard {
+        AnalysisCache::open(root).unwrap().shard(&CFinderOptions::default(), &Limits::default())
+    }
+
     #[test]
     fn detect_entries_keep_one_context_per_registry() {
         let root = tmp("contexts");
-        let cache =
-            AnalysisCache::open(&root, &CFinderOptions::default(), &Limits::default()).unwrap();
+        let cache = default_shard(&root);
         let hash = content_hash("x = 1\n");
         assert!(matches!(cache.lookup::<DetectEntry>(&["a.py", &hash, "reg-a"]), Lookup::Miss));
 
@@ -630,8 +649,7 @@ mod tests {
     #[test]
     fn store_then_lookup_round_trips() {
         let root = tmp("roundtrip");
-        let cache =
-            AnalysisCache::open(&root, &CFinderOptions::default(), &Limits::default()).unwrap();
+        let cache = default_shard(&root);
         let e = entry("a.py", "x = 1\n");
         assert!(matches!(cache.lookup::<CacheEntry>(&["a.py", &e.content_hash]), Lookup::Miss));
         assert!(cache.store(&e).is_ok());
@@ -650,8 +668,7 @@ mod tests {
     #[test]
     fn corrupt_and_stale_entries_are_typed_misses() {
         let root = tmp("corrupt");
-        let cache =
-            AnalysisCache::open(&root, &CFinderOptions::default(), &Limits::default()).unwrap();
+        let cache = default_shard(&root);
         let e = entry("a.py", "x = 1\n");
         assert!(cache.store(&e).is_ok());
         let file = cache.entry_file(&["a.py", &e.content_hash]);
@@ -684,36 +701,35 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_covers_options_limits_and_salt() {
+    fn fingerprint_covers_options_and_limits() {
         let o = CFinderOptions::default();
         let l = Limits::default();
-        let base = tool_fingerprint(&o, &l, "");
+        let base = fingerprint(&o, &l);
         assert_eq!(base.len(), 32);
-        assert_eq!(base, tool_fingerprint(&o, &l, ""), "deterministic");
+        assert_eq!(base, fingerprint(&o, &l), "deterministic");
         let ablated = CFinderOptions { null_guard_analysis: false, ..o };
-        assert_ne!(base, tool_fingerprint(&ablated, &l, ""));
+        assert_ne!(base, fingerprint(&ablated, &l));
         let no_check = CFinderOptions { check_inference: false, ..o };
-        assert_ne!(base, tool_fingerprint(&no_check, &l, ""));
+        assert_ne!(base, fingerprint(&no_check, &l));
         let no_default = CFinderOptions { default_inference: false, ..o };
-        assert_ne!(base, tool_fingerprint(&no_default, &l, ""));
-        assert_ne!(tool_fingerprint(&no_check, &l, ""), tool_fingerprint(&no_default, &l, ""));
+        assert_ne!(base, fingerprint(&no_default, &l));
+        assert_ne!(fingerprint(&no_check, &l), fingerprint(&no_default, &l));
         let no_interproc = CFinderOptions { interprocedural: false, ..o };
         assert_ne!(
             base,
-            tool_fingerprint(&no_interproc, &l, ""),
+            fingerprint(&no_interproc, &l),
             "flipping interprocedural must address a different shard"
         );
         let capped = Limits { max_file_bytes: 1024, ..l };
-        assert_ne!(base, tool_fingerprint(&o, &capped, ""));
+        assert_ne!(base, fingerprint(&o, &capped));
         let deadline = Limits { deadline: Some(std::time::Duration::from_millis(50)), ..l };
-        assert_ne!(base, tool_fingerprint(&o, &deadline, ""));
+        assert_ne!(base, fingerprint(&o, &deadline));
         let zero_deadline = Limits { deadline: Some(std::time::Duration::ZERO), ..l };
         assert_ne!(
-            tool_fingerprint(&o, &zero_deadline, ""),
-            tool_fingerprint(&o, &l, ""),
+            fingerprint(&o, &zero_deadline),
+            fingerprint(&o, &l),
             "a zero deadline is not the same tool as no deadline"
         );
-        assert_ne!(base, tool_fingerprint(&o, &l, "salted"));
     }
 
     #[test]
@@ -750,17 +766,27 @@ mod tests {
         fs::create_dir_all(&root).unwrap();
         let file = root.join("occupied");
         fs::write(&file, "not a directory").unwrap();
-        let err =
-            AnalysisCache::open(&file, &CFinderOptions::default(), &Limits::default()).unwrap_err();
+        let err = AnalysisCache::open(&file).unwrap_err();
         assert!(
             matches!(err, CacheError::NotADirectory(_) | CacheError::CreateFailed(..)),
             "{err}"
         );
         // A path *under* a file can't be created either.
         let nested = file.join("sub");
-        assert!(
-            AnalysisCache::open(&nested, &CFinderOptions::default(), &Limits::default()).is_err()
-        );
+        assert!(AnalysisCache::open(&nested).is_err());
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn an_uncreatable_shard_misses_and_skips_writes() {
+        let root = tmp("uncreatable");
+        let cache = AnalysisCache::open(&root).unwrap();
+        let (o, l) = (CFinderOptions::default(), Limits::default());
+        fs::write(root.join(&fingerprint(&o, &l)[..16]), "not a directory").unwrap();
+        let shard = cache.shard(&o, &l);
+        let e = entry("a.py", "x = 1\n");
+        assert!(!matches!(shard.lookup::<CacheEntry>(&["a.py", &e.content_hash]), Lookup::Hit(_)));
+        assert!(matches!(shard.store(&e), Err(WriteSkip::TmpWrite(_))));
         let _ = fs::remove_dir_all(&root);
     }
 
@@ -769,9 +795,10 @@ mod tests {
         let root = tmp("stats");
         let o = CFinderOptions::default();
         let l = Limits::default();
-        let a = AnalysisCache::open_with_salt(&root, &o, &l, "one").unwrap();
-        let b = AnalysisCache::open_with_salt(&root, &o, &l, "two").unwrap();
-        assert_ne!(a.fingerprint(), b.fingerprint());
+        let cache = AnalysisCache::open(&root).unwrap();
+        let a = cache.shard(&o, &l);
+        let b = cache.shard(&CFinderOptions::paper(), &l);
+        assert_ne!(a.dir, b.dir);
         assert!(a.store(&entry("a.py", "x = 1\n")).is_ok());
         assert!(a.store(&entry("b.py", "y = 2\n")).is_ok());
         assert!(b.store(&entry("a.py", "x = 1\n")).is_ok());

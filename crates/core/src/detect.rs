@@ -20,7 +20,9 @@ use cfinder_pyast::lex_recovering;
 use cfinder_pyast::parser::parse_tokens_recovering;
 use cfinder_schema::{ConstraintSet, Schema};
 
-use crate::cache::{self, AnalysisCache, CacheEntry, DetectEntry, DetectFacts, Keyed, Lookup};
+use crate::cache::{
+    self, AnalysisCache, CacheEntry, DetectEntry, DetectFacts, Keyed, Lookup, Shard,
+};
 use crate::engine;
 use crate::incident::{Coverage, Incident, IncidentKind};
 use crate::models::{extract_classes, ModelRegistry};
@@ -294,10 +296,9 @@ impl CFinder {
     /// skip parsing and detection for unchanged files; a cached run
     /// produces a byte-identical [`AnalysisReport::stable_json`] to an
     /// uncached one. The handle is shared (`Arc`) so one cache can serve
-    /// many analyzers. Open the cache with the **same options and
-    /// limits** as the analyzer — the cache's tool fingerprint is derived
-    /// from them, and a mismatched fingerprint silently degrades every
-    /// lookup to a miss.
+    /// many analyzers, whatever their configuration: each run reads and
+    /// writes only the shard its own options and limits fingerprint
+    /// ([`cache::fingerprint`]).
     pub fn with_cache(mut self, cache: Arc<AnalysisCache>) -> Self {
         self.cache = Some(cache);
         self
@@ -342,17 +343,24 @@ impl CFinder {
     /// silently shrinking the registry. Runs the same parse and model
     /// passes as [`CFinder::analyze`], cache included.
     pub fn extract_models_with_incidents(&self, app: &AppSource) -> (ModelRegistry, Vec<Incident>) {
-        let parsed = self.parse_pass(app, self.threads());
+        let parsed = self.parse_pass(app, self.shard().as_ref(), self.threads());
         (build_registry(&parsed.facts, &self.obs), parsed.incidents)
+    }
+
+    /// This run's shard of the attached cache, picked once per run from
+    /// the analyzer's own options and limits.
+    fn shard(&self) -> Option<Shard> {
+        self.cache.as_deref().map(|cache| cache.shard(&self.options, &self.limits))
     }
 
     /// Pass 0: per-file facts — guarded parsing plus file-local class
     /// extraction — fanned out across workers under a per-item
-    /// panic-isolation boundary, wrapped in a cache lookup when a cache
-    /// is attached. Results come back in file order, so the facts list and
-    /// the incident list match a serial (and an uncached) run.
-    fn parse_pass(&self, app: &AppSource, threads: usize) -> ParsePass {
-        let (cache, obs) = (self.cache.as_deref(), &self.obs);
+    /// panic-isolation boundary, wrapped in a lookup in `cache` (the
+    /// run's shard) when a cache is attached. Results come back in file
+    /// order, so the facts list and the incident list match a serial (and
+    /// an uncached) run.
+    fn parse_pass(&self, app: &AppSource, cache: Option<&Shard>, threads: usize) -> ParsePass {
+        let obs = &self.obs;
         let _span = obs.tracer.span("pass", || "parse".to_string());
         let outcomes = engine::map_ordered(&app.files, threads, &obs.tracer, "parse", |file| {
             cached(
@@ -452,10 +460,11 @@ impl CFinder {
         root.arg("threads", threads.to_string());
 
         // Pass 0: per-file facts (see `parse_pass`).
-        let cache = self.cache.as_deref();
+        let shard = self.shard();
+        let cache = shard.as_ref();
         let stage = Instant::now();
         let ParsePass { facts, mut incidents, cache_hits, cache_misses, mut files_parsed } =
-            self.parse_pass(app, threads);
+            self.parse_pass(app, cache, threads);
         let parse = stage.elapsed();
 
         // Pass 1: model metadata from every file's class facts.
@@ -908,7 +917,7 @@ struct DetectOut {
 /// `Err(detail)` a damaged-entry miss the caller surfaces as an
 /// [`IncidentKind::CacheCorrupt`] incident.
 fn lookup<E: Keyed>(
-    cache: &AnalysisCache,
+    cache: &Shard,
     key: &[&str],
     what: &str,
     obs: &Obs,
@@ -931,7 +940,7 @@ fn lookup<E: Keyed>(
 /// (best-effort; a failed write costs a future miss, never correctness).
 /// A success counts toward `cfinder_cache_writes_total`, a typed skip
 /// toward `cfinder_cache_write_errors_total` (labelled by cause).
-fn store(cache: &AnalysisCache, entry: &impl Keyed, what: &str, obs: &Obs) {
+fn store(cache: &Shard, entry: &impl Keyed, what: &str, obs: &Obs) {
     let _span = obs.tracer.span("cache", || format!("write {what}{}", entry.key()[0]));
     match cache.store(entry) {
         Ok(()) => obs.metrics.inc("cfinder_cache_writes_total"),

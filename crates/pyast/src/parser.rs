@@ -726,9 +726,10 @@ impl Parser {
         Ok(self.stmt(start, StmtKind::With { items, body }))
     }
 
-    /// `for` targets: `a`, `a, b`, `(a, b)` — comma builds a tuple.
+    /// `for` targets: `a`, `a, b`, `(a, b)`, `a, *rest` — comma builds a
+    /// tuple.
     fn target_list(&mut self) -> Result<Expr> {
-        let first = self.postfix()?;
+        let first = self.starred_or(Self::postfix)?;
         if !self.check(&TokenKind::Comma) {
             return Ok(first);
         }
@@ -738,7 +739,7 @@ impl Parser {
             if self.check(&TokenKind::In) {
                 break;
             }
-            elems.push(self.postfix()?);
+            elems.push(self.starred_or(Self::postfix)?);
         }
         let span = start.to(elems.last().unwrap().span);
         Ok(self.expr(span, ExprKind::Tuple(elems)))
@@ -746,9 +747,10 @@ impl Parser {
 
     // --- expressions ------------------------------------------------------------
 
-    /// `expression_list`: `a, b, c` builds a tuple (as in `return a, b`).
+    /// `expression_list`: `a, b, c` builds a tuple (as in `return a, b`);
+    /// an item may be starred (`a, *rest = xs`).
     fn expression_list(&mut self) -> Result<Expr> {
-        let first = self.expression()?;
+        let first = self.starred_or(Self::expression)?;
         if !self.check(&TokenKind::Comma) {
             return Ok(first);
         }
@@ -758,10 +760,21 @@ impl Parser {
             if self.expression_cannot_start() {
                 break; // trailing comma
             }
-            elems.push(self.expression()?);
+            elems.push(self.starred_or(Self::expression)?);
         }
         let span = start.to(elems.last().unwrap().span);
         Ok(self.expr(span, ExprKind::Tuple(elems)))
+    }
+
+    /// One list item: `*item` (a starred target or unpacking) or `item`.
+    fn starred_or(&mut self, item: fn(&mut Self) -> Result<Expr>) -> Result<Expr> {
+        if !self.check(&TokenKind::Star) {
+            return item(self);
+        }
+        let start = self.advance().span;
+        let inner = item(self)?;
+        let span = start.to(inner.span);
+        Ok(self.expr(span, ExprKind::Starred(Box::new(inner))))
     }
 
     fn expression_cannot_start(&self) -> bool {
@@ -1738,6 +1751,33 @@ mod tests {
         let err = parse_module("if a\n    pass\n").unwrap_err();
         assert!(err.message.contains("expected"), "{}", err.message);
         assert_eq!(err.span.start.line, 1);
+    }
+
+    #[test]
+    fn starred_assignment_and_for_targets() {
+        let m = parse_module("a, *rest = xs\n*init, last = xs\nfor k, *vs in rows:\n    pass\n")
+            .unwrap();
+        let names = |t: &Expr| -> Vec<String> {
+            let ExprKind::Tuple(elems) = &t.kind else { panic!("{t:?}") };
+            elems
+                .iter()
+                .map(|e| match &e.kind {
+                    ExprKind::Name(n) => n.clone(),
+                    ExprKind::Starred(inner) => match &inner.kind {
+                        ExprKind::Name(n) => format!("*{n}"),
+                        other => panic!("{other:?}"),
+                    },
+                    other => panic!("{other:?}"),
+                })
+                .collect()
+        };
+        let StmtKind::Assign { targets, .. } = &m.body[0].kind else { panic!() };
+        assert_eq!(names(&targets[0]), ["a", "*rest"]);
+        let StmtKind::Assign { targets, .. } = &m.body[1].kind else { panic!() };
+        assert_eq!(names(&targets[0]), ["*init", "last"]);
+        let StmtKind::For { target, .. } = &m.body[2].kind else { panic!() };
+        assert_eq!(names(target), ["k", "*vs"]);
+        assert_eq!(m.body[0].span.start.col, m.body[1].span.start.col);
     }
 
     #[test]

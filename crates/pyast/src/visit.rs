@@ -311,7 +311,8 @@ pub enum Binding<'a> {
 
 /// Calls `f` on every name `stmt` binds in its own scope, in source order,
 /// without allocating: assignment, augmented-assignment, `for` and `with`
-/// targets (destructured through nested tuples and lists), `del` targets,
+/// targets (destructured through nested tuples and lists, and through a
+/// starred item like `*rest`), `del` targets,
 /// `def`/`class` names and imports. `import a.b` binds `a`; a star import
 /// is reported as `*`. A compound statement reports only its header's
 /// bindings, and attribute or subscript targets bind no name.
@@ -320,6 +321,7 @@ pub fn bindings<'a>(stmt: &'a Stmt, f: &mut dyn FnMut(&'a str, Binding<'a>)) {
         match &t.kind {
             ExprKind::Name(n) => f(n, how),
             ExprKind::Tuple(v) | ExprKind::List(v) => v.iter().for_each(|e| target(e, how, f)),
+            ExprKind::Starred(e) => target(e, how, f),
             _ => {}
         }
     }
@@ -616,6 +618,18 @@ mod tests {
             "",
         ];
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn starred_targets_bind_their_name() {
+        let m = parse_module("a, *rest = xs\nfor *init, last in rows:\n    pass\n").unwrap();
+        let mut got = Vec::new();
+        for s in &m.body {
+            bindings(s, &mut |name, how| {
+                got.push(format!("{name}:{}", matches!(how, Binding::ForTarget(_))))
+            });
+        }
+        assert_eq!(got, ["a:false", "rest:false", "init:true", "last:true"]);
     }
 
     #[test]

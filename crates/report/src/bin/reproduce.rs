@@ -63,7 +63,7 @@ fn run(cli: &mut Args, env: &EnvConfig) -> Result<(), String> {
     // usage error before any corpus generation or analysis work, not an
     // io panic in the middle of the evaluation.
     let cache = match &cache_dir {
-        Some(dir) => Some(Arc::new(AppEvaluation::open_cache(dir).map_err(|e| e.to_string())?)),
+        Some(dir) => Some(Arc::new(AnalysisCache::open(dir).map_err(|e| e.to_string())?)),
         None => None,
     };
 

@@ -1,13 +1,11 @@
 //! Precision / recall / coverage metrics joining analyzer output with
 //! corpus ground truth.
 
-use std::path::Path;
 use std::sync::Arc;
 
 use cfinder_core::engine::{map_ordered, resolve_threads};
 use cfinder_core::{
-    AnalysisCache, AnalysisReport, AppSource, CFinder, CFinderOptions, CacheError, Limits, Obs,
-    SourceFile,
+    AnalysisCache, AnalysisReport, AppSource, CFinder, CFinderOptions, Obs, SourceFile,
 };
 use cfinder_corpus::{GenOptions, GeneratedApp, StudyApp, Verdict};
 use cfinder_obs::Tracer;
@@ -44,14 +42,6 @@ pub struct CoverageCell {
     pub covered: usize,
 }
 
-/// The configuration every app evaluation analyzes with, and so the one
-/// its cache fingerprint must name: the paper's §4 options under the
-/// default resource limits (no deadline, so the reproduced tables never
-/// depend on timing).
-fn evaluation_config() -> (CFinderOptions, Limits) {
-    (CFinderOptions::paper(), Limits::default())
-}
-
 /// The full evaluation of one application.
 #[derive(Debug)]
 pub struct AppEvaluation {
@@ -74,24 +64,15 @@ impl AppEvaluation {
         AppEvaluation::run_cached(app, obs, None, None)
     }
 
-    /// Opens an incremental analysis cache under `dir` for
-    /// [`AppEvaluation::run_cached`]: its fingerprint is derived from the
-    /// options and limits that run analyzes with, so the entries land in
-    /// that configuration's shard.
-    pub fn open_cache(dir: &Path) -> Result<AnalysisCache, CacheError> {
-        let (options, limits) = evaluation_config();
-        AnalysisCache::open(dir, &options, &limits)
-    }
-
     /// [`AppEvaluation::run_obs`] with an optional incremental analysis
     /// cache attached, for warm re-runs of the evaluation. The evaluation
     /// runs the paper's §4 configuration ([`CFinderOptions::paper`]:
     /// intra-procedural only), so the reproduced Tables 4–10 stay pinned
     /// to the published cells; the inter-procedural extension's gain is
     /// measured separately (the `interproc` table and the ablation row).
-    /// Open the cache with [`AppEvaluation::open_cache`], or its
-    /// fingerprint names another configuration's shard. `threads` pins
-    /// the analyzer's worker count (`None`: the machine's parallelism).
+    /// The default resource limits set no deadline, so the tables never
+    /// depend on timing. `threads` pins the analyzer's worker count
+    /// (`None`: the machine's parallelism).
     pub fn run_cached(
         app: GeneratedApp,
         obs: Obs,
@@ -99,9 +80,7 @@ impl AppEvaluation {
         threads: Option<usize>,
     ) -> AppEvaluation {
         let source = crate::app_source(&app);
-        let (options, limits) = evaluation_config();
-        let mut finder = CFinder::with_options(options)
-            .with_limits(limits)
+        let mut finder = CFinder::with_options(CFinderOptions::paper())
             .with_threads(resolve_threads(threads))
             .with_obs(obs);
         if let Some(cache) = cache {

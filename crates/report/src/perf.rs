@@ -118,12 +118,9 @@ pub fn run_benchmark(
     };
     let obs = Obs::profiled(profile_hz);
     let mut rounds = Vec::with_capacity(ROUNDS);
-    std::fs::create_dir_all(cache_dir).map_err(|e| e.to_string())?;
+    let cache = Arc::new(AnalysisCache::open(cache_dir).map_err(|e| e.to_string())?);
     for _ in 0..ROUNDS {
-        // Clearing also removes the shard directory, so every cold round
-        // reopens the cache.
         AnalysisCache::clear(cache_dir).map_err(|e| e.to_string())?;
-        let cache = Arc::new(AppEvaluation::open_cache(cache_dir).map_err(|e| e.to_string())?);
         let analyze = |apps: Vec<GeneratedApp>| {
             let start = Instant::now();
             let reports: Vec<AnalysisReport> = apps

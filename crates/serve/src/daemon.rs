@@ -26,7 +26,10 @@
 //!   and the final metrics snapshot is returned to the caller.
 //! * **Configuration is explicit.** No environment is read: an analysis
 //!   runs with its `ablate` options and [`Limits::default`] plus its
-//!   `file_deadline_ms`, on `max(1, cores / workers)` threads.
+//!   `file_deadline_ms`, on `max(1, cores / workers)` threads. Every
+//!   analysis shares the one cache handle opened at start-up and picks
+//!   its own configuration's shard; a cache that breaks later costs
+//!   misses and skipped writes, never a failed request.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, Write};
@@ -38,7 +41,7 @@ use std::time::{Duration, Instant};
 
 use cfinder_core::engine::resolve_threads;
 use cfinder_core::{
-    AnalysisCache, AnalysisReport, CFinder, CFinderOptions, CacheError, Explanation, Limits, Obs,
+    AnalysisCache, AnalysisReport, CFinder, CFinderOptions, Explanation, Limits, Obs,
 };
 use cfinder_obs::{Metrics, Profiler, Tracer};
 use cfinder_sql::{constraint_ddl, Dialect};
@@ -132,14 +135,10 @@ struct Shared<W: Write> {
     /// Open slow-request log, line-buffered under its own lock.
     slow_log: Option<Mutex<File>>,
     shutting_down: AtomicBool,
-    /// Cache handles memoized per analyzer configuration: each distinct
-    /// one addresses its own fingerprint shard, and reusing the handle
-    /// keeps its open-probe cost out of the hot path.
-    caches: Mutex<Vec<(AnalyzerConfig, Arc<AnalysisCache>)>>,
+    /// The one handle on [`ServeConfig::cache_dir`], opened at start-up.
+    /// Every analysis picks its own configuration's shard in it.
+    cache: Option<Arc<AnalysisCache>>,
 }
-
-/// What one request analyzes with.
-type AnalyzerConfig = (CFinderOptions, Limits);
 
 impl<W: Write> Shared<W> {
     fn respond_ok(&self, id: &Value, result: Value) {
@@ -158,23 +157,13 @@ impl<W: Write> Shared<W> {
         let _ = writeln!(out, "{frame}");
         let _ = out.flush();
     }
-
-    fn cache_for(&self, key: AnalyzerConfig) -> Result<Option<Arc<AnalysisCache>>, CacheError> {
-        let Some(dir) = &self.config.cache_dir else { return Ok(None) };
-        let mut caches = self.caches.lock();
-        if let Some((_, cache)) = caches.iter().find(|(k, _)| *k == key) {
-            return Ok(Some(cache.clone()));
-        }
-        let cache = Arc::new(AnalysisCache::open(dir, &key.0, &key.1)?);
-        caches.push((key, cache.clone()));
-        Ok(Some(cache))
-    }
 }
 
 /// Runs the daemon over `input`/`output` until EOF or a `shutdown`
 /// request, then drains and returns the session summary. Never panics
 /// on any input; returns `Err` only for I/O errors on `input` itself
-/// (a broken stdin cannot be served).
+/// (a broken stdin cannot be served) and for a slow log or cache
+/// directory that cannot be opened at start-up.
 pub fn serve<R, W>(config: ServeConfig, mut input: R, output: W) -> io::Result<ServeSummary>
 where
     R: BufRead,
@@ -184,6 +173,12 @@ where
     // is a startup error, not a silent per-request drop.
     let slow_log = match &config.slow_log {
         Some(path) => Some(Mutex::new(OpenOptions::new().create(true).append(true).open(path)?)),
+        None => None,
+    };
+    // Likewise the cache: once open, a directory that breaks later only
+    // costs misses and skipped writes, never a failed request.
+    let cache = match &config.cache_dir {
+        Some(dir) => Some(Arc::new(AnalysisCache::open(dir).map_err(io::Error::other)?)),
         None => None,
     };
     let shared = Shared {
@@ -198,7 +193,7 @@ where
         epoch: Instant::now(),
         slow_log,
         shutting_down: AtomicBool::new(false),
-        caches: Mutex::new(Vec::new()),
+        cache,
         config,
     };
     let workers = shared.config.workers.max(1);
@@ -512,15 +507,12 @@ fn run_analysis<W: Write>(
     id: &Value,
     cmd_name: &'static str,
     project_name: &str,
-    (options, limits): AnalyzerConfig,
+    (options, limits): (CFinderOptions, Limits),
 ) -> Result<AnalysisOutcome, (ErrorCode, String)> {
     let project = shared
         .registry
         .get(project_name)
         .ok_or_else(|| (ErrorCode::UnknownProject, format!("no project `{project_name}`")))?;
-    let cache = shared
-        .cache_for((options, limits))
-        .map_err(|e| (ErrorCode::CacheUnusable, e.to_string()))?;
 
     let mut state = project.flight.lock();
     let (app, declared) = project.load().map_err(|detail| (ErrorCode::ProjectUnusable, detail))?;
@@ -534,8 +526,8 @@ fn run_analysis<W: Write>(
             .with_limits(limits)
             .with_threads(analysis_threads(resolve_threads(None), shared.config.workers))
             .with_obs(Obs { tracer: tracer.clone(), metrics: shared.metrics.clone() });
-        if let Some(cache) = cache {
-            finder = finder.with_cache(cache);
+        if let Some(cache) = &shared.cache {
+            finder = finder.with_cache(cache.clone());
         }
         finder.analyze(&app, &declared)
     };

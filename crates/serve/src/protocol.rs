@@ -24,7 +24,9 @@ use serde_json::Value;
 
 /// Typed failure classes a response frame can carry. Every way a request
 /// can fail maps to exactly one of these — the client can branch on the
-/// kebab-case [`ErrorCode::label`] without parsing prose.
+/// kebab-case [`ErrorCode::label`] without parsing prose. The cache has
+/// no code: the daemon opens it at start-up, and a cache that breaks
+/// later only costs misses and skipped writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorCode {
     /// The line was not a JSON object shaped like a request.
@@ -40,8 +42,6 @@ pub enum ErrorCode {
     /// The project's source directory could not be loaded (vanished,
     /// unreadable, no `.py` files, bad schema file).
     ProjectUnusable,
-    /// The daemon's cache directory became unusable.
-    CacheUnusable,
     /// The bounded request queue is full; retry after the hinted delay.
     Overloaded,
     /// The request's deadline elapsed before (or while) handling it.
@@ -62,7 +62,6 @@ impl ErrorCode {
             ErrorCode::BadRequest => "bad-request",
             ErrorCode::UnknownProject => "unknown-project",
             ErrorCode::ProjectUnusable => "project-unusable",
-            ErrorCode::CacheUnusable => "cache-unusable",
             ErrorCode::Overloaded => "overloaded",
             ErrorCode::DeadlineExceeded => "deadline-exceeded",
             ErrorCode::InternalPanic => "internal-panic",

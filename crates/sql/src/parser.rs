@@ -216,11 +216,17 @@ impl Parser {
     /// Case-insensitive keyword test on a bare word (quoted identifiers
     /// are never keywords).
     fn is_kw(&self, kw: &str) -> bool {
-        matches!(self.peek(), Some(Tok::Word(w)) if w.eq_ignore_ascii_case(kw))
+        self.is_kw_at(0, kw)
     }
 
     fn is_kw2(&self, kw: &str) -> bool {
-        matches!(self.peek2(), Some(Tok::Word(w)) if w.eq_ignore_ascii_case(kw))
+        self.is_kw_at(1, kw)
+    }
+
+    /// [`Parser::is_kw`] on the token `ahead` places past the cursor.
+    fn is_kw_at(&self, ahead: usize, kw: &str) -> bool {
+        matches!(self.toks.get(self.pos + ahead).map(|t| &t.tok),
+            Some(Tok::Word(w)) if w.eq_ignore_ascii_case(kw))
     }
 
     /// Consumes a keyword if present; returns whether it was.
@@ -1213,31 +1219,28 @@ impl Parser {
             }
             let terminated = self.column_def(table, &mut body);
             if let (Some(old), Some(new)) = (old, body.columns.first()) {
-                if old != new.name {
-                    if self.out.schema.table(table).is_some_and(|t| t.column(&new.name).is_some()) {
-                        self.error(format!(
-                            "CHANGE renames `{table}.{old}` onto `{}`; ignored",
-                            new.name
-                        ));
-                    } else {
-                        // On a table or column the schema lacks, only what
-                        // waits for it is renamed.
-                        let _ = self.out.schema.rename_column(table, &old, &new.name);
-                        let waiting = self.out.pending.iter_mut().map(|(c, _)| c);
-                        for c in waiting.chain(self.names.values_mut()) {
-                            c.rename_column(table, &old, &new.name);
-                        }
-                    }
-                }
+                let new = new.name.clone();
+                self.rename_column(table, &old, &new, "CHANGE");
             }
             terminated
+        } else if self.is_kw("RENAME") && self.renames_column() {
+            // RENAME [COLUMN] old TO new (PostgreSQL, SQLite, MySQL 8).
+            self.pos += 1;
+            self.eat_kw("COLUMN");
+            let (Some(old), true, Some(new)) = (self.ident(), self.eat_kw("TO"), self.ident())
+            else {
+                self.error(format!("expected `old TO new` in RENAME COLUMN on `{table}`"));
+                return self.skip_clause();
+            };
+            self.rename_column(table, &old, &new, "RENAME COLUMN");
+            false
         } else if self.eat_kw("ALTER") {
             return self.alter_column(table, line);
         } else if self.is_kw("DROP") && self.is_kw2("CONSTRAINT") {
             self.pos += 2;
             return self.drop_constraint(table);
         } else {
-            // DROP COLUMN / RENAME / OWNER / … are outside declared-
+            // DROP COLUMN / RENAME TO / OWNER / … are outside declared-
             // constraint ingestion; skip the action.
             return self.skip_clause();
         };
@@ -1264,6 +1267,34 @@ impl Parser {
         terminated
     }
 
+    /// Whether the `RENAME` at the cursor renames a column (`RENAME
+    /// [COLUMN] old TO new`) rather than the table (`RENAME TO|AS new`,
+    /// MySQL's bare `RENAME new`), a constraint or an index.
+    fn renames_column(&self) -> bool {
+        self.is_kw2("COLUMN")
+            || (!self.is_kw2("TO") && !self.is_kw2("AS") && self.is_kw_at(2, "TO"))
+    }
+
+    /// Renames `table.old` to `new` — in the schema, the constraints
+    /// waiting for their table or column, and the named-constraint map —
+    /// unless `new` already names a column (`form` names the statement in
+    /// that warning). On a table or column the schema lacks, only what
+    /// waits for it is renamed.
+    fn rename_column(&mut self, table: &str, old: &str, new: &str, form: &str) {
+        if old == new {
+            return;
+        }
+        if self.out.schema.table(table).is_some_and(|t| t.column(new).is_some()) {
+            self.error(format!("{form} renames `{table}.{old}` onto `{new}`; ignored"));
+            return;
+        }
+        let _ = self.out.schema.rename_column(table, old, new);
+        let waiting = self.out.pending.iter_mut().map(|(c, _)| c);
+        for c in waiting.chain(self.names.values_mut()) {
+            c.rename_column(table, old, new);
+        }
+    }
+
     /// `DROP CONSTRAINT [IF EXISTS] <name>` after the table name: drops
     /// what the named clause or unique index declared. An unknown name
     /// without `IF EXISTS` is an `Unsupported` warning.
@@ -1287,8 +1318,9 @@ impl Parser {
     }
 
     /// `ALTER [COLUMN] c SET NOT NULL | SET DEFAULT lit | DROP NOT NULL |
-    /// DROP DEFAULT`; a DROP undoes what SET declared. `TYPE …` and
-    /// expression or NULL defaults carry no constraint and are skipped.
+    /// DROP DEFAULT`; a DROP undoes what SET declared. Any `SET DEFAULT`
+    /// replaces the earlier default, and an expression or NULL default
+    /// leaves none. `TYPE …` carries no constraint and is skipped.
     fn alter_column(&mut self, table: &str, line: u32) -> bool {
         self.eat_kw("COLUMN");
         let Some(column) = self.ident() else {
@@ -1315,10 +1347,8 @@ impl Parser {
             return false;
         }
         if self.eat_kw("DEFAULT") {
-            if let Some(value) = self.parse_default().filter(|v| !v.is_null()) {
-                self.set_default(table, &column, Some(value), line);
-                return false;
-            }
+            let value = self.parse_default().filter(|v| !v.is_null());
+            self.set_default(table, &column, value, line);
         }
         self.skip_clause()
     }
@@ -2005,5 +2035,46 @@ mod tests {
             let a = schema.table("t").unwrap().column("a").unwrap();
             assert_eq!(a.default, Some(Literal::Int(2)), "{sql}");
         }
+    }
+
+    #[test]
+    fn a_null_or_expression_set_default_leaves_no_default() {
+        let sql = "CREATE TABLE t (id int PRIMARY KEY, a int DEFAULT 1, b int DEFAULT 2);\n\
+                   ALTER TABLE t ALTER COLUMN a SET DEFAULT NULL;\n\
+                   ALTER TABLE t ALTER COLUMN b SET DEFAULT now();";
+        let (schema, errors) = parse_sql(sql).into_schema();
+        assert!(errors.is_empty(), "{errors:?}");
+        let defaults: Vec<&Constraint> =
+            schema.constraints().of_type(cfinder_schema::ConstraintType::Default).collect();
+        assert!(defaults.is_empty(), "{defaults:?}");
+    }
+
+    #[test]
+    fn rename_column_renames_what_later_statements_name() {
+        let sql = "CREATE TABLE t (id int PRIMARY KEY, a int, c int, e int);\n\
+                   ALTER TABLE t ADD CONSTRAINT uq UNIQUE (e);\n\
+                   ALTER TABLE t RENAME COLUMN a TO b;\n\
+                   ALTER TABLE t ALTER COLUMN b SET NOT NULL;\n\
+                   ALTER TABLE t RENAME c TO d, RENAME COLUMN e TO f;\n\
+                   ALTER TABLE t ADD CONSTRAINT ud UNIQUE (d);\n\
+                   ALTER TABLE t DROP CONSTRAINT uq;\n\
+                   ALTER TABLE t RENAME COLUMN b TO d;\n\
+                   ALTER TABLE w ADD CONSTRAINT wx UNIQUE (x);\n\
+                   ALTER TABLE w RENAME COLUMN x TO y;\n\
+                   CREATE TABLE w (id int PRIMARY KEY, y int);\n\
+                   ALTER TABLE t RENAME TO t2;";
+        let (schema, errors) = parse_sql(sql).into_schema();
+        // Only the rename onto an existing column is refused.
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(errors[0].message.contains("RENAME COLUMN renames `t.b` onto `d`"), "{errors:?}");
+        let t = schema.table("t").expect("a table rename stays skipped");
+        let names: Vec<&str> = t.columns.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["id", "b", "d", "f"]);
+        let declared = schema.constraints();
+        assert!(declared.contains(&Constraint::not_null("t", "b")));
+        assert!(declared.contains(&Constraint::unique("t", ["d"])));
+        // `uq` followed its column to `f`, and its drop found it there.
+        assert!(!declared.iter().any(|c| c.columns().contains(&"f")), "{declared:?}");
+        assert!(declared.contains(&Constraint::unique("w", ["y"])));
     }
 }

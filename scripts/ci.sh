@@ -60,9 +60,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo test ${test_scope[*]}"
 # Every suite runs once here, the differential oracles included:
-# cold/warm cache equivalence at 1/2/4 threads and the invalidation
-# matrix, SQL emit → parse round-trips in every dialect and the
-# inline/ALTER/MODIFY declaration forms re-parsing to one schema, the pin
+# cold/warm cache equivalence at 1/2/4 threads, the invalidation
+# matrix and the shared-handle oracle (one cache handle serving three
+# analyzer configurations, each from its own shard), SQL emit → parse
+# round-trips in every dialect and the inline/ALTER/MODIFY declaration
+# forms re-parsing to one schema, the pin
 # of what the SQL reader makes of every corpus dump and its mutants, the
 # explain provenance goldens, the interproc off/on oracle and its pin of
 # the facts and summary bytes the cache stores, the pin of the cache's
@@ -103,13 +105,13 @@ if ! $workspace; then
 fi
 
 echo "==> test-count floors"
-floor core 150 cfinder_core proptest_robustness detect_pin
-floor SQL 63 cfinder_sql roundtrip_proptest sql_faults sql_pin
+floor core 151 cfinder_core proptest_robustness detect_pin
+floor SQL 65 cfinder_sql roundtrip_proptest sql_faults sql_pin
 floor schema 66 cfinder_schema proptest_schema
-floor pyast 145 cfinder_pyast django_torture proptest_recovery proptest_roundtrip parse_pin
+floor pyast 147 cfinder_pyast django_torture proptest_recovery proptest_roundtrip parse_pin
 floor flow 114 cfinder_flow proptest_interproc interproc_oracle reaching_oracle nullguard_oracle
 floor daemon 24 cfinder_serve serve_soak serve_faults cache_concurrency
-floor cache 11 cache_equivalence cache_invalidation cache_pin
+floor cache 12 cache_equivalence cache_invalidation cache_pin
 floor minidb 98 cfinder_minidb plan_golden proptest_integrity query_oracle three_valued_logic
 floor front-door 32 cli explain_golden hostile_env reproduce_cli
 floor report 30 cfinder_report

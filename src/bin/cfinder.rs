@@ -123,7 +123,7 @@ use std::sync::Arc;
 
 use cfinder::core::engine::resolve_threads;
 use cfinder::core::usage::{self, Args, EnvConfig};
-use cfinder::core::{atomic_write, load_app, AnalysisCache, CFinder, CFinderOptions, Limits, Obs};
+use cfinder::core::{atomic_write, load_app, AnalysisCache, CFinder, CFinderOptions, Obs};
 use cfinder::sql::Dialect;
 
 /// One synopsis per subcommand: each prints its own on `--help` and
@@ -232,7 +232,7 @@ fn run_analyze(cli: &mut Args, env: &EnvConfig) -> Result<u8, String> {
     // The cache is opened *before* analysis so an unusable directory is a
     // typed usage error (exit 2) up front, not an io panic mid-run.
     if let (Some(cache_dir), false) = (&cache_dir, no_cache) {
-        let cache = AnalysisCache::open(cache_dir, &options, &limits).map_err(|e| e.to_string())?;
+        let cache = AnalysisCache::open(cache_dir).map_err(|e| e.to_string())?;
         finder = finder.with_cache(Arc::new(cache));
     }
     let report = finder.analyze(&app, &declared);
@@ -682,8 +682,7 @@ fn run_serve(cli: &mut Args, env: &EnvConfig) -> Result<u8, String> {
     // Probe the cache directory up front: an unusable path is a usage
     // error before the daemon accepts a single frame.
     if let Some(dir) = &config.cache_dir {
-        AnalysisCache::open(dir, &CFinderOptions::default(), &Limits::default())
-            .map_err(|e| e.to_string())?;
+        AnalysisCache::open(dir).map_err(|e| e.to_string())?;
     }
 
     let stdin = std::io::stdin();

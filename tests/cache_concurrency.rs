@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use cfinder::core::usage;
 use cfinder::core::{
-    AnalysisCache, AppSource, CFinder, CFinderOptions, IncidentKind, Limits, Obs, SourceFile,
+    cache, AnalysisCache, AppSource, CFinder, CFinderOptions, IncidentKind, Limits, Obs, SourceFile,
 };
 use cfinder::corpus::{all_profiles, generate, GenOptions};
 
@@ -38,8 +38,6 @@ fn two_threads_same_cache_dir_no_torn_entries_then_fully_warm() {
     let source = to_source(&app);
     let reference = CFinder::new().analyze(&source, &app.declared).stable_json();
     let dir = temp_dir("threads");
-    let options = CFinderOptions::default();
-    let limits = Limits::default();
 
     // Two analyzers share one cache directory (each with its own handle,
     // like two daemon workers after a registry change) and populate it
@@ -48,8 +46,7 @@ fn two_threads_same_cache_dir_no_torn_entries_then_fully_warm() {
     std::thread::scope(|s| {
         for _ in 0..2 {
             s.spawn(|| {
-                let cache =
-                    Arc::new(AnalysisCache::open_with_salt(&dir, &options, &limits, "").unwrap());
+                let cache = Arc::new(AnalysisCache::open(&dir).unwrap());
                 let report = CFinder::new()
                     .with_threads(2)
                     .with_cache(cache)
@@ -62,7 +59,7 @@ fn two_threads_same_cache_dir_no_torn_entries_then_fully_warm() {
     // Whatever interleaving happened, every surviving entry must be
     // intact: the warm run replays all files (0 parsed) and sees no
     // corruption.
-    let cache = Arc::new(AnalysisCache::open_with_salt(&dir, &options, &limits, "").unwrap());
+    let cache = Arc::new(AnalysisCache::open(&dir).unwrap());
     let warm = CFinder::new().with_threads(2).with_cache(cache).analyze(&source, &app.declared);
     assert_eq!(warm.stable_json(), reference);
     assert_eq!(warm.timings.files_parsed, 0, "torn entries forced re-parses: {:?}", warm.timings);
@@ -103,13 +100,16 @@ fn two_processes_same_cache_dir_no_torn_entries_then_fully_warm() {
     // from its environment under default options — mirror that so the
     // fingerprints match.)
     let limits = usage::parse_env(std::env::vars_os()).limits;
-    let cache = Arc::new(AnalysisCache::open(&dir, &CFinderOptions::default(), &limits).unwrap());
+    let cache = Arc::new(AnalysisCache::open(&dir).unwrap());
     let mut files = Vec::new();
     collect(&app_dir, &app_dir, &mut files);
     files.sort_by(|x, y| x.path.cmp(&y.path));
     let name = app_dir.file_name().unwrap().to_str().unwrap().to_string();
     let source = AppSource::new(name, files);
-    let warm = CFinder::new().with_cache(cache).analyze(&source, &cfinder::schema::Schema::new());
+    let warm = CFinder::new()
+        .with_limits(limits)
+        .with_cache(cache)
+        .analyze(&source, &cfinder::schema::Schema::new());
     assert_eq!(warm.timings.files_parsed, 0, "torn entries forced re-parses: {:?}", warm.timings);
     assert!(warm.incidents.iter().all(|i| i.kind != IncidentKind::CacheCorrupt));
     let _ = fs::remove_dir_all(&dir);
@@ -148,14 +148,9 @@ fn unwritable_cache_dir_skips_writes_with_typed_metric_not_a_failure() {
     // a plain file: every subsequent temp-file write fails with ENOTDIR,
     // exactly the shape of a disk filling up mid-daemon as far as
     // `store` is concerned.
-    let cache = Arc::new(AnalysisCache::open_with_salt(&dir, &options, &limits, "").unwrap());
-    let shard = fs::read_dir(&dir)
-        .unwrap()
-        .flatten()
-        .map(|e| e.path())
-        .find(|p| p.is_dir())
-        .expect("open created the fingerprint shard");
-    fs::remove_dir_all(&shard).unwrap();
+    let cache = Arc::new(AnalysisCache::open(&dir).unwrap());
+    let shard = dir.join(&cache::fingerprint(&options, &limits)[..16]);
+    let _ = fs::remove_dir_all(&shard);
     fs::write(&shard, b"not a directory").unwrap();
 
     let obs = Obs::enabled();

@@ -9,8 +9,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use cfinder::core::{
-    AnalysisCache, AnalysisReport, AppSource, CFinder, CFinderOptions, IncidentKind, Limits, Obs,
-    SourceFile,
+    AnalysisCache, AnalysisReport, AppSource, CFinder, IncidentKind, Limits, Obs, SourceFile,
 };
 use cfinder::corpus::{all_profiles, generate, inject_panic_marker, GenOptions};
 
@@ -30,10 +29,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 fn open(dir: &PathBuf) -> Arc<AnalysisCache> {
-    Arc::new(
-        AnalysisCache::open(dir, &CFinderOptions::default(), &Limits::default())
-            .expect("open cache"),
-    )
+    Arc::new(AnalysisCache::open(dir).expect("open cache"))
 }
 
 fn analyze_cached(
@@ -101,9 +97,7 @@ fn only_misses_are_stored_and_a_panicking_file_costs_only_itself() {
         CFinder::new().with_limits(limits).analyze(&source, &app.declared).stable_json();
     for threads in [1, 2] {
         let dir = temp_dir(&format!("panic-{threads}"));
-        let cache = Arc::new(
-            AnalysisCache::open(&dir, &CFinderOptions::default(), &limits).expect("open cache"),
-        );
+        let cache = Arc::new(AnalysisCache::open(&dir).expect("open cache"));
         let run = || {
             let obs = Obs::enabled();
             let report = CFinder::new()

@@ -1,9 +1,9 @@
 //! The invalidation matrix: every ingredient of the cache key — file
-//! content, fingerprint salt, analyzer options, resource limits, the
-//! per-file deadline, and the entry format —
-//! must invalidate exactly the entries it covers; damaged entries must
-//! degrade to typed misses with the answer recomputed, never a panic or
-//! a wrong result.
+//! content, analyzer options, resource limits, the per-file deadline,
+//! and the entry format — must invalidate exactly the entries it covers;
+//! one cache handle must serve analyzers of any configuration, each from
+//! its own shard; damaged entries must degrade to typed misses with the
+//! answer recomputed, never a panic or a wrong result.
 
 use std::fs;
 use std::path::PathBuf;
@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cfinder::core::{
-    AnalysisCache, AnalysisReport, AppSource, CFinder, CFinderOptions, IncidentKind, Limits,
+    cache, AnalysisCache, AnalysisReport, AppSource, CFinder, CFinderOptions, IncidentKind, Limits,
     SourceFile,
 };
 use cfinder::corpus::{all_profiles, generate, GenOptions};
@@ -56,8 +56,23 @@ fn run(
     CFinder::new().with_threads(2).with_cache(cache).analyze(source, &app.declared)
 }
 
+/// Runs one configuration's analyzer over `source` through `cache`.
+fn run_configured(
+    app: &cfinder::corpus::GeneratedApp,
+    source: &AppSource,
+    (options, limits): (CFinderOptions, Limits),
+    threads: usize,
+    cache: Arc<AnalysisCache>,
+) -> AnalysisReport {
+    CFinder::with_options(options)
+        .with_limits(limits)
+        .with_threads(threads)
+        .with_cache(cache)
+        .analyze(source, &app.declared)
+}
+
 #[test]
-fn fingerprint_salt_options_and_limits_each_invalidate_the_whole_shard() {
+fn options_limits_and_deadline_each_invalidate_the_whole_shard() {
     let app = generate(&all_profiles()[0], SCALE);
     let source = to_source(&app);
     let files = app.files.len();
@@ -65,31 +80,27 @@ fn fingerprint_salt_options_and_limits_each_invalidate_the_whole_shard() {
 
     let options = CFinderOptions::default();
     let limits = Limits::default();
-    let base = Arc::new(AnalysisCache::open_with_salt(&dir, &options, &limits, "").unwrap());
+    let base = Arc::new(AnalysisCache::open(&dir).unwrap());
     run(&app, &source, base.clone()); // populate
     let warm = run(&app, &source, base.clone());
     assert_eq!((warm.timings.cache_hits, warm.timings.cache_misses), (files, 0));
 
-    // Each variant is a different tool fingerprint: its lookups all miss,
-    // and the base shard's entries are untouched (still fully warm after).
-    let salted = AnalysisCache::open_with_salt(&dir, &options, &limits, "bumped").unwrap();
-    let ablated = AnalysisCache::open_with_salt(
-        &dir,
-        &CFinderOptions { null_guard_analysis: false, ..options },
-        &limits,
-        "",
-    )
-    .unwrap();
-    let capped = AnalysisCache::open_with_salt(
-        &dir,
-        &options,
-        &Limits { max_tokens: 777_777, ..limits },
-        "",
-    )
-    .unwrap();
-    for (what, variant) in [("salt", salted), ("options", ablated), ("limits", capped)] {
-        assert_ne!(variant.fingerprint(), base.fingerprint(), "{what}");
-        let cold = run(&app, &source, Arc::new(variant));
+    // Each variant analyzer is a different tool fingerprint: through the
+    // same handle, its lookups all miss in its own shard, and the base
+    // shard's entries are untouched (still fully warm after).
+    let variants = [
+        ("options", CFinderOptions { null_guard_analysis: false, ..options }, limits),
+        ("limits", options, Limits { max_tokens: 777_777, ..limits }),
+        ("deadline", options, Limits { deadline: Some(Duration::from_secs(120)), ..limits }),
+    ];
+    for (what, variant_options, variant_limits) in variants {
+        assert_ne!(
+            cache::fingerprint(&variant_options, &variant_limits),
+            cache::fingerprint(&options, &limits),
+            "{what}"
+        );
+        let cold =
+            run_configured(&app, &source, (variant_options, variant_limits), 2, base.clone());
         assert_eq!(cold.timings.cache_hits, 0, "{what}: expected a fully cold shard");
         assert_eq!(cold.timings.cache_misses, files, "{what}");
     }
@@ -100,6 +111,48 @@ fn fingerprint_salt_options_and_limits_each_invalidate_the_whole_shard() {
         "foreign fingerprints must not disturb the base shard"
     );
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// The shared-handle oracle: one handle serves the default, the paper
+/// and a null-guard-ablated analyzer over oscar. After one pass of each,
+/// a second pass of each replays its own shard — zero files parsed — and
+/// answers exactly what that configuration answers cold, which answers
+/// what it answers uncached: no configuration replays another's
+/// detections.
+#[test]
+fn one_handle_serves_every_configuration_from_its_own_shard() {
+    let app = generate(&all_profiles()[0], SCALE);
+    assert_eq!(app.name, "oscar");
+    let source = to_source(&app);
+    let mut ablated = CFinderOptions::default();
+    ablated.ablate("null-guard").unwrap();
+    let configs = [
+        ("default", CFinderOptions::default()),
+        ("paper", CFinderOptions::paper()),
+        ("null-guard ablated", ablated),
+    ];
+    for threads in [1, 4] {
+        let dir = temp_dir(&format!("shared-handle-{threads}"));
+        let shared = Arc::new(AnalysisCache::open(&dir).unwrap());
+        let cold: Vec<String> = configs
+            .iter()
+            .map(|&(what, options)| {
+                let config = (options, Limits::default());
+                let report = run_configured(&app, &source, config, threads, shared.clone());
+                let reference = CFinder::with_options(options).analyze(&source, &app.declared);
+                assert_eq!(report.stable_json(), reference.stable_json(), "{what} cold");
+                report.stable_json()
+            })
+            .collect();
+        assert_ne!(cold[0], cold[2], "the ablation must change the answer, or this is vacuous");
+        for (&(what, options), cold) in configs.iter().zip(&cold) {
+            let config = (options, Limits::default());
+            let warm = run_configured(&app, &source, config, threads, shared.clone());
+            assert_eq!(warm.timings.files_parsed, 0, "{what} at {threads} threads");
+            assert_eq!(&warm.stable_json(), cold, "{what} at {threads} threads");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
 }
 
 /// Flipping `CFinderOptions::interprocedural` changes the tool
@@ -118,26 +171,24 @@ fn interprocedural_option_invalidates_the_whole_shard() {
     let options = CFinderOptions::default();
     let limits = Limits::default();
 
-    let on = Arc::new(AnalysisCache::open_with_salt(&dir, &options, &limits, "").unwrap());
+    let on = Arc::new(AnalysisCache::open(&dir).unwrap());
     run(&app, &source, on.clone()); // populate
     let warm = run(&app, &source, on.clone());
     assert_eq!((warm.timings.cache_hits, warm.timings.cache_misses), (files, 0));
 
     let off_options = CFinderOptions { interprocedural: false, ..options };
-    let off = AnalysisCache::open_with_salt(&dir, &off_options, &limits, "").unwrap();
-    assert_ne!(off.fingerprint(), on.fingerprint(), "interprocedural must be fingerprinted");
+    let off = cache::fingerprint(&off_options, &limits);
+    assert_ne!(off, cache::fingerprint(&options, &limits), "interprocedural must be fingerprinted");
     assert_eq!(
-        off.fingerprint(),
-        AnalysisCache::open_with_salt(&dir, &CFinderOptions::paper(), &limits, "")
-            .unwrap()
-            .fingerprint(),
+        off,
+        cache::fingerprint(&CFinderOptions::paper(), &limits),
         "the paper configuration differs from the default only in `interprocedural`"
     );
 
     let reference = CFinder::with_options(off_options).analyze(&source, &app.declared);
     let cold = CFinder::with_options(off_options)
         .with_threads(2)
-        .with_cache(Arc::new(off))
+        .with_cache(on.clone())
         .analyze(&source, &app.declared);
     assert_eq!(cold.timings.cache_hits, 0, "expected a fully cold shard after the flip");
     assert_eq!(cold.timings.cache_misses, files);
@@ -170,10 +221,7 @@ fn editing_a_helper_body_invalidates_callers_detect_entries() {
     let clean_source = to_source(&clean_app);
     let files = clean_app.files.len();
     let dir = temp_dir("helper-edit");
-    let cache = Arc::new(
-        AnalysisCache::open_with_salt(&dir, &CFinderOptions::default(), &Limits::default(), "")
-            .unwrap(),
-    );
+    let cache = Arc::new(AnalysisCache::open(&dir).unwrap());
 
     let clean = run(&clean_app, &clean_source, cache.clone()); // populate
     let warm = run(&clean_app, &clean_source, cache.clone());
@@ -231,12 +279,10 @@ fn deadline_env_changes_the_tool_fingerprint() {
     // a deadline is its own shard, and so is each duration. Three
     // fingerprints are pinned, so a change to what the fingerprint hashes
     // cannot slip through as a silent re-shard.
-    let dir = temp_dir("deadline");
     let fingerprint = |options: &CFinderOptions, deadline_ms: Option<u64>| {
         let limits =
             Limits { deadline: deadline_ms.map(Duration::from_millis), ..Limits::default() };
-        let cache = AnalysisCache::open_with_salt(&dir, options, &limits, "").unwrap();
-        cache.fingerprint().to_string()
+        cache::fingerprint(options, &limits)
     };
     let default = CFinderOptions::default();
     let without = fingerprint(&default, None);
@@ -246,7 +292,6 @@ fn deadline_env_changes_the_tool_fingerprint() {
     assert_eq!(without, "83265010f870cea7a0bf602ec7982e54");
     assert_eq!(with, "a0993a6b8c70c83b7e640d1f22ddeba3");
     assert_eq!(fingerprint(&CFinderOptions::paper(), None), "a723462bc8f959e11edd8c3b801243df");
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -254,8 +299,6 @@ fn damaged_entries_are_typed_misses_never_panics_or_wrong_results() {
     let app = generate(&all_profiles()[0], SCALE);
     let source = to_source(&app);
     let reference = CFinder::new().analyze(&source, &app.declared).stable_json();
-    let options = CFinderOptions::default();
-    let limits = Limits::default();
 
     // Three damage modes: truncation, non-JSON garbage, and a stale
     // format version (valid JSON claiming a future entry format).
@@ -265,7 +308,7 @@ fn damaged_entries_are_typed_misses_never_panics_or_wrong_results() {
         ("future-format", "{\"format\":999,\"path\":\"x\",\"content_hash\":\"y\"}"),
     ] {
         let dir = temp_dir(&format!("damage-{mode}"));
-        let cache = Arc::new(AnalysisCache::open_with_salt(&dir, &options, &limits, "").unwrap());
+        let cache = Arc::new(AnalysisCache::open(&dir).unwrap());
         run(&app, &source, cache.clone()); // populate
 
         let entries = entry_files(&dir);
@@ -303,10 +346,7 @@ fn damaging_one_entry_leaves_every_other_entry_warm() {
     let source = to_source(&app);
     let reference = CFinder::new().analyze(&source, &app.declared).stable_json();
     let dir = temp_dir("single");
-    let cache = Arc::new(
-        AnalysisCache::open_with_salt(&dir, &CFinderOptions::default(), &Limits::default(), "")
-            .unwrap(),
-    );
+    let cache = Arc::new(AnalysisCache::open(&dir).unwrap());
     run(&app, &source, cache.clone()); // populate
 
     let entries = entry_files(&dir);

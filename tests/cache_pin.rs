@@ -11,7 +11,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use cfinder::core::{AnalysisCache, AppSource, CFinder, CFinderOptions, Limits, SourceFile};
+use cfinder::core::{AnalysisCache, AppSource, CFinder, CFinderOptions, SourceFile};
 use cfinder::corpus::{all_profiles, generate, GenOptions};
 
 const SCALE: GenOptions = GenOptions { loc_scale: 0.02 };
@@ -44,7 +44,7 @@ fn cache_digest(label: &str, options: CFinderOptions) -> (usize, String) {
     let dir: PathBuf =
         std::env::temp_dir().join(format!("cfinder-cache-pin-{label}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
-    let cache = Arc::new(AnalysisCache::open(&dir, &options, &Limits::default()).unwrap());
+    let cache = Arc::new(AnalysisCache::open(&dir).unwrap());
     let finder = CFinder::with_options(options).with_threads(2).with_cache(cache);
     for profile in all_profiles() {
         let app = generate(&profile, SCALE);

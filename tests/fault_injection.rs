@@ -366,9 +366,7 @@ fn corrupted_corpus_with_cache_round_trips_incidents_and_coverage() {
         // it, so unchanged files hit across variants while each variant's
         // corrupted files miss — the partial-invalidation path 104 times.
         let dir = cache_dir(&format!("matrix-{}", profile.name));
-        let cache = Arc::new(
-            AnalysisCache::open(&dir, &CFinderOptions::default(), &limits).expect("open cache"),
-        );
+        let cache = Arc::new(AnalysisCache::open(&dir).expect("open cache"));
         for seed in 0..13u64 {
             variants += 1;
             let mut app = clean_app.clone();
@@ -416,9 +414,7 @@ fn deadline_degraded_files_are_never_cached() {
     let app = generate(&profile, GenOptions { loc_scale: 0.01 });
     let limits = Limits { deadline: Some(Duration::ZERO), ..Limits::default() };
     let dir = cache_dir("deadline");
-    let cache = Arc::new(
-        AnalysisCache::open(&dir, &CFinderOptions::default(), &limits).expect("open cache"),
-    );
+    let cache = Arc::new(AnalysisCache::open(&dir).expect("open cache"));
 
     let degraded = analyze_cached(&app, 2, limits, cache.clone());
     assert_eq!(degraded.incidents.len(), app.files.len());

@@ -15,9 +15,7 @@ use cfinder::core::usage::{
     ATOMIC_FAULT_ENV, CACHE_DIR_ENV, DEADLINE_ENV, MAX_FILE_BYTES_ENV, SERVE_FAULTS_ENV,
     THREADS_ENV,
 };
-use cfinder::core::{
-    atomic_write, AnalysisCache, AppSource, CFinder, CFinderOptions, Limits, SourceFile,
-};
+use cfinder::core::{atomic_write, cache, AppSource, CFinder, CFinderOptions, Limits, SourceFile};
 use cfinder::corpus::{all_profiles, generate, GenOptions};
 use cfinder::serve::ServeConfig;
 
@@ -48,8 +46,7 @@ fn observe(tag: &str) -> Observed {
     .iter()
     .map(|(options, deadline)| {
         let limits = Limits { deadline: *deadline, ..Limits::default() };
-        let cache = AnalysisCache::open(dir.join("cache"), options, &limits).unwrap();
-        cache.fingerprint().to_string()
+        cache::fingerprint(options, &limits)
     })
     .collect();
 

@@ -9,7 +9,7 @@ use std::process::Command;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use cfinder::core::usage::ATOMIC_FAULT_ENV;
-use cfinder::core::{AnalysisCache, CFinderOptions, Limits};
+use cfinder::core::{cache, CFinderOptions, Limits};
 use cfinder::corpus::GenOptions;
 use cfinder::report::perf::{self, STAGE_KEYS};
 use cfinder::report::QueryBenchOptions;
@@ -208,10 +208,8 @@ fn perf_cache_holds_only_the_paper_fingerprint_shard() {
         .filter(|e| e.path().is_dir())
         .map(|e| e.file_name().to_string_lossy().into_owned())
         .collect();
-    let paper =
-        AnalysisCache::open(dir.join("paper"), &CFinderOptions::paper(), &Limits::default())
-            .unwrap();
-    assert_eq!(shards, [&paper.fingerprint()[..16]]);
+    let paper = cache::fingerprint(&CFinderOptions::paper(), &Limits::default());
+    assert_eq!(shards, [&paper[..16]]);
     let _ = fs::remove_dir_all(&dir);
 }
 

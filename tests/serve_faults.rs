@@ -123,16 +123,24 @@ fn every_error_code_is_reachable_and_request_scoped() {
         main.call("late", r#""cmd":"analyze","project":"p","fault":"sleep:400","deadline_ms":50"#);
     assert_eq!(err_code(&resp), "deadline-exceeded");
 
-    // cache-unusable: the cache root turns into a plain file, then a
-    // request arrives whose options need a fresh fingerprint shard.
+    // A cache root that breaks mid-session is not a request error: it
+    // turns into a plain file, and an analysis of a fresh configuration
+    // answers `ok` like one of an already-used configuration, each
+    // lookup a typed cache-corrupt miss and each write a typed skip.
+    let write_skips_before = write_skips(&main);
     fs::remove_dir_all(&cache).unwrap();
     fs::write(&cache, b"not a directory").unwrap();
-    let resp = main.call("cu", r#""cmd":"analyze","project":"p","ablate":["null-guard"]"#);
-    assert_eq!(err_code(&resp), "cache-unusable");
-    // ...while the memoized default-options handle degrades to typed
-    // write-skips instead of failing the analysis.
-    let resp = main.call("cu-degraded", r#""cmd":"analyze","project":"p""#);
-    ok_result(&resp);
+    for (id, ablate) in [("cu", r#","ablate":["null-guard"]"#), ("cu-degraded", "")] {
+        let resp = main.call(id, &format!(r#""cmd":"analyze","project":"p"{ablate}"#));
+        let incidents = ok_result(&resp).get("incidents").and_then(Value::as_seq).unwrap();
+        assert!(
+            incidents
+                .iter()
+                .any(|i| i.get("kind").and_then(Value::as_str) == Some("cache-corrupt")),
+            "{id}: expected cache-corrupt incidents: {resp:?}"
+        );
+    }
+    assert!(write_skips(&main) > write_skips_before, "expected typed write skips");
 
     // overloaded: occupy the single worker, fill the one queue slot,
     // and the third concurrent analyze is refused with a retry hint.
@@ -182,6 +190,16 @@ fn every_error_code_is_reachable_and_request_scoped() {
     let status = daemon.finish();
     assert!(status.success(), "daemon exited with {status:?}");
     let _ = fs::remove_dir_all(&root);
+}
+
+/// The daemon's `cfinder_cache_write_errors_total`, summed over causes.
+fn write_skips(client: &Client) -> u64 {
+    let resp = client.call("skips", r#""cmd":"metrics""#);
+    let text = ok_result(&resp).get("prometheus").and_then(Value::as_str).unwrap().to_string();
+    text.lines()
+        .filter(|l| l.starts_with("cfinder_cache_write_errors_total"))
+        .filter_map(|l| l.rsplit(' ').next()?.parse::<u64>().ok())
+        .sum()
 }
 
 #[test]
