@@ -332,11 +332,6 @@ impl AnalysisCache {
         AnalysisCache::open(root)
     }
 
-    /// The cache's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     /// The shard of one analyzer configuration, named by its
     /// [`fingerprint`]. The directory is created best-effort: when that
     /// fails, the shard's lookups miss and its writes are skipped.

@@ -304,11 +304,6 @@ impl CFinder {
         self
     }
 
-    /// The attached incremental cache, if any.
-    pub fn cache(&self) -> Option<&AnalysisCache> {
-        self.cache.as_deref()
-    }
-
     /// The attached observability handle (disabled unless
     /// [`CFinder::with_obs`] was called).
     pub fn obs(&self) -> &Obs {

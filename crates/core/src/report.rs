@@ -160,7 +160,7 @@ pub struct HelperHop {
 /// intra-procedural reports are byte-identical to their pre-interproc
 /// shape; deserialization treats an absent key as `None`, so old cache
 /// entries and goldens still load.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Detection {
     /// Which pattern matched.
     pub pattern: PatternId,
@@ -174,23 +174,8 @@ pub struct Detection {
     pub snippet: String,
     /// The helper hop this detection was propagated through, when the
     /// pattern fired one call level away from the enforcement code.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub via: Option<HelperHop>,
-}
-
-impl Serialize for Detection {
-    fn to_value(&self) -> serde::Value {
-        let mut m = vec![
-            ("pattern".to_string(), self.pattern.to_value()),
-            ("constraint".to_string(), self.constraint.to_value()),
-            ("file".to_string(), self.file.to_value()),
-            ("span".to_string(), self.span.to_value()),
-            ("snippet".to_string(), self.snippet.to_value()),
-        ];
-        if let Some(via) = &self.via {
-            m.push(("via".to_string(), via.to_value()));
-        }
-        serde::Value::Map(m)
-    }
 }
 
 impl Detection {
@@ -218,7 +203,7 @@ impl Detection {
 /// detection). Surfaced by `cfinder explain` and the `--provenance` JSON
 /// field. Like [`Detection`], the `via` key is omitted from JSON when the
 /// detection was intra-procedural.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Provenance {
     /// Paper-style pattern label (`PA_u1`, …).
     pub pattern: String,
@@ -226,6 +211,7 @@ pub struct Provenance {
     pub rule: String,
     /// The helper hop, when the rule fired through one call level of
     /// indirection: rule → helper def → call site → constraint.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub via: Option<HelperHop>,
     /// Source file of the matched site.
     pub file: String,
@@ -243,28 +229,6 @@ pub struct Provenance {
     /// The PostgreSQL DDL that adds the constraint
     /// ([`cfinder_sql::constraint_ddl`]).
     pub ddl: String,
-}
-
-impl Serialize for Provenance {
-    fn to_value(&self) -> serde::Value {
-        let mut m = vec![
-            ("pattern".to_string(), self.pattern.to_value()),
-            ("rule".to_string(), self.rule.to_value()),
-        ];
-        if let Some(via) = &self.via {
-            m.push(("via".to_string(), via.to_value()));
-        }
-        m.extend([
-            ("file".to_string(), self.file.to_value()),
-            ("line".to_string(), self.line.to_value()),
-            ("snippet".to_string(), self.snippet.to_value()),
-            ("table".to_string(), self.table.to_value()),
-            ("columns".to_string(), self.columns.to_value()),
-            ("constraint".to_string(), self.constraint.to_value()),
-            ("ddl".to_string(), self.ddl.to_value()),
-        ]);
-        serde::Value::Map(m)
-    }
 }
 
 /// A constraint absent from the declared schema, with the detections that

@@ -43,7 +43,9 @@ pub mod metrics;
 pub mod profile;
 pub mod trace;
 
-pub use metrics::{HistogramSnapshot, MetricFamily, MetricKind, Metrics, MetricsSnapshot, Sample};
+pub use metrics::{
+    HistogramSnapshot, MetricFamily, MetricKind, Metrics, MetricsSnapshot, Quantiles, Sample,
+};
 pub use profile::{HotSpan, ProfileReport, Profiler};
 pub use trace::{SpanGuard, TraceEvent, Tracer};
 

@@ -26,6 +26,8 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
+use serde::{Deserialize, Serialize};
+
 /// Histogram bucket upper bounds, in seconds — sized for per-file parse
 /// and detection latencies (100 µs … 10 s, roughly log-spaced).
 pub const LATENCY_BUCKETS_SECONDS: [f64; 12] =
@@ -440,6 +442,17 @@ pub struct MetricsSnapshot {
     pub families: Vec<MetricFamily>,
 }
 
+/// The [`REPORTED_QUANTILES`] estimates of one histogram family.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct Quantiles {
+    /// Median.
+    pub p50: f64,
+    /// 95th percentile.
+    pub p95: f64,
+    /// 99th percentile.
+    pub p99: f64,
+}
+
 impl MetricsSnapshot {
     /// The value of an unlabeled counter (0 when absent).
     pub fn counter(&self, family: &str) -> u64 {
@@ -472,14 +485,15 @@ impl MetricsSnapshot {
             .and_then(|s| s.histogram.as_ref())
     }
 
-    /// `[p50, p95, p99]` estimates for a histogram family, or `None`
-    /// when the family is absent or empty.
-    pub fn quantiles(&self, family: &str) -> Option<[f64; 3]> {
+    /// p50/p95/p99 estimates for a histogram family, or `None` when the
+    /// family is absent or empty.
+    pub fn quantiles(&self, family: &str) -> Option<Quantiles> {
         let hist = self.histogram(family)?;
         if hist.count == 0 {
             return None;
         }
-        Some(REPORTED_QUANTILES.map(|q| hist.quantile(q)))
+        let [p50, p95, p99] = REPORTED_QUANTILES.map(|q| hist.quantile(q));
+        Some(Quantiles { p50, p95, p99 })
     }
 
     fn sample(&self, family: &str, label_value: Option<&str>) -> u64 {
@@ -617,7 +631,7 @@ mod tests {
             m.observe("cfinder_file_parse_seconds", 0.0002); // (0.0001, 0.00025]
         }
         let snap = m.snapshot();
-        let [p50, p95, p99] = snap.quantiles("cfinder_file_parse_seconds").unwrap();
+        let Quantiles { p50, p95, p99 } = snap.quantiles("cfinder_file_parse_seconds").unwrap();
         assert!((p50 - 0.000175).abs() < 1e-12, "{p50}");
         assert!(p50 <= p95 && p95 <= p99, "monotone: {p50} {p95} {p99}");
         assert!((0.0001..=0.00025).contains(&p99), "within the bucket: {p99}");

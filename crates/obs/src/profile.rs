@@ -36,6 +36,8 @@ use std::sync::{Arc, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use serde::{Deserialize, Serialize};
+
 /// Default sampling rate. Prime, so the sampler does not phase-lock with
 /// periodic work in the analyzer.
 pub const DEFAULT_HZ: u32 = 97;
@@ -278,7 +280,7 @@ pub struct ProfileReport {
 }
 
 /// One row of the top-N hot-span table.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HotSpan {
     /// Frame label (`cat:name`).
     pub frame: String,

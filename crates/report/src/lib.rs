@@ -24,7 +24,7 @@ pub use ablation::{ablation_study, ablation_table, AblationRow};
 pub use baseline::{baseline_table, evaluate_baseline, populate, BaselineOutcome};
 pub use interproc::{interproc_compare, interproc_study, interproc_table, InterprocRow};
 pub use metrics::{AppEvaluation, CoverageCell, Evaluation, HistoryRecall, PrecisionCell};
-pub use querybench::{query_bench_value, run_query_bench, ClassResult, QueryBenchOptions};
+pub use querybench::{run_query_bench, ClassResult, QueryBench, QueryBenchOptions};
 pub use render::{pct, TextTable};
 
 use cfinder_core::{AppSource, SourceFile};

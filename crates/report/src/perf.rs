@@ -29,10 +29,12 @@ use std::time::{Duration, Instant};
 
 use cfinder_core::{AnalysisCache, AnalysisReport, CFinder, Obs, StageTimings};
 use cfinder_corpus::{GenOptions, GeneratedApp};
+use cfinder_obs::{HotSpan, Quantiles};
 use cfinder_schema::Schema;
+use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
-use crate::querybench::{query_bench_value, run_query_bench, QueryBenchOptions};
+use crate::querybench::{run_query_bench, QueryBench, QueryBenchOptions};
 use crate::AppEvaluation;
 
 /// Version stamped into every new BENCH document. Version 2 adds the
@@ -74,6 +76,204 @@ const SCALING_PASSES: usize = 3;
 /// Stage keys of the `stages_seconds` map, in pipeline order.
 pub const STAGE_KEYS: [&str; 5] = StageTimings::LABELS;
 
+/// A BENCH document, the unit of the perf-trajectory series. The type is
+/// the schema: decoding checks every field's presence and type, and the
+/// field order is the key order on disk. Every field added after
+/// version 1 is an `Option`, absent from the points that predate it;
+/// [`BenchPoint::validate`] checks which versions require them and what
+/// no type can express.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct BenchPoint {
+    /// [`BENCH_SCHEMA_VERSION`] when written.
+    pub schema_version: u64,
+    /// UTC stamp of the run ([`utc_stamp`]).
+    pub stamp: String,
+    /// Corpus scale label (`quick` or `paper`).
+    pub scale: String,
+    /// Cores the host offered (v4).
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub host_cores: Option<u64>,
+    /// LoC of the eight generated apps.
+    pub loc_total: u64,
+    /// Median cold-round seconds.
+    pub wall_seconds: f64,
+    /// Median warm-round seconds.
+    pub warm_wall_seconds: f64,
+    /// `loc_total` over `wall_seconds`.
+    pub loc_per_second: f64,
+    /// Every round's seconds (v4).
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub rounds: Option<Rounds>,
+    /// The median cold round's stage seconds, summed over its apps.
+    pub stages_seconds: StageSeconds,
+    /// The warm round's cache counters.
+    pub cache: CacheCounts,
+    /// Latency quantiles.
+    pub latency_seconds: Latency,
+    /// The sampling profiler's summary.
+    pub profile: ProfileSummary,
+    /// The query-rewrite races (v2).
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub query_bench: Option<QueryBench>,
+    /// The observability-overhead runs (v3).
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub obs_overhead: Option<ObsOverhead>,
+    /// Table 10's LoC sweep (v4).
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub scaling: Option<Scaling>,
+    /// The median cold round's per-app analyses.
+    pub apps: Vec<AppPoint>,
+    /// Every perf gate's verdict (v3), from [`evaluate_gates`].
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub gates: Option<Vec<Gate>>,
+}
+
+/// The `rounds` section: each round's timed window, in run order.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Rounds {
+    /// Cold-round seconds.
+    pub cold_seconds: Vec<f64>,
+    /// Warm-round seconds.
+    pub warm_seconds: Vec<f64>,
+}
+
+/// Seconds per pipeline stage, keyed like [`STAGE_KEYS`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct StageSeconds {
+    /// Parse stage.
+    pub parse: f64,
+    /// Model-extraction stage.
+    pub models: f64,
+    /// Detection stage.
+    pub detect: f64,
+    /// Schema-diff stage.
+    pub diff: f64,
+    /// Everything around the stages.
+    pub orchestration: f64,
+}
+
+impl StageSeconds {
+    /// Each stage's seconds summed over `reports`.
+    fn sum<'a>(reports: impl IntoIterator<Item = &'a AnalysisReport>) -> StageSeconds {
+        let mut seconds = [0.0; 5];
+        for report in reports {
+            for (slot, (_, d)) in seconds.iter_mut().zip(report.timings.stages()) {
+                *slot += d.as_secs_f64();
+            }
+        }
+        let [parse, models, detect, diff, orchestration] = seconds;
+        StageSeconds { parse, models, detect, diff, orchestration }
+    }
+}
+
+/// The `cache` section.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct CacheCounts {
+    /// Warm-round cache hits.
+    pub hits: u64,
+    /// Warm-round cache misses.
+    pub misses: u64,
+    /// `hits / (hits + misses)`.
+    pub hit_ratio: f64,
+    /// Apps whose warm report differed from the cold one, in any round
+    /// (v3).
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub report_mismatches: Option<Vec<String>>,
+}
+
+/// The `latency_seconds` section.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Latency {
+    /// Per-file parse latency.
+    pub file_parse: Quantiles,
+}
+
+/// The `profile` section.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ProfileSummary {
+    /// Sampling rate.
+    pub hz: u64,
+    /// Sampler ticks.
+    pub ticks: u64,
+    /// Stack samples taken.
+    pub sample_total: u64,
+    /// The hottest frames.
+    pub hot_spans: Vec<HotSpan>,
+}
+
+/// The `obs_overhead` section (v3): medians over the runs.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ObsOverhead {
+    /// Obs disabled.
+    pub disabled_seconds: f64,
+    /// Tracing.
+    pub traced_seconds: f64,
+    /// Tracing plus the sampling profiler.
+    pub profiled_seconds: f64,
+    /// Median per-run ratio of traced to disabled.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub traced_ratio: Option<f64>,
+    /// Median per-run ratio of profiled to disabled.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub profiled_ratio: Option<f64>,
+}
+
+/// The `scaling` section (v4): Table 10's LoC sweep.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Scaling {
+    /// The swept app.
+    pub app: String,
+    /// Analysis threads.
+    pub threads: u64,
+    /// One point per generator scale, in increasing LoC.
+    pub points: Vec<ScalingPoint>,
+    /// Least-squares log-log slopes against LoC.
+    pub slopes: Slopes,
+}
+
+/// One point of the LoC sweep.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ScalingPoint {
+    /// Generator scale.
+    pub loc_scale: f64,
+    /// LoC analyzed.
+    pub loc: u64,
+    /// Analysis seconds.
+    pub seconds: f64,
+    /// Stage seconds.
+    pub stages_seconds: StageSeconds,
+}
+
+/// Log-log slopes of the total and of each stage (1.0 is linear).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Slopes {
+    /// Total analysis time.
+    pub total: f64,
+    /// Parse stage.
+    pub parse: f64,
+    /// Model-extraction stage.
+    pub models: f64,
+    /// Detection stage.
+    pub detect: f64,
+    /// Schema-diff stage.
+    pub diff: f64,
+    /// Everything around the stages.
+    pub orchestration: f64,
+}
+
+/// One app of the median cold round.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct AppPoint {
+    /// App name.
+    pub name: String,
+    /// LoC.
+    pub loc: u64,
+    /// Source files.
+    pub files: u64,
+    /// Analysis seconds.
+    pub analysis_seconds: f64,
+}
+
 /// Renders a unix timestamp as the compact UTC stamp used in BENCH file
 /// names: `YYYYMMDDTHHMMSSZ`.
 pub fn utc_stamp(unix_seconds: u64) -> String {
@@ -97,13 +297,13 @@ fn civil_from_days(z: i64) -> (i64, u32, u32) {
     (if m <= 2 { y + 1 } else { y }, m, d)
 }
 
-/// Runs the benchmark and returns the BENCH document. It generates the
+/// Runs the benchmark and returns the BENCH point. It generates the
 /// corpus and analyzes it cold and then warm through a cache under
-/// `cache_dir`, [`ROUNDS`] times, emptying the cache before each cold
-/// round; the headline seconds are the medians. It then runs the
-/// query-rewrite races, the observability-overhead runs and Table 10's
-/// LoC sweep. `scale_label` and `stamp` are recorded verbatim (the
-/// caller owns clock access so results stay reproducible in tests).
+/// `cache_dir`, three times, emptying the cache before each cold round;
+/// the headline seconds are the medians. It then runs the query-rewrite
+/// races, the observability-overhead runs and Table 10's LoC sweep, and
+/// evaluates the gates. `scale_label` and `stamp` are recorded verbatim
+/// (the caller owns clock access so results stay reproducible in tests).
 pub fn run_benchmark(
     options: GenOptions,
     scale_label: &str,
@@ -111,7 +311,7 @@ pub fn run_benchmark(
     cache_dir: &Path,
     stamp: &str,
     query_opts: QueryBenchOptions,
-) -> Result<Value, String> {
+) -> Result<BenchPoint, String> {
     let profiles = cfinder_corpus::all_profiles();
     let generate = || -> Vec<GeneratedApp> {
         profiles.iter().map(|p| cfinder_corpus::generate(p, options)).collect()
@@ -149,24 +349,19 @@ pub fn run_benchmark(
         .filter(|(c, w)| c.stable_json() != w.stable_json())
         .map(|(c, _)| c.app.as_str())
         .collect();
-    let report_mismatches =
-        Value::Seq(mismatched.into_iter().map(|n| Value::Str(n.into())).collect());
+    let report_mismatches = mismatched.into_iter().map(str::to_string).collect();
 
     // The query-rewrite benchmark: its own databases, its own timed
     // windows, oracle-gated inside run_query_bench.
-    let query_results = run_query_bench(query_opts)?;
-    let query_bench = query_bench_value(query_opts, &query_results);
+    let query_bench = run_query_bench(query_opts)?;
     let obs_overhead = measure_obs_overhead(profile_hz)?;
     let scaling = measure_scaling()?;
 
-    let seconds = |side: fn(&Round) -> f64| {
-        Value::Seq(rounds.iter().map(|r| Value::Float(side(r))).collect())
+    let round_seconds = Rounds {
+        cold_seconds: rounds.iter().map(|r| r.cold_seconds).collect(),
+        warm_seconds: rounds.iter().map(|r| r.warm_seconds).collect(),
     };
-    let round_seconds = Value::Map(vec![
-        ("cold_seconds".into(), seconds(|r| r.cold_seconds)),
-        ("warm_seconds".into(), seconds(|r| r.warm_seconds)),
-    ]);
-    let warm_wall_seconds = median(&rounds.iter().map(|r| r.warm_seconds).collect::<Vec<_>>());
+    let warm_wall_seconds = median(&round_seconds.warm_seconds);
     // LoC, then the warm round's cache hits and misses.
     let counts = |r: &Round| {
         let sum = |reports: &[AnalysisReport], n: fn(&AnalysisReport) -> usize| {
@@ -185,85 +380,44 @@ pub fn run_benchmark(
     let Round { cold, cold_seconds: wall_seconds, .. } = &rounds[ROUNDS / 2];
     let (loc_total, hits, misses) = counts(&rounds[ROUNDS / 2]);
     let hit_ratio = if hits + misses > 0 { hits as f64 / (hits + misses) as f64 } else { 0.0 };
-    let parse_q =
-        obs.metrics.snapshot().quantiles("cfinder_file_parse_seconds").unwrap_or([0.0; 3]);
+    let file_parse =
+        obs.metrics.snapshot().quantiles("cfinder_file_parse_seconds").unwrap_or_default();
 
-    let apps = cold
-        .iter()
-        .map(|a| {
-            Value::Map(vec![
-                ("name".into(), Value::Str(a.app.clone())),
-                ("loc".into(), Value::UInt(a.loc as u64)),
-                ("files".into(), Value::UInt(a.files_total as u64)),
-                ("analysis_seconds".into(), Value::Float(a.analysis_time.as_secs_f64())),
-            ])
-        })
-        .collect();
-    let hot_spans = profile
-        .hot_spans(10)
-        .into_iter()
-        .map(|h| {
-            Value::Map(vec![
-                ("frame".into(), Value::Str(h.frame)),
-                ("self_samples".into(), Value::UInt(h.self_samples)),
-                ("total_samples".into(), Value::UInt(h.total_samples)),
-            ])
-        })
-        .collect();
-
-    let mut doc = Value::Map(vec![
-        ("schema_version".into(), Value::UInt(BENCH_SCHEMA_VERSION)),
-        ("stamp".into(), Value::Str(stamp.to_string())),
-        ("scale".into(), Value::Str(scale_label.to_string())),
-        (
-            "host_cores".into(),
-            Value::UInt(std::thread::available_parallelism().map_or(1, |n| n.get() as u64)),
-        ),
-        ("loc_total".into(), Value::UInt(loc_total)),
-        ("wall_seconds".into(), Value::Float(*wall_seconds)),
-        ("warm_wall_seconds".into(), Value::Float(warm_wall_seconds)),
-        ("loc_per_second".into(), Value::Float(loc_total as f64 / wall_seconds.max(f64::EPSILON))),
-        ("rounds".into(), round_seconds),
-        ("stages_seconds".into(), stages_value(cold)),
-        (
-            "cache".into(),
-            Value::Map(vec![
-                ("hits".into(), Value::UInt(hits)),
-                ("misses".into(), Value::UInt(misses)),
-                ("hit_ratio".into(), Value::Float(hit_ratio)),
-                ("report_mismatches".into(), report_mismatches),
-            ]),
-        ),
-        (
-            "latency_seconds".into(),
-            Value::Map(vec![(
-                "file_parse".into(),
-                Value::Map(vec![
-                    ("p50".into(), Value::Float(parse_q[0])),
-                    ("p95".into(), Value::Float(parse_q[1])),
-                    ("p99".into(), Value::Float(parse_q[2])),
-                ]),
-            )]),
-        ),
-        (
-            "profile".into(),
-            Value::Map(vec![
-                ("hz".into(), Value::UInt(u64::from(profile.hz))),
-                ("ticks".into(), Value::UInt(profile.ticks)),
-                ("sample_total".into(), Value::UInt(profile.total_samples())),
-                ("hot_spans".into(), Value::Seq(hot_spans)),
-            ]),
-        ),
-        ("query_bench".into(), query_bench),
-        ("obs_overhead".into(), obs_overhead),
-        ("scaling".into(), scaling),
-        ("apps".into(), Value::Seq(apps)),
-    ]);
-    let gates = evaluate_gates(&doc)?;
-    if let Value::Map(entries) = &mut doc {
-        entries.push(("gates".into(), Value::Seq(gates.iter().map(Gate::to_value).collect())));
-    }
-    Ok(doc)
+    let mut point = BenchPoint {
+        schema_version: BENCH_SCHEMA_VERSION,
+        stamp: stamp.to_string(),
+        scale: scale_label.to_string(),
+        host_cores: Some(std::thread::available_parallelism().map_or(1, |n| n.get() as u64)),
+        loc_total,
+        wall_seconds: *wall_seconds,
+        warm_wall_seconds,
+        loc_per_second: loc_total as f64 / wall_seconds.max(f64::EPSILON),
+        rounds: Some(round_seconds),
+        stages_seconds: StageSeconds::sum(cold),
+        cache: CacheCounts { hits, misses, hit_ratio, report_mismatches: Some(report_mismatches) },
+        latency_seconds: Latency { file_parse },
+        profile: ProfileSummary {
+            hz: u64::from(profile.hz),
+            ticks: profile.ticks,
+            sample_total: profile.total_samples(),
+            hot_spans: profile.hot_spans(10),
+        },
+        query_bench: Some(query_bench),
+        obs_overhead: Some(obs_overhead),
+        scaling: Some(scaling),
+        apps: cold
+            .iter()
+            .map(|a| AppPoint {
+                name: a.app.clone(),
+                loc: a.loc as u64,
+                files: a.files_total as u64,
+                analysis_seconds: a.analysis_time.as_secs_f64(),
+            })
+            .collect(),
+        gates: None,
+    };
+    point.gates = Some(evaluate_gates(&point)?);
+    Ok(point)
 }
 
 /// One cold/warm round pair's reports and timed windows.
@@ -272,19 +426,6 @@ struct Round {
     warm: Vec<AnalysisReport>,
     cold_seconds: f64,
     warm_seconds: f64,
-}
-
-/// A `stages_seconds` map: each stage's seconds summed over `reports`.
-fn stages_value<'a>(reports: impl IntoIterator<Item = &'a AnalysisReport>) -> Value {
-    let mut seconds = [0.0; 5];
-    for report in reports {
-        for (slot, (_, d)) in seconds.iter_mut().zip(report.timings.stages()) {
-            *slot += d.as_secs_f64();
-        }
-    }
-    Value::Map(
-        STAGE_KEYS.iter().zip(seconds).map(|(k, s)| (k.to_string(), Value::Float(s))).collect(),
-    )
 }
 
 /// The median of `values` (the upper middle one of an even count).
@@ -300,7 +441,7 @@ fn median(values: &[f64]) -> f64 {
 /// is the median of [`SCALING_PASSES`] analyses; `slopes` holds the
 /// least-squares log-log slope, against LoC, of the total and of each
 /// stage (1.0 is linear). It is recorded, not gated.
-fn measure_scaling() -> Result<Value, String> {
+fn measure_scaling() -> Result<Scaling, String> {
     let profile = cfinder_corpus::profile("oscar").ok_or("no oscar profile")?;
     let mut points = Vec::new();
     for loc_scale in SCALING_LOC_SCALES {
@@ -321,30 +462,32 @@ fn measure_scaling() -> Result<Value, String> {
         let mean = |f: fn(&(f64, f64)) -> f64| logs.iter().map(f).sum::<f64>() / logs.len() as f64;
         let (mx, my) = (mean(|p| p.0), mean(|p| p.1));
         let cov: f64 = logs.iter().map(|(x, y)| (x - mx) * (y - my)).sum();
-        Value::Float(cov / logs.iter().map(|(x, _)| (x - mx).powi(2)).sum::<f64>())
+        cov / logs.iter().map(|(x, _)| (x - mx).powi(2)).sum::<f64>()
     };
-    let mut slopes = vec![("total".to_string(), slope(&|r| r.analysis_time))];
-    for (i, key) in STAGE_KEYS.iter().enumerate() {
-        slopes.push((key.to_string(), slope(&|r| r.timings.stages()[i].1)));
-    }
-    let points = SCALING_LOC_SCALES
-        .iter()
-        .zip(&points)
-        .map(|(&loc_scale, r)| {
-            Value::Map(vec![
-                ("loc_scale".into(), Value::Float(loc_scale)),
-                ("loc".into(), Value::UInt(r.loc as u64)),
-                ("seconds".into(), Value::Float(r.analysis_time.as_secs_f64())),
-                ("stages_seconds".into(), stages_value([r])),
-            ])
-        })
-        .collect();
-    Ok(Value::Map(vec![
-        ("app".into(), Value::Str(profile.name.to_string())),
-        ("threads".into(), Value::UInt(1)),
-        ("points".into(), Value::Seq(points)),
-        ("slopes".into(), Value::Map(slopes)),
-    ]))
+    let [parse, models, detect, diff, orchestration] =
+        std::array::from_fn(|i| slope(&|r| r.timings.stages()[i].1));
+    Ok(Scaling {
+        app: profile.name.to_string(),
+        threads: 1,
+        points: SCALING_LOC_SCALES
+            .iter()
+            .zip(&points)
+            .map(|(&loc_scale, r)| ScalingPoint {
+                loc_scale,
+                loc: r.loc as u64,
+                seconds: r.analysis_time.as_secs_f64(),
+                stages_seconds: StageSeconds::sum([r]),
+            })
+            .collect(),
+        slopes: Slopes {
+            total: slope(&|r| r.analysis_time),
+            parse,
+            models,
+            detect,
+            diff,
+            orchestration,
+        },
+    })
 }
 
 /// The observability-overhead runs: oscar at loc_scale 0.02, analyzed
@@ -359,7 +502,7 @@ fn measure_scaling() -> Result<Value, String> {
 /// cancels out. The analyses run on one thread: with a worker per core,
 /// any other process on the host makes one worker straggle, and that
 /// wait reads as overhead.
-fn measure_obs_overhead(profile_hz: u32) -> Result<Value, String> {
+fn measure_obs_overhead(profile_hz: u32) -> Result<ObsOverhead, String> {
     const WARMUP_RUNS: usize = 2;
     const MEASURED_RUNS: usize = 9;
     let profile = cfinder_corpus::profile("oscar").ok_or("no oscar profile")?;
@@ -384,63 +527,49 @@ fn measure_obs_overhead(profile_hz: u32) -> Result<Value, String> {
         }
     }
     let [disabled, traced, profiled] = &samples;
-    let paired = |s: &[f64]| {
-        Value::Float(median(&s.iter().zip(disabled).map(|(x, d)| x / d).collect::<Vec<f64>>()))
-    };
-    Ok(Value::Map(vec![
-        ("disabled_seconds".into(), Value::Float(median(disabled))),
-        ("traced_seconds".into(), Value::Float(median(traced))),
-        ("profiled_seconds".into(), Value::Float(median(profiled))),
-        ("traced_ratio".into(), paired(traced)),
-        ("profiled_ratio".into(), paired(profiled)),
-    ]))
+    let paired =
+        |s: &[f64]| median(&s.iter().zip(disabled).map(|(x, d)| x / d).collect::<Vec<f64>>());
+    Ok(ObsOverhead {
+        disabled_seconds: median(disabled),
+        traced_seconds: median(traced),
+        profiled_seconds: median(profiled),
+        traced_ratio: Some(paired(traced)),
+        profiled_ratio: Some(paired(profiled)),
+    })
 }
 
-/// Which side of its bound a gate's measured value must stay on.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Bound {
-    /// The value must be at least this.
-    Min(f64),
-    /// The value must be at most this.
-    Max(f64),
-}
-
-/// One perf gate: a measured value held against a fixed bound.
-#[derive(Debug, Clone, PartialEq)]
+/// One perf gate: a measured value held against one fixed bound, and
+/// its verdict. This is also its entry in the `gates` section.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Gate {
     /// Gate name, e.g. `warm_speedup` or `rewrite_speedup.point_lookup`.
     pub name: String,
     /// The measured value.
     pub value: f64,
-    /// The bound it must respect.
-    pub bound: Bound,
+    /// The value must be at least this.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub min: Option<f64>,
+    /// The value must be at most this.
+    #[serde(skip_serializing_if = "Option::is_none")]
+    pub max: Option<f64>,
+    /// The verdict, [`Gate::passed`] when evaluated.
+    pub pass: bool,
 }
 
 impl Gate {
-    /// Whether the value respects the bound (the bound itself passes).
-    pub fn passed(&self) -> bool {
-        match self.bound {
-            Bound::Min(min) => self.value >= min,
-            Bound::Max(max) => self.value <= max,
-        }
+    fn new(name: String, value: f64, min: Option<f64>, max: Option<f64>) -> Gate {
+        let mut gate = Gate { name, value, min, max, pass: false };
+        gate.pass = gate.passed();
+        gate
     }
 
-    /// The gate's entry in the `gates` section.
-    pub fn to_value(&self) -> Value {
-        let (key, bound) = match self.bound {
-            Bound::Min(min) => ("min", min),
-            Bound::Max(max) => ("max", max),
-        };
-        Value::Map(vec![
-            ("name".into(), Value::Str(self.name.clone())),
-            ("value".into(), Value::Float(self.value)),
-            (key.into(), Value::Float(bound)),
-            ("pass".into(), Value::Bool(self.passed())),
-        ])
+    /// Whether the value respects its bounds (a bound itself passes).
+    pub fn passed(&self) -> bool {
+        self.min.is_none_or(|min| self.value >= min) && self.max.is_none_or(|max| self.value <= max)
     }
 }
 
-/// Evaluates every perf gate over a BENCH document's measurements:
+/// Evaluates every perf gate over a BENCH point's measurements:
 ///
 /// * `warm_speedup`: cold wall over warm wall, at least 5×;
 /// * `warm_report_mismatches`: apps whose warm report differs from the
@@ -452,292 +581,181 @@ impl Gate {
 ///   `profiled_ratio`), or from the medians' ratio in points that
 ///   predate it.
 ///
-/// A document lacking any of these inputs is an error, not a pass.
-pub fn evaluate_gates(doc: &Value) -> Result<Vec<Gate>, String> {
-    let num = |v: Option<&Value>, key: &str| {
-        v.and_then(Value::as_f64).ok_or_else(|| format!("gates need numeric `{key}`"))
-    };
-    let cold = num(doc.get("wall_seconds"), "wall_seconds")?;
-    let warm = num(doc.get("warm_wall_seconds"), "warm_wall_seconds")?;
-    let mismatches = doc
-        .get("cache")
-        .and_then(|c| c.get("report_mismatches"))
-        .and_then(Value::as_seq)
+/// A point lacking any of these inputs is an error, not a pass.
+pub fn evaluate_gates(point: &BenchPoint) -> Result<Vec<Gate>, String> {
+    let mismatches = point
+        .cache
+        .report_mismatches
+        .as_ref()
         .ok_or("gates need the `cache.report_mismatches` list")?;
     let mut gates = vec![
-        Gate {
-            name: "warm_speedup".into(),
-            value: cold / warm.max(f64::EPSILON),
-            bound: Bound::Min(WARM_SPEEDUP_MIN),
-        },
-        Gate {
-            name: "warm_report_mismatches".into(),
-            value: mismatches.len() as f64,
-            bound: Bound::Max(0.0),
-        },
+        Gate::new(
+            "warm_speedup".into(),
+            point.wall_seconds / point.warm_wall_seconds.max(f64::EPSILON),
+            Some(WARM_SPEEDUP_MIN),
+            None,
+        ),
+        Gate::new("warm_report_mismatches".into(), mismatches.len() as f64, None, Some(0.0)),
     ];
-    let classes = doc
-        .get("query_bench")
-        .and_then(|q| q.get("classes"))
-        .and_then(Value::as_seq)
-        .ok_or("gates need `query_bench.classes`")?;
+    let classes = &point.query_bench.as_ref().ok_or("gates need `query_bench.classes`")?.classes;
     for headline in HEADLINE_CLASSES {
-        if !classes.iter().any(|c| c.get("name").and_then(Value::as_str) == Some(headline)) {
+        if !classes.iter().any(|c| c.name == headline) {
             return Err(format!("gates need the headline query class `{headline}`"));
         }
     }
     for class in classes {
-        let name = class.get("name").and_then(Value::as_str).ok_or("query class without `name`")?;
-        let min = if HEADLINE_CLASSES.contains(&name) {
+        let min = if HEADLINE_CLASSES.contains(&class.name.as_str()) {
             HEADLINE_SPEEDUP_MIN
         } else {
             REWRITE_SPEEDUP_MIN
         };
-        gates.push(Gate {
-            name: format!("rewrite_speedup.{name}"),
-            value: num(class.get("speedup"), "speedup")?,
-            bound: Bound::Min(min),
-        });
+        gates.push(Gate::new(
+            format!("rewrite_speedup.{}", class.name),
+            class.speedup,
+            Some(min),
+            None,
+        ));
     }
-    let obs = doc.get("obs_overhead").ok_or("gates need the `obs_overhead` section")?;
-    let disabled = num(obs.get("disabled_seconds"), "disabled_seconds")?;
-    for (config, max) in
-        [("traced", TRACED_OVERHEAD_MAX_PCT), ("profiled", PROFILED_OVERHEAD_MAX_PCT)]
-    {
-        let (ratio, seconds) = (format!("{config}_ratio"), format!("{config}_seconds"));
-        let value = match obs.get(&ratio) {
-            Some(r) => 100.0 * (num(Some(r), &ratio)? - 1.0),
-            None => {
-                100.0 * (num(obs.get(&seconds), &seconds)? - disabled) / disabled.max(f64::EPSILON)
-            }
+    let obs = point.obs_overhead.as_ref().ok_or("gates need the `obs_overhead` section")?;
+    for (config, ratio, seconds, max) in [
+        ("traced", obs.traced_ratio, obs.traced_seconds, TRACED_OVERHEAD_MAX_PCT),
+        ("profiled", obs.profiled_ratio, obs.profiled_seconds, PROFILED_OVERHEAD_MAX_PCT),
+    ] {
+        let disabled = obs.disabled_seconds;
+        let value = match ratio {
+            Some(r) => 100.0 * (r - 1.0),
+            None => 100.0 * (seconds - disabled) / disabled.max(f64::EPSILON),
         };
-        gates.push(Gate {
-            name: format!("obs_overhead_pct.{config}"),
-            value,
-            bound: Bound::Max(max),
-        });
+        gates.push(Gate::new(format!("obs_overhead_pct.{config}"), value, None, Some(max)));
     }
     Ok(gates)
 }
 
-/// Validates a BENCH document: every required field present, typed, and
-/// internally consistent. Returns the first violation found.
-///
-/// Accepts schema versions 1 to 4: version-1 documents predate the
-/// `query_bench` section, version-2 documents the gate inputs and
-/// verdicts, and version-3 documents the rounds and the LoC sweep; all
-/// are committed history. From version 3 on, documents must carry every
-/// gate input and a `gates` section whose verdicts agree with their own
-/// values and bounds; from version 4 on, per-round seconds whose medians
-/// are the headline seconds, the LoC sweep, and `host_cores`.
+/// Validates a BENCH document: it must decode into a [`BenchPoint`] and
+/// pass [`BenchPoint::validate`]. Returns the first violation found.
 pub fn validate_bench(doc: &Value) -> Result<(), String> {
-    let field = |key: &str| doc.get(key).ok_or_else(|| format!("missing field `{key}`"));
-    let f64_field =
-        |key: &str| field(key)?.as_f64().ok_or_else(|| format!("field `{key}` must be a number"));
-    let u64_field = |key: &str| {
-        field(key)?.as_u64().ok_or_else(|| format!("field `{key}` must be an unsigned integer"))
-    };
-    let version = match u64_field("schema_version")? {
-        v @ 1..=BENCH_SCHEMA_VERSION => v,
-        v => return Err(format!("schema_version {v}, expected 1 to {BENCH_SCHEMA_VERSION}")),
-    };
-    for key in ["stamp", "scale"] {
-        if field(key)?.as_str().is_none_or(str::is_empty) {
-            return Err(format!("field `{key}` must be a non-empty string"));
-        }
-    }
-    u64_field("loc_total")?;
-    if f64_field("wall_seconds")? <= 0.0 {
-        return Err("wall_seconds must be positive".into());
-    }
-    f64_field("warm_wall_seconds")?;
-    if f64_field("loc_per_second")? <= 0.0 {
-        return Err("loc_per_second must be positive".into());
-    }
-    let stages = field("stages_seconds")?;
-    for key in STAGE_KEYS {
-        if stages.get(key).and_then(Value::as_f64).is_none() {
-            return Err(format!("stages_seconds missing numeric `{key}`"));
-        }
-    }
-    let cache = field("cache")?;
-    for key in ["hits", "misses"] {
-        if cache.get(key).and_then(Value::as_u64).is_none() {
-            return Err(format!("cache missing unsigned `{key}`"));
-        }
-    }
-    match cache.get("hit_ratio").and_then(Value::as_f64) {
-        Some(r) if (0.0..=1.0).contains(&r) => {}
-        _ => return Err("cache.hit_ratio must be in [0, 1]".into()),
-    }
-    let parse = field("latency_seconds")?
-        .get("file_parse")
-        .ok_or("latency_seconds missing `file_parse`")?;
-    let q = |key: &str| {
-        parse.get(key).and_then(Value::as_f64).ok_or_else(|| format!("file_parse missing `{key}`"))
-    };
-    let (p50, p95, p99) = (q("p50")?, q("p95")?, q("p99")?);
-    if !(p50 <= p95 && p95 <= p99) {
-        return Err(format!("file_parse quantiles not monotone: {p50} / {p95} / {p99}"));
-    }
-    let profile = field("profile")?;
-    for key in ["hz", "ticks", "sample_total"] {
-        if profile.get(key).and_then(Value::as_u64).is_none() {
-            return Err(format!("profile missing unsigned `{key}`"));
-        }
-    }
-    let hot =
-        profile.get("hot_spans").and_then(Value::as_seq).ok_or("profile.hot_spans missing")?;
-    for span in hot {
-        if span.get("frame").and_then(Value::as_str).is_none()
-            || span.get("self_samples").and_then(Value::as_u64).is_none()
-            || span.get("total_samples").and_then(Value::as_u64).is_none()
-        {
-            return Err("hot_spans entries need frame/self_samples/total_samples".into());
-        }
-    }
-    let apps = field("apps")?.as_seq().ok_or("apps must be an array")?;
-    if apps.is_empty() {
-        return Err("apps must be non-empty".into());
-    }
-    for app in apps {
-        if app.get("name").and_then(Value::as_str).is_none()
-            || app.get("loc").and_then(Value::as_u64).is_none()
-            || app.get("files").and_then(Value::as_u64).is_none()
-            || app.get("analysis_seconds").and_then(Value::as_f64).is_none()
-        {
-            return Err("apps entries need name/loc/files/analysis_seconds".into());
-        }
-    }
-    if version >= 2 {
-        validate_query_bench(field("query_bench")?)?;
-    }
-    if version >= 3 {
-        evaluate_gates(doc)?;
-        validate_gates(field("gates")?)?;
-    }
-    if version >= 4 {
-        u64_field("host_cores")?;
-        validate_rounds(field("rounds")?, doc)?;
-        validate_scaling(field("scaling")?)?;
-    }
-    Ok(())
+    BenchPoint::from_value(doc).map_err(|e| e.to_string())?.validate()
 }
 
-/// Validates the v4 `rounds` section: at least [`ROUNDS`] positive
-/// seconds per side, whose medians are the headline `wall_seconds` and
-/// `warm_wall_seconds`.
-fn validate_rounds(rounds: &Value, doc: &Value) -> Result<(), String> {
-    for (side, headline) in
-        [("cold_seconds", "wall_seconds"), ("warm_seconds", "warm_wall_seconds")]
-    {
-        let seconds = rounds.get(side).and_then(Value::as_seq).and_then(|s| {
-            s.iter().map(|v| v.as_f64().filter(|&x| x > 0.0)).collect::<Option<Vec<f64>>>()
-        });
-        let Some(seconds) = seconds.filter(|s| s.len() >= ROUNDS) else {
-            return Err(format!("rounds.{side} needs at least {ROUNDS} positive seconds"));
-        };
-        if doc.get(headline).and_then(Value::as_f64) != Some(median(&seconds)) {
-            return Err(format!("`{headline}` must be the median of rounds.{side}"));
-        }
-    }
-    Ok(())
+/// The section a schema version requires: `Err` names it when absent.
+fn required<'a, T>(section: &'a Option<T>, key: &str, since: u64) -> Result<&'a T, String> {
+    section.as_ref().ok_or_else(|| format!("missing field `{key}` (required from schema v{since})"))
 }
 
-/// Validates the v4 `scaling` section: at least three points of
-/// increasing LoC and a finite slope for the total and every stage.
-fn validate_scaling(scaling: &Value) -> Result<(), String> {
-    let locs: Vec<u64> = scaling
-        .get("points")
-        .and_then(Value::as_seq)
-        .and_then(|points| points.iter().map(|p| p.get("loc").and_then(Value::as_u64)).collect())
-        .unwrap_or_default();
-    if locs.len() < 3 || locs.windows(2).any(|w| w[0] >= w[1]) {
-        return Err("scaling.points needs at least 3 points of increasing `loc`".into());
-    }
-    let slopes = scaling.get("slopes").ok_or("scaling missing `slopes`")?;
-    for key in std::iter::once("total").chain(STAGE_KEYS) {
-        if !slopes.get(key).and_then(Value::as_f64).is_some_and(f64::is_finite) {
-            return Err(format!("scaling.slopes needs a finite `{key}`"));
+impl BenchPoint {
+    /// Checks what the type cannot express. Accepts schema versions 1 to
+    /// 4: version-1 points predate the `query_bench` section, version-2
+    /// points the gate inputs and verdicts, and version-3 points the
+    /// rounds and the LoC sweep; all are committed history. From version
+    /// 3 on, a point must carry every gate input and a `gates` section
+    /// whose verdicts agree with their own values and bounds; from
+    /// version 4 on, per-round seconds whose medians are the headline
+    /// seconds, the LoC sweep, and `host_cores`.
+    pub fn validate(&self) -> Result<(), String> {
+        let version = self.schema_version;
+        if !(1..=BENCH_SCHEMA_VERSION).contains(&version) {
+            return Err(format!("schema_version {version}, expected 1 to {BENCH_SCHEMA_VERSION}"));
         }
-    }
-    Ok(())
-}
-
-/// Validates the v3 `gates` section: a non-empty list of named verdicts,
-/// each with a numeric value, one `min` or `max` bound, and a `pass`
-/// flag that agrees with them.
-fn validate_gates(gates: &Value) -> Result<(), String> {
-    let gates = gates.as_seq().ok_or("gates must be an array")?;
-    if gates.is_empty() {
-        return Err("gates must be non-empty".into());
-    }
-    for entry in gates {
-        let name = entry.get("name").and_then(Value::as_str).ok_or("gate missing `name`")?;
-        let value = entry.get("value").and_then(Value::as_f64);
-        let bound = match (entry.get("min"), entry.get("max")) {
-            (Some(min), None) => min.as_f64().map(Bound::Min),
-            (None, Some(max)) => max.as_f64().map(Bound::Max),
-            _ => None,
-        };
-        let (Some(value), Some(bound)) = (value, bound) else {
-            return Err(format!("gate `{name}` needs a numeric `value` and one `min` or `max`"));
-        };
-        let passed = Gate { name: name.to_string(), value, bound }.passed();
-        if entry.get("pass").and_then(Value::as_bool) != Some(passed) {
-            return Err(format!("gate `{name}` needs `pass` to be {passed}"));
+        for (key, text) in [("stamp", &self.stamp), ("scale", &self.scale)] {
+            if text.is_empty() {
+                return Err(format!("field `{key}` must be a non-empty string"));
+            }
         }
-    }
-    Ok(())
-}
-
-/// Validates the v2 `query_bench` section: sizing fields plus a
-/// non-empty class list where every class carries positive timings, a
-/// positive speedup, and at least one fired rewrite rule.
-fn validate_query_bench(qb: &Value) -> Result<(), String> {
-    for key in ["rows", "repeats"] {
-        if qb.get(key).and_then(Value::as_u64).is_none() {
-            return Err(format!("query_bench missing unsigned `{key}`"));
+        if self.wall_seconds <= 0.0 {
+            return Err("wall_seconds must be positive".into());
         }
-    }
-    let classes = qb.get("classes").and_then(Value::as_seq).ok_or("query_bench.classes missing")?;
-    if classes.is_empty() {
-        return Err("query_bench.classes must be non-empty".into());
-    }
-    for class in classes {
-        let name =
-            class.get("name").and_then(Value::as_str).ok_or("query_bench class missing `name`")?;
-        if class.get("rows").and_then(Value::as_u64).is_none() {
-            return Err(format!("query_bench class `{name}` missing unsigned `rows`"));
+        if self.loc_per_second <= 0.0 {
+            return Err("loc_per_second must be positive".into());
         }
-        for key in ["naive_seconds", "rewritten_seconds", "speedup"] {
-            match class.get(key).and_then(Value::as_f64) {
-                Some(v) if v > 0.0 => {}
-                _ => {
-                    return Err(format!("query_bench class `{name}` needs positive `{key}`"));
+        if !(0.0..=1.0).contains(&self.cache.hit_ratio) {
+            return Err("cache.hit_ratio must be in [0, 1]".into());
+        }
+        let Quantiles { p50, p95, p99 } = self.latency_seconds.file_parse;
+        if !(p50 <= p95 && p95 <= p99) {
+            return Err(format!("file_parse quantiles not monotone: {p50} / {p95} / {p99}"));
+        }
+        if self.apps.is_empty() {
+            return Err("apps must be non-empty".into());
+        }
+        if version >= 2 {
+            required(&self.query_bench, "query_bench", 2)?.validate()?;
+        }
+        if version >= 3 {
+            evaluate_gates(self)?;
+            let gates = required(&self.gates, "gates", 3)?;
+            if gates.is_empty() {
+                return Err("gates must be non-empty".into());
+            }
+            for gate in gates {
+                if gate.min.is_some() == gate.max.is_some() {
+                    return Err(format!("gate `{}` needs one `min` or `max`", gate.name));
+                }
+                if gate.pass != gate.passed() {
+                    return Err(format!(
+                        "gate `{}` needs `pass` to be {}",
+                        gate.name,
+                        gate.passed()
+                    ));
                 }
             }
         }
-        if class.get("rules").and_then(Value::as_seq).is_none_or(|r| r.is_empty()) {
-            return Err(format!("query_bench class `{name}` must record fired rewrite rules"));
+        if version >= 4 {
+            required(&self.host_cores, "host_cores", 4)?;
+            let rounds = required(&self.rounds, "rounds", 4)?;
+            for (side, seconds, headline, value) in [
+                ("cold_seconds", &rounds.cold_seconds, "wall_seconds", self.wall_seconds),
+                ("warm_seconds", &rounds.warm_seconds, "warm_wall_seconds", self.warm_wall_seconds),
+            ] {
+                if seconds.len() < ROUNDS || seconds.iter().any(|&s| s <= 0.0) {
+                    return Err(format!("rounds.{side} needs at least {ROUNDS} positive seconds"));
+                }
+                if median(seconds) != value {
+                    return Err(format!("`{headline}` must be the median of rounds.{side}"));
+                }
+            }
+            required(&self.scaling, "scaling", 4)?.validate()?;
         }
+        Ok(())
     }
-    Ok(())
+}
+
+impl Scaling {
+    /// At least three points of increasing LoC and a finite slope for
+    /// the total and every stage.
+    fn validate(&self) -> Result<(), String> {
+        if self.points.len() < 3 || self.points.windows(2).any(|w| w[0].loc >= w[1].loc) {
+            return Err("scaling.points needs at least 3 points of increasing `loc`".into());
+        }
+        let s = &self.slopes;
+        let [parse, models, detect, diff, orchestration] = STAGE_KEYS;
+        for (key, slope) in [
+            ("total", s.total),
+            (parse, s.parse),
+            (models, s.models),
+            (detect, s.detect),
+            (diff, s.diff),
+            (orchestration, s.orchestration),
+        ] {
+            if !slope.is_finite() {
+                return Err(format!("scaling.slopes needs a finite `{key}`"));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// The CI gate: the current run's throughput must stay within
-/// `tolerance_pct` percent of the baseline's. Both documents must be
-/// schema-valid first. `Ok` carries a one-line summary for the build
-/// log, `Err` the regression verdict.
+/// `tolerance_pct` percent of the baseline's. Both points must be valid
+/// first. `Ok` carries a one-line summary for the build log, `Err` the
+/// regression verdict.
 pub fn regression_gate(
-    current: &Value,
-    baseline: &Value,
+    current: &BenchPoint,
+    baseline: &BenchPoint,
     tolerance_pct: f64,
 ) -> Result<String, String> {
-    validate_bench(current).map_err(|e| format!("current BENCH invalid: {e}"))?;
-    validate_bench(baseline).map_err(|e| format!("baseline BENCH invalid: {e}"))?;
-    let lps = |doc: &Value| doc.get("loc_per_second").and_then(Value::as_f64).unwrap_or(0.0);
-    let (cur, base) = (lps(current), lps(baseline));
+    current.validate().map_err(|e| format!("current BENCH invalid: {e}"))?;
+    baseline.validate().map_err(|e| format!("baseline BENCH invalid: {e}"))?;
+    let (cur, base) = (current.loc_per_second, baseline.loc_per_second);
     let floor = base * (1.0 - tolerance_pct / 100.0);
     let verdict = format!(
         "{cur:.0} LoC/s vs baseline {base:.0} (floor {floor:.0} at {tolerance_pct}% tolerance)"

@@ -19,7 +19,7 @@ use cfinder_minidb::{execute, Database, Plan, Query, Value as DbValue};
 use cfinder_schema::{
     Column, ColumnType, CompareOp, Constraint, ConstraintSet, Literal, Predicate, Table,
 };
-use serde_json::Value;
+use serde::{Deserialize, Serialize};
 
 /// Sizing knobs for the query benchmark.
 #[derive(Debug, Clone, Copy)]
@@ -44,26 +44,59 @@ impl QueryBenchOptions {
     }
 }
 
+/// The benchmark's results: the sizing it ran at and every class's
+/// timings. This is also the `query_bench` section of a BENCH point.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct QueryBench {
+    /// Base-table row count per class.
+    pub rows: u64,
+    /// Measured repetitions per plan.
+    pub repeats: u64,
+    /// One entry per workload class, in run order.
+    pub classes: Vec<ClassResult>,
+}
+
+impl QueryBench {
+    /// A non-empty class list where every class carries positive
+    /// timings, a positive speedup, and at least one fired rewrite rule.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        if self.classes.is_empty() {
+            return Err("query_bench.classes must be non-empty".into());
+        }
+        for class in &self.classes {
+            let name = &class.name;
+            for (key, v) in [
+                ("naive_seconds", class.naive_seconds),
+                ("rewritten_seconds", class.rewritten_seconds),
+                ("speedup", class.speedup),
+            ] {
+                if v.is_nan() || v <= 0.0 {
+                    return Err(format!("query_bench class `{name}` needs positive `{key}`"));
+                }
+            }
+            if class.rules.is_empty() {
+                return Err(format!("query_bench class `{name}` must record fired rewrite rules"));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// One workload class's timings.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClassResult {
     /// Class name (`distinct_drop`, `join_elimination`, …).
-    pub name: &'static str,
+    pub name: String,
     /// Base-table rows the class ran over.
-    pub rows: usize,
+    pub rows: u64,
     /// Median naive-plan execution seconds.
     pub naive_seconds: f64,
     /// Median rewritten-plan execution seconds.
     pub rewritten_seconds: f64,
+    /// naive / rewritten; > 1 means the rewrite won.
+    pub speedup: f64,
     /// Rewrite rules that fired (snake_case names).
     pub rules: Vec<String>,
-}
-
-impl ClassResult {
-    /// naive / rewritten; > 1 means the rewrite won.
-    pub fn speedup(&self) -> f64 {
-        self.naive_seconds / self.rewritten_seconds.max(f64::EPSILON)
-    }
 }
 
 /// A workload class: a populated database, its constraint set, and the
@@ -239,7 +272,7 @@ fn paired_median_seconds(
 /// Runs all four workload classes. Setup and the oracle gate are
 /// outside the timed window; a class whose plans disagree (or whose
 /// rewriter fired nothing) is an error, not a data point.
-pub fn run_query_bench(opts: QueryBenchOptions) -> Result<Vec<ClassResult>, String> {
+pub fn run_query_bench(opts: QueryBenchOptions) -> Result<QueryBench, String> {
     let classes = [
         class_distinct_drop(opts.rows),
         class_join_elimination(opts.rows),
@@ -263,40 +296,15 @@ pub fn run_query_bench(opts: QueryBenchOptions) -> Result<Vec<ClassResult>, Stri
         let (naive_seconds, rewritten_seconds) =
             paired_median_seconds(&class.db, &naive, &rewritten, opts.repeats)?;
         out.push(ClassResult {
-            name: class.name,
-            rows: opts.rows,
+            name: class.name.to_string(),
+            rows: opts.rows as u64,
             naive_seconds,
             rewritten_seconds,
+            speedup: naive_seconds / rewritten_seconds.max(f64::EPSILON),
             rules: rewrites.iter().map(|r| r.rule().to_string()).collect(),
         });
     }
-    Ok(out)
-}
-
-/// Folds class results into the `query_bench` section of a BENCH
-/// document.
-pub fn query_bench_value(opts: QueryBenchOptions, results: &[ClassResult]) -> Value {
-    let classes = results
-        .iter()
-        .map(|r| {
-            Value::Map(vec![
-                ("name".into(), Value::Str(r.name.to_string())),
-                ("rows".into(), Value::UInt(r.rows as u64)),
-                ("naive_seconds".into(), Value::Float(r.naive_seconds)),
-                ("rewritten_seconds".into(), Value::Float(r.rewritten_seconds)),
-                ("speedup".into(), Value::Float(r.speedup())),
-                (
-                    "rules".into(),
-                    Value::Seq(r.rules.iter().map(|s| Value::Str(s.clone())).collect()),
-                ),
-            ])
-        })
-        .collect();
-    Value::Map(vec![
-        ("rows".into(), Value::UInt(opts.rows as u64)),
-        ("repeats".into(), Value::UInt(opts.repeats as u64)),
-        ("classes".into(), Value::Seq(classes)),
-    ])
+    Ok(QueryBench { rows: opts.rows as u64, repeats: opts.repeats as u64, classes: out })
 }
 
 #[cfg(test)]
@@ -306,9 +314,9 @@ mod tests {
     #[test]
     fn all_classes_fire_and_agree() {
         let opts = QueryBenchOptions { rows: 300, repeats: 1 };
-        let results = run_query_bench(opts).unwrap();
+        let results = run_query_bench(opts).unwrap().classes;
         assert_eq!(results.len(), 4);
-        let names: Vec<&str> = results.iter().map(|r| r.name).collect();
+        let names: Vec<&str> = results.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(
             names,
             ["distinct_drop", "join_elimination", "point_lookup", "contradiction_prune"]
@@ -322,14 +330,16 @@ mod tests {
     #[test]
     fn bench_value_round_trips_the_fields() {
         let opts = QueryBenchOptions { rows: 200, repeats: 1 };
-        let results = run_query_bench(opts).unwrap();
-        let v = query_bench_value(opts, &results);
-        assert_eq!(v.get("rows").and_then(Value::as_u64), Some(200));
-        let classes = v.get("classes").and_then(Value::as_seq).unwrap();
-        assert_eq!(classes.len(), 4);
-        for c in classes {
-            assert!(c.get("speedup").and_then(Value::as_f64).unwrap() > 0.0);
-            assert!(c.get("rules").and_then(Value::as_seq).is_some_and(|r| !r.is_empty()));
+        let bench = run_query_bench(opts).unwrap();
+        let text = serde_json::to_string(&bench).unwrap();
+        let back: QueryBench = serde_json::from_str(&text).unwrap();
+        assert_eq!(back, bench);
+        assert_eq!(back.rows, 200);
+        assert_eq!(back.classes.len(), 4);
+        for c in &back.classes {
+            assert!(c.speedup > 0.0);
+            assert!(!c.rules.is_empty());
         }
+        back.validate().unwrap();
     }
 }

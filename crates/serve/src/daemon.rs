@@ -29,8 +29,13 @@
 //!   `file_deadline_ms`, on `max(1, cores / workers)` threads. Every
 //!   analysis shares the one cache handle opened at start-up and picks
 //!   its own configuration's shard; a cache that breaks later costs
-//!   misses and skipped writes, never a failed request.
+//!   misses and skipped writes, never a failed request. A `diff`
+//!   compares only with a previous analysis under its own configuration.
+//!
+//! Every result is a derived struct that borrows from the report it
+//! describes; only the frame envelope and the echoed `id` are dynamic.
 
+use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, Write};
 use std::panic::{self, AssertUnwindSafe};
@@ -41,11 +46,12 @@ use std::time::{Duration, Instant};
 
 use cfinder_core::engine::resolve_threads;
 use cfinder_core::{
-    AnalysisCache, AnalysisReport, CFinder, CFinderOptions, Explanation, Limits, Obs,
+    AnalysisCache, AnalysisReport, CFinder, CFinderOptions, CacheError, Explanation, Limits, Obs,
 };
-use cfinder_obs::{Metrics, Profiler, Tracer};
+use cfinder_obs::{Metrics, Profiler, Quantiles, Tracer};
 use cfinder_sql::{constraint_ddl, Dialect};
 use parking_lot::Mutex;
+use serde::Serialize;
 use serde_json::Value;
 
 use crate::protocol::{self, error_frame, ok_frame, Command, ErrorCode, Fault, Frame};
@@ -109,6 +115,32 @@ pub struct ServeSummary {
     pub metrics_text: String,
 }
 
+/// Why [`serve`] ended without a summary.
+#[derive(Debug)]
+pub enum ServeError {
+    /// The slow log could not be opened at start-up; no frame was read.
+    SlowLog(PathBuf, io::Error),
+    /// The cache directory could not be opened at start-up; no frame was
+    /// read.
+    Cache(CacheError),
+    /// Reading the request stream failed; the accepted work was drained.
+    Input(io::Error),
+}
+
+impl fmt::Display for ServeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ServeError::SlowLog(path, e) => {
+                write!(f, "cannot open slow log {}: {e}", path.display())
+            }
+            ServeError::Cache(e) => e.fmt(f),
+            ServeError::Input(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for ServeError {}
+
 /// One accepted unit of queued work.
 struct Job {
     id: Value,
@@ -161,10 +193,10 @@ impl<W: Write> Shared<W> {
 
 /// Runs the daemon over `input`/`output` until EOF or a `shutdown`
 /// request, then drains and returns the session summary. Never panics
-/// on any input; returns `Err` only for I/O errors on `input` itself
-/// (a broken stdin cannot be served) and for a slow log or cache
-/// directory that cannot be opened at start-up.
-pub fn serve<R, W>(config: ServeConfig, mut input: R, output: W) -> io::Result<ServeSummary>
+/// on any input; returns `Err` only for a slow log or cache directory
+/// that cannot be opened at start-up and for I/O errors on `input`
+/// itself (a broken stdin cannot be served).
+pub fn serve<R, W>(config: ServeConfig, mut input: R, output: W) -> Result<ServeSummary, ServeError>
 where
     R: BufRead,
     W: Write + Send,
@@ -172,13 +204,19 @@ where
     // Open the slow log before accepting any work: an unwritable path
     // is a startup error, not a silent per-request drop.
     let slow_log = match &config.slow_log {
-        Some(path) => Some(Mutex::new(OpenOptions::new().create(true).append(true).open(path)?)),
+        Some(path) => Some(Mutex::new(
+            OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(path)
+                .map_err(|e| ServeError::SlowLog(path.clone(), e))?,
+        )),
         None => None,
     };
     // Likewise the cache: once open, a directory that breaks later only
     // costs misses and skipped writes, never a failed request.
     let cache = match &config.cache_dir {
-        Some(dir) => Some(Arc::new(AnalysisCache::open(dir).map_err(io::Error::other)?)),
+        Some(dir) => Some(Arc::new(AnalysisCache::open(dir).map_err(ServeError::Cache)?)),
         None => None,
     };
     let shared = Shared {
@@ -224,7 +262,7 @@ where
         metrics_text: shared.metrics.to_prometheus_text(),
     };
     match read_error {
-        Some(e) => Err(e),
+        Some(e) => Err(ServeError::Input(e)),
         None => Ok(summary),
     }
 }
@@ -269,10 +307,7 @@ fn reader_loop<W: Write>(shared: &Shared<W>, input: &mut impl BufRead) -> Option
             Command::Shutdown => {
                 shared.shutting_down.store(true, Ordering::SeqCst);
                 shared.queue.close();
-                shared.respond_ok(
-                    &request.id,
-                    Value::Map(vec![("draining".into(), Value::Bool(true))]),
-                );
+                shared.respond_ok(&request.id, Draining { draining: true }.to_value());
                 // Keep reading: frames that arrive mid-drain are answered
                 // `shutting-down` (and `stats`/`metrics` still work) until
                 // the client closes its end.
@@ -280,16 +315,10 @@ fn reader_loop<W: Write>(shared: &Shared<W>, input: &mut impl BufRead) -> Option
             // Observability stays on the reader thread: `stats` and
             // `metrics` must answer even when every worker is busy and
             // the queue is refusing work.
-            Command::Stats => {
-                let result = stats_result(shared);
-                shared.respond_ok(&request.id, result);
-            }
+            Command::Stats => stats(shared, &request.id),
             Command::Metrics => {
-                let text = shared.metrics.to_prometheus_text();
-                shared.respond_ok(
-                    &request.id,
-                    Value::Map(vec![("prometheus".into(), Value::Str(text))]),
-                );
+                let prometheus = shared.metrics.to_prometheus_text();
+                shared.respond_ok(&request.id, Prometheus { prometheus }.to_value());
             }
             cmd => enqueue(shared, request.id, cmd),
         }
@@ -416,19 +445,19 @@ fn log_slow<W: Write>(
         | Command::Analyze { project, .. }
         | Command::Explain { project, .. }
         | Command::Diff { project }
-        | Command::Trace { project } => Value::Str(project.clone()),
-        Command::Stats | Command::Metrics | Command::Shutdown => Value::Null,
+        | Command::Trace { project } => Some(project.as_str()),
+        Command::Stats | Command::Metrics | Command::Shutdown => None,
     };
-    let record = Value::Map(vec![
-        ("ts_ms".into(), Value::UInt(shared.epoch.elapsed().as_millis() as u64)),
-        ("id".into(), job.id.clone()),
-        ("cmd".into(), Value::Str(job.cmd.name().to_string())),
-        ("project".into(), project),
-        ("queue_wait_ms".into(), Value::Float(queue_wait.as_secs_f64() * 1000.0)),
-        ("handle_ms".into(), Value::Float(handle_time.as_secs_f64() * 1000.0)),
-        ("total_ms".into(), Value::Float(total.as_secs_f64() * 1000.0)),
-        ("outcome".into(), Value::Str(outcome.to_string())),
-    ]);
+    let record = SlowRecord {
+        ts_ms: shared.epoch.elapsed().as_millis() as u64,
+        id: &job.id,
+        cmd: job.cmd.name(),
+        project,
+        queue_wait_ms: queue_wait.as_secs_f64() * 1000.0,
+        handle_ms: handle_time.as_secs_f64() * 1000.0,
+        total_ms: total.as_secs_f64() * 1000.0,
+        outcome,
+    };
     let line = serde_json::to_string(&record).expect("slow-log serialization cannot fail");
     // A full disk must not take the daemon down with it; the metric
     // above still counts the request.
@@ -454,13 +483,9 @@ fn handle<W: Write>(shared: &Shared<W>, id: &Value, cmd: &Command) -> HandleResu
         Command::Explain { project, target } => explain(shared, id, project, target),
         Command::Diff { project } => diff(shared, id, project),
         Command::Trace { project } => trace(shared, project),
-        // Handled on the reader thread; unreachable here but total anyway.
-        Command::Stats => Ok(stats_result(shared)),
-        Command::Metrics => Ok(Value::Map(vec![(
-            "prometheus".into(),
-            Value::Str(shared.metrics.to_prometheus_text()),
-        )])),
-        Command::Shutdown => Ok(Value::Map(vec![("draining".into(), Value::Bool(true))])),
+        Command::Stats | Command::Metrics | Command::Shutdown => {
+            unreachable!("the reader thread answers `{}`", cmd.name())
+        }
     }
 }
 
@@ -480,15 +505,13 @@ fn register<W: Write>(
     };
     let (app, _) = candidate.load().map_err(|detail| (ErrorCode::ProjectUnusable, detail))?;
     shared.registry.register(name, dir, schema);
-    Ok(Value::Map(vec![
-        ("project".into(), Value::Str(name.to_string())),
-        ("files".into(), Value::UInt(app.files.len() as u64)),
-    ]))
+    Ok(Registered { project: name, files: app.files.len() }.to_value())
 }
 
-/// What a successful analysis hands back: the tenant, the fresh report,
-/// and the tenant's previous report (the `diff` baseline).
-type AnalysisOutcome = (Arc<Project>, AnalysisReport, Option<AnalysisReport>);
+/// What a successful analysis hands back: the fresh report, and the
+/// tenant's previous report when it ran under the same configuration
+/// (the `diff` baseline).
+type AnalysisOutcome = (AnalysisReport, Option<AnalysisReport>);
 
 /// Looks up a tenant, loads its sources, and runs the pipeline under the
 /// project's single-flight lock. Every analyzing command (`analyze`,
@@ -507,7 +530,7 @@ fn run_analysis<W: Write>(
     id: &Value,
     cmd_name: &'static str,
     project_name: &str,
-    (options, limits): (CFinderOptions, Limits),
+    config: (CFinderOptions, Limits),
 ) -> Result<AnalysisOutcome, (ErrorCode, String)> {
     let project = shared
         .registry
@@ -522,8 +545,8 @@ fn run_analysis<W: Write>(
         span.arg("request_id", serde_json::to_string(id).unwrap_or_default());
         span.arg("tenant", project_name.to_string());
         span.arg("cmd", cmd_name.to_string());
-        let mut finder = CFinder::with_options(options)
-            .with_limits(limits)
+        let mut finder = CFinder::with_options(config.0)
+            .with_limits(config.1)
             .with_threads(analysis_threads(resolve_threads(None), shared.config.workers))
             .with_obs(Obs { tracer: tracer.clone(), metrics: shared.metrics.clone() });
         if let Some(cache) = &shared.cache {
@@ -532,9 +555,12 @@ fn run_analysis<W: Write>(
         finder.analyze(&app, &declared)
     };
     state.last_trace = Some(tracer.to_chrome_trace());
-    let previous = state.last_report.replace(report.clone());
+    // A report made under another configuration is no baseline: its
+    // differences would be the configuration's, not the sources'.
+    let previous = state.last_report.replace((config, report.clone()));
+    let previous = previous.filter(|(c, _)| *c == config).map(|(_, r)| r);
     state.analyses += 1;
-    Ok((project.clone(), report, previous))
+    Ok((report, previous))
 }
 
 /// Serves the `trace` command: the Chrome trace recorded by the tenant's
@@ -546,18 +572,13 @@ fn trace<W: Write>(shared: &Shared<W>, project: &str) -> HandleResult {
         .get(project)
         .ok_or_else(|| (ErrorCode::UnknownProject, format!("no project `{project}`")))?;
     let state = p.flight.lock();
-    Ok(Value::Map(vec![
-        ("project".into(), Value::Str(project.to_string())),
-        ("available".into(), Value::Bool(state.last_trace.is_some())),
-        (
-            "trace".into(),
-            match &state.last_trace {
-                Some(t) => Value::Str(t.clone()),
-                None => Value::Null,
-            },
-        ),
-        ("analyses".into(), Value::UInt(state.analyses)),
-    ]))
+    Ok(Traced {
+        project,
+        available: state.last_trace.is_some(),
+        trace: state.last_trace.as_deref(),
+        analyses: state.analyses,
+    }
+    .to_value())
 }
 
 /// Worker threads of one analysis: the machine's `cores` shared among
@@ -580,156 +601,233 @@ fn analyze<W: Write>(
     // `0` means no deadline, like an absent field.
     let deadline = file_deadline_ms.filter(|ms| *ms > 0).map(Duration::from_millis);
     let limits = Limits { deadline, ..Limits::default() };
-    let (_, report, _) = run_analysis(shared, id, "analyze", project, (options, limits))?;
-    Ok(report_result(&report))
+    let (report, _) = run_analysis(shared, id, "analyze", project, (options, limits))?;
+    let coverage = report.coverage();
+    Ok(Analyzed {
+        app: &report.app,
+        loc: report.loc,
+        missing: report.missing.len(),
+        existing_covered: report.existing_covered.len(),
+        incidents: report
+            .incidents
+            .iter()
+            .map(|i| IncidentEntry {
+                kind: i.kind.to_string(),
+                file: &i.file,
+                line: i.line,
+                detail: &i.detail,
+            })
+            .collect(),
+        coverage: coverage.to_string(),
+        coverage_percent: coverage.percent_clean(),
+        analysis_ms: report.analysis_time.as_secs_f64() * 1000.0,
+        cache_hits: report.timings.cache_hits,
+        cache_misses: report.timings.cache_misses,
+        files_parsed: report.timings.files_parsed,
+        stable_json: report.stable_json(),
+    }
+    .to_value())
 }
 
-/// The analyze result frame: headline counts, the full degradation
-/// record (typed incidents + coverage), cache counters, and the exact
+/// The analyze result: headline counts, the full degradation record
+/// (typed incidents + coverage), cache counters, and the exact
 /// [`AnalysisReport::stable_json`] string so clients can byte-compare
 /// daemon answers against one-shot CLI runs.
-fn report_result(report: &AnalysisReport) -> Value {
-    let coverage = report.coverage();
-    let incidents = report
-        .incidents
-        .iter()
-        .map(|i| {
-            Value::Map(vec![
-                ("kind".into(), Value::Str(i.kind.to_string())),
-                ("file".into(), Value::Str(i.file.clone())),
-                ("line".into(), Value::UInt(i.line as u64)),
-                ("detail".into(), Value::Str(i.detail.clone())),
-            ])
-        })
-        .collect();
-    Value::Map(vec![
-        ("app".into(), Value::Str(report.app.clone())),
-        ("loc".into(), Value::UInt(report.loc as u64)),
-        ("missing".into(), Value::UInt(report.missing.len() as u64)),
-        ("existing_covered".into(), Value::UInt(report.existing_covered.len() as u64)),
-        ("incidents".into(), Value::Seq(incidents)),
-        ("coverage".into(), Value::Str(coverage.to_string())),
-        ("coverage_percent".into(), Value::Float(coverage.percent_clean())),
-        ("analysis_ms".into(), Value::Float(report.analysis_time.as_secs_f64() * 1000.0)),
-        ("cache_hits".into(), Value::UInt(report.timings.cache_hits as u64)),
-        ("cache_misses".into(), Value::UInt(report.timings.cache_misses as u64)),
-        ("files_parsed".into(), Value::UInt(report.timings.files_parsed as u64)),
-        ("stable_json".into(), Value::Str(report.stable_json())),
-    ])
+#[derive(Serialize)]
+struct Analyzed<'a> {
+    app: &'a str,
+    loc: usize,
+    missing: usize,
+    existing_covered: usize,
+    incidents: Vec<IncidentEntry<'a>>,
+    coverage: String,
+    coverage_percent: f64,
+    analysis_ms: f64,
+    cache_hits: usize,
+    cache_misses: usize,
+    files_parsed: usize,
+    stable_json: String,
+}
+
+/// One incident of an analyze result, its kind by label.
+#[derive(Serialize)]
+struct IncidentEntry<'a> {
+    kind: String,
+    file: &'a str,
+    line: u32,
+    detail: &'a str,
 }
 
 fn explain<W: Write>(shared: &Shared<W>, id: &Value, project: &str, target: &str) -> HandleResult {
-    let (_, report, _) = run_analysis(shared, id, "explain", project, Default::default())?;
-    let explained = report
-        .explain(target)
-        .into_iter()
-        .map(|Explanation { constraint, declared, chains }| {
-            let chains = chains.into_iter().map(|p| {
-                Value::Map(vec![
-                    ("pattern".into(), Value::Str(p.pattern)),
-                    ("rule".into(), Value::Str(p.rule)),
-                    ("file".into(), Value::Str(p.file)),
-                    ("line".into(), Value::UInt(p.line as u64)),
-                ])
-            });
-            let status = if declared { "declared" } else { "missing" };
-            let mut entry = vec![
-                ("constraint".into(), Value::Str(constraint.to_string())),
-                ("status".into(), Value::Str(status.into())),
-                ("chains".into(), Value::Seq(chains.collect())),
-            ];
-            if !declared {
-                entry.push((
-                    "fix".into(),
-                    Value::Str(constraint_ddl(&constraint, Dialect::Postgres, None)),
-                ));
-            }
-            Value::Map(entry)
+    let (report, _) = run_analysis(shared, id, "explain", project, Default::default())?;
+    let explanations = report.explain(target);
+    let explained = explanations
+        .iter()
+        .map(|Explanation { constraint, declared, chains }| ExplainedEntry {
+            constraint: constraint.to_string(),
+            status: if *declared { "declared" } else { "missing" },
+            chains: chains
+                .iter()
+                .map(|p| Chain { pattern: &p.pattern, rule: &p.rule, file: &p.file, line: p.line })
+                .collect(),
+            fix: (!declared).then(|| constraint_ddl(constraint, Dialect::Postgres, None)),
         })
         .collect();
-    Ok(Value::Map(vec![
-        ("target".into(), Value::Str(target.to_string())),
-        ("explained".into(), Value::Seq(explained)),
-    ]))
+    Ok(Explained { target, explained }.to_value())
+}
+
+/// The explain result: every inferred constraint on the target.
+#[derive(Serialize)]
+struct Explained<'a> {
+    target: &'a str,
+    explained: Vec<ExplainedEntry<'a>>,
+}
+
+/// One explained constraint; `fix` is its DDL, on missing ones only.
+#[derive(Serialize)]
+struct ExplainedEntry<'a> {
+    constraint: String,
+    status: &'static str,
+    chains: Vec<Chain<'a>>,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    fix: Option<String>,
+}
+
+#[derive(Serialize)]
+struct Chain<'a> {
+    pattern: &'a str,
+    rule: &'a str,
+    file: &'a str,
+    line: u32,
 }
 
 fn diff<W: Write>(shared: &Shared<W>, id: &Value, project: &str) -> HandleResult {
-    let (_, report, previous) = run_analysis(shared, id, "diff", project, Default::default())?;
+    let (report, previous) = run_analysis(shared, id, "diff", project, Default::default())?;
     let current: Vec<String> = report.missing.iter().map(|m| m.constraint.to_string()).collect();
     let baseline: Option<Vec<String>> =
         previous.map(|p| p.missing.iter().map(|m| m.constraint.to_string()).collect());
     let (added, removed, unchanged) = match &baseline {
         Some(old) => {
-            let added: Vec<&String> = current.iter().filter(|c| !old.contains(c)).collect();
-            let removed: Vec<&String> = old.iter().filter(|c| !current.contains(c)).collect();
+            let added: Vec<&str> =
+                current.iter().filter(|c| !old.contains(c)).map(String::as_str).collect();
+            let removed = old.iter().filter(|c| !current.contains(c)).map(String::as_str).collect();
             let unchanged = current.len() - added.len();
             (added, removed, unchanged)
         }
-        // First analysis of the tenant: everything is new.
-        None => (current.iter().collect(), Vec::new(), 0),
+        // No baseline under this configuration: everything is new.
+        None => (current.iter().map(String::as_str).collect(), Vec::new(), 0),
     };
-    Ok(Value::Map(vec![
-        ("project".into(), Value::Str(project.to_string())),
-        ("baseline".into(), Value::Bool(baseline.is_some())),
-        ("added".into(), Value::Seq(added.into_iter().map(|c| Value::Str(c.clone())).collect())),
-        (
-            "removed".into(),
-            Value::Seq(removed.into_iter().map(|c| Value::Str(c.clone())).collect()),
-        ),
-        ("unchanged".into(), Value::UInt(unchanged as u64)),
-    ]))
+    Ok(Diffed { project, baseline: baseline.is_some(), added, removed, unchanged }.to_value())
 }
 
-fn stats_result<W: Write>(shared: &Shared<W>) -> Value {
-    let projects = shared
-        .registry
-        .all()
-        .iter()
-        .map(|p| {
-            let state = p.flight.lock();
-            Value::Map(vec![
-                ("name".into(), Value::Str(p.name.clone())),
-                ("dir".into(), Value::Str(p.dir.display().to_string())),
-                ("analyses".into(), Value::UInt(state.analyses)),
-            ])
-        })
-        .collect();
+/// The diff result: missing constraints added and removed since the
+/// baseline.
+#[derive(Serialize)]
+struct Diffed<'a> {
+    project: &'a str,
+    baseline: bool,
+    added: Vec<&'a str>,
+    removed: Vec<&'a str>,
+    unchanged: usize,
+}
+
+#[derive(Serialize)]
+struct Registered<'a> {
+    project: &'a str,
+    files: usize,
+}
+
+/// The trace result; `trace` is null until the tenant is analyzed.
+#[derive(Serialize)]
+struct Traced<'a> {
+    project: &'a str,
+    available: bool,
+    trace: Option<&'a str>,
+    analyses: u64,
+}
+
+#[derive(Serialize)]
+struct Prometheus {
+    prometheus: String,
+}
+
+#[derive(Serialize)]
+struct Draining {
+    draining: bool,
+}
+
+/// One slow-log line.
+#[derive(Serialize)]
+struct SlowRecord<'a> {
+    ts_ms: u64,
+    id: &'a Value,
+    cmd: &'a str,
+    project: Option<&'a str>,
+    queue_wait_ms: f64,
+    handle_ms: f64,
+    total_ms: f64,
+    outcome: &'a str,
+}
+
+/// Answers `stats` on the reader thread.
+fn stats<W: Write>(shared: &Shared<W>, id: &Value) {
+    let projects = shared.registry.all();
     let snapshot = shared.metrics.snapshot();
     // p50/p95/p99 estimated from the request-scaled histogram ladder;
     // all-zero until the family has at least one observation.
-    let latency = |family: &str| {
-        let qs = snapshot.quantiles(family).unwrap_or([0.0; 3]);
-        Value::Map(vec![
-            ("p50".into(), Value::Float(qs[0])),
-            ("p95".into(), Value::Float(qs[1])),
-            ("p99".into(), Value::Float(qs[2])),
-        ])
+    let latency = |family: &str| snapshot.quantiles(family).unwrap_or_default();
+    let result = Stats {
+        projects: projects
+            .iter()
+            .map(|p| ProjectStats {
+                name: &p.name,
+                dir: p.dir.display().to_string(),
+                analyses: p.flight.lock().analyses,
+            })
+            .collect(),
+        queue_depth: shared.queue.depth(),
+        queue_capacity: shared.queue.capacity(),
+        workers: shared.config.workers,
+        requests_total: snapshot.family_total("cfinder_serve_requests_total"),
+        errors_total: snapshot.family_total("cfinder_serve_errors_total"),
+        rejected_total: snapshot.counter("cfinder_serve_rejected_total"),
+        slow_requests_total: snapshot.counter("cfinder_serve_slow_requests_total"),
+        latency_seconds: ServeLatency {
+            queue_wait: latency("cfinder_serve_queue_wait_seconds"),
+            handle: latency("cfinder_serve_handle_seconds"),
+        },
+        profile_samples_total: shared.profiler.report().total_samples(),
+        shutting_down: shared.shutting_down.load(Ordering::SeqCst),
     };
-    Value::Map(vec![
-        ("projects".into(), Value::Seq(projects)),
-        ("queue_depth".into(), Value::UInt(shared.queue.depth() as u64)),
-        ("queue_capacity".into(), Value::UInt(shared.queue.capacity() as u64)),
-        ("workers".into(), Value::UInt(shared.config.workers as u64)),
-        (
-            "requests_total".into(),
-            Value::UInt(snapshot.family_total("cfinder_serve_requests_total")),
-        ),
-        ("errors_total".into(), Value::UInt(snapshot.family_total("cfinder_serve_errors_total"))),
-        ("rejected_total".into(), Value::UInt(snapshot.counter("cfinder_serve_rejected_total"))),
-        (
-            "slow_requests_total".into(),
-            Value::UInt(snapshot.counter("cfinder_serve_slow_requests_total")),
-        ),
-        (
-            "latency_seconds".into(),
-            Value::Map(vec![
-                ("queue_wait".into(), latency("cfinder_serve_queue_wait_seconds")),
-                ("handle".into(), latency("cfinder_serve_handle_seconds")),
-            ]),
-        ),
-        ("profile_samples_total".into(), Value::UInt(shared.profiler.report().total_samples())),
-        ("shutting_down".into(), Value::Bool(shared.shutting_down.load(Ordering::SeqCst))),
-    ])
+    shared.respond_ok(id, result.to_value());
+}
+
+#[derive(Serialize)]
+struct Stats<'a> {
+    projects: Vec<ProjectStats<'a>>,
+    queue_depth: usize,
+    queue_capacity: usize,
+    workers: usize,
+    requests_total: u64,
+    errors_total: u64,
+    rejected_total: u64,
+    slow_requests_total: u64,
+    latency_seconds: ServeLatency,
+    profile_samples_total: u64,
+    shutting_down: bool,
+}
+
+#[derive(Serialize)]
+struct ProjectStats<'a> {
+    name: &'a str,
+    dir: String,
+    analyses: u64,
+}
+
+#[derive(Serialize)]
+struct ServeLatency {
+    queue_wait: Quantiles,
+    handle: Quantiles,
 }
 
 #[cfg(test)]

@@ -14,15 +14,16 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use cfinder_core::{load_app, AnalysisReport, AppSource};
+use cfinder_core::{load_app, AnalysisReport, AppSource, CFinderOptions, Limits};
 use cfinder_schema::Schema;
 use parking_lot::{Mutex, RwLock};
 
 /// Mutable per-project state, guarded by the single-flight lock.
 #[derive(Default)]
 pub struct ProjectState {
-    /// The previous analysis (the `diff` baseline).
-    pub last_report: Option<AnalysisReport>,
+    /// The previous analysis and the configuration it ran under: the
+    /// `diff` baseline of a later analysis under the same configuration.
+    pub last_report: Option<((CFinderOptions, Limits), AnalysisReport)>,
     /// Completed analyses (any command that ran the pipeline).
     pub analyses: u64,
     /// Chrome trace of the most recent analyzing request. Only the

@@ -58,6 +58,10 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc --workspace with warnings denied"
+# Broken or private intra-doc links fail here, in every crate.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --keep-going
+
 echo "==> cargo test ${test_scope[*]}"
 # Every suite runs once here, the differential oracles included:
 # cold/warm cache equivalence at 1/2/4 threads, the invalidation
@@ -74,8 +78,8 @@ echo "==> cargo test ${test_scope[*]}"
 # fault-injected corpus, the reaching-definitions
 # oracle against the worklist reference, the null-guard oracle against the
 # per-expression guard table, fault injection, the
-# daemon soak (4 clients x 8 apps x 3 rounds) with the fault-frame and
-# cache-concurrency suites, and minidb's naive-vs-rewritten query
+# daemon soak (4 clients x 8 apps x 3 rounds) with the fault-frame,
+# result-frame golden and cache-concurrency suites, and minidb's naive-vs-rewritten query
 # oracle with its 3VL pins and plan goldens; cfinder-schema's unit tests
 # (the comparison truth table, identifier clamping) and proptests,
 # cfinder-core's own unit tests (the pattern detectors and the cache's
@@ -110,12 +114,12 @@ floor SQL 65 cfinder_sql roundtrip_proptest sql_faults sql_pin
 floor schema 66 cfinder_schema proptest_schema
 floor pyast 147 cfinder_pyast django_torture proptest_recovery proptest_roundtrip parse_pin
 floor flow 114 cfinder_flow proptest_interproc interproc_oracle reaching_oracle nullguard_oracle
-floor daemon 24 cfinder_serve serve_soak serve_faults cache_concurrency
+floor daemon 26 cfinder_serve serve_soak serve_faults serve_frames cache_concurrency
 floor cache 12 cache_equivalence cache_invalidation cache_pin
 floor minidb 98 cfinder_minidb plan_golden proptest_integrity query_oracle three_valued_logic
-floor front-door 32 cli explain_golden hostile_env reproduce_cli
+floor front-door 33 cli explain_golden hostile_env reproduce_cli
 floor report 30 cfinder_report
-floor perf 14 perf_cli
+floor perf 15 perf_cli
 
 echo "==> fault-injection suite with live tracing and metrics"
 # Same seeded corruption, but every analysis records spans and metrics:

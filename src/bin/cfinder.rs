@@ -570,22 +570,22 @@ fn run_perf(cli: &mut Args, env: &EnvConfig) -> Result<u8, String> {
         cfinder::report::QueryBenchOptions::quick()
     };
     eprintln!("perf: benchmarking 8 apps at {scale} scale (profiler at {profile_hz} Hz)…");
-    let doc = match perf::run_benchmark(options, scale, profile_hz, &cache_dir, &stamp, query_opts)
-    {
-        Ok(doc) => doc,
-        Err(e) => {
-            let _ = fs::remove_dir_all(&cache_dir);
-            eprintln!("perf: benchmark failed: {e}");
-            return Ok(1);
-        }
-    };
+    let point =
+        match perf::run_benchmark(options, scale, profile_hz, &cache_dir, &stamp, query_opts) {
+            Ok(point) => point,
+            Err(e) => {
+                let _ = fs::remove_dir_all(&cache_dir);
+                eprintln!("perf: benchmark failed: {e}");
+                return Ok(1);
+            }
+        };
     let _ = fs::remove_dir_all(&cache_dir);
-    if let Err(e) = perf::validate_bench(&doc) {
+    if let Err(e) = point.validate() {
         eprintln!("perf: emitted document failed schema validation: {e}");
         return Ok(1);
     }
 
-    let text = serde_json::to_string_pretty(&doc).expect("BENCH serialization") + "\n";
+    let text = serde_json::to_string_pretty(&point).expect("BENCH serialization") + "\n";
     let path = out_dir.join(format!("BENCH_{stamp}.json"));
     if let Err(e) = fs::create_dir_all(&out_dir)
         .and_then(|()| atomic_write(&path, text.as_bytes(), env.atomic_fault))
@@ -593,46 +593,38 @@ fn run_perf(cli: &mut Args, env: &EnvConfig) -> Result<u8, String> {
         eprintln!("perf: cannot write {}: {e}", path.display());
         return Ok(1);
     }
-    let num = |key: &str| doc.get(key).and_then(|v| v.as_f64()).unwrap_or(0.0);
     eprintln!(
         "perf: {} LoC at {:.0} LoC/s cold ({:.2}s), {:.2}s warm; wrote {}",
-        doc.get("loc_total").and_then(|v| v.as_u64()).unwrap_or(0),
-        num("loc_per_second"),
-        num("wall_seconds"),
-        num("warm_wall_seconds"),
+        point.loc_total,
+        point.loc_per_second,
+        point.wall_seconds,
+        point.warm_wall_seconds,
         path.display()
     );
-    let slopes = doc.get("scaling").and_then(|s| s.get("slopes"));
-    let slope = |key| slopes.and_then(|s| s.get(key)).and_then(|v| v.as_f64()).unwrap_or(f64::NAN);
-    eprintln!(
-        "perf: Table 10 LoC sweep (oscar, 1 thread), log-log slope: total {:.2}, parse {:.2}, \
-         detect {:.2}",
-        slope("total"),
-        slope("parse"),
-        slope("detect")
-    );
-    if let Some(spans) =
-        doc.get("profile").and_then(|p| p.get("hot_spans")).and_then(|s| s.as_seq())
-    {
-        for span in spans.iter().take(5) {
-            eprintln!(
-                "  hot: {:<40} self {:>6}  total {:>6}",
-                span.get("frame").and_then(|v| v.as_str()).unwrap_or("?"),
-                span.get("self_samples").and_then(|v| v.as_u64()).unwrap_or(0),
-                span.get("total_samples").and_then(|v| v.as_u64()).unwrap_or(0),
-            );
-        }
+    if let Some(perf::Scaling { slopes, .. }) = &point.scaling {
+        eprintln!(
+            "perf: Table 10 LoC sweep (oscar, 1 thread), log-log slope: total {:.2}, \
+             parse {:.2}, detect {:.2}",
+            slopes.total, slopes.parse, slopes.detect
+        );
     }
-    let gates = perf::evaluate_gates(&doc).expect("validate_bench evaluated the gates");
-    for gate in &gates {
-        let bound = match gate.bound {
-            perf::Bound::Min(min) => format!(">= {min}"),
-            perf::Bound::Max(max) => format!("<= {max}"),
+    for span in point.profile.hot_spans.iter().take(5) {
+        eprintln!(
+            "  hot: {:<40} self {:>6}  total {:>6}",
+            span.frame, span.self_samples, span.total_samples
+        );
+    }
+    let gates = point.gates.as_deref().unwrap_or_default();
+    for gate in gates {
+        let bound = match (gate.min, gate.max) {
+            (Some(min), _) => format!(">= {min}"),
+            (None, Some(max)) => format!("<= {max}"),
+            (None, None) => String::new(),
         };
-        let verdict = if gate.passed() { "ok" } else { "FAILED" };
+        let verdict = if gate.pass { "ok" } else { "FAILED" };
         eprintln!("  gate: {:<36} {:>9.2} {bound:<7} {verdict}", gate.name, gate.value);
     }
-    let failed = gates.iter().filter(|g| !g.passed()).count();
+    let failed = gates.iter().filter(|g| !g.pass).count();
     if failed > 0 {
         eprintln!("perf: {failed} of {} gates FAILED", gates.len());
         return Ok(1);
@@ -642,13 +634,13 @@ fn run_perf(cli: &mut Args, env: &EnvConfig) -> Result<u8, String> {
     }
 
     if let Some(baseline_path) = baseline {
-        let baseline_doc =
+        let baseline_point =
             fs::read_to_string(&baseline_path).map_err(|e| e.to_string()).and_then(|text| {
-                serde_json::from_str::<serde_json::Value>(&text).map_err(|e| e.to_string())
+                serde_json::from_str::<perf::BenchPoint>(&text).map_err(|e| e.to_string())
             });
-        let baseline_doc = baseline_doc
+        let baseline_point = baseline_point
             .map_err(|e| format!("unreadable --baseline {}: {e}", baseline_path.display()))?;
-        match perf::regression_gate(&doc, &baseline_doc, tolerance) {
+        match perf::regression_gate(&point, &baseline_point, tolerance) {
             Ok(verdict) => eprintln!("perf: gate passed: {verdict}"),
             Err(verdict) => {
                 eprintln!("perf: gate FAILED: {verdict}");
@@ -660,7 +652,9 @@ fn run_perf(cli: &mut Args, env: &EnvConfig) -> Result<u8, String> {
 }
 
 /// `cfinder serve`: run the multi-tenant analysis daemon over
-/// stdin/stdout until EOF or a `shutdown` frame.
+/// stdin/stdout until EOF or a `shutdown` frame. A slow log or cache
+/// directory that cannot be opened is a usage error (exit 2); a broken
+/// stdin exits 1.
 fn run_serve(cli: &mut Args, env: &EnvConfig) -> Result<u8, String> {
     let mut config = cfinder::serve::ServeConfig {
         cache_dir: env.cache_dir.clone(),
@@ -679,12 +673,6 @@ fn run_serve(cli: &mut Args, env: &EnvConfig) -> Result<u8, String> {
             other => return Err(usage::unknown(other)),
         }
     }
-    // Probe the cache directory up front: an unusable path is a usage
-    // error before the daemon accepts a single frame.
-    if let Some(dir) = &config.cache_dir {
-        AnalysisCache::open(dir).map_err(|e| e.to_string())?;
-    }
-
     let stdin = std::io::stdin();
     match cfinder::serve::serve(config, stdin.lock(), std::io::stdout()) {
         Ok(summary) => {
@@ -694,12 +682,15 @@ fn run_serve(cli: &mut Args, env: &EnvConfig) -> Result<u8, String> {
             );
             Ok(0)
         }
-        Err(e) => {
+        Err(cfinder::serve::ServeError::Input(e)) => {
             // An unreadable stdin is an I/O failure, not misuse: the
             // daemon drained what it could, and exits 1.
             eprintln!("serve: input failed: {e}");
             Ok(1)
         }
+        // An unusable slow log or cache directory is a usage error,
+        // found before the daemon read a single frame.
+        Err(e) => Err(e.to_string()),
     }
 }
 

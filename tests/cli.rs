@@ -283,6 +283,37 @@ fn unusable_cache_dir_is_a_usage_error() {
     assert_eq!(out.status.code(), Some(2));
 }
 
+/// `serve` opens its slow log and its cache directory once, at start-up,
+/// before it reads a frame: either one unusable is a usage error (exit 2,
+/// in the shared two-line format), not an input failure (exit 1).
+#[test]
+fn serve_start_up_errors_exit_two() {
+    let dir = temp_dir("serve-startup");
+    let occupied = dir.join("occupied");
+    fs::write(&occupied, "not a directory").unwrap();
+    let slow_log = dir.join("nonexistent/slow.log");
+    for (flag, path, needle) in
+        [("--slow-log", &slow_log, "slow log"), ("--cache-dir", &occupied, "cache dir")]
+    {
+        let out = Command::new(env!("CARGO_BIN_EXE_cfinder"))
+            .arg("serve")
+            .arg(flag)
+            .arg(path)
+            .env_remove(cfinder::core::usage::CACHE_DIR_ENV)
+            .stdin(Stdio::null())
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{flag}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let mut lines = stderr.lines();
+        assert!(
+            lines.next().is_some_and(|l| l.starts_with("error: ") && l.contains(needle)),
+            "{flag}: {stderr}"
+        );
+        assert!(lines.next().is_some_and(|l| l.starts_with("usage: cfinder serve ")), "{stderr}");
+    }
+}
+
 #[test]
 fn no_cache_flag_overrides_the_env_default() {
     let dir = temp_dir("cache-nocache");

@@ -11,8 +11,9 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use cfinder::core::usage::ATOMIC_FAULT_ENV;
 use cfinder::core::{cache, CFinderOptions, Limits};
 use cfinder::corpus::GenOptions;
-use cfinder::report::perf::{self, STAGE_KEYS};
+use cfinder::report::perf::{self, BenchPoint, STAGE_KEYS};
 use cfinder::report::QueryBenchOptions;
+use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -198,8 +199,8 @@ fn perf_cache_holds_only_the_paper_fingerprint_shard() {
         QueryBenchOptions { rows: 300, repeats: 1 },
     )
     .unwrap();
-    perf::validate_bench(&doc).unwrap();
-    let hits = doc.get("cache").and_then(|c| c.get("hits")).and_then(Value::as_u64).unwrap();
+    doc.validate().unwrap();
+    let hits = doc.cache.hits;
     assert!(hits > 0, "the warm round should hit the cache");
 
     let shards: Vec<String> = fs::read_dir(&cache_dir)
@@ -226,6 +227,11 @@ fn at<'a>(doc: &'a mut Value, path: &[&str]) -> &'a mut Value {
     })
 }
 
+/// The typed point of a (synthetic) document, decoded without validation.
+fn point(doc: &Value) -> BenchPoint {
+    BenchPoint::from_value(doc).unwrap()
+}
+
 fn map(entries: &[(&str, Value)]) -> Value {
     Value::Map(entries.iter().map(|(k, v)| (k.to_string(), v.clone())).collect())
 }
@@ -249,7 +255,7 @@ fn regate(doc: &mut Value) {
         let median = at(doc, &[headline]).as_f64().unwrap();
         *at(doc, &["rounds", side]) = rounds_around(median);
     }
-    let gates = perf::evaluate_gates(doc).unwrap();
+    let gates = perf::evaluate_gates(&point(doc)).unwrap();
     let Value::Map(entries) = doc else { unreachable!() };
     entries.retain(|(k, _)| k != "gates");
     entries.push(("gates".into(), Value::Seq(gates.iter().map(perf::Gate::to_value).collect())));
@@ -264,6 +270,7 @@ fn synthetic_bench() -> Value {
         .collect::<Vec<_>>();
     let point = |loc: u64| {
         map(&[
+            ("loc_scale", Value::Float(loc as f64 / 1e5)),
             ("loc", Value::UInt(loc)),
             ("seconds", Value::Float(loc as f64 * 1e-6)),
             ("stages_seconds", map(&stages)),
@@ -346,6 +353,8 @@ fn synthetic_bench() -> Value {
         (
             "scaling",
             map(&[
+                ("app", Value::Str("oscar".into())),
+                ("threads", Value::UInt(1)),
                 ("points", Value::Seq(vec![point(1000), point(2000), point(4000)])),
                 ("slopes", map(&slopes)),
             ]),
@@ -410,6 +419,28 @@ fn validate_bench_requires_gates_from_v3_and_accepts_the_committed_points() {
     }
     versions.sort();
     assert!(versions.starts_with(&[1, 2]), "committed points: {versions:?}");
+}
+
+/// Every committed point decodes into a [`BenchPoint`], validates, and
+/// re-encodes to its own bytes: the type owns every key name, key order
+/// and omitted section of v1 to v4.
+#[test]
+fn committed_points_decode_validate_and_re_encode_to_their_own_bytes() {
+    let bench_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("bench");
+    let mut checked = 0;
+    for entry in fs::read_dir(&bench_dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "json") {
+            let text = fs::read_to_string(&path).unwrap();
+            let doc: Value = serde_json::from_str(&text).unwrap();
+            perf::validate_bench(&doc).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            let typed: BenchPoint = serde_json::from_str(&text).unwrap();
+            let encoded = serde_json::to_string_pretty(&typed).unwrap() + "\n";
+            assert!(encoded == text, "{} does not re-encode to its bytes", path.display());
+            checked += 1;
+        }
+    }
+    assert!(checked >= 5, "committed points: {checked}");
 }
 
 /// From v4 on, a document must carry the per-round seconds, the LoC
@@ -492,6 +523,7 @@ fn regression_gate_passes_within_tolerance_and_fails_beyond_it() {
     let baseline = synthetic_bench();
     let mut current = synthetic_bench();
     *at(&mut current, &["loc_per_second"]) = Value::Float(184.0); // 8% below the baseline
+    let (current, baseline) = (point(&current), point(&baseline));
     assert!(perf::regression_gate(&current, &baseline, 10.0).is_ok());
     let err = perf::regression_gate(&current, &baseline, 5.0).unwrap_err();
     assert!(err.contains("regression"), "{err}");
@@ -507,7 +539,7 @@ fn obs_gates_read_the_paired_ratios_when_present() {
             let mut doc = synthetic_bench();
             let Value::Map(obs) = at(&mut doc, &["obs_overhead"]) else { unreachable!() };
             obs.push((format!("{config}_ratio"), Value::Float(ratio)));
-            let gates = perf::evaluate_gates(&doc).unwrap();
+            let gates = perf::evaluate_gates(&point(&doc)).unwrap();
             let name = format!("obs_overhead_pct.{config}");
             let gate = gates.iter().find(|g| g.name == name).unwrap();
             assert_eq!(gate.passed(), expect_pass, "{config} at ratio {ratio}: {gate:?}");
@@ -569,13 +601,13 @@ fn each_perf_gate_passes_at_its_bound_and_fails_just_past_it() {
             Value::Float(1.751),
         ),
     ];
-    let all_gates = perf::evaluate_gates(&synthetic_bench()).unwrap();
+    let all_gates = perf::evaluate_gates(&point(&synthetic_bench())).unwrap();
     assert_eq!(all_gates.len(), cases.len(), "one case per gate");
     for (name, path, at_bound, past_bound) in cases {
         for (input, expect_pass) in [(at_bound, true), (past_bound, false)] {
             let mut doc = synthetic_bench();
             *at(&mut doc, &path) = input.clone();
-            let gates = perf::evaluate_gates(&doc).unwrap();
+            let gates = perf::evaluate_gates(&point(&doc)).unwrap();
             for gate in &gates {
                 let expected = gate.name != name || expect_pass;
                 assert_eq!(gate.passed(), expected, "{name} at {input:?}: {gate:?}");

@@ -269,6 +269,45 @@ fn serve_misuse_exits_2_with_the_shared_usage_format() {
     }
 }
 
+/// A `diff` compares only with an analysis under its own configuration.
+/// After an `analyze` that ablates CHECK inference, the default-config
+/// `diff` has no baseline, so both CHECK constraints read as added; the
+/// next `diff` compares with that one and finds nothing changed.
+#[test]
+fn diff_compares_only_with_an_analysis_of_the_same_configuration() {
+    let root = temp_dir("diff-config");
+    fs::write(
+        root.join("models.py"),
+        "class Order(models.Model):\n    total = models.IntegerField()\n    status = models.CharField(max_length=10)\n\n\ndef place(pk):\n    order = Order.objects.get(pk=pk)\n    if order.total <= 0:\n        raise ValueError('bad total')\n    if order.status not in ('Open', 'Closed'):\n        raise ValueError('bad status')\n    order.save()\n",
+    )
+    .unwrap();
+    let mut daemon = Daemon::spawn(&["--workers", "1"], 0, false);
+    let main = daemon.main_client();
+    ok_result(
+        &main.call("reg", &format!(r#""cmd":"register","project":"p","dir":"{}""#, root.display())),
+    );
+    let ablated = analyze(&main, "a", r#","ablate":["check"]"#);
+    assert_eq!(field(&ablated, "missing").as_u64(), Some(0));
+
+    let strings = |v: &Value| -> Vec<String> {
+        v.as_seq().unwrap().iter().map(|s| s.as_str().unwrap().to_string()).collect()
+    };
+    let checks = ["Order Check (total > 0)", "Order Check (status IN ('Closed', 'Open'))"];
+    for (suffix, baseline, added, unchanged) in
+        [("d1", false, &checks[..], 0), ("d2", true, &[][..], checks.len() as u64)]
+    {
+        let resp = main.call(suffix, r#""cmd":"diff","project":"p""#);
+        let result = ok_result(&resp);
+        assert_eq!(field(result, "baseline").as_bool(), Some(baseline), "{suffix}: {resp:?}");
+        assert_eq!(strings(field(result, "added")), added, "{suffix}");
+        assert!(strings(field(result, "removed")).is_empty(), "{suffix}");
+        assert_eq!(field(result, "unchanged").as_u64(), Some(unchanged), "{suffix}");
+    }
+
+    assert!(daemon.finish().success());
+    let _ = fs::remove_dir_all(&root);
+}
+
 /// Writes corpus app 0 under `root` and returns it with the `register`
 /// frame body that names it as project `p`.
 fn corpus_project(root: &Path) -> (GeneratedApp, String) {
