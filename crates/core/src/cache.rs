@@ -165,7 +165,7 @@ impl std::error::Error for WriteSkip {}
 /// The detection-pass facts of one file, valid only under the registry
 /// they were computed with.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub(crate) struct DetectFacts {
+pub struct DetectFacts {
     /// Stable hash of the model registry the detections were derived
     /// under. Detection follows foreign-key chains across files, so any
     /// registry change invalidates these facts (and only these — the
@@ -180,7 +180,7 @@ pub(crate) struct DetectFacts {
 
 /// One file's cached parse-level facts.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub(crate) struct CacheEntry {
+pub struct CacheEntry {
     /// Entry format version ([`FORMAT`]); mismatches are stale.
     pub format: u32,
     /// Repository-relative path the facts belong to.
@@ -204,7 +204,7 @@ pub(crate) struct CacheEntry {
 /// its own entry file (addressed by path, content hash, *and* registry
 /// hash), so warm runs decode only the context they need.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub(crate) struct DetectEntry {
+pub struct DetectEntry {
     /// Entry format version ([`FORMAT`]); mismatches are stale.
     pub format: u32,
     /// Repository-relative path the facts belong to.
@@ -692,6 +692,24 @@ mod tests {
             cache.lookup::<CacheEntry>(&["a.py", &e.content_hash]),
             Lookup::Corrupt(_)
         ));
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn a_deeply_nested_entry_is_a_corrupt_miss() {
+        let root = tmp("deep");
+        let cache = default_shard(&root);
+        let e = entry("a.py", "x = 1\n");
+        let file = cache.entry_file(&["a.py", &e.content_hash]);
+        fs::create_dir_all(file.parent().unwrap()).unwrap();
+        // Far deeper than any stack: the reader's nesting cap answers.
+        fs::write(&file, format!("{{\"format\":3,\"classes\":{}", "[".repeat(200_000))).unwrap();
+        match cache.lookup::<CacheEntry>(&["a.py", &e.content_hash]) {
+            Lookup::Corrupt(detail) => {
+                assert!(detail.contains("nesting deeper than 128"), "{detail}")
+            }
+            other => panic!("expected corrupt, got {other:?}"),
+        }
         let _ = fs::remove_dir_all(&root);
     }
 

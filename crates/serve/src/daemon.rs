@@ -33,7 +33,8 @@
 //!   compares only with a previous analysis under its own configuration.
 //!
 //! Every result is a derived struct that borrows from the report it
-//! describes; only the frame envelope and the echoed `id` are dynamic.
+//! describes, written straight into its success frame; only the echoed
+//! `id` and the error envelope are dynamic.
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
@@ -149,8 +150,9 @@ struct Job {
     deadline: Option<Instant>,
 }
 
-/// Handler outcome: a result value or a typed error with detail.
-type HandleResult = Result<Value, (ErrorCode, String)>;
+/// Handler outcome: the success frame, its typed result written into
+/// the envelope, or a typed error with detail.
+type HandleResult = Result<String, (ErrorCode, String)>;
 
 struct Shared<W: Write> {
     config: ServeConfig,
@@ -173,7 +175,30 @@ struct Shared<W: Write> {
 }
 
 impl<W: Write> Shared<W> {
-    fn respond_ok(&self, id: &Value, result: Value) {
+    fn new(
+        config: ServeConfig,
+        output: W,
+        slow_log: Option<Mutex<File>>,
+        cache: Option<Arc<AnalysisCache>>,
+    ) -> Self {
+        Shared {
+            registry: Registry::new(),
+            queue: BoundedQueue::new(config.queue_capacity),
+            out: Mutex::new(output),
+            metrics: Metrics::enabled(),
+            profiler: match config.profile_hz {
+                Some(hz) => Profiler::enabled(hz),
+                None => Profiler::disabled(),
+            },
+            epoch: Instant::now(),
+            slow_log,
+            shutting_down: AtomicBool::new(false),
+            cache,
+            config,
+        }
+    }
+
+    fn respond_ok(&self, id: &Value, result: impl Serialize) {
         self.write_line(&ok_frame(id, result));
     }
 
@@ -219,21 +244,7 @@ where
         Some(dir) => Some(Arc::new(AnalysisCache::open(dir).map_err(ServeError::Cache)?)),
         None => None,
     };
-    let shared = Shared {
-        registry: Registry::new(),
-        queue: BoundedQueue::new(config.queue_capacity),
-        out: Mutex::new(output),
-        metrics: Metrics::enabled(),
-        profiler: match config.profile_hz {
-            Some(hz) => Profiler::enabled(hz),
-            None => Profiler::disabled(),
-        },
-        epoch: Instant::now(),
-        slow_log,
-        shutting_down: AtomicBool::new(false),
-        cache,
-        config,
-    };
+    let shared = Shared::new(config, output, slow_log, cache);
     let workers = shared.config.workers.max(1);
 
     // A worker panic outside the request fence is re-raised when the scope
@@ -307,7 +318,7 @@ fn reader_loop<W: Write>(shared: &Shared<W>, input: &mut impl BufRead) -> Option
             Command::Shutdown => {
                 shared.shutting_down.store(true, Ordering::SeqCst);
                 shared.queue.close();
-                shared.respond_ok(&request.id, Draining { draining: true }.to_value());
+                shared.respond_ok(&request.id, Draining { draining: true });
                 // Keep reading: frames that arrive mid-drain are answered
                 // `shutting-down` (and `stats`/`metrics` still work) until
                 // the client closes its end.
@@ -318,7 +329,7 @@ fn reader_loop<W: Write>(shared: &Shared<W>, input: &mut impl BufRead) -> Option
             Command::Stats => stats(shared, &request.id),
             Command::Metrics => {
                 let prometheus = shared.metrics.to_prometheus_text();
-                shared.respond_ok(&request.id, Prometheus { prometheus }.to_value());
+                shared.respond_ok(&request.id, Prometheus { prometheus });
             }
             cmd => enqueue(shared, request.id, cmd),
         }
@@ -391,7 +402,7 @@ fn worker_loop<W: Write>(shared: &Shared<W>) {
             Err(_) => ErrorCode::InternalPanic.label(),
         };
         match outcome {
-            Ok(Ok(result)) => {
+            Ok(Ok(frame)) => {
                 if late {
                     shared.respond_err(
                         &job.id,
@@ -400,7 +411,7 @@ fn worker_loop<W: Write>(shared: &Shared<W>) {
                         None,
                     );
                 } else {
-                    shared.respond_ok(&job.id, result);
+                    shared.write_line(&frame);
                 }
             }
             Ok(Err((code, message))) => shared.respond_err(&job.id, code, &message, None),
@@ -469,7 +480,7 @@ fn log_slow<W: Write>(
 fn handle<W: Write>(shared: &Shared<W>, id: &Value, cmd: &Command) -> HandleResult {
     match cmd {
         Command::Register { project, dir, schema } => {
-            register(shared, project, dir.clone(), schema.clone())
+            register(shared, id, project, dir.clone(), schema.clone())
         }
         Command::Analyze { project, file_deadline_ms, ablate, fault, .. } => {
             if let Some(fault) = fault {
@@ -482,7 +493,7 @@ fn handle<W: Write>(shared: &Shared<W>, id: &Value, cmd: &Command) -> HandleResu
         }
         Command::Explain { project, target } => explain(shared, id, project, target),
         Command::Diff { project } => diff(shared, id, project),
-        Command::Trace { project } => trace(shared, project),
+        Command::Trace { project } => trace(shared, id, project),
         Command::Stats | Command::Metrics | Command::Shutdown => {
             unreachable!("the reader thread answers `{}`", cmd.name())
         }
@@ -491,21 +502,17 @@ fn handle<W: Write>(shared: &Shared<W>, id: &Value, cmd: &Command) -> HandleResu
 
 fn register<W: Write>(
     shared: &Shared<W>,
+    id: &Value,
     name: &str,
     dir: PathBuf,
     schema: Option<PathBuf>,
 ) -> HandleResult {
     // Validate by loading once *before* publishing the registration, so
     // a bad directory never becomes an addressable tenant.
-    let candidate = Project {
-        name: name.to_string(),
-        dir: dir.clone(),
-        schema_path: schema.clone(),
-        flight: parking_lot::Mutex::new(Default::default()),
-    };
+    let candidate = Project::new(name, dir.clone(), schema.clone());
     let (app, _) = candidate.load().map_err(|detail| (ErrorCode::ProjectUnusable, detail))?;
     shared.registry.register(name, dir, schema);
-    Ok(Registered { project: name, files: app.files.len() }.to_value())
+    Ok(ok_frame(id, Registered { project: name, files: app.files.len() }))
 }
 
 /// What a successful analysis hands back: the fresh report, and the
@@ -559,26 +566,28 @@ fn run_analysis<W: Write>(
     // differences would be the configuration's, not the sources'.
     let previous = state.last_report.replace((config, report.clone()));
     let previous = previous.filter(|(c, _)| *c == config).map(|(_, r)| r);
-    state.analyses += 1;
+    project.analyses.fetch_add(1, Ordering::SeqCst);
     Ok((report, previous))
 }
 
 /// Serves the `trace` command: the Chrome trace recorded by the tenant's
 /// most recent analyzing request. `available` is `false` (with a null
 /// `trace`) for a tenant that has not been analyzed yet.
-fn trace<W: Write>(shared: &Shared<W>, project: &str) -> HandleResult {
+fn trace<W: Write>(shared: &Shared<W>, id: &Value, project: &str) -> HandleResult {
     let p = shared
         .registry
         .get(project)
         .ok_or_else(|| (ErrorCode::UnknownProject, format!("no project `{project}`")))?;
     let state = p.flight.lock();
-    Ok(Traced {
-        project,
-        available: state.last_trace.is_some(),
-        trace: state.last_trace.as_deref(),
-        analyses: state.analyses,
-    }
-    .to_value())
+    Ok(ok_frame(
+        id,
+        Traced {
+            project,
+            available: state.last_trace.is_some(),
+            trace: state.last_trace.as_deref(),
+            analyses: p.analyses.load(Ordering::SeqCst),
+        },
+    ))
 }
 
 /// Worker threads of one analysis: the machine's `cores` shared among
@@ -603,7 +612,7 @@ fn analyze<W: Write>(
     let limits = Limits { deadline, ..Limits::default() };
     let (report, _) = run_analysis(shared, id, "analyze", project, (options, limits))?;
     let coverage = report.coverage();
-    Ok(Analyzed {
+    let result = Analyzed {
         app: &report.app,
         loc: report.loc,
         missing: report.missing.len(),
@@ -625,8 +634,8 @@ fn analyze<W: Write>(
         cache_misses: report.timings.cache_misses,
         files_parsed: report.timings.files_parsed,
         stable_json: report.stable_json(),
-    }
-    .to_value())
+    };
+    Ok(ok_frame(id, result))
 }
 
 /// The analyze result: headline counts, the full degradation record
@@ -673,7 +682,7 @@ fn explain<W: Write>(shared: &Shared<W>, id: &Value, project: &str, target: &str
             fix: (!declared).then(|| constraint_ddl(constraint, Dialect::Postgres, None)),
         })
         .collect();
-    Ok(Explained { target, explained }.to_value())
+    Ok(ok_frame(id, Explained { target, explained }))
 }
 
 /// The explain result: every inferred constraint on the target.
@@ -717,7 +726,7 @@ fn diff<W: Write>(shared: &Shared<W>, id: &Value, project: &str) -> HandleResult
         // No baseline under this configuration: everything is new.
         None => (current.iter().map(String::as_str).collect(), Vec::new(), 0),
     };
-    Ok(Diffed { project, baseline: baseline.is_some(), added, removed, unchanged }.to_value())
+    Ok(ok_frame(id, Diffed { project, baseline: baseline.is_some(), added, removed, unchanged }))
 }
 
 /// The diff result: missing constraints added and removed since the
@@ -769,7 +778,8 @@ struct SlowRecord<'a> {
     outcome: &'a str,
 }
 
-/// Answers `stats` on the reader thread.
+/// Answers `stats` on the reader thread. It takes no tenant's flight
+/// lock, so a running analysis never delays it.
 fn stats<W: Write>(shared: &Shared<W>, id: &Value) {
     let projects = shared.registry.all();
     let snapshot = shared.metrics.snapshot();
@@ -782,7 +792,7 @@ fn stats<W: Write>(shared: &Shared<W>, id: &Value) {
             .map(|p| ProjectStats {
                 name: &p.name,
                 dir: p.dir.display().to_string(),
-                analyses: p.flight.lock().analyses,
+                analyses: p.analyses.load(Ordering::SeqCst),
             })
             .collect(),
         queue_depth: shared.queue.depth(),
@@ -799,7 +809,7 @@ fn stats<W: Write>(shared: &Shared<W>, id: &Value) {
         profile_samples_total: shared.profiler.report().total_samples(),
         shutting_down: shared.shutting_down.load(Ordering::SeqCst),
     };
-    shared.respond_ok(id, result.to_value());
+    shared.respond_ok(id, result);
 }
 
 #[derive(Serialize)]
@@ -832,12 +842,39 @@ struct ServeLatency {
 
 #[cfg(test)]
 mod tests {
-    use super::analysis_threads;
+    use super::*;
+    use std::sync::mpsc;
 
     #[test]
     fn each_analysis_gets_its_share_of_the_cores() {
         for (cores, workers, threads) in [(2, 2, 1), (8, 4, 2), (1, 4, 1), (16, 3, 5), (4, 0, 4)] {
             assert_eq!(analysis_threads(cores, workers), threads, "{cores} / {workers}");
         }
+    }
+
+    #[test]
+    fn stats_answers_while_an_analysis_holds_the_flight_lock() {
+        let shared = Shared::new(ServeConfig::default(), Vec::new(), None, None);
+        let project = shared.registry.register("p", PathBuf::from("unused"), None);
+        project.analyses.store(3, Ordering::SeqCst);
+        let held = project.flight.lock();
+        let (done, answered) = mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                stats(&shared, &Value::Str("s".into()));
+                let _ = done.send(());
+            });
+            let answered_while_held = answered.recv_timeout(Duration::from_secs(10)).is_ok();
+            // Release before asserting, so a blocked `stats` can finish
+            // and the scope can join it.
+            drop(held);
+            assert!(answered_while_held, "`stats` waited for the flight lock");
+        });
+        let out = String::from_utf8(shared.out.lock().clone()).unwrap();
+        assert!(
+            out.starts_with(r#"{"id":"s","ok":true,"result":{"projects":[{"name":"p""#),
+            "{out}"
+        );
+        assert!(out.contains(r#""analyses":3}]"#), "{out}");
     }
 }

@@ -20,6 +20,7 @@
 use std::io::{self, BufRead};
 use std::path::PathBuf;
 
+use serde::Serialize;
 use serde_json::Value;
 
 /// Typed failure classes a response frame can carry. Every way a request
@@ -296,14 +297,19 @@ fn parse_fault(
 }
 
 /// Renders a success frame (`id` echoed, insertion-ordered keys, one
-/// line, no interior newlines).
-pub fn ok_frame(id: &Value, result: Value) -> String {
-    let frame = Value::Map(vec![
-        ("id".into(), id.clone()),
-        ("ok".into(), Value::Bool(true)),
-        ("result".into(), result),
-    ]);
-    serde_json::to_string(&frame).expect("frame serialization cannot fail")
+/// line, no interior newlines). The typed `result` is written straight
+/// into the envelope.
+pub fn ok_frame(id: &Value, result: impl Serialize) -> String {
+    serde_json::to_string(&OkFrame { id, ok: true, result })
+        .expect("frame serialization cannot fail")
+}
+
+/// The envelope of a success frame.
+#[derive(Serialize)]
+struct OkFrame<'a, R: Serialize> {
+    id: &'a Value,
+    ok: bool,
+    result: R,
 }
 
 /// Renders a typed error frame. `retry_after_ms` is attached only for

@@ -12,6 +12,7 @@
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use cfinder_core::{load_app, AnalysisReport, AppSource, CFinderOptions, Limits};
@@ -24,8 +25,6 @@ pub struct ProjectState {
     /// The previous analysis and the configuration it ran under: the
     /// `diff` baseline of a later analysis under the same configuration.
     pub last_report: Option<((CFinderOptions, Limits), AnalysisReport)>,
-    /// Completed analyses (any command that ran the pipeline).
-    pub analyses: u64,
     /// Chrome trace of the most recent analyzing request. Only the
     /// latest is retained (bounded memory per tenant); served by the
     /// `trace` command.
@@ -43,9 +42,24 @@ pub struct Project {
     /// Single-flight lock: holds [`ProjectState`] and serializes
     /// analyses of this project.
     pub flight: Mutex<ProjectState>,
+    /// Completed analyses (any command that ran the pipeline). Bumped
+    /// under the flight lock, read without it, so `stats` never waits
+    /// for a running analysis.
+    pub analyses: AtomicU64,
 }
 
 impl Project {
+    /// A tenant with no analyses yet.
+    pub fn new(name: &str, dir: PathBuf, schema_path: Option<PathBuf>) -> Self {
+        Project {
+            name: name.to_string(),
+            dir,
+            schema_path,
+            flight: Mutex::new(ProjectState::default()),
+            analyses: AtomicU64::new(0),
+        }
+    }
+
     /// Loads the project's sources and declared schema from disk through
     /// [`cfinder_core::load_app`], the loader of `cfinder <dir>`, so a
     /// daemon answer is byte-comparable to a one-shot run. Every failure
@@ -73,12 +87,7 @@ impl Registry {
 
     /// Registers (or replaces) a project.
     pub fn register(&self, name: &str, dir: PathBuf, schema_path: Option<PathBuf>) -> Arc<Project> {
-        let project = Arc::new(Project {
-            name: name.to_string(),
-            dir,
-            schema_path,
-            flight: Mutex::new(ProjectState::default()),
-        });
+        let project = Arc::new(Project::new(name, dir, schema_path));
         self.projects.write().insert(name.to_string(), project.clone());
         project
     }
@@ -98,6 +107,7 @@ impl Registry {
 mod tests {
     use super::*;
     use std::fs;
+    use std::sync::atomic::Ordering;
 
     fn tmp(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir()
@@ -142,9 +152,9 @@ mod tests {
         fs::write(dir.join("a.py"), "x = 1\n").unwrap();
         let registry = Registry::new();
         let first = registry.register("p", dir.clone(), None);
-        first.flight.lock().analyses = 7;
+        first.analyses.store(7, Ordering::Relaxed);
         let second = registry.register("p", dir.clone(), None);
-        assert_eq!(second.flight.lock().analyses, 0);
+        assert_eq!(second.analyses.load(Ordering::Relaxed), 0);
         assert_eq!(registry.all().len(), 1);
         let _ = fs::remove_dir_all(&dir);
     }

@@ -79,7 +79,9 @@ echo "==> cargo test ${test_scope[*]}"
 # oracle against the worklist reference, the null-guard oracle against the
 # per-expression guard table, fault injection, the
 # daemon soak (4 clients x 8 apps x 3 rounds) with the fault-frame,
-# result-frame golden and cache-concurrency suites, and minidb's naive-vs-rewritten query
+# result-frame golden and cache-concurrency suites, the direct-vs-Value
+# JSON differential over every cache entry, declared schema and committed
+# BENCH point, and minidb's naive-vs-rewritten query
 # oracle with its 3VL pins and plan goldens; cfinder-schema's unit tests
 # (the comparison truth table, identifier clamping) and proptests,
 # cfinder-core's own unit tests (the pattern detectors and the cache's
@@ -108,13 +110,21 @@ if ! $workspace; then
     cargo test -p cfinder-report --lib -- --quiet 2>&1 | tee -a "$test_log"
 fi
 
+echo "==> JSON shim unit tests"
+# The vendored crates are not workspace members, so neither test scope
+# above reaches them: the nesting cap, string escapes and repeated keys of
+# the direct reader and writer are tested here, and their counts join the
+# log for the json floor.
+cargo test -p serde -p serde_json -- --quiet 2>&1 | tee -a "$test_log"
+
 echo "==> test-count floors"
-floor core 151 cfinder_core proptest_robustness detect_pin
+floor core 152 cfinder_core proptest_robustness detect_pin
 floor SQL 65 cfinder_sql roundtrip_proptest sql_faults sql_pin
 floor schema 66 cfinder_schema proptest_schema
 floor pyast 147 cfinder_pyast django_torture proptest_recovery proptest_roundtrip parse_pin
 floor flow 114 cfinder_flow proptest_interproc interproc_oracle reaching_oracle nullguard_oracle
-floor daemon 26 cfinder_serve serve_soak serve_faults serve_frames cache_concurrency
+floor daemon 28 cfinder_serve serve_soak serve_faults serve_frames cache_concurrency
+floor json 11 serde serde_json json_direct
 floor cache 12 cache_equivalence cache_invalidation cache_pin
 floor minidb 98 cfinder_minidb plan_golden proptest_integrity query_oracle three_valued_logic
 floor front-door 33 cli explain_golden hostile_env reproduce_cli

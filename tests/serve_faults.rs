@@ -192,6 +192,25 @@ fn every_error_code_is_reachable_and_request_scoped() {
     let _ = fs::remove_dir_all(&root);
 }
 
+#[test]
+fn a_deeply_nested_frame_is_malformed_and_the_daemon_keeps_serving() {
+    // 400 KB of `[`: under the 1 MiB frame cap, far past any stack.
+    let mut daemon = Daemon::spawn(&["--workers", "1"], 0, false);
+    let main = daemon.main_client();
+    main.send_raw(&"[".repeat(400_000));
+    let resp = main.recv();
+    assert!(resp.get("id").unwrap().is_null(), "{resp:?}");
+    assert_eq!(err_code(&resp), "malformed-frame");
+    let message = resp.get("error").unwrap().get("message").and_then(Value::as_str).unwrap();
+    assert!(message.contains("nesting deeper than 128 at byte 128"), "{message}");
+    let stats = main.call("after", r#""cmd":"stats""#);
+    assert_eq!(ok_result(&stats).get("errors_total").and_then(Value::as_u64), Some(1));
+    let resp = main.call("bye", r#""cmd":"shutdown""#);
+    ok_result(&resp);
+    let status = daemon.finish();
+    assert!(status.success(), "daemon exited with {status:?}");
+}
+
 /// The daemon's `cfinder_cache_write_errors_total`, summed over causes.
 fn write_skips(client: &Client) -> u64 {
     let resp = client.call("skips", r#""cmd":"metrics""#);
