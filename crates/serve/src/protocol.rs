@@ -320,19 +320,26 @@ pub fn error_frame(
     message: &str,
     retry_after_ms: Option<u64>,
 ) -> String {
-    let mut error = vec![
-        ("code".into(), Value::Str(code.label().into())),
-        ("message".into(), Value::Str(message.into())),
-    ];
-    if let Some(ms) = retry_after_ms {
-        error.push(("retry_after_ms".into(), Value::UInt(ms)));
-    }
-    let frame = Value::Map(vec![
-        ("id".into(), id.clone()),
-        ("ok".into(), Value::Bool(false)),
-        ("error".into(), Value::Map(error)),
-    ]);
-    serde_json::to_string(&frame).expect("frame serialization cannot fail")
+    let error = ErrorBody { code: code.label(), message, retry_after_ms };
+    serde_json::to_string(&ErrorFrame { id, ok: false, error })
+        .expect("frame serialization cannot fail")
+}
+
+/// The envelope of an error frame.
+#[derive(Serialize)]
+struct ErrorFrame<'a> {
+    id: &'a Value,
+    ok: bool,
+    error: ErrorBody<'a>,
+}
+
+/// The `error` object of an error frame.
+#[derive(Serialize)]
+struct ErrorBody<'a> {
+    code: &'a str,
+    message: &'a str,
+    #[serde(skip_serializing_if = "Option::is_none")]
+    retry_after_ms: Option<u64>,
 }
 
 /// Outcome of reading one frame line.
@@ -492,5 +499,42 @@ mod tests {
         let err = error_frame(&Value::Str("x".into()), ErrorCode::Overloaded, "full", Some(25));
         assert!(err.contains("\"code\":\"overloaded\""));
         assert!(err.contains("\"retry_after_ms\":25"));
+    }
+
+    #[test]
+    fn error_frames_keep_their_exact_bytes() {
+        let object = Value::Map(vec![("a".into(), Value::Seq(vec![Value::Int(1)]))]);
+        for (id, code, message, retry, frame) in [
+            (
+                Value::Str("req-1".into()),
+                ErrorCode::UnknownCommand,
+                "unknown command `x`",
+                None,
+                r#"{"id":"req-1","ok":false,"error":{"code":"unknown-command","message":"unknown command `x`"}}"#,
+            ),
+            (
+                Value::Int(7),
+                ErrorCode::Overloaded,
+                "queue full",
+                Some(25),
+                r#"{"id":7,"ok":false,"error":{"code":"overloaded","message":"queue full","retry_after_ms":25}}"#,
+            ),
+            (
+                Value::Null,
+                ErrorCode::MalformedFrame,
+                "frame is not valid JSON: \"x\"\nat byte 0",
+                None,
+                r#"{"id":null,"ok":false,"error":{"code":"malformed-frame","message":"frame is not valid JSON: \"x\"\nat byte 0"}}"#,
+            ),
+            (
+                object,
+                ErrorCode::ShuttingDown,
+                "draining",
+                Some(u64::MAX),
+                r#"{"id":{"a":[1]},"ok":false,"error":{"code":"shutting-down","message":"draining","retry_after_ms":18446744073709551615}}"#,
+            ),
+        ] {
+            assert_eq!(error_frame(&id, code, message, retry), frame);
+        }
     }
 }

@@ -123,8 +123,8 @@ floor SQL 65 cfinder_sql roundtrip_proptest sql_faults sql_pin
 floor schema 66 cfinder_schema proptest_schema
 floor pyast 147 cfinder_pyast django_torture proptest_recovery proptest_roundtrip parse_pin
 floor flow 114 cfinder_flow proptest_interproc interproc_oracle reaching_oracle nullguard_oracle
-floor daemon 28 cfinder_serve serve_soak serve_faults serve_frames cache_concurrency
-floor json 11 serde serde_json json_direct
+floor daemon 29 cfinder_serve serve_soak serve_faults serve_frames cache_concurrency
+floor json 12 serde serde_json json_direct
 floor cache 12 cache_equivalence cache_invalidation cache_pin
 floor minidb 98 cfinder_minidb plan_golden proptest_integrity query_oracle three_valued_logic
 floor front-door 33 cli explain_golden hostile_env reproduce_cli

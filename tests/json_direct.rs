@@ -1,16 +1,19 @@
-//! The direct JSON path against the `Value` path it replaced.
+//! The typed JSON path against the generic one.
 //!
 //! `serde_json::from_str::<T>` reads a typed document straight from the
 //! bytes, and `to_string` writes one straight into the output buffer;
-//! the `Value` path lowers to (or lifts from) a `serde_json::Value` tree
-//! first. Over every cache entry file of the 8 corpus apps (default and
-//! paper configurations), every app's declared schema and every
-//! committed BENCH point, both readers must decode the same value and
-//! both writers must print the same bytes, which are the file's own.
-//! Every proper prefix of three sample entries must fail on both paths
-//! with a parse error that names its byte offset. A round-trip proptest
-//! covers what the corpus does not: integers past `i64::MAX`, arbitrary
-//! finite floats, escapes and surrogate pairs.
+//! the generic path reads any JSON into a `serde_json::Value` tree
+//! (`Reader::value`) and prints a tree (`Writer::value`). Over every
+//! cache entry file of the 8 corpus apps (default and paper
+//! configurations), every app's declared schema and every committed
+//! BENCH point, the typed value and the generic tree of the file must
+//! print the same bytes, compact and pretty, and the compact ones are
+//! the file's own. Every proper prefix of three sample entries must fail
+//! on both paths with the same parse error, which names its byte
+//! offset. A round-trip proptest covers what the corpus does not:
+//! integers past `i64::MAX`, arbitrary finite floats, escapes and
+//! surrogate pairs. Seeded faulty variants of three documents pin
+//! `from_str`'s error messages.
 
 use std::fmt::Debug;
 use std::fs;
@@ -29,7 +32,7 @@ use serde_json::Value;
 
 const SCALE: GenOptions = GenOptions { loc_scale: 0.02 };
 
-/// The direct reader over the whole text.
+/// The typed reader over the whole text.
 fn direct<T: for<'de> Deserialize<'de>>(text: &str) -> Result<T, serde::Error> {
     let mut r = Reader::new(text);
     let value = T::read_json(&mut r)?;
@@ -37,35 +40,37 @@ fn direct<T: for<'de> Deserialize<'de>>(text: &str) -> Result<T, serde::Error> {
     Ok(value)
 }
 
-/// The `Value` path: a tree first, then the type.
-fn via_value<T: for<'de> Deserialize<'de>>(text: &str) -> Result<T, String> {
-    let tree: Value = serde_json::from_str(text).map_err(|e| e.to_string())?;
-    T::from_value(&tree).map_err(|e| e.to_string())
+/// The generic reader over the whole text: a `Value` tree.
+fn generic(text: &str) -> Result<Value, serde::Error> {
+    let mut r = Reader::new(text);
+    let tree = r.value()?;
+    r.finish()?;
+    Ok(tree)
 }
 
-/// The direct writer's and the `Value` writer's text for `value`.
-fn both_writers<T: Serialize>(value: &T, pretty: bool) -> (String, String) {
+/// The typed writer's text for `value` and the generic writer's for
+/// `tree`.
+fn both_writers<T: Serialize>(value: &T, tree: &Value, pretty: bool) -> (String, String) {
     let writer = || if pretty { Writer::pretty() } else { Writer::compact() };
-    let (mut new, mut old) = (writer(), writer());
-    value.write_json(&mut new);
-    old.value(&value.to_value());
-    (new.into_string(), old.into_string())
+    let (mut typed, mut untyped) = (writer(), writer());
+    value.write_json(&mut typed);
+    untyped.value(tree);
+    (typed.into_string(), untyped.into_string())
 }
 
-/// Decodes `text` both ways and prints the result both ways; every pair
-/// must agree. Returns the decoded value.
+/// Decodes `text` both ways and prints both results, compact and
+/// pretty; each pair must agree. Returns the typed value.
 fn same_both_ways<T>(label: &str, text: &str) -> T
 where
     T: Serialize + for<'de> Deserialize<'de> + PartialEq + Debug,
 {
-    let new: T = direct(text).unwrap_or_else(|e| panic!("{label}: direct reader: {e}"));
-    let old: T = via_value(text).unwrap_or_else(|e| panic!("{label}: Value path: {e}"));
-    assert!(new == old, "{label}: the readers disagree");
+    let typed: T = direct(text).unwrap_or_else(|e| panic!("{label}: typed reader: {e}"));
+    let tree = generic(text).unwrap_or_else(|e| panic!("{label}: generic reader: {e}"));
     for pretty in [false, true] {
-        let (new_text, old_text) = both_writers(&new, pretty);
-        assert!(new_text == old_text, "{label}: the writers disagree (pretty: {pretty})");
+        let (typed_text, tree_text) = both_writers(&typed, &tree, pretty);
+        assert!(typed_text == tree_text, "{label}: the paths disagree (pretty: {pretty})");
     }
-    new
+    typed
 }
 
 /// `(path, contents)` of every entry file of a cache of the 8 apps.
@@ -149,18 +154,18 @@ fn every_declared_schema_and_bench_point_reads_and_writes_the_same_both_ways() {
     assert!(points >= 5, "committed points: {points}");
 }
 
-/// Every proper prefix of `text` fails both ways, each error naming a
-/// byte offset, and `from_str` words it as the `Value` path does.
+/// Every proper prefix of `text` fails both ways with the same error,
+/// which names a byte offset, and `from_str` words it so too.
 fn every_prefix_fails<T>(text: &str)
 where
     T: for<'de> Deserialize<'de> + Debug,
 {
     for end in (0..text.len()).filter(|&i| text.is_char_boundary(i)) {
         let prefix = &text[..end];
-        let new = direct::<T>(prefix).expect_err(prefix).to_string();
-        let old = via_value::<T>(prefix).expect_err(prefix);
-        assert!(new.contains(" at byte ") && old.contains(" at byte "), "{new} / {old}");
-        assert_eq!(serde_json::from_str::<T>(prefix).unwrap_err().to_string(), old);
+        let typed = direct::<T>(prefix).expect_err(prefix).to_string();
+        let untyped = generic(prefix).expect_err(prefix).to_string();
+        assert!(typed.contains(" at byte ") && typed == untyped, "{typed} / {untyped}");
+        assert_eq!(serde_json::from_str::<T>(prefix).unwrap_err().to_string(), untyped);
     }
 }
 
@@ -263,14 +268,194 @@ proptest! {
     #[test]
     fn direct_round_trips_match_the_value_path(s in sample()) {
         for pretty in [false, true] {
-            let (new, old) = both_writers(&s, pretty);
-            prop_assert_eq!(&new, &old);
-            for text in [new.clone(), escape_non_ascii(&new)] {
+            let mut w = if pretty { Writer::pretty() } else { Writer::compact() };
+            s.write_json(&mut w);
+            let typed = w.into_string();
+            for text in [typed.clone(), escape_non_ascii(&typed)] {
                 let read: Sample = direct(&text).map_err(|e| e.to_string())?;
                 prop_assert_eq!(&read, &s);
-                prop_assert_eq!(via_value::<Sample>(&text)?, s.clone());
+                let tree = generic(&text).map_err(|e| e.to_string())?;
+                prop_assert_eq!(&both_writers(&s, &tree, pretty).1, &typed);
                 prop_assert_eq!(serde_json::from_str::<Sample>(&text).map_err(|e| e.to_string())?, s.clone());
             }
         }
     }
+}
+
+/// A step into a [`Value`] tree: an object entry or an array element,
+/// by position.
+#[derive(Clone, Copy, PartialEq)]
+enum Step {
+    Entry(usize),
+    Elem(usize),
+}
+
+fn at<'v>(mut v: &'v mut Value, path: &[Step]) -> &'v mut Value {
+    for step in path {
+        v = match (step, v) {
+            (Step::Entry(i), Value::Map(m)) => &mut m[*i].1,
+            (Step::Elem(i), Value::Seq(s)) => &mut s[*i],
+            _ => unreachable!("paths come from the same tree"),
+        };
+    }
+    v
+}
+
+/// The path of every node under `v`, `v` first, in document order.
+fn paths(v: &Value, here: &mut Vec<Step>, out: &mut Vec<Vec<Step>>) {
+    out.push(here.clone());
+    let children: Vec<(Step, &Value)> = match v {
+        Value::Map(m) => m.iter().enumerate().map(|(i, (_, c))| (Step::Entry(i), c)).collect(),
+        Value::Seq(s) => s.iter().enumerate().map(|(i, c)| (Step::Elem(i), c)).collect(),
+        _ => Vec::new(),
+    };
+    for (step, child) in children {
+        here.push(step);
+        paths(child, here, out);
+        here.pop();
+    }
+}
+
+/// `doc` with the leaf at `path` given another JSON type.
+fn swap(doc: &mut Value, path: &[Step]) {
+    let leaf = at(doc, path);
+    *leaf = match leaf {
+        Value::Str(_) => Value::Int(7),
+        Value::Bool(_) => Value::Int(1),
+        _ => Value::Str("x".into()),
+    };
+}
+
+/// A splitmix64 step, for the seeded choices below.
+fn mix(seed: &mut u64) -> u64 {
+    *seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *seed;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// `from_str`'s verdict on `text`: `ok`, or its error message.
+fn verdict<T: for<'de> Deserialize<'de>>(text: &str) -> String {
+    match serde_json::from_str::<T>(text) {
+        Ok(_) => "ok".into(),
+        Err(e) => e.to_string(),
+    }
+}
+
+/// `from_str`'s verdict on seeded faulty variants of the document
+/// `text`, one line each: one field's type swapped; two fields of one
+/// object swapped and its keys reversed, so the text meets them against
+/// declaration order; a swap with a later `]` or trailing junk; an
+/// unknown unit and an unknown data variant; trailing junk; a
+/// truncation.
+fn faulty_variants<T: for<'de> Deserialize<'de>>(text: &str, mut seed: u64) -> Vec<String> {
+    let doc: Value = serde_json::from_str(text).unwrap();
+    let mut all = Vec::new();
+    paths(&doc, &mut Vec::new(), &mut all);
+    let mut probe = doc.clone();
+    let fields: Vec<&Vec<Step>> = all
+        .iter()
+        .filter(|p| {
+            matches!(p.last(), Some(Step::Entry(_)))
+                && !matches!(at(&mut probe, p), Value::Null | Value::Seq(_) | Value::Map(_))
+        })
+        .collect();
+    let fields_of = |obj: &Vec<Step>| -> Vec<&Vec<Step>> {
+        fields.iter().copied().filter(|f| f.len() == obj.len() + 1 && f.starts_with(obj)).collect()
+    };
+    let mut pick = |n: usize| (mix(&mut seed) % n as u64) as usize;
+    let print = |d: &Value| serde_json::to_string(d).unwrap();
+    let mut out = Vec::new();
+
+    let mut one = doc.clone();
+    swap(&mut one, fields[pick(fields.len())]);
+    let one = print(&one);
+    out.push(format!("swap: {}", verdict::<T>(&one)));
+
+    let objects: Vec<&Vec<Step>> = all.iter().filter(|p| fields_of(p).len() >= 2).collect();
+    let obj = objects[pick(objects.len())];
+    let (mut two, inner) = (doc.clone(), fields_of(obj));
+    swap(&mut two, inner[0]);
+    swap(&mut two, inner[inner.len() - 1]);
+    if let Value::Map(m) = at(&mut two, obj) {
+        m.reverse();
+    }
+    out.push(format!("two swaps, reversed: {}", verdict::<T>(&print(&two))));
+    let bracket = format!("{}]", &one[..one.len() - 1]);
+    out.push(format!("swap, then `]`: {}", verdict::<T>(&bracket)));
+    out.push(format!("swap, then junk: {}", verdict::<T>(&format!("{one} x"))));
+
+    // The first string whose renaming is an unknown unit variant, and
+    // the first one-key object whose renamed key is an unknown data
+    // variant.
+    let unknown = |rename: &dyn Fn(&mut Value) -> bool| {
+        all.iter()
+            .find_map(|p| {
+                let mut d = doc.clone();
+                let renamed = rename(at(&mut d, p));
+                Some(verdict::<T>(&print(&d))).filter(|m| renamed && m.contains("unknown variant"))
+            })
+            .unwrap_or_else(|| "none".into())
+    };
+    let unit = unknown(&|v| match v {
+        Value::Str(s) => {
+            *s = "NoSuchVariant".into();
+            true
+        }
+        _ => false,
+    });
+    out.push(format!("unknown unit variant: {unit}"));
+    let data = unknown(&|v| match v {
+        Value::Map(m) if m.len() == 1 => {
+            m[0].0 = "NoSuchVariant".into();
+            true
+        }
+        _ => false,
+    });
+    out.push(format!("unknown data variant: {data}"));
+
+    out.push(format!("junk: {}", verdict::<T>(&format!("{text} x"))));
+    let mut cut = pick(text.len());
+    while !text.is_char_boundary(cut) {
+        cut -= 1;
+    }
+    out.push(format!("truncated: {}", verdict::<T>(&text[..cut])));
+    out
+}
+
+/// `from_str`'s messages for seeded faulty variants of one cache
+/// entry, one `schema.json` and one committed BENCH point, against
+/// `tests/goldens/json_errors.txt`: the first syntax error anywhere in
+/// the text, else the first type error in declaration order. Regenerate
+/// with `CFINDER_BLESS=1 cargo test --test json_direct`.
+#[test]
+fn faulty_documents_keep_their_error_messages() {
+    let entries = cached_entries("errors", CFinderOptions::default());
+    let entry = entries
+        .iter()
+        .map(|(_, text)| text)
+        .filter(|text| text.len() < 4096 && is_detect_entry(text))
+        .max_by_key(|text| text.len())
+        .unwrap();
+    let schema = generate(&all_profiles()[0], SCALE).declared.to_json();
+    let bench = Path::new(env!("CARGO_MANIFEST_DIR")).join("bench/BENCH_20261020T032902Z.json");
+    let bench = fs::read_to_string(bench).unwrap();
+    let mut lines = Vec::new();
+    for (label, found) in [
+        ("cache entry", faulty_variants::<DetectEntry>(entry, 1)),
+        ("schema.json", faulty_variants::<Schema>(&schema, 2)),
+        ("BENCH point", faulty_variants::<BenchPoint>(&bench, 3)),
+    ] {
+        lines.extend(found.into_iter().map(|line| format!("{label} / {line}")));
+    }
+    let found = lines.join("\n") + "\n";
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/goldens/json_errors.txt");
+    if std::env::var_os("CFINDER_BLESS").is_some() {
+        fs::write(&golden, &found).unwrap();
+    }
+    let expected = fs::read_to_string(&golden).unwrap_or_else(|e| {
+        panic!("missing golden {} ({e}); run with CFINDER_BLESS=1", golden.display())
+    });
+    assert_eq!(found, expected);
 }
