@@ -8,8 +8,9 @@
 //! that degrades a run is recorded as a typed [`Incident`] on the report
 //! instead of aborting the analysis or being silently dropped.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use cfinder_flow::{InterprocFacts, NullGuards, SummaryBudget, SummaryTable, UseDefChains};
@@ -32,19 +33,65 @@ use crate::patterns::{
 use crate::report::{AnalysisReport, Detection, MissingConstraint, StageTimings};
 use crate::resolve::Resolver;
 
-/// One source file of an application.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One source file of an application. Two files are equal when their
+/// paths and texts are.
+#[derive(Debug, Clone)]
 pub struct SourceFile {
     /// Repository-relative path (for reports).
     pub path: String,
     /// File contents.
     pub text: String,
+    /// The content hash, kept once computed on a file only the loader
+    /// can change (see [`SourceFile::content_hash`]).
+    hash: KeptHash,
 }
 
 impl SourceFile {
     /// Creates a source file.
     pub fn new(path: impl Into<String>, text: impl Into<String>) -> Self {
-        SourceFile { path: path.into(), text: text.into() }
+        SourceFile { path: path.into(), text: text.into(), hash: KeptHash(None) }
+    }
+
+    /// A file the loader ([`crate::fsio::SourceMemo`]) owns and hands out
+    /// only by shared reference, so its `text` never changes and its hash
+    /// is computed at most once.
+    pub(crate) fn kept(path: String, text: String) -> Self {
+        SourceFile { path, text, hash: KeptHash(Some(OnceLock::new())) }
+    }
+
+    /// Gives up the kept hash, before the file is handed to an owner who
+    /// may edit `text` in place.
+    pub(crate) fn release(&mut self) {
+        self.hash = KeptHash(None);
+    }
+
+    /// `text`'s content hash, which cache entries are addressed by. A
+    /// loader-owned file computes it once; any other file hashes its text
+    /// on every call, because its owner may have edited `text` since.
+    pub(crate) fn content_hash(&self) -> Cow<'_, str> {
+        match &self.hash.0 {
+            Some(kept) => Cow::Borrowed(kept.get_or_init(|| cache::content_hash(&self.text))),
+            None => Cow::Owned(cache::content_hash(&self.text)),
+        }
+    }
+}
+
+impl PartialEq for SourceFile {
+    fn eq(&self, other: &Self) -> bool {
+        self.path == other.path && self.text == other.text
+    }
+}
+
+impl Eq for SourceFile {}
+
+/// The hash slot of a loader-owned file (`None` on every other file). A
+/// clone is an ordinary file: its owner may edit it, so it keeps nothing.
+#[derive(Debug)]
+struct KeptHash(Option<OnceLock<String>>);
+
+impl Clone for KeptHash {
+    fn clone(&self) -> Self {
+        KeptHash(None)
     }
 }
 
@@ -358,15 +405,17 @@ impl CFinder {
         let obs = &self.obs;
         let _span = obs.tracer.span("pass", || "parse".to_string());
         let outcomes = engine::map_ordered(&app.files, threads, &obs.tracer, "parse", |file| {
+            // Hashed once: the lookup key and a miss's entry share it.
+            let hash = cache.map(|_| file.content_hash());
             cached(
-                || {
-                    cache.map_or(Ok(None), |cache| {
-                        let key = [file.path.as_str(), &cache::content_hash(&file.text)];
-                        let hit = lookup(cache, &key, "", obs)?;
+                || match (cache, &hash) {
+                    (Some(cache), Some(hash)) => {
+                        let hit = lookup(cache, &[file.path.as_str(), hash], "", obs)?;
                         Ok(hit.map(|entry| FileFacts { entry, module: None, parsed: false }))
-                    })
+                    }
+                    _ => Ok(None),
                 },
-                || parse_facts(file, &self.limits, cache.is_some(), obs),
+                || parse_facts(file, hash.as_deref(), &self.limits, obs),
                 |facts| match cache {
                     // Every freshly parsed file gets its parse entry here —
                     // except deadline drops, which are timing-dependent and
@@ -693,14 +742,19 @@ struct ParsePass {
 }
 
 /// Pass 0's work for one file on a cache miss: the guarded parse, then the
-/// file-local class and inter-procedural facts. The content hash is only
-/// computed when a cache will address entries by it.
-fn parse_facts(file: &SourceFile, limits: &Limits, cached: bool, obs: &Obs) -> FileFacts {
+/// file-local class and inter-procedural facts. The entry records
+/// `content_hash`, present only when a cache addresses entries by it.
+fn parse_facts(
+    file: &SourceFile,
+    content_hash: Option<&str>,
+    limits: &Limits,
+    obs: &Obs,
+) -> FileFacts {
     let (module, incidents) = parse_file_guarded(file, limits, obs);
     let entry = CacheEntry {
         format: cache::FORMAT,
         path: file.path.clone(),
-        content_hash: if cached { cache::content_hash(&file.text) } else { String::new() },
+        content_hash: content_hash.unwrap_or_default().to_string(),
         dropped: module.is_none(),
         classes: module.as_ref().map(|m| extract_classes(m, &file.path)).unwrap_or_default(),
         incidents,

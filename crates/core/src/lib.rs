@@ -49,7 +49,7 @@ pub mod usage;
 pub use cache::{AnalysisCache, CacheError, CacheStats, WriteSkip};
 pub use cfinder_obs::Obs;
 pub use detect::{effective_limits, AppSource, CFinder, CFinderOptions, Limits, SourceFile};
-pub use fsio::{atomic_write, load_app};
+pub use fsio::{atomic_write, load_app, SourceMemo};
 pub use incident::{Coverage, Incident, IncidentKind};
 pub use models::{FieldInfo, FieldKind, ModelInfo, ModelRegistry};
 pub use report::{

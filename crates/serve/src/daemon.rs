@@ -57,7 +57,7 @@ use serde_json::Value;
 
 use crate::protocol::{self, error_frame, ok_frame, Command, ErrorCode, Fault, Frame};
 use crate::queue::{BoundedQueue, PushError};
-use crate::registry::{Project, Registry};
+use crate::registry::{Config, Project, ProjectState, Registry};
 
 /// Daemon configuration (one per [`serve`] call).
 #[derive(Debug, Clone)]
@@ -508,20 +508,31 @@ fn register<W: Write>(
     schema: Option<PathBuf>,
 ) -> HandleResult {
     // Validate by loading once *before* publishing the registration, so
-    // a bad directory never becomes an addressable tenant.
-    let candidate = Project::new(name, dir.clone(), schema.clone());
-    let (app, _) = candidate.load().map_err(|detail| (ErrorCode::ProjectUnusable, detail))?;
-    shared.registry.register(name, dir, schema);
-    Ok(ok_frame(id, Registered { project: name, files: app.files.len() }))
+    // a bad directory never becomes an addressable tenant; the published
+    // tenant keeps what this load read.
+    let candidate = Project::new(name, dir, schema);
+    let files = {
+        let mut state = candidate.flight.lock();
+        state.sources.load().map_err(|detail| (ErrorCode::ProjectUnusable, detail))?;
+        state.sources.app().files.len()
+    };
+    shared.registry.register(candidate);
+    Ok(ok_frame(id, Registered { project: name, files }))
 }
 
 /// What a successful analysis hands back: the fresh report, and the
-/// tenant's previous report when it ran under the same configuration
-/// (the `diff` baseline).
-type AnalysisOutcome = (AnalysisReport, Option<AnalysisReport>);
+/// missing constraints of the tenant's previous analysis when it ran
+/// under the same configuration (the `diff` baseline).
+type AnalysisOutcome = (AnalysisReport, Option<Vec<String>>);
 
-/// Looks up a tenant, loads its sources, and runs the pipeline under the
-/// project's single-flight lock. Every analyzing command (`analyze`,
+/// A report's missing constraints as `diff` compares them.
+fn missing_list(report: &AnalysisReport) -> Vec<String> {
+    report.missing.iter().map(|m| m.constraint.to_string()).collect()
+}
+
+/// Looks up a tenant, brings its [`crate::registry::ProjectState::sources`]
+/// up to date, and runs the pipeline on them under the project's
+/// single-flight lock. Every analyzing command (`analyze`,
 /// `explain`, `diff`) funnels through here, so no two analyses of one
 /// tenant ever race the cache or each other's baseline.
 ///
@@ -537,7 +548,7 @@ fn run_analysis<W: Write>(
     id: &Value,
     cmd_name: &'static str,
     project_name: &str,
-    config: (CFinderOptions, Limits),
+    config: Config,
 ) -> Result<AnalysisOutcome, (ErrorCode, String)> {
     let project = shared
         .registry
@@ -545,7 +556,8 @@ fn run_analysis<W: Write>(
         .ok_or_else(|| (ErrorCode::UnknownProject, format!("no project `{project_name}`")))?;
 
     let mut state = project.flight.lock();
-    let (app, declared) = project.load().map_err(|detail| (ErrorCode::ProjectUnusable, detail))?;
+    let ProjectState { sources, baseline, last_trace } = &mut *state;
+    sources.load().map_err(|detail| (ErrorCode::ProjectUnusable, detail))?;
     let tracer = Tracer::enabled_with_profiler(shared.profiler.clone());
     let report = {
         let mut span = tracer.span("request", || format!("{cmd_name} {project_name}"));
@@ -559,13 +571,13 @@ fn run_analysis<W: Write>(
         if let Some(cache) = &shared.cache {
             finder = finder.with_cache(cache.clone());
         }
-        finder.analyze(&app, &declared)
+        finder.analyze(sources.app(), sources.declared())
     };
-    state.last_trace = Some(tracer.to_chrome_trace());
+    *last_trace = Some(tracer.to_chrome_trace());
     // A report made under another configuration is no baseline: its
     // differences would be the configuration's, not the sources'.
-    let previous = state.last_report.replace((config, report.clone()));
-    let previous = previous.filter(|(c, _)| *c == config).map(|(_, r)| r);
+    let previous = baseline.replace((config, missing_list(&report)));
+    let previous = previous.filter(|(c, _)| *c == config).map(|(_, missing)| missing);
     project.analyses.fetch_add(1, Ordering::SeqCst);
     Ok((report, previous))
 }
@@ -711,10 +723,8 @@ struct Chain<'a> {
 }
 
 fn diff<W: Write>(shared: &Shared<W>, id: &Value, project: &str) -> HandleResult {
-    let (report, previous) = run_analysis(shared, id, "diff", project, Default::default())?;
-    let current: Vec<String> = report.missing.iter().map(|m| m.constraint.to_string()).collect();
-    let baseline: Option<Vec<String>> =
-        previous.map(|p| p.missing.iter().map(|m| m.constraint.to_string()).collect());
+    let (report, baseline) = run_analysis(shared, id, "diff", project, Default::default())?;
+    let current = missing_list(&report);
     let (added, removed, unchanged) = match &baseline {
         Some(old) => {
             let added: Vec<&str> =
@@ -855,7 +865,7 @@ mod tests {
     #[test]
     fn stats_answers_while_an_analysis_holds_the_flight_lock() {
         let shared = Shared::new(ServeConfig::default(), Vec::new(), None, None);
-        let project = shared.registry.register("p", PathBuf::from("unused"), None);
+        let project = shared.registry.register(Project::new("p", PathBuf::from("unused"), None));
         project.analyses.store(3, Ordering::SeqCst);
         let held = project.flight.lock();
         let (done, answered) = mpsc::channel();

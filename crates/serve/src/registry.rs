@@ -1,30 +1,44 @@
 //! Multi-tenant project registry: per-project state, single-flight
-//! analysis locks, and deterministic source loading.
+//! analysis locks, and source loading that reads only what changed.
 //!
 //! A *project* is a registered (name, source directory, optional schema
-//! file) triple. The daemon re-reads sources from disk on every analyze
-//! — that is what makes mid-round source mutation safe — and relies on
-//! the incremental cache to make the re-read cheap (a warm run parses 0
-//! files). Each project carries one **single-flight mutex**: two
-//! concurrent analyze requests for the same tenant serialize instead of
-//! racing the cache and each other's diff baseline; different tenants
-//! proceed in parallel.
+//! file) triple. Each tenant keeps a [`SourceMemo`], the loader of
+//! `cfinder <dir>` kept across requests: every analysis walks the
+//! directory afresh (so added, deleted and renamed files are seen) and
+//! `stat`s each file, but re-reads only a file whose stamp — length,
+//! modification and status-change times in nanoseconds, inode, device —
+//! changed, or whose last read was racy: within
+//! [`cfinder_core::fsio::RACY_MARGIN`] of its last modification, where a
+//! same-size edit in the same file-system clock tick could leave the
+//! stamp as it was. The declared schema is kept decoded under its own
+//! stamp. That keeps mid-round source mutation safe, and the incremental
+//! cache makes the rest of a warm run cheap (it parses 0 files). A
+//! one-shot `cfinder <dir>` loads through a fresh memo, which trusts
+//! nothing, so the two read the same bytes. Each project carries one
+//! **single-flight mutex**: two concurrent analyze requests for the same
+//! tenant serialize instead of racing the cache, the memo and each
+//! other's diff baseline; different tenants proceed in parallel.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
-use cfinder_core::{load_app, AnalysisReport, AppSource, CFinderOptions, Limits};
-use cfinder_schema::Schema;
+use cfinder_core::{CFinderOptions, Limits, SourceMemo};
 use parking_lot::{Mutex, RwLock};
 
+/// The configuration an analysis ran under.
+pub type Config = (CFinderOptions, Limits);
+
 /// Mutable per-project state, guarded by the single-flight lock.
-#[derive(Default)]
 pub struct ProjectState {
-    /// The previous analysis and the configuration it ran under: the
-    /// `diff` baseline of a later analysis under the same configuration.
-    pub last_report: Option<((CFinderOptions, Limits), AnalysisReport)>,
+    /// The tenant's sources and declared schema as last loaded; every
+    /// analysis brings it up to date first.
+    pub sources: SourceMemo,
+    /// The configuration of the previous analysis and the missing
+    /// constraints it reported, rendered: the `diff` baseline of a later
+    /// analysis under the same configuration.
+    pub baseline: Option<(Config, Vec<String>)>,
     /// Chrome trace of the most recent analyzing request. Only the
     /// latest is retained (bounded memory per tenant); served by the
     /// `trace` command.
@@ -35,10 +49,11 @@ pub struct ProjectState {
 pub struct Project {
     /// Tenant name (the `project` field of request frames).
     pub name: String,
-    /// Source directory, re-read on every analysis.
+    /// Source directory, walked on every analysis; only files whose
+    /// stamp changed since they were read are read again (the optional
+    /// declared-schema file likewise, which only the memo in
+    /// [`ProjectState::sources`] needs to know).
     pub dir: PathBuf,
-    /// Optional declared-schema JSON file, re-read on every analysis.
-    pub schema_path: Option<PathBuf>,
     /// Single-flight lock: holds [`ProjectState`] and serializes
     /// analyses of this project.
     pub flight: Mutex<ProjectState>,
@@ -49,24 +64,18 @@ pub struct Project {
 }
 
 impl Project {
-    /// A tenant with no analyses yet.
+    /// A tenant with no analyses yet, and nothing loaded.
     pub fn new(name: &str, dir: PathBuf, schema_path: Option<PathBuf>) -> Self {
         Project {
             name: name.to_string(),
+            flight: Mutex::new(ProjectState {
+                sources: SourceMemo::new(dir.clone(), name, schema_path),
+                baseline: None,
+                last_trace: None,
+            }),
             dir,
-            schema_path,
-            flight: Mutex::new(ProjectState::default()),
             analyses: AtomicU64::new(0),
         }
-    }
-
-    /// Loads the project's sources and declared schema from disk through
-    /// [`cfinder_core::load_app`], the loader of `cfinder <dir>`, so a
-    /// daemon answer is byte-comparable to a one-shot run. Every failure
-    /// is a diagnostic string (mapped to `project-unusable` by the
-    /// daemon).
-    pub fn load(&self) -> Result<(AppSource, Schema), String> {
-        load_app(&self.dir, &self.name, self.schema_path.as_deref())
     }
 }
 
@@ -85,10 +94,11 @@ impl Registry {
         Registry::default()
     }
 
-    /// Registers (or replaces) a project.
-    pub fn register(&self, name: &str, dir: PathBuf, schema_path: Option<PathBuf>) -> Arc<Project> {
-        let project = Arc::new(Project::new(name, dir, schema_path));
-        self.projects.write().insert(name.to_string(), project.clone());
+    /// Publishes `project` under its name, replacing any tenant of that
+    /// name.
+    pub fn register(&self, project: Project) -> Arc<Project> {
+        let project = Arc::new(project);
+        self.projects.write().insert(project.name.clone(), project.clone());
         project
     }
 
@@ -126,8 +136,10 @@ mod tests {
         fs::write(dir.join("sub/c.py"), "z = 3\n").unwrap();
         fs::write(dir.join("notes.txt"), "ignored").unwrap();
         let registry = Registry::new();
-        let project = registry.register("tenant-a", dir.clone(), None);
-        let (app, _) = project.load().unwrap();
+        let project = registry.register(Project::new("tenant-a", dir.clone(), None));
+        let mut state = project.flight.lock();
+        assert_eq!(state.sources.load(), Ok(3));
+        let app = state.sources.app();
         assert_eq!(app.name, "tenant-a");
         let paths: Vec<&str> = app.files.iter().map(|f| f.path.as_str()).collect();
         assert_eq!(paths, ["a.py", "b.py", "sub/c.py"]);
@@ -138,11 +150,11 @@ mod tests {
     fn load_failures_are_diagnostic_strings() {
         let dir = tmp("empty");
         let registry = Registry::new();
-        let project = registry.register("empty", dir.clone(), None);
-        let err = project.load().unwrap_err();
+        let project = registry.register(Project::new("empty", dir.clone(), None));
+        let err = project.flight.lock().sources.load().unwrap_err();
         assert!(err.contains("no .py files"), "{err}");
-        let gone = registry.register("gone", dir.join("missing"), None);
-        assert!(gone.load().is_err());
+        let gone = registry.register(Project::new("gone", dir.join("missing"), None));
+        assert!(gone.flight.lock().sources.load().is_err());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -151,9 +163,9 @@ mod tests {
         let dir = tmp("rereg");
         fs::write(dir.join("a.py"), "x = 1\n").unwrap();
         let registry = Registry::new();
-        let first = registry.register("p", dir.clone(), None);
+        let first = registry.register(Project::new("p", dir.clone(), None));
         first.analyses.store(7, Ordering::Relaxed);
-        let second = registry.register("p", dir.clone(), None);
+        let second = registry.register(Project::new("p", dir.clone(), None));
         assert_eq!(second.analyses.load(Ordering::Relaxed), 0);
         assert_eq!(registry.all().len(), 1);
         let _ = fs::remove_dir_all(&dir);

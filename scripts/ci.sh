@@ -78,8 +78,9 @@ echo "==> cargo test ${test_scope[*]}"
 # fault-injected corpus, the reaching-definitions
 # oracle against the worklist reference, the null-guard oracle against the
 # per-expression guard table, fault injection, the
-# daemon soak (4 clients x 8 apps x 3 rounds) with the fault-frame,
-# result-frame golden and cache-concurrency suites, the direct-vs-Value
+# daemon soak (4 clients x 8 apps x 3 rounds) with the fault-frame
+# (edits between requests included), result-frame golden and
+# cache-concurrency suites, the source loader's racy-clean tests, the direct-vs-Value
 # JSON differential over every cache entry, declared schema and committed
 # BENCH point, and minidb's naive-vs-rewritten query
 # oracle with its 3VL pins and plan goldens; cfinder-schema's unit tests
@@ -118,13 +119,13 @@ echo "==> JSON shim unit tests"
 cargo test -p serde -p serde_json -- --quiet 2>&1 | tee -a "$test_log"
 
 echo "==> test-count floors"
-floor core 152 cfinder_core proptest_robustness detect_pin
+floor core 159 cfinder_core proptest_robustness detect_pin
 floor SQL 65 cfinder_sql roundtrip_proptest sql_faults sql_pin
 floor schema 66 cfinder_schema proptest_schema
 floor pyast 147 cfinder_pyast django_torture proptest_recovery proptest_roundtrip parse_pin
 floor flow 114 cfinder_flow proptest_interproc interproc_oracle reaching_oracle nullguard_oracle
-floor daemon 29 cfinder_serve serve_soak serve_faults serve_frames cache_concurrency
-floor json 12 serde serde_json json_direct
+floor daemon 30 cfinder_serve serve_soak serve_faults serve_frames cache_concurrency
+floor json 13 serde serde_json json_direct
 floor cache 12 cache_equivalence cache_invalidation cache_pin
 floor minidb 98 cfinder_minidb plan_golden proptest_integrity query_oracle three_valued_logic
 floor front-door 33 cli explain_golden hostile_env reproduce_cli

@@ -13,9 +13,9 @@
 //! a flag's value is the next argument and may not start with `--`,
 //! misuse prints `error: <message>` and `usage: <synopsis>` on stderr and
 //! exits 2, and `--help` or `-h` prints the synopsis on stdout and exits
-//! 0. Sources are read by `cfinder::core::load_app`, the loader of the
-//! `serve` daemon, and `explain` answers `AnalysisReport::explain`, the
-//! daemon's query.
+//! 0. Sources are read by `cfinder::core::load_app`, one load through a
+//! fresh `SourceMemo`, the loader each `serve` tenant keeps, and `explain`
+//! answers `AnalysisReport::explain`, the daemon's query.
 //!
 //! * `--schema FILE` — declared schema as JSON (see
 //!   `cfinder::schema::Schema::to_json`); without it, every inferred

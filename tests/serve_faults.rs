@@ -513,3 +513,96 @@ fn explain_frames_answer_the_report_query_like_the_cli() {
     assert!(daemon.finish().success());
     let _ = fs::remove_dir_all(&root);
 }
+
+/// Edits made between requests are seen as a fresh load sees them,
+/// however close they come to the daemon's last read: same-size
+/// rewrites in place right after an answer (in the file-system clock
+/// tick of the daemon's last look, where only the racy-clean rule can
+/// tell them apart), a `chmod`, a rename, a delete, an add and a
+/// same-size rewrite of the declared schema. Every answer's
+/// `stable_json` equals a fresh [`load_app`] plus an in-process analysis,
+/// and the edits that change the answer are seen to change it.
+#[test]
+fn edits_between_requests_answer_like_a_fresh_load() {
+    let root = temp_dir("edits");
+    let proj = root.join("proj");
+    fs::create_dir_all(&proj).unwrap();
+    let models = proj.join("models.py");
+    let source = PROJECT_SRC.replace(
+        "    code = models.CharField(max_length=32)\n",
+        "    code = models.CharField(max_length=32)\n    name = models.CharField(max_length=32)\n",
+    );
+    fs::write(&models, &source).unwrap();
+    fs::write(proj.join("helpers.py"), "def noop():\n    return None\n").unwrap();
+    // A unique declaration on `code` or on `name`: the same byte length.
+    let declare = |column: &str| {
+        let mut schema = Schema::new();
+        schema.add_table(
+            Table::new("Coupon")
+                .with_column(Column::new("code", ColumnType::VarChar(32)))
+                .with_column(Column::new("name", ColumnType::VarChar(32))),
+        );
+        schema.add_constraint(Constraint::unique("Coupon", [column])).unwrap();
+        schema.to_json()
+    };
+    let schema_path = root.join("schema.json");
+    fs::write(&schema_path, declare("name")).unwrap();
+    let cache = root.join("cache");
+
+    let mut daemon =
+        Daemon::spawn(&["--workers", "1", "--cache-dir", cache.to_str().unwrap()], 0, false);
+    let main = daemon.main_client();
+    ok_result(&main.call(
+        "reg",
+        &format!(
+            r#""cmd":"register","project":"p","dir":"{}","schema":"{}""#,
+            proj.display(),
+            schema_path.display()
+        ),
+    ));
+    let fresh = || {
+        let (app, declared) = load_app(&proj, "p", Some(&schema_path)).unwrap();
+        CFinder::new().analyze(&app, &declared).stable_json()
+    };
+    let mut previous = String::new();
+    // Analyzes, checks the answer against a fresh load, and returns
+    // whether it changed since the previous step.
+    let mut step = |name: &str| {
+        let result = analyze(&main, name, "");
+        let answer = field(&result, "stable_json").as_str().unwrap().to_string();
+        assert_eq!(answer, fresh(), "{name}");
+        std::mem::replace(&mut previous, answer) != previous
+    };
+    // Overwrites the file in place with text of the same length: no
+    // truncation, no new inode.
+    let rewrite_in_place = |path: &Path, text: &str| {
+        use std::io::Write;
+        assert_eq!(fs::metadata(path).unwrap().len(), text.len() as u64);
+        fs::OpenOptions::new().write(true).open(path).unwrap().write_all(text.as_bytes()).unwrap();
+    };
+
+    assert!(step("first"));
+    // Same-size rewrites at once, twice over, each right after an answer.
+    let moved = source.replace("filter(code=code)", "filter(name=code)");
+    for (i, text) in [&moved, &source, &moved, &source].into_iter().enumerate() {
+        rewrite_in_place(&models, text);
+        assert!(step(&format!("same-size {i}")), "the edit moves the unique constraint");
+    }
+    let mut perms = fs::metadata(&models).unwrap().permissions();
+    perms.set_readonly(true);
+    fs::set_permissions(&models, perms).unwrap();
+    assert!(!step("chmod"));
+    fs::rename(&models, proj.join("shop.py")).unwrap();
+    assert!(step("rename"), "provenance names the new path");
+    fs::remove_file(proj.join("helpers.py")).unwrap();
+    assert!(step("delete"), "the analyzed LoC fall");
+    fs::write(proj.join("extra.py"), "def noop():\n    return 1\n").unwrap();
+    assert!(step("add"));
+    rewrite_in_place(&schema_path, &declare("code"));
+    assert!(step("schema"), "the declared unique constraint moves");
+    rewrite_in_place(&schema_path, &declare("name"));
+    assert!(step("schema back"));
+
+    assert!(daemon.finish().success());
+    let _ = fs::remove_dir_all(&root);
+}
